@@ -138,8 +138,8 @@ class CellResult:
         cid = self.cell_id.replace(",", ";")
         return (
             f"{self.experiment},{cid},{self.j},{self.l},{l2},"
-            f"{num(self.u)},{num(self.v)},{num(self.T)},{self.empirical!r},"
-            f"{self.se!r},{self.target!r},{self.target_kind},{p}"
+            f"{num(self.u)},{num(self.v)},{num(self.T)},{num(self.empirical)},"
+            f"{num(self.se)},{num(self.target)},{self.target_kind},{p}"
         )
 
 
@@ -291,28 +291,19 @@ def _skew_kurt(x: np.ndarray) -> tuple:
 # experiments
 
 
-def _star_cross_level(family, j, l1, l2, s, t, prune):
-    """Cov(K*_s(l1), K*_t(l2)) assembled from at-least-level covariances."""
-    terms = []
-    bound = 0.0
-    for da, sa in ((0, 1.0), (1, -1.0)):
-        for db, sb in ((0, 1.0), (1, -1.0)):
-            e = cov_K_cross_level(family, j, l1 + da, l2 + db, s, t, prune=prune)
-            terms.append(sa * sb * e.value)
-            bound += e.error_bound
-    return math.fsum(terms), bound
-
-
-def _star_cross_gen(cg_cache, l, n):
-    value = math.fsum(
-        sa * sb * cg_cache[(l + da, n + db)][0]
+def _star_cov(cov, l1, l2):
+    """Cov(K*(l1), K*(l2)) from at-least-level covariances ``cov(l1, l2)``,
+    by K*(l) = K(l) - K(l + 1)."""
+    return math.fsum(
+        sa * sb * cov(l1 + da, l2 + db)
         for da, sa in ((0, 1.0), (1, -1.0))
         for db, sb in ((0, 1.0), (1, -1.0))
     )
-    bound = sum(
-        cg_cache[(l + da, n + db)][1] for da in (0, 1) for db in (0, 1)
-    )
-    return value, bound
+
+
+def _check_finite(name: str, values) -> None:
+    if not all(math.isfinite(x) for x in values):
+        raise ValidationError(f"{name} must be finite, got {list(values)}")
 
 
 def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
@@ -320,7 +311,8 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     exact finite-time values; a cell passes within 4 SE.  With
     ``deterministic_n`` set the fixed-n scheme is run and (only) means are
     compared against the binomial-scheme exact sums."""
-    start = time.time()
+    start = time.perf_counter()
+    _check_finite("t", [config.t])
     family = config.family()
     J, L = int(config.generations), int(config.levels)
     det_n = int(config.deterministic_n)
@@ -366,46 +358,53 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
             cell(f"var_K_star:j={j},l={l}", j, l, None, emp, se,
                  cov_K_star_same(family, j, l, t, t, prune=prune).value)
     if not det_n:
+        cl_cache: dict = {}
+
+        def cross_level(j, l1, l2):
+            if (j, l1, l2) not in cl_cache:
+                cl_cache[(j, l1, l2)] = cov_K_cross_level(
+                    family, j, l1, l2, t, t, prune=prune
+                ).value
+            return cl_cache[(j, l1, l2)]
+
         for j in range(1, J + 1):
             for l1 in range(1, L + 1):
                 for l2 in range(l1 + 1, L + 1):
                     x = V[:, _col(j, l1, 0, L, G, False, J)]
                     y = V[:, _col(j, l2, 0, L, G, False, J)]
                     emp, se = _cov_se(x, y)
-                    cell(
-                        f"cov_K_levels:j={j},l={l1},l2={l2}", j, l1, l2, emp, se,
-                        cov_K_cross_level(family, j, l1, l2, t, t, prune=prune).value,
-                    )
+                    cell(f"cov_K_levels:j={j},l={l1},l2={l2}", j, l1, l2, emp, se,
+                         cross_level(j, l1, l2))
                     xs = V[:, _col(j, l1, 0, L, G, True, J)]
                     ys = V[:, _col(j, l2, 0, L, G, True, J)]
                     emp, se = _cov_se(xs, ys)
-                    tgt, _ = _star_cross_level(family, j, l1, l2, t, t, prune)
+                    tgt = _star_cov(lambda a, b: cross_level(j, a, b), l1, l2)
                     cell(f"cov_K_star_levels:j={j},l={l1},l2={l2}",
                          j, l1, l2, emp, se, tgt)
         if J >= 2:
-            cg_cache = {}
-            for l in range(1, L + 2):
-                for n in range(1, L + 2):
-                    e = cov_K_cross_gen(family, 1, 2, l, n, t, t, prune=prune)
-                    cg_cache[(l, n)] = (e.value, e.error_bound)
+            cg_cache = {
+                (l, n): cov_K_cross_gen(family, 1, 2, l, n, t, t, prune=prune).value
+                for l in range(1, L + 2)
+                for n in range(1, L + 2)
+            }
             for l in range(1, L + 1):
                 for n in range(1, L + 1):
                     x = V[:, _col(1, l, 0, L, G, False, J)]
                     y = V[:, _col(2, n, 0, L, G, False, J)]
                     emp, se = _cov_se(x, y)
                     cell(f"cov_K_gens:l={l},l2={n}", 1, l, n, emp, se,
-                         cg_cache[(l, n)][0])
+                         cg_cache[(l, n)])
                     xs = V[:, _col(1, l, 0, L, G, True, J)]
                     ys = V[:, _col(2, n, 0, L, G, True, J)]
                     emp, se = _cov_se(xs, ys)
-                    tgt, _ = _star_cross_gen(cg_cache, l, n)
+                    tgt = _star_cov(lambda a, b: cg_cache[(a, b)], l, n)
                     cell(f"cov_K_star_gens:l={l},l2={n}", 1, l, n, emp, se, tgt)
 
     report = ExperimentReport(
         "moment_check",
         config,
         cells,
-        runtime_seconds=time.time() - start,
+        runtime_seconds=time.perf_counter() - start,
         notes={"pass_fraction_required": 0.95},
     )
     if config.out:
@@ -418,7 +417,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     empirical second moments vs exact finite-T covariances (flagged, 4 SE),
     the same entries vs the limit covariances (diagnostic, unflagged), and
     skewness/excess-kurtosis normality diagnostics (flagged, 4 SE bands)."""
-    start = time.time()
+    start = time.perf_counter()
+    _check_finite("T and u_grid", [config.T, *config.u_grid])
     family = config.family()
     J, L = int(config.generations), int(config.levels)
     T = float(config.T)
@@ -505,7 +505,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
         "clt_check",
         config,
         cells,
-        runtime_seconds=time.time() - start,
+        runtime_seconds=time.perf_counter() - start,
         notes={"pass_fraction_required": 0.95},
     )
     if config.out:
@@ -522,7 +522,8 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     every row is emitted as an unflagged diagnostic, so the non-convergence
     stays visible without failing the run.
     """
-    start = time.time()
+    start = time.perf_counter()
+    _check_finite("T_grid", config.T_grid)
     family = config.family()
     J, L = int(config.generations), int(config.levels)
     T_grid = [float(T) for T in config.T_grid]
@@ -583,7 +584,7 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
             bnds.append(e.error_bound / norm)
         series("cross_gen_ratio:l=1,l2=1", 1, 1, 1, vals, bnds, 0.0, "limit")
     report = ExperimentReport(
-        "asymptotic_trend", config, cells, runtime_seconds=time.time() - start
+        "asymptotic_trend", config, cells, runtime_seconds=time.perf_counter() - start
     )
     if config.out:
         report.write(config.out)
@@ -594,7 +595,8 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     """|E K_t - E 𝒦_⌊t⌋| against the uniform proof constant, per (j, l, t).
     The `se` column carries the certified enumeration error, which is added
     to the gap before comparison (conservative direction)."""
-    start = time.time()
+    start = time.perf_counter()
+    _check_finite("t_grid", config.t_grid)
     family = config.family()
     J, L = int(config.generations), int(config.levels)
     t_grid = [float(x) for x in config.t_grid] or list(
@@ -621,7 +623,7 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
                 )
     report = ExperimentReport(
         "depoissonization_check", config, cells,
-        runtime_seconds=time.time() - start,
+        runtime_seconds=time.perf_counter() - start,
     )
     if config.out:
         report.write(config.out)

@@ -27,6 +27,7 @@ from .errors import ValidationError
 
 __all__ = [
     "psi",
+    "psi_table",
     "poisson_tail",
     "binomial_tail",
     "AsymptoticParams",
@@ -64,6 +65,32 @@ def psi(l: int, x) -> Union[float, np.ndarray]:
     return out
 
 
+def psi_table(n: int, x) -> np.ndarray:
+    """Rows ``psi_0(x), ..., psi_{n-1}(x)``, shape ``(n,) + x.shape``.
+
+    Built by ``psi_{i+1} = psi_i * x / (i+1)`` from ``psi_0 = exp(-x)``: one
+    ``exp`` per element for all n levels.  Where ``exp(-x)`` would be
+    subnormal or zero (x > 700) the rows fall back to the log form of ``psi``.
+    """
+    n = int(n)
+    if n < 0:
+        raise ValidationError(f"level count must be >= 0, got {n}")
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    if np.any(flat < 0.0):
+        raise ValidationError("psi_table requires x >= 0")
+    out = np.empty((n, flat.size))
+    out[:1] = np.exp(-flat)
+    for i in range(1, n):
+        out[i] = out[i - 1] * (flat / i)
+    big = flat > 700.0
+    if np.any(big):
+        far = flat[big]
+        for i in range(n):
+            out[i, big] = psi(i, far)
+    return out.reshape((n,) + arr.shape)
+
+
 def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
     """P{Poisson(m) >= l}, stable in both regimes.
 
@@ -92,13 +119,7 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
             term = term * (ms / i)
             acc += term
         out[small] = acc
-        mb = m_arr[~small]
-        term = np.exp(-mb)
-        low = term.copy()
-        for i in range(1, l):
-            term = term * (mb / i)
-            low += term
-        out[~small] = 1.0 - low
+        out[~small] = 1.0 - psi_table(l, m_arr[~small]).sum(axis=0)
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 

@@ -2,25 +2,26 @@
 
 Every expectation/covariance of the Poissonized scheme is a sum over the
 (countably many) generation-j boxes r of a summand evaluated at the box
-weight p_r.  The enumeration walks the weighted prefix tree depth-first in
-decreasing-weight order and prunes with *certified* bounds: the caller
-supplies ``scale``, a per-unit-weight Markov coefficient such that the
-absolute contribution of any set of boxes of total weight m is at most
+weight p_r.  The enumeration keeps a tensor product of box indices, cut at
+depth d to the first K_d weights, and prunes with *certified* bounds: the
+caller supplies ``scale``, a per-unit-weight Markov coefficient such that
+the absolute contribution of any set of boxes of total weight m is at most
 ``scale * m`` (e.g. ``t/l`` for ``E K_t(l)`` since
-``P{Poisson(pt) >= l} <= pt/l``).  The reported ``error_bound`` is the
-accumulated ``scale * pruned-mass`` at the actual stopping points, which is
-guaranteed not to exceed the requested budget.
+``P{Poisson(pt) >= l} <= pt/l``).  The reported ``error_bound`` is
+``scale`` times the mass cut away, which never exceeds the requested budget.
 
-Budget bookkeeping: a prefix holding budget B spends at most B/2 on its own
-k-loop tail when it still has children (the full B at terminal depth) and
-hands child k the share (B/2) * p_k; since the p_k sum to at most 1, the
-total certified error never exceeds the root budget.  A useful consequence:
-within one generation the k-loop cutoff is the same for every prefix of the
-same depth, so cost scales like (cutoff)^j, not with the budget split.
+Per-depth cutoffs: with budget B, a non-terminal depth d may leave out the
+weight tail beyond K_d up to B/(2^d scale) per unit of prefix weight, and
+the terminal depth up to B/(2^(j-1) scale).  These shares add up to B, and
+since the prefix weights at any depth sum to at most 1 the total certified
+error stays within B.  So one ``tail_index`` search per depth fixes the
+whole plan, and cost scales like the product of the K_d.
 
-All sums stream over numpy chunks (one chunk per terminal prefix) and are
-combined with math.fsum, so no intermediate array ever holds the full box
-population.
+Sums stream over the box weights in blocks of at most ``_BLOCK`` elements
+(slices of the outer product of the prefix weights with the terminal
+weights), and the block sums are combined with math.fsum, so no
+intermediate array ever holds the full box population.  The per-level
+Poisson weights come from ``kernels.psi_table``, one ``exp`` per element.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import binomial_tail, poisson_tail, psi
+from .kernels import binomial_tail, poisson_tail, psi, psi_table
 from .weights import WeightFamily
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 _BOX_WARN = 20_000_000
+# elements per block of box weights (and per 2-D cross-generation block)
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -72,23 +75,36 @@ class MomentEstimate:
 
 @dataclass
 class BoxEnumeration:
-    """Plan of terminal prefixes: chunks() yields the weight array of each
-    prefix's enumerated children; tail_bound is the certified scaled bound on
-    everything not enumerated."""
+    """Plan of the enumerated boxes: every r with r_d <= cutoffs[d-1] at each
+    depth d.  chunks() yields their weights; tail_bound is the certified
+    scaled bound on everything not enumerated."""
 
     family: WeightFamily
     j: int
-    plan: list  # (prefix_weight, kenum) pairs
+    cutoffs: tuple
     boxes: int
     tail_bound: float
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        if not self.plan:
+    def chunks(self, block: int = _BLOCK) -> Iterator[np.ndarray]:
+        """Box weights in depth-first order, in 1-D blocks of at most
+        ``block`` elements."""
+        if not self.boxes:
             return
-        kmax = max(k for _, k in self.plan)
-        table = self.family.weight_prefix(kmax)
-        for w, k in self.plan:
-            yield w * table[:k]
+        *heads, last = [self.family.weight_prefix(k) for k in self.cutoffs]
+        prefix = np.ones(1)
+        for w in heads:
+            prefix = np.multiply.outer(prefix, w).ravel()
+        cols = min(last.size, block)
+        rows = max(1, block // last.size)
+        for r in range(0, prefix.size, rows):
+            for c in range(0, last.size, cols):
+                block_w = np.multiply.outer(prefix[r : r + rows], last[c : c + cols])
+                yield block_w.ravel()
+
+
+def _check_positive(name: str, x) -> None:
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValidationError(f"{name} must be finite and > 0, got {x}")
 
 
 def enumerate_boxes(
@@ -109,58 +125,30 @@ def enumerate_boxes(
     j = int(j)
     if j < 1:
         raise ValidationError(f"generation must be >= 1, got {j}")
-    if budget <= 0.0:
-        raise ValidationError(f"prune budget must be > 0, got {budget}")
-    if scale <= 0.0:
-        raise ValidationError(f"scale must be > 0, got {scale}")
-    plan: list = []
-    boxes = 0
+    _check_positive("prune budget", budget)
+    _check_positive("scale", scale)
+    cutoffs = []
     tail = 0.0
-
-    def rec(prefix_w: float, depth: int, b: float) -> None:
-        nonlocal boxes, tail
-        b_local = b if depth == j else b / 2.0
-        kenum = family.tail_index(b_local / (scale * prefix_w))
-        tail += scale * prefix_w * family.tail_mass_bound(kenum)
-        if kenum == 0:
-            return
-        if depth == j:
-            plan.append((prefix_w, kenum))
-            boxes += kenum
-            return
-        child_w = prefix_w * family.weight_prefix(kenum)
-        half = b / 2.0
-        table = family.weight_prefix(kenum)
-        for k in range(kenum):
-            rec(float(child_w[k]), depth + 1, half * float(table[k]))
-
-    rec(1.0, 1, float(budget))
+    mass = 1.0  # total weight of the depth-d prefixes
+    for d in range(1, j + 1):
+        k = family.tail_index(budget / (2.0 ** min(d, j - 1) * scale))
+        tail += scale * mass * family.tail_mass_bound(k)
+        mass *= math.fsum(family.weight_prefix(k))
+        cutoffs.append(k)
+    boxes = math.prod(cutoffs)
     if boxes > box_warn_threshold:
         warnings.warn(
             f"enumeration visits {boxes} generation-{j} boxes; "
             "consider a looser prune budget",
             stacklevel=2,
         )
-    return BoxEnumeration(family=family, j=j, plan=plan, boxes=boxes, tail_bound=tail)
+    return BoxEnumeration(family, j, tuple(cutoffs), boxes, tail)
 
 
 def poisson_low(l: int, m) -> np.ndarray:
     """P{Poisson(m) < l} = sum_{i<l} psi_i(m), summed directly so it stays
     accurate when it is tiny (the complement 1 - poisson_tail would not)."""
-    arr = np.asarray(m, dtype=float)
-    out = np.zeros_like(arr)
-    for i in range(int(l)):
-        out = out + psi(i, arr)
-    return np.minimum(out, 1.0)
-
-
-def _estimate(chunk_sums: list, enum: BoxEnumeration, prune: float) -> MomentEstimate:
-    return MomentEstimate(
-        value=math.fsum(chunk_sums),
-        error_bound=enum.tail_bound,
-        boxes_enumerated=enum.boxes,
-        prune_threshold=prune,
-    )
+    return np.minimum(psi_table(l, m).sum(axis=0), 1.0)
 
 
 def _check_level(l: int, name: str = "l") -> int:
@@ -170,80 +158,70 @@ def _check_level(l: int, name: str = "l") -> int:
     return l
 
 
+def _check_times(prune: float, *times) -> None:
+    _check_positive("prune budget", prune)
+    for x in times:
+        if not (math.isfinite(x) and x >= 0.0):
+            raise ValidationError(f"times must be finite and >= 0, got {x}")
+
+
+def _box_sum(family, j, prune, scale, summand) -> MomentEstimate:
+    """sum_r summand(p_r) over the certified plan; a zero scale (zero time)
+    means an empty sum."""
+    if scale == 0.0:
+        return MomentEstimate(0.0, 0.0, 0, prune)
+    enum = enumerate_boxes(family, j, prune, scale)
+    value = math.fsum(float(np.sum(summand(c))) for c in enum.chunks())
+    return MomentEstimate(value, enum.tail_bound, enum.boxes, prune)
+
+
 def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K_t^(j)(l) = sum_r P{Poisson(p_r t) >= l} (Poissonized scheme)."""
     l = _check_level(l)
-    if t < 0.0:
-        raise ValidationError("time must be >= 0")
-    if t == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
-    enum = enumerate_boxes(family, j, prune, t / l)
-    sums = [float(np.sum(poisson_tail(l, c * t))) for c in enum.chunks()]
-    return _estimate(sums, enum, prune)
+    _check_times(prune, t)
+    return _box_sum(family, j, prune, t / l, lambda c: poisson_tail(l, c * t))
 
 
 def mean_K_star(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K*_t^(j)(l) = sum_r psi_l(p_r t) (exactly-l boxes)."""
     l = _check_level(l)
-    if t < 0.0:
-        raise ValidationError("time must be >= 0")
-    if t == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
-    enum = enumerate_boxes(family, j, prune, t / l)
-    sums = [float(np.sum(psi(l, c * t))) for c in enum.chunks()]
-    return _estimate(sums, enum, prune)
+    _check_times(prune, t)
+    return _box_sum(family, j, prune, t / l, lambda c: psi(l, c * t))
 
 
 def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
     """E 𝒦_n^(j)(l) for the deterministic scheme: sum_r P{Bin(n, p_r) >= l}."""
     l = _check_level(l)
+    _check_times(prune, n)
     n = int(n)
-    if n < 0:
-        raise ValidationError("ball count must be >= 0")
-    if n == 0 or n < l:
+    if n < l:
         return MomentEstimate(0.0, 0.0, 0, prune)
-    enum = enumerate_boxes(family, j, prune, n / l)
-    sums = [float(np.sum(binomial_tail(n, c, l))) for c in enum.chunks()]
-    return _estimate(sums, enum, prune)
+    return _box_sum(family, j, prune, n / l, lambda c: binomial_tail(n, c, l))
 
 
 def cov_K_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K_s^(j)(l), K_t^(j)(l)); the events nest across time, so the
     per-box term is tail(l, p*(s∧t)) * P{Poisson(p*(s∨t)) < l}."""
     l = _check_level(l)
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("times must be >= 0")
+    _check_times(prune, s, t)
     lo, hi = min(s, t), max(s, t)
-    if lo == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
-    enum = enumerate_boxes(family, j, prune, lo / l)
-    sums = [
-        float(np.sum(poisson_tail(l, c * lo) * poisson_low(l, c * hi)))
-        for c in enum.chunks()
-    ]
-    return _estimate(sums, enum, prune)
+    return _box_sum(
+        family, j, prune, lo / l,
+        lambda c: poisson_tail(l, c * lo) * poisson_low(l, c * hi),
+    )
 
 
 def cov_K_star_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K*_s^(j)(l), K*_t^(j)(l)) =
     sum_r [psi_l(p(s∧t)) e^{-p|t-s|} - psi_l(ps) psi_l(pt)]."""
     l = _check_level(l)
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("times must be >= 0")
+    _check_times(prune, s, t)
     lo, hi = min(s, t), max(s, t)
-    if lo == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
-    gap = hi - lo
-    enum = enumerate_boxes(family, j, prune, lo / l)
-    sums = [
-        float(
-            np.sum(
-                psi(l, c * lo) * np.exp(-c * gap) - psi(l, c * s) * psi(l, c * t)
-            )
-        )
-        for c in enum.chunks()
-    ]
-    return _estimate(sums, enum, prune)
+    return _box_sum(
+        family, j, prune, lo / l,
+        lambda c: psi(l, c * lo) * np.exp(-c * (hi - lo))
+        - psi(l, c * s) * psi(l, c * t),
+    )
 
 
 def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> MomentEstimate:
@@ -252,30 +230,34 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
 
     Internally normalized to s <= t (the covariance is symmetric under
     swapping the (level, time) pairs).  With s <= t and l1 >= l2 the events
-    nest; otherwise the joint lower tail is a short psi-convolution.
+    nest; otherwise the joint lower tail is a short psi-convolution: i < l1
+    balls by time s and fewer than l2 - i more in (s, t].
     """
     l1, l2 = _check_level(l1, "l1"), _check_level(l2, "l2")
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("times must be >= 0")
+    _check_times(prune, s, t)
     if s > t:
         l1, l2, s, t = l2, l1, t, s
-    if s == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
-    coef = min(s / l1, t / l2)
-    enum = enumerate_boxes(family, j, prune, coef)
-    gap = t - s
-    sums = []
-    for c in enum.chunks():
+
+    def summand(c):
+        low_t = poisson_low(l2, c * t)
         if l1 >= l2:
-            val = poisson_tail(l1, c * s) * poisson_low(l2, c * t)
-        else:
-            joint = np.zeros_like(c)
-            for k in range(l2):
-                for i in range(min(k, l1 - 1) + 1):
-                    joint += psi(i, c * s) * psi(k - i, c * gap)
-            val = joint - poisson_low(l1, c * s) * poisson_low(l2, c * t)
-        sums.append(float(np.sum(val)))
-    return _estimate(sums, enum, prune)
+            return poisson_tail(l1, c * s) * low_t
+        early = psi_table(l1, c * s)
+        late = np.cumsum(psi_table(l2, c * (t - s)), axis=0)  # P{<= q} at q
+        joint = sum(early[i] * late[l2 - 1 - i] for i in range(l1))
+        return joint - early.sum(axis=0) * low_t
+
+    return _box_sum(family, j, prune, min(s / l1, t / l2), summand)
+
+
+def _binomial_pmfs(size: int, p: np.ndarray) -> np.ndarray:
+    """pmf[m, k] = P{Bin(m, p) = k} for m, k < size, by Pascal's rule."""
+    pmf = np.zeros((size, size) + p.shape)
+    pmf[0, 0] = 1.0
+    for m in range(1, size):
+        pmf[m] = pmf[m - 1] * (1.0 - p)
+        pmf[m, 1:] += pmf[m - 1, :-1] * p
+    return pmf
 
 
 def cov_K_cross_gen(
@@ -287,15 +269,15 @@ def cov_K_cross_gen(
     balls independently continues into a given generation-(j-i) suffix r2
     with probability p_{r2}, and fresh arrivals after the earlier snapshot
     are an independent Poisson stream.  The double sum over (r1, r2) is
-    enumerated with the outer budget prune/2, each outer box handing its
+    summed in 2-D blocks (outer weights p1 x inner weights p2); the outer
+    enumeration has budget prune/2, and each outer box hands its
     weight-proportional share prune/2 * p_{r1} to the inner enumeration.
     """
     i, j = int(i), int(j)
     if not 1 <= i < j:
         raise ValidationError(f"need 1 <= i < j, got i={i}, j={j}")
     l, n = _check_level(l, "l"), _check_level(n, "n")
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("times must be >= 0")
+    _check_times(prune, s, t)
     if s == 0.0 or t == 0.0:
         return MomentEstimate(0.0, 0.0, 0, prune)
     outer = enumerate_boxes(
@@ -306,57 +288,44 @@ def cov_K_cross_gen(
     # tail bound enters scaled by p1, and sum(p1) <= 1 keeps the total within
     # budget.
     inner = enumerate_boxes(
-        family,
-        j - i,
-        prune / 2.0,
-        t / n,
-        box_warn_threshold=box_warn_threshold,
+        family, j - i, prune / 2.0, t / n, box_warn_threshold=box_warn_threshold
     )
-    total_tail = outer.tail_bound
+    rows = _BLOCK // max(1, min(inner.boxes, _BLOCK))
     sums: list = []
-    boxes = outer.boxes
-    for chunk in outer.chunks():
-        for p1 in chunk.tolist():
-            total_tail += p1 * inner.tail_bound
-            boxes += inner.boxes
-            for p2 in inner.chunks():
-                sums.append(float(np.sum(_cross_gen_term(p1, p2, l, n, s, t))))
+    outer_mass = 0.0
+    for p1 in outer.chunks(rows):
+        outer_mass += float(np.sum(p1))
+        low_s = poisson_low(l, p1 * s)[:, None]
+        if t >= s:  # m < l balls in r1 at s
+            held = psi_table(l, p1 * s)
+        else:  # k < l balls in r1 at t, and fewer than l - k more by s
+            held = psi_table(l, p1 * t) * np.cumsum(
+                psi_table(l, p1 * (s - t)), axis=0
+            )[::-1]
+        for p2 in inner.chunks():
+            x = np.multiply.outer(p1, p2)
+            pmf = _binomial_pmfs(l, p2)  # k of r1's m balls continue into r2
+            if t >= s:
+                # r2 then needs fewer than n - k of the fresh balls in (s, t]
+                fresh = np.cumsum(psi_table(n, x * (t - s)), axis=0)
+                joint = sum(
+                    fresh[n - 1 - k] * np.einsum("mr,mc->rc", held, pmf[:, k])
+                    for k in range(min(l, n))
+                )
+            else:
+                joint = np.einsum("kr,kc->rc", held, pmf[:, :n].sum(axis=1))
+            sums.append(float(np.sum(joint - low_s * poisson_low(n, x * t))))
+    boxes = outer.boxes * (1 + inner.boxes)
     if boxes > box_warn_threshold:
         warnings.warn(
             f"cross-generation enumeration visited {boxes} boxes", stacklevel=2
         )
     return MomentEstimate(
         value=math.fsum(sums),
-        error_bound=total_tail,
+        error_bound=outer.tail_bound + outer_mass * inner.tail_bound,
         boxes_enumerated=boxes,
         prune_threshold=prune,
     )
-
-
-def _cross_gen_term(p1: float, p2: np.ndarray, l: int, n: int, s: float, t: float):
-    """Per-(r1, r2) covariance term, vectorized over the inner weights p2."""
-    joint = np.zeros_like(p2)
-    if t >= s:
-        for m in range(l):
-            psm = psi(m, p1 * s)
-            if psm == 0.0:
-                continue
-            inner = np.zeros_like(p2)
-            for k in range(min(m, n - 1) + 1):
-                pmf = math.comb(m, k) * p2**k * (1.0 - p2) ** (m - k)
-                inner += pmf * poisson_low(n - k, p1 * p2 * (t - s))
-            joint += psm * inner
-    else:
-        for k in range(l):
-            pkt = psi(k, p1 * t)
-            if pkt == 0.0:
-                continue
-            tail_room = float(np.sum([psi(a, p1 * (s - t)) for a in range(l - k)]))
-            inner = np.zeros_like(p2)
-            for m in range(min(k, n - 1) + 1):
-                inner += math.comb(k, m) * p2**m * (1.0 - p2) ** (k - m)
-            joint += pkt * tail_room * inner
-    return joint - poisson_low(l, p1 * s) * poisson_low(n, p1 * p2 * t)
 
 
 def depoissonization_constant(l: int) -> float:

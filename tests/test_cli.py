@@ -114,6 +114,15 @@ class TestExitCodes:
         assert code == 3
         assert "passed=False" in out
 
+    def test_non_finite_times_are_validation_errors(self, capsys):
+        for args in (
+            ["verify", "moment", "--t", "nan", "--replicas", "100"],
+            ["verify", "gap", "--t-grid", "10,nan"],
+        ):
+            code, _, err = run_cli(args, capsys)
+            assert code == 1, args
+            assert "error:" in err
+
     def test_help_everywhere(self, capsys):
         for args in (
             ["--help"],

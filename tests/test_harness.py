@@ -165,6 +165,26 @@ class TestDepoissonizationCheck:
             # target column records the proof constant for the level
             assert cell.empirical + cell.se <= cell.target + 1e-12
 
+    def test_default_grid_csv_fields_are_numbers(self):
+        # the default t-grid holds numpy scalars; the CSV must not show them
+        report = run_depoissonization_check(
+            ExperimentConfig(generations=1, levels=1)
+        )
+        lines = report.to_csv().splitlines()
+        header = lines[0].split(",")
+        numeric = ("j", "l", "T", "empirical", "se", "target", "pass")
+        assert len(lines) == 21
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            for name in numeric:
+                float(row[name])
+
+    def test_non_finite_times_rejected(self):
+        with pytest.raises(ValidationError):
+            run_depoissonization_check(ExperimentConfig(t_grid=(10.0, math.nan)))
+        with pytest.raises(ValidationError):
+            run_moment_check(ExperimentConfig(t=math.inf, replicas=100))
+
     def test_finite_family_gap_vanishes(self):
         cfg = ExperimentConfig(
             family_kind="finite",

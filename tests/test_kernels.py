@@ -18,6 +18,7 @@ from nested_karlin.kernels import (
     gl_density_bound,
     poisson_tail,
     psi,
+    psi_table,
 )
 
 
@@ -41,6 +42,30 @@ class TestPsi:
         # completing the Poisson pmf: tail + partial sum = 1
         total = sum(psi(i, x) for i in range(cut)) + poisson_tail(cut, x)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPsiTable:
+    def test_rows_match_psi(self):
+        x = np.concatenate([[0.0], np.logspace(-12.0, 6.0, 400)])
+        table = psi_table(21, x)
+        assert table.shape == (21, x.size)
+        assert np.all(np.isfinite(table))
+        for l in range(21):
+            want = psi(l, x)
+            big = want >= 1e-280
+            assert_allclose(table[l][big], want[big], rtol=1e-12, atol=0.0)
+            # past exp underflow (x > 745) the rows stay on the log form
+            far = x > 745.0
+            assert np.array_equal(table[l][far], want[far])
+
+    def test_shapes(self):
+        assert psi_table(3, 2.0).shape == (3,)
+        assert psi_table(0, [1.0, 2.0]).shape == (0, 2)
+        assert psi_table(2, np.ones((4, 5))).shape == (2, 4, 5)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValidationError):
+            psi_table(2, [1.0, -1.0])
 
 
 class TestPoissonTail:

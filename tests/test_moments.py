@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from nested_karlin.errors import ValidationError
 from nested_karlin.kernels import poisson_tail, psi
 from nested_karlin.moments import (
+    _BLOCK,
     cov_K_cross_gen,
     cov_K_cross_level,
     cov_K_same,
@@ -80,6 +82,27 @@ class TestEnumeration:
         assert w.size == 9
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_blocks_cover_tensor_product(self, geo):
+        # per-depth thresholds 1e-9 / (2 * 10), / (4 * 10), / (4 * 10) cut the
+        # geometric(0.5) tail 2^-K at K = 35, 36, 36
+        budget, scale = 1e-9, 10.0
+        enum = enumerate_boxes(geo, 3, budget, scale)
+        assert enum.boxes == 35 * 36 * 36
+        assert enum.boxes % _BLOCK != 0 and enum.boxes > _BLOCK
+        chunks = list(enum.chunks())
+        assert all(c.size <= _BLOCK for c in chunks)
+        w = [float(geo.weight(k)) for k in range(1, 37)]
+        brute = [
+            w[a] * w[b] * w[c]
+            for a, b, c in itertools.product(range(35), range(36), range(36))
+        ]
+        assert np.array_equal(np.concatenate(chunks), np.array(brute))
+        assert enum.tail_bound <= budget
+        # geometric tail bounds are exact: the certificate is the mass left out
+        assert scale * (1.0 - math.fsum(brute)) == pytest.approx(
+            enum.tail_bound, rel=1e-12
+        )
+
     def test_rejects_bad_arguments(self, geo):
         with pytest.raises(ValidationError):
             mean_K(geo, 0, 1, 10.0)
@@ -87,6 +110,27 @@ class TestEnumeration:
             mean_K(geo, 1, 0, 10.0)
         with pytest.raises(ValidationError):
             mean_K(geo, 1, 1, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, geo, bad):
+        with pytest.raises(ValidationError):
+            enumerate_boxes(geo, 1, bad, 1.0)
+        with pytest.raises(ValidationError):
+            enumerate_boxes(geo, 1, 1e-9, bad)
+        with pytest.raises(ValidationError):
+            mean_K(geo, 1, 1, 10.0, prune=bad)
+        calls = (
+            lambda x: mean_K(geo, 1, 1, x),
+            lambda x: mean_K_star(geo, 1, 1, x),
+            lambda x: mean_K_binomial(geo, 1, 1, x),
+            lambda x: cov_K_same(geo, 1, 1, x, 2.0),
+            lambda x: cov_K_star_same(geo, 1, 1, 2.0, x),
+            lambda x: cov_K_cross_level(geo, 1, 1, 2, x, 2.0),
+            lambda x: cov_K_cross_gen(geo, 1, 2, 1, 1, 2.0, x),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call(bad)
 
 
 class TestMeans:
@@ -299,6 +343,43 @@ class TestCrossGeneration:
         emp, se = _mc_cov(k1, k2)
         exact = cov_K_cross_gen(fin3, 1, 2, l, n, s, t)
         assert abs(emp - exact.value) <= 4.0 * se
+
+    @pytest.mark.parametrize("s, t", [(4.0, 9.0), (9.0, 4.0)])
+    def test_scalar_double_sum(self, fin3, s, t):
+        # Cov over each pair (r1, r2) as P(A^c B^c) - P(A^c) P(B^c), with
+        # A = {r1 holds >= l balls at s}, B = {(r1, r2) holds >= n at t}
+        def pois(k, x):
+            return math.exp(-x) * x**k / math.factorial(k)
+
+        def pois_below(q, x):
+            return sum(pois(k, x) for k in range(q))
+
+        def binom(m, k, p):
+            return math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+
+        for l, n in ((1, 1), (2, 3), (3, 2)):
+            want = 0.0
+            for p1, p2 in itertools.product(fin3.probs, fin3.probs):
+                if s <= t:
+                    # m balls in r1 at s, k of them in r2, then fresh ones
+                    joint = sum(
+                        pois(m, p1 * s) * binom(m, k, p2)
+                        * pois_below(n - k, p1 * p2 * (t - s))
+                        for m in range(l)
+                        for k in range(min(m, n - 1) + 1)
+                    )
+                else:
+                    # k balls in r1 at t (m of them in r2), more in r1 by s
+                    joint = sum(
+                        pois(k, p1 * t) * pois_below(l - k, p1 * (s - t))
+                        * binom(k, m, p2)
+                        for k in range(l)
+                        for m in range(min(k, n - 1) + 1)
+                    )
+                want += joint - pois_below(l, p1 * s) * pois_below(n, p1 * p2 * t)
+            got = cov_K_cross_gen(fin3, 1, 2, l, n, s, t)
+            assert got.error_bound == 0.0
+            assert got.value == pytest.approx(want, rel=1e-12), (l, n)
 
     def test_normalized_decorrelation_trend(self, weib):
         # |cov| / sqrt(f_1 f_2) must fall along T in {8, 12, 16}
