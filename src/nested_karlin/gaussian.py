@@ -98,6 +98,8 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
     u = np.asarray(list(u_grid), dtype=float)
     if u.size == 0:
         raise ValidationError("u_grid must be nonempty")
+    if not np.all(np.isfinite(u)):
+        raise ValidationError(f"u_grid must be finite, got {u.tolist()}")
     if np.any(np.diff(u) <= 0) and u.size > 1:
         # strictly increasing is the contract; duplicated points are allowed
         # only through the documented degenerate path (jitter), so flag any

@@ -181,7 +181,7 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# replica execution
+# worker pool: replica chunks and exact targets
 
 
 def _family_args(cfg: ExperimentConfig) -> tuple:
@@ -216,16 +216,21 @@ def _replica_chunk(payload: tuple) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _collect_values(cfg: ExperimentConfig, times) -> np.ndarray:
-    """Value matrix (replicas, 2*J*L*G), replica-ordered whatever the worker
-    count."""
+def _exact_target(fam_args: tuple, fn, args: tuple, prune: float):
+    """Worker: one exact moment ``fn(family, *args, prune=prune)``.  The
+    family is rebuilt from its arguments: a geometric family holds a lambda
+    and does not pickle."""
+    return fn(_family_from_args(fam_args), *args, prune=prune)
+
+
+def _replica_payloads(cfg: ExperimentConfig, times, threads: int) -> list:
+    """Contiguous replica ranges covering 0..R-1 in order: one range in
+    process, about four per worker otherwise."""
     R = int(cfg.replicas)
     if R < _MIN_STAT_REPLICAS:
         raise ValidationError(
             f"statistical experiments need >= {_MIN_STAT_REPLICAS} replicas, got {R}"
         )
-    threads = max(1, int(cfg.threads))
-    det_n = int(cfg.deterministic_n)
     payload = (
         _family_args(cfg),
         tuple(float(x) for x in times),
@@ -233,16 +238,47 @@ def _collect_values(cfg: ExperimentConfig, times) -> np.ndarray:
         cfg.levels,
         cfg.seed,
     )
+    chunk = R if threads == 1 else max(1, math.ceil(R / (4 * threads)))
+    det_n = int(cfg.deterministic_n)
+    return [payload + (lo, min(lo + chunk, R), det_n) for lo in range(0, R, chunk)]
+
+
+def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
+    """Compute a run's exact targets and, when ``times`` is given, its
+    replica value matrix (replicas, 2*J*L*G), on one pool of ``cfg.threads``
+    workers.
+
+    ``targets`` lists ``(fn, args)`` pairs, each computed once as
+    ``fn(family, *args, prune=cfg.prune)``; the returned lookup
+    ``estimate(fn, *args)`` gives its MomentEstimate.  Every exact moment is a pure function of its arguments
+    and replica r always draws from the stream keyed by (seed, r), so the
+    results do not depend on the worker count.  With one worker everything
+    runs in this process, through the functions as listed.
+    """
+    targets = list(dict.fromkeys(targets))
+    threads = max(1, int(cfg.threads))
+    payloads = [] if times is None else _replica_payloads(cfg, times, threads)
     if threads == 1:
-        parts = [_replica_chunk(payload + (0, R, det_n))]
+        parts = [_replica_chunk(p) for p in payloads]
+        values = [fn(family, *args, prune=cfg.prune) for fn, args in targets]
     else:
-        chunk = max(1, math.ceil(R / (4 * threads)))
-        payloads = [
-            payload + (lo, min(lo + chunk, R), det_n) for lo in range(0, R, chunk)
-        ]
+        fam_args = _family_args(cfg)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_replica_chunk, payloads))
-    return np.concatenate(parts, axis=0)
+            try:
+                # replica chunks are the longest tasks: submit them first
+                chunks = [pool.submit(_replica_chunk, p) for p in payloads]
+                exact = [
+                    pool.submit(_exact_target, fam_args, fn, args, cfg.prune)
+                    for fn, args in targets
+                ]
+                parts = [f.result() for f in chunks]
+                values = [f.result() for f in exact]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    V = np.concatenate(parts, axis=0) if parts else None
+    results = dict(zip(targets, values))
+    return (lambda fn, *args: results[(fn, args)]), V
 
 
 def _col(j: int, l: int, g: int, L: int, G: int, star: bool, J: int) -> int:
@@ -317,10 +353,39 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     J, L = int(config.generations), int(config.levels)
     det_n = int(config.deterministic_n)
     t = float(det_n) if det_n else float(config.t)
-    times = [det_n] if det_n else [t]
-    V = _collect_values(config, times)
+    js, ls = range(1, J + 1), range(1, L + 1)
+    if det_n:
+        # K*(l) = K(l) - K(l + 1): levels 1..L+1
+        targets = [(mean_K_binomial, (j, l, det_n)) for j in js for l in range(1, L + 2)]
+    else:
+        targets = [
+            (fn, (j, l, *ts))
+            for j in js
+            for l in ls
+            for fn, ts in ((mean_K, (t,)), (mean_K_star, (t,)),
+                           (cov_K_same, (t, t)), (cov_K_star_same, (t, t)))
+        ]
+        # the plain cross-level cells and their K* combinations
+        targets += [
+            (cov_K_cross_level, (j, a, b, t, t))
+            for j in js
+            for l1 in ls
+            for l2 in range(l1 + 1, L + 1)
+            for a in (l1, l1 + 1)
+            for b in (l2, l2 + 1)
+        ]
+        if J >= 2:
+            targets += [
+                (cov_K_cross_gen, (1, 2, l, n, t, t))
+                for l in range(1, L + 2)
+                for n in range(1, L + 2)
+            ]
+    estimate, V = _run_pool(config, family, targets, [det_n] if det_n else [t])
+
+    def value(fn, *args):
+        return estimate(fn, *args).value
+
     G = 1
-    prune = config.prune
     cells: list = []
 
     def cell(cid, j, l, l2, emp, se, target, kind="exact", tol=4.0, passed="auto"):
@@ -331,74 +396,62 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    for j in range(1, J + 1):
-        for l in range(1, L + 1):
+    for j in js:
+        for l in ls:
             xk = V[:, _col(j, l, 0, L, G, False, J)]
             xs = V[:, _col(j, l, 0, L, G, True, J)]
             if det_n:
-                target = mean_K_binomial(family, j, l, det_n, prune=prune)
+                target = value(mean_K_binomial, j, l, det_n)
                 emp, se = _mean_se(xk)
-                cell(f"mean_K:j={j},l={l}", j, l, None, emp, se, target.value)
-                tk = target.value - mean_K_binomial(
-                    family, j, l + 1, det_n, prune=prune
-                ).value
+                cell(f"mean_K:j={j},l={l}", j, l, None, emp, se, target)
+                tk = target - value(mean_K_binomial, j, l + 1, det_n)
                 emp, se = _mean_se(xs)
                 cell(f"mean_K_star:j={j},l={l}", j, l, None, emp, se, tk)
                 continue
             emp, se = _mean_se(xk)
-            cell(f"mean_K:j={j},l={l}", j, l, None, emp, se,
-                 mean_K(family, j, l, t, prune=prune).value)
+            cell(f"mean_K:j={j},l={l}", j, l, None, emp, se, value(mean_K, j, l, t))
             emp, se = _mean_se(xs)
             cell(f"mean_K_star:j={j},l={l}", j, l, None, emp, se,
-                 mean_K_star(family, j, l, t, prune=prune).value)
+                 value(mean_K_star, j, l, t))
             emp, se = _var_se(xk)
             cell(f"var_K:j={j},l={l}", j, l, None, emp, se,
-                 cov_K_same(family, j, l, t, t, prune=prune).value)
+                 value(cov_K_same, j, l, t, t))
             emp, se = _var_se(xs)
             cell(f"var_K_star:j={j},l={l}", j, l, None, emp, se,
-                 cov_K_star_same(family, j, l, t, t, prune=prune).value)
+                 value(cov_K_star_same, j, l, t, t))
     if not det_n:
-        cl_cache: dict = {}
+        for j in js:
+            def cross_level(a, b):
+                return value(cov_K_cross_level, j, a, b, t, t)
 
-        def cross_level(j, l1, l2):
-            if (j, l1, l2) not in cl_cache:
-                cl_cache[(j, l1, l2)] = cov_K_cross_level(
-                    family, j, l1, l2, t, t, prune=prune
-                ).value
-            return cl_cache[(j, l1, l2)]
-
-        for j in range(1, J + 1):
-            for l1 in range(1, L + 1):
+            for l1 in ls:
                 for l2 in range(l1 + 1, L + 1):
                     x = V[:, _col(j, l1, 0, L, G, False, J)]
                     y = V[:, _col(j, l2, 0, L, G, False, J)]
                     emp, se = _cov_se(x, y)
                     cell(f"cov_K_levels:j={j},l={l1},l2={l2}", j, l1, l2, emp, se,
-                         cross_level(j, l1, l2))
+                         cross_level(l1, l2))
                     xs = V[:, _col(j, l1, 0, L, G, True, J)]
                     ys = V[:, _col(j, l2, 0, L, G, True, J)]
                     emp, se = _cov_se(xs, ys)
-                    tgt = _star_cov(lambda a, b: cross_level(j, a, b), l1, l2)
                     cell(f"cov_K_star_levels:j={j},l={l1},l2={l2}",
-                         j, l1, l2, emp, se, tgt)
+                         j, l1, l2, emp, se, _star_cov(cross_level, l1, l2))
         if J >= 2:
-            cg_cache = {
-                (l, n): cov_K_cross_gen(family, 1, 2, l, n, t, t, prune=prune).value
-                for l in range(1, L + 2)
-                for n in range(1, L + 2)
-            }
-            for l in range(1, L + 1):
-                for n in range(1, L + 1):
+            def cross_gen(a, b):
+                return value(cov_K_cross_gen, 1, 2, a, b, t, t)
+
+            for l in ls:
+                for n in ls:
                     x = V[:, _col(1, l, 0, L, G, False, J)]
                     y = V[:, _col(2, n, 0, L, G, False, J)]
                     emp, se = _cov_se(x, y)
                     cell(f"cov_K_gens:l={l},l2={n}", 1, l, n, emp, se,
-                         cg_cache[(l, n)])
+                         cross_gen(l, n))
                     xs = V[:, _col(1, l, 0, L, G, True, J)]
                     ys = V[:, _col(2, n, 0, L, G, True, J)]
                     emp, se = _cov_se(xs, ys)
-                    tgt = _star_cov(lambda a, b: cg_cache[(a, b)], l, n)
-                    cell(f"cov_K_star_gens:l={l},l2={n}", 1, l, n, emp, se, tgt)
+                    cell(f"cov_K_star_gens:l={l},l2={n}", 1, l, n, emp, se,
+                         _star_cov(cross_gen, l, n))
 
     report = ExperimentReport(
         "moment_check",
@@ -426,10 +479,24 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     times = [math.exp(T + u) for u in u_grid]
     if sorted(times) != times:
         raise ValidationError("u_grid must be nondecreasing")
-    V = _collect_values(config, times)
     G = len(u_grid)
+    js, ls, gs = range(1, J + 1), range(1, L + 1), range(G)
+    targets = [(mean_K, (j, l, tg)) for j in js for l in ls for tg in times]
+    targets += [
+        (cov_K_same, (j, l, times[ga], times[gb]))
+        for j in js for l in ls for ga in gs for gb in range(ga, G)
+    ]
+    targets += [
+        (cov_K_cross_level, (j, l1, l2, tg, tg))
+        for j in js for l1 in ls for l2 in range(l1 + 1, L + 1) for tg in times
+    ]
+    if J >= 2:
+        targets += [
+            (cov_K_cross_gen, (1, 2, l, n, tg, tg))
+            for l in ls for n in ls for tg in times
+        ]
+    estimate, V = _run_pool(config, family, targets, times)
     R = V.shape[0]
-    prune = config.prune
     norms = {}
     for j in range(1, J + 1):
         c, f, _ = c_f_g(family.asymptotic_params(j), T)
@@ -439,7 +506,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     for j in range(1, J + 1):
         for l in range(1, L + 1):
             for g, tg in enumerate(times):
-                mu = mean_K(family, j, l, tg, prune=prune).value
+                mu = estimate(mean_K, j, l, tg).value
                 N[:, j - 1, l - 1, g] = (
                     V[:, _col(j, l, g, L, G, False, J)] - mu
                 ) / norms[j]
@@ -459,8 +526,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                     ua, ub = u_grid[ga], u_grid[gb]
                     x, y = N[:, j - 1, l - 1, ga], N[:, j - 1, l - 1, gb]
                     emp, se = (_var_se(x) if ga == gb else _cov_se(x, y))
-                    exact = cov_K_same(
-                        family, j, l, times[ga], times[gb], prune=prune
+                    exact = estimate(
+                        cov_K_same, j, l, times[ga], times[gb]
                     ).value / nj2
                     tag = f"j={j},l={l},u={ua},v={ub}"
                     put(f"cov:{tag}", j, l, None, ua, ub, emp, se, exact,
@@ -478,8 +545,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                 for ga, ua in enumerate(u_grid):
                     x, y = N[:, j - 1, l1 - 1, ga], N[:, j - 1, l2 - 1, ga]
                     emp, se = _cov_se(x, y)
-                    exact = cov_K_cross_level(
-                        family, j, l1, l2, times[ga], times[ga], prune=prune
+                    exact = estimate(
+                        cov_K_cross_level, j, l1, l2, times[ga], times[ga]
                     ).value / nj2
                     tag = f"j={j},l={l1},l2={l2},u={ua}"
                     put(f"cov_levels:{tag}", j, l1, l2, ua, ua, emp, se,
@@ -493,8 +560,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                 for ga, ua in enumerate(u_grid):
                     x, y = N[:, 0, l - 1, ga], N[:, 1, n - 1, ga]
                     emp, se = _cov_se(x, y)
-                    exact = cov_K_cross_gen(
-                        family, 1, 2, l, n, times[ga], times[ga], prune=prune
+                    exact = estimate(
+                        cov_K_cross_gen, 1, 2, l, n, times[ga], times[ga]
                     ).value / cross_norm
                     tag = f"l={l},l2={n},u={ua}"
                     put(f"cov_gens:{tag}", 1, l, n, ua, ua, emp, se,
@@ -529,7 +596,15 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     T_grid = [float(T) for T in config.T_grid]
     if len(T_grid) < 2 or sorted(T_grid) != T_grid:
         raise ValidationError("T_grid must be increasing with >= 2 points")
-    prune = config.prune
+    ts = [math.exp(T) for T in T_grid]
+    targets = [(cov_K_same, (1, l, t, t)) for l in range(1, L + 1) for t in ts]
+    targets += [
+        (mean_K_star, (j, l, t))
+        for j in range(1, J + 1) for l in range(1, L + 1) for t in ts
+    ]
+    if J >= 2:
+        targets += [(cov_K_cross_gen, (1, 2, 1, 1, t, t)) for t in ts]
+    estimate, _ = _run_pool(config, family, targets)
     diagnostic = family.kind == "geometric"
     cells: list = []
 
@@ -554,9 +629,9 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
 
     for l in range(1, L + 1):
         vals, bnds = [], []
-        for T in T_grid:
+        for T, t in zip(T_grid, ts):
             c1, f1, _ = c_f_g(family.asymptotic_params(1), T)
-            e = cov_K_same(family, 1, l, math.exp(T), math.exp(T), prune=prune)
+            e = estimate(cov_K_same, 1, l, t, t)
             vals.append(e.value / (c1 * f1))
             bnds.append(e.error_bound / (c1 * f1))
         b_l, _ = b_constants(l)
@@ -564,22 +639,20 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     for j in range(1, J + 1):
         for l in range(1, L + 1):
             vals, bnds = [], []
-            for T in T_grid:
+            for T, t in zip(T_grid, ts):
                 c, f, _ = c_f_g(family.asymptotic_params(j), T)
-                e = mean_K_star(family, j, l, math.exp(T), prune=prune)
+                e = estimate(mean_K_star, j, l, t)
                 vals.append(e.value * l / (c * f))
                 bnds.append(e.error_bound * l / (c * f))
             series(f"mean_star_ratio:j={j},l={l}", j, l, None, vals, bnds,
                    1.0, "limit")
     if J >= 2:
         vals, bnds = [], []
-        for T in T_grid:
+        for T, t in zip(T_grid, ts):
             c1, f1, _ = c_f_g(family.asymptotic_params(1), T)
             c2, f2, _ = c_f_g(family.asymptotic_params(2), T)
             norm = math.sqrt(c1 * f1 * c2 * f2)
-            e = cov_K_cross_gen(
-                family, 1, 2, 1, 1, math.exp(T), math.exp(T), prune=prune
-            )
+            e = estimate(cov_K_cross_gen, 1, 2, 1, 1, t, t)
             vals.append(e.value / norm)
             bnds.append(e.error_bound / norm)
         series("cross_gen_ratio:l=1,l2=1", 1, 1, 1, vals, bnds, 0.0, "limit")
@@ -602,14 +675,21 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     t_grid = [float(x) for x in config.t_grid] or list(
         np.logspace(1.0, 5.0, 20)
     )
-    prune = config.prune
+    js, ls = range(1, J + 1), range(1, L + 1)
+    targets = [
+        target
+        for j in js for l in ls for t in t_grid
+        for target in ((mean_K, (j, l, t)),
+                       (mean_K_binomial, (j, l, int(math.floor(t)))))
+    ]
+    estimate, _ = _run_pool(config, family, targets)
     cells: list = []
-    for j in range(1, J + 1):
-        for l in range(1, L + 1):
+    for j in js:
+        for l in ls:
             bound = depoissonization_constant(l)
             for t in t_grid:
-                a = mean_K(family, j, l, t, prune=prune)
-                b = mean_K_binomial(family, j, l, int(math.floor(t)), prune=prune)
+                a = estimate(mean_K, j, l, t)
+                b = estimate(mean_K_binomial, j, l, int(math.floor(t)))
                 err = a.error_bound + b.error_bound
                 gap = abs(a.value - b.value)
                 cells.append(

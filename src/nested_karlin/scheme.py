@@ -236,6 +236,8 @@ def simulate_poissonized(
     grid = np.asarray(list(times), dtype=float)
     if grid.size == 0:
         raise ValidationError("times must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"times must be finite, got {grid.tolist()}")
     if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
         raise ValidationError("times must be nondecreasing and nonnegative")
     rng = _make_rng(seed, replica)

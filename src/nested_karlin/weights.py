@@ -184,8 +184,8 @@ class WeightFamily:
         ratio for geometric), then nudged by +-1 against the exact
         inequality to absorb float boundary dust.
         """
-        if t <= 0.0:
-            raise ValidationError(f"rho needs t > 0, got {t}")
+        if not (math.isfinite(t) and t > 0.0):
+            raise ValidationError(f"rho needs a finite t > 0, got {t}")
         if t < 1.0:
             return 0
         if self.kind == "finite":

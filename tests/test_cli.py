@@ -123,6 +123,13 @@ class TestExitCodes:
             assert code == 1, args
             assert "error:" in err
 
+    def test_non_finite_limit_grid_is_validation_error(self, capsys):
+        code, out, err = run_cli(
+            ["sample", "limit", "--u-grid", "0,nan", "--n", "10"], capsys
+        )
+        assert code == 1
+        assert "error:" in err and not out
+
     def test_help_everywhere(self, capsys):
         for args in (
             ["--help"],

@@ -74,6 +74,11 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid("W", [0.0], 1)
 
+    def test_rejects_non_finite_grid(self):
+        for u in ([0.0, math.nan], [math.nan], [0.0, math.inf]):
+            with pytest.raises(ValidationError):
+                build_grid("Z", u, 2)
+
 
 class TestFactorSampler:
     def test_mean_centered(self):

@@ -1,8 +1,12 @@
+import contextlib
 import math
+import signal
 import time
+from dataclasses import replace
 
 import pytest
 
+from nested_karlin import harness
 from nested_karlin.errors import ValidationError
 from nested_karlin.harness import (
     REPORT_CSV_HEADER,
@@ -13,6 +17,23 @@ from nested_karlin.harness import (
     run_moment_check,
 )
 from nested_karlin.moments import mean_K_binomial
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this (the main) thread if the block is still
+    running after ``seconds``, so a stuck worker pool fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _assert_report_well_formed(report):
@@ -49,6 +70,29 @@ class TestMomentCheck:
                 assert cell.target == pytest.approx(want, rel=1e-12)
                 assert cell.target_kind == "exact"
 
+    def test_fixed_n_means_computed_once(self, monkeypatch):
+        # same config as test_exact_agreement_three_box_deterministic: the
+        # K* cell of level l reuses the level-(l + 1) mean of the next cell
+        calls = []
+
+        def counted(family, *args, **kwargs):
+            calls.append(args)
+            return mean_K_binomial(family, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "mean_K_binomial", counted)
+        cfg = ExperimentConfig(
+            family_kind="finite",
+            probs=(0.5, 0.3, 0.2),
+            deterministic_n=3,
+            generations=1,
+            levels=3,
+            replicas=4000,
+            seed=404,
+        )
+        report = run_moment_check(cfg)
+        assert sorted(calls) == [(1, l, 3) for l in (1, 2, 3, 4)]
+        assert len(report.cells) == 6
+
     def test_statistical_profile(self):
         cfg = ExperimentConfig(t=300.0, generations=2, levels=2, replicas=120, seed=17)
         report = run_moment_check(cfg)
@@ -78,11 +122,38 @@ class TestReproducibility:
         assert a == b
 
     def test_worker_count_does_not_change_output(self):
-        base = ExperimentConfig(t=200.0, generations=2, levels=2, replicas=100, seed=99)
-        multi = ExperimentConfig(
-            t=200.0, generations=2, levels=2, replicas=100, seed=99, threads=2
-        )
-        assert run_moment_check(base).to_csv() == run_moment_check(multi).to_csv()
+        # 3 workers is more than a 2-core machine has
+        small = [
+            (run_moment_check,
+             ExperimentConfig(t=200.0, generations=2, levels=2, replicas=100, seed=99)),
+            (run_moment_check,
+             ExperimentConfig(family_kind="finite", probs=(0.5, 0.3, 0.2),
+                              deterministic_n=5, generations=2, levels=2,
+                              replicas=100, seed=98)),
+            (run_clt_check,
+             ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=2, levels=2,
+                              replicas=100, seed=97)),
+            (run_asymptotic_trend,
+             ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2,
+                              prune=1e-6)),
+            (run_depoissonization_check,
+             ExperimentConfig(t_grid=(10.0, 100.0, 1000.0), generations=2,
+                              levels=2, prune=1e-7)),
+        ]
+        for runner, cfg in small:
+            with _deadline(120):
+                csvs = [runner(replace(cfg, threads=n)).to_csv() for n in (1, 2, 3)]
+            assert csvs[1] == csvs[0], runner.__name__
+            assert csvs[2] == csvs[0], runner.__name__
+
+    def test_worker_error_surfaces_as_validation_error(self):
+        # a zero prune budget is rejected inside each exact moment, which
+        # with 2 workers runs in a worker process
+        cfg = ExperimentConfig(t_grid=(10.0, 100.0), generations=1, levels=1,
+                               prune=0.0, threads=2)
+        with _deadline(60), pytest.raises(ValidationError) as info:
+            run_depoissonization_check(cfg)
+        assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
     def test_write_emits_manifest(self, tmp_path):
         cfg = ExperimentConfig(t=150.0, replicas=100, seed=3)

@@ -151,6 +151,11 @@ class TestPoissonizedExamples:
         with pytest.raises(ValidationError):
             simulate_poissonized(geo, [3.0, 1.0], 1, 1, seed=0)
 
+    def test_non_finite_times_rejected(self, geo):
+        for times in ([math.nan], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(ValidationError):
+                simulate_poissonized(geo, times, 1, 1, seed=0)
+
 
 class TestInvariantsAndDeterminism:
     @given(

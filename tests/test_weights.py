@@ -94,6 +94,12 @@ class TestRho:
         with pytest.raises(ValidationError):
             weib.rho(0.0)
 
+    def test_non_finite_t(self, weib, geo, fin):
+        for fam in (weib, geo, fin):
+            for t in (math.nan, math.inf):
+                with pytest.raises(ValidationError):
+                    fam.rho(t)
+
 
 class TestTailBound:
     def test_geometric_exact(self, geo):
