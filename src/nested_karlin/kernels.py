@@ -92,35 +92,17 @@ def psi_table(n: int, x) -> np.ndarray:
 
 
 def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
-    """P{Poisson(m) >= l}, stable in both regimes.
-
-    For ``m < 0.7*l`` the tail itself is summed (ascending series from
-    ``i = l``, term ratio below 0.7 so it terminates quickly); otherwise
-    the complement ``1 - sum_{i<l} psi_i(m)`` is used.  This keeps relative
-    accuracy when the tail is many orders of magnitude below 1.
-    """
+    """P{Poisson(m) >= l} as the regularized lower incomplete gamma function
+    P(l, m), which keeps full relative precision in both tails (the tail
+    itself when it is many orders of magnitude below 1, the complement near
+    1)."""
     l = int(l)
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0):
         raise ValidationError("poisson_tail requires m >= 0")
     scalar = m_arr.ndim == 0
-    m_arr = np.atleast_1d(m_arr).astype(float)
-    if l <= 0:
-        out = np.ones_like(m_arr)
-    else:
-        out = np.empty_like(m_arr)
-        small = m_arr < 0.7 * l
-        ms = m_arr[small]
-        term = np.atleast_1d(psi(l, ms))
-        acc = term.copy()
-        i = l
-        while term.size and np.any(term > 1e-17 * np.maximum(acc, 1e-300)):
-            i += 1
-            term = term * (ms / i)
-            acc += term
-        out[small] = acc
-        out[~small] = 1.0 - psi_table(l, m_arr[~small]).sum(axis=0)
-    out = np.clip(out, 0.0, 1.0)
+    m_arr = np.atleast_1d(m_arr)
+    out = np.ones_like(m_arr) if l <= 0 else special.gammainc(l, m_arr)
     return float(out[0]) if scalar else out
 
 

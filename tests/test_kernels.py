@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,19 @@ class TestPoissonTail:
                 assert poisson_tail(l, m) == pytest.approx(
                     gammainc(l, m), rel=1e-12, abs=1e-300
                 )
+
+    def test_against_mpmath_50_digits(self):
+        # regularized lower gamma at 50 digits on a log grid spanning the
+        # tiny-tail and the near-one regime; bound set from the dtype
+        m = np.logspace(-12.0, 6.0, 721)
+        for l in range(1, 6):
+            with mpmath.workdps(50):
+                want = np.array([
+                    float(mpmath.gammainc(l, 0, mpmath.mpf(float(x)), regularized=True))
+                    for x in m
+                ])
+            rel = np.abs(poisson_tail(l, m) - want) / want
+            assert rel.max() <= 256 * np.finfo(float).eps, (l, m[rel.argmax()])
 
     def test_l0(self):
         assert poisson_tail(0, 5.0) == 1.0
