@@ -250,10 +250,11 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
 
     ``targets`` lists ``(fn, args)`` pairs, each computed once as
     ``fn(family, *args, prune=cfg.prune)``; the returned lookup
-    ``estimate(fn, *args)`` gives its MomentEstimate.  Every exact moment is a pure function of its arguments
-    and replica r always draws from the stream keyed by (seed, r), so the
-    results do not depend on the worker count.  With one worker everything
-    runs in this process, through the functions as listed.
+    ``estimate(fn, *args)`` gives its MomentEstimate.  Every exact moment is
+    a pure function of its arguments and replica r always draws from the
+    stream keyed by (seed, r), so the results do not depend on the worker
+    count.  With one worker everything runs in this process, through the
+    functions as listed.
     """
     targets = list(dict.fromkeys(targets))
     threads = max(1, int(cfg.threads))
@@ -265,12 +266,15 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
         fam_args = _family_args(cfg)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             try:
-                # replica chunks are the longest tasks: submit them first
+                # Longest first, so the last tasks are short: the replica
+                # chunks, then the targets backwards (the runners list them
+                # with generation, level and time ascending, and cost grows
+                # with each).
                 chunks = [pool.submit(_replica_chunk, p) for p in payloads]
                 exact = [
                     pool.submit(_exact_target, fam_args, fn, args, cfg.prune)
-                    for fn, args in targets
-                ]
+                    for fn, args in reversed(targets)
+                ][::-1]
                 parts = [f.result() for f in chunks]
                 values = [f.result() for f in exact]
             except BaseException:
