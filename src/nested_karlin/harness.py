@@ -12,8 +12,9 @@ than closeness.
 Reproducibility: replica r of a run with master seed s draws from a
 dedicated counter-based stream keyed by (s, r), and replica-level results
 are assembled into a matrix ordered by r before any statistic is computed.
-Worker processes only ever compute disjoint replica ranges, so reports are
-byte-identical for a fixed (config, seed) regardless of the worker count.
+Worker processes compute disjoint replica ranges and exact targets, each a
+pure function of its arguments, so reports are byte-identical for a fixed
+(config, seed) regardless of the worker count.
 """
 
 from __future__ import annotations
