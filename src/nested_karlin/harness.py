@@ -361,7 +361,9 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     js, ls = range(1, J + 1), range(1, L + 1)
     if det_n:
         # K*(l) = K(l) - K(l + 1): levels 1..L+1
-        targets = [(mean_K_binomial, (j, l, det_n)) for j in js for l in range(1, L + 2)]
+        targets = [
+            (mean_K_binomial, (j, l, det_n)) for j in js for l in range(1, L + 2)
+        ]
     else:
         targets = [
             (fn, (j, l, *ts))
