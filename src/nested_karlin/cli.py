@@ -193,7 +193,7 @@ def _cmd_simulate(ns) -> int:
     fam = _family(ns)
     lines = [OccupancyTrajectory.csv_header()]
     if ns.deterministic_n:
-        grid = [int(x) for x in _csv_floats(ns.times)] if ns.times else [int(ns.deterministic_n)]
+        grid = _csv_floats(ns.times) if ns.times else [ns.deterministic_n]
         for r in range(ns.replicas):
             traj = simulate_deterministic(
                 fam, ns.deterministic_n, ns.generations, ns.levels, grid,

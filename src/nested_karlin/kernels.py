@@ -47,14 +47,15 @@ def psi(l: int, x) -> Union[float, np.ndarray]:
     ``exp(l*log(x) - x - lgamma(l+1))`` so that huge ``x`` underflows
     cleanly to 0.0 instead of tripping an overflow in ``x**l``.
 
-    Accepts a scalar or array ``x >= 0``; ``psi(l, 0) = 1`` iff ``l == 0``.
+    Accepts a scalar or array of finite ``x >= 0``; ``psi(l, 0) = 1`` iff
+    ``l == 0``.
     """
     l = int(l)
     if l < 0:
         raise ValidationError(f"level must be >= 0, got {l}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValidationError("psi requires x >= 0")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValidationError("psi requires finite x >= 0")
     if l == 0:
         out = np.exp(-arr)
     else:
@@ -77,8 +78,8 @@ def psi_table(n: int, x) -> np.ndarray:
         raise ValidationError(f"level count must be >= 0, got {n}")
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
-    if np.any(flat < 0.0):
-        raise ValidationError("psi_table requires x >= 0")
+    if not np.all((flat >= 0.0) & (flat < np.inf)):
+        raise ValidationError("psi_table requires finite x >= 0")
     out = np.empty((n, flat.size))
     out[:1] = np.exp(-flat)
     for i in range(1, n):
@@ -98,7 +99,7 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
     1)."""
     l = int(l)
     m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0.0):
+    if not np.all(m_arr >= 0.0):
         raise ValidationError("poisson_tail requires m >= 0")
     scalar = m_arr.ndim == 0
     m_arr = np.atleast_1d(m_arr)
@@ -119,7 +120,7 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
     if n < 0:
         raise ValidationError(f"ball count must be >= 0, got {n}")
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)):
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise ValidationError("binomial_tail requires 0 <= p <= 1")
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(p_arr).astype(float)

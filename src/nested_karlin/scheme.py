@@ -7,20 +7,20 @@ box is the prefix (ξ_1, ..., ξ_j).  We only ever materialize prefixes up to
 the requested maximum generation J, and only counts-of-counts up to level
 L+1 (the guard level makes K* at level L exact).
 
-Bookkeeping is incremental: per generation a hash map box-prefix -> ball
-count, plus the running statistics K[j][l] (# boxes with >= l balls) and the
-excess (# balls sitting in boxes that already exceed level L).  A batch of
-fresh balls therefore costs O(batch * J) plus the snapshot copies, which is
-what makes many-snapshot CLT trajectories cheap.
-
-Box prefixes are packed into a single int64 per generation (base
-``len(table) + 2`` positional code), which keeps the maps primitive-keyed
-and the uniqueness pass vectorized.
+Each replica is simulated in one vectorized pass.  Its ball counts per
+snapshot come first (Poisson increments, or the grid's differences), then
+one ``rng.random((N, J))`` draw for all N balls, mapped to indices by the
+family's guide-table inverse CDF.  Per generation, box prefixes are packed
+into one int64 key each (base ``len(table) + 2`` positional code) together
+with the snapshot that brought the ball, and one sort of the keys gives each
+box's count before and after every snapshot.  A box adds 1 to K(l) at the
+snapshot where its count crosses l; K over the grid is the running sum.  The
+keys take O(N * J) memory whatever the number of snapshots, and the
+trajectory is the one that drawing each snapshot's balls in turn gives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,15 +46,13 @@ def sample_index(family: WeightFamily, draw):
     landing beyond it (probability < 2**-53) are assigned to one extra
     overflow bucket rather than rejected, so the map is total.
     """
-    table = family.cumulative_table()
     arr = np.asarray(draw, dtype=float)
-    if np.any((arr < 0.0) | (arr >= 1.0)):
+    if not np.all((arr >= 0.0) & (arr < 1.0)):
         raise ValidationError("uniform draws must lie in [0, 1)")
-    idx = np.searchsorted(table, arr, side="right") + 1
-    idx = np.minimum(idx, len(table) + 1)
+    idx = family.table_search(np.atleast_1d(arr)) + 1
     if np.isscalar(draw) or arr.ndim == 0:
-        return int(idx)
-    return idx.astype(np.int64)
+        return int(idx[0])
+    return idx.reshape(arr.shape)
 
 
 @dataclass
@@ -121,6 +119,14 @@ def _make_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices at which a run of equal values starts in the sorted ``a``."""
+    mark = np.empty(len(a), dtype=bool)
+    mark[:1] = True
+    np.not_equal(a[1:], a[:-1], out=mark[1:])
+    return np.flatnonzero(mark)
+
+
 def _run(
     family: WeightFamily,
     increments: list,
@@ -132,46 +138,45 @@ def _run(
     seed: int,
     replica: int,
 ) -> OccupancyTrajectory:
-    table = family.cumulative_table()
-    stride = len(table) + 2
-    if J * math.log2(stride) >= 63:
-        raise ValidationError(
-            f"cannot pack {J} generations of indices < {stride} into int64 keys"
-        )
+    stride = len(family.cumulative_table()) + 2
     G = len(grid)
-    counts: list = [dict() for _ in range(J)]
-    k_live = np.zeros((J, L + 1), dtype=np.int64)
-    excess_live = np.zeros(J, dtype=np.int64)
-    K_full = np.zeros((J, L + 1, G), dtype=np.int64)
-    excess = np.zeros((J, G), dtype=np.int64)
-    balls = np.zeros(G, dtype=np.int64)
-    total = 0
-    for i, delta in enumerate(increments):
-        if delta:
-            u = rng.random((delta, J))
-            idx = np.searchsorted(table, u, side="right").astype(np.int64) + 1
-            np.minimum(idx, stride - 1, out=idx)
-            codes = np.zeros(delta, dtype=np.int64)
-            for g in range(J):
-                codes = codes * stride + idx[:, g]
-                uniq, cnt = np.unique(codes, return_counts=True)
-                store = counts[g]
-                old = np.fromiter(
-                    (store.get(c, 0) for c in uniq.tolist()),
-                    dtype=np.int64,
-                    count=len(uniq),
-                )
-                new = old + cnt
-                for c, v in zip(uniq.tolist(), new.tolist()):
-                    store[c] = v
-                for l in range(1, L + 2):
-                    k_live[g, l - 1] += int(np.count_nonzero((old < l) & (new >= l)))
-                excess_live[g] += int(new[new > L].sum() - old[old > L].sum())
-            total += delta
-        K_full[:, :, i] = k_live
-        excess[:, i] = excess_live
-        balls[i] = total
-    traj = OccupancyTrajectory(
+    snap_bits = (G - 1).bit_length()
+    if (stride**J << snap_bits) > 2**63:
+        raise ValidationError(
+            f"cannot pack {J} generations of indices < {stride} and {G} "
+            "snapshots into int64 keys"
+        )
+    increments = np.asarray(increments, dtype=np.int64)
+    balls = np.cumsum(increments)
+    idx = family.table_search(rng.random((int(balls[-1]), J))) + 1
+    snap = np.repeat(np.arange(G, dtype=np.int64), increments)
+    K_full = np.empty((J, L + 1, G), dtype=np.int64)
+    excess = np.empty((J, G), dtype=np.int64)
+    codes = np.zeros(len(idx), dtype=np.int64)
+    for g in range(J):
+        codes = codes * stride + idx[:, g]
+        keys = (codes << snap_bits) | snap
+        keys.sort()
+        # A box's balls form one run of the sorted keys, cut into one group
+        # per snapshot that adds to it.  Positions within the run give the
+        # box's count before (old) and after (new) each group's arrivals.
+        first = _run_starts(keys)
+        group = keys[first]
+        box, at = group >> snap_bits, group & (2**snap_bits - 1)
+        box_first = _run_starts(box)
+        origin = np.repeat(first[box_first], np.diff(box_first, append=len(first)))
+        old = first - origin
+        new = np.append(first[1:], len(keys)) - origin
+        # the group adds 1 to K(l) at its snapshot for old < l <= new: +1 at
+        # level old + 1 and -1 at level new + 1 (both capped at L + 2), then
+        # summed over levels
+        rows = at * (L + 2)
+        step = np.bincount(rows + np.minimum(old, L + 1), minlength=G * (L + 2))
+        step -= np.bincount(rows + np.minimum(new, L + 1), minlength=G * (L + 2))
+        K_full[g] = step.reshape(G, L + 2).cumsum(axis=1).cumsum(axis=0)[:, : L + 1].T
+        moved = np.where(new > L, new, 0) - np.where(old > L, old, 0)
+        excess[g] = np.bincount(at, weights=moved, minlength=G).cumsum()
+    return OccupancyTrajectory(
         kind=kind,
         grid=np.asarray(grid),
         K=K_full[:, :L, :].copy(),
@@ -183,7 +188,6 @@ def _run(
         replica=replica,
         family_kind=family.kind,
     )
-    return traj
 
 
 def _check_jl(J: int, L: int) -> tuple:
@@ -191,6 +195,16 @@ def _check_jl(J: int, L: int) -> tuple:
     if J < 1 or L < 1:
         raise ValidationError(f"need J >= 1 and L >= 1, got J={J}, L={L}")
     return J, L
+
+
+def _ball_counts(values: list, what: str) -> np.ndarray:
+    """``values`` as int64; each must be a finite whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "i":
+        arr = arr.astype(float)
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (abs(arr) < 2.0**62)):
+            raise ValidationError(f"{what} must be finite and whole, got {arr.tolist()}")
+    return arr.astype(np.int64)
 
 
 def simulate_deterministic(
@@ -206,10 +220,10 @@ def simulate_deterministic(
     """Fixed-ball-count scheme: snapshots at the integer ball counts in
     ``time_grid`` (nondecreasing, max <= n)."""
     J, L = _check_jl(J, L)
-    n = int(n)
+    n = int(_ball_counts([n], "ball count n")[0])
     if n < 0:
         raise ValidationError("ball count must be >= 0")
-    grid = np.asarray(list(time_grid), dtype=np.int64)
+    grid = _ball_counts(list(time_grid), "time_grid")
     if grid.size == 0:
         raise ValidationError("time_grid must be nonempty")
     if np.any(np.diff(grid) < 0) or grid[0] < 0:

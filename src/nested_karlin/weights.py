@@ -37,6 +37,7 @@ from .kernels import AsymptoticParams
 __all__ = ["WeightFamily"]
 
 _TABLE_TOL = 2.0**-53
+_GUIDE_SIZE = 2**16  # buckets of the inverse-CDF guide table
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,6 +124,7 @@ class WeightFamily:
         else:
             raise ValidationError(f"unknown family kind {kind!r}")
         self._cum = None
+        self._guide = None
         self._w = np.empty(0)
 
     # -- constructors ------------------------------------------------------
@@ -261,6 +263,30 @@ class WeightFamily:
             cum.setflags(write=False)
             self._cum = cum
         return self._cum
+
+    def table_search(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cumulative_table(), u, side="right")`` for draws
+        ``u`` in [0, 1), through a guide table (indexed search, Chen & Asau,
+        AIIE Trans. 6, 1974).
+
+        Bucket b holds the draws in [b/2**16, (b+1)/2**16); ``u * 2**16`` and
+        its floor are exact, so a bucket that no table entry falls inside
+        answers with the count of entries <= b/2**16.  Buckets that an entry
+        falls inside hold -1, and their draws fall back to the binary search.
+        """
+        if self._guide is None:
+            cum = self.cumulative_table()
+            guide = np.searchsorted(cum, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
+            guide[(cum[cum < 1.0] * _GUIDE_SIZE).astype(np.intp)] = -1
+            guide.setflags(write=False)
+            self._guide = guide
+        out = self._guide.take((u * _GUIDE_SIZE).astype(np.intp))
+        miss = np.flatnonzero(out < 0)
+        if miss.size:
+            out.reshape(-1)[miss] = np.searchsorted(
+                self._cum, np.reshape(u, -1)[miss], side="right"
+            )
+        return out
 
     # -- diagnostics -------------------------------------------------------
 

@@ -123,6 +123,14 @@ class TestExitCodes:
             assert code == 1, args
             assert "error:" in err
 
+    def test_fixed_n_grid_must_be_whole_ball_counts(self, capsys):
+        for times in ("1,nan", "2.5"):
+            code, out, err = run_cli(
+                ["simulate", "--deterministic-n", "10", "--times", times], capsys
+            )
+            assert code == 1, times
+            assert "error:" in err and not out
+
     def test_non_finite_limit_grid_is_validation_error(self, capsys):
         code, out, err = run_cli(
             ["sample", "limit", "--u-grid", "0,nan", "--n", "10"], capsys

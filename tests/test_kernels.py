@@ -44,6 +44,12 @@ class TestPsi:
         total = sum(psi(i, x) for i in range(cut)) + poisson_tail(cut, x)
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0, [1.0, math.nan], [math.inf]])
+    def test_rejects_nan_inf_and_negative(self, x):
+        for l in (0, 1):
+            with pytest.raises(ValidationError):
+                psi(l, x)
+
 
 class TestPsiTable:
     def test_rows_match_psi(self):
@@ -67,6 +73,11 @@ class TestPsiTable:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             psi_table(2, [1.0, -1.0])
+
+    def test_rejects_nan_and_inf(self):
+        for x in ([1.0, math.nan], [math.inf, 1.0], math.nan):
+            with pytest.raises(ValidationError):
+                psi_table(2, x)
 
 
 class TestPoissonTail:
@@ -117,6 +128,11 @@ class TestPoissonTail:
         assert poisson_tail(1, 1e-300) == pytest.approx(1e-300, rel=1e-10)
         assert poisson_tail(5, 1e4) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_nan(self):
+        for m in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValidationError):
+                poisson_tail(1, m)
+
 
 class TestBinomialTail:
     def test_against_beta_oracle(self):
@@ -132,6 +148,11 @@ class TestBinomialTail:
         assert binomial_tail(5, 0.0, 1) == 0.0
         assert binomial_tail(5, 1.0, 5) == 1.0
         assert binomial_tail(5, 0.3, 0) == 1.0
+
+    def test_rejects_nan(self):
+        for p in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValidationError):
+                binomial_tail(10, p, 1)
 
     def test_vectorized(self):
         p = np.array([0.0, 1e-9, 0.2, 0.9, 1.0])

@@ -18,6 +18,55 @@ from nested_karlin.scheme import (
 )
 from nested_karlin.weights import WeightFamily
 
+FAMILIES = {
+    "weib": WeightFamily.weibull_like(0.5),
+    "geo": WeightFamily.geometric(0.5),
+    "fin": WeightFamily.finite([0.5, 0.3, 0.2]),
+}
+
+
+def _reference_counts(family, increments, J, L, rng):
+    """Brute-force counter: draw each snapshot's balls in turn and keep a
+    dict from box prefix (a tuple of indices) to its ball count."""
+    table = family.cumulative_table()
+    G = len(increments)
+    counts = [dict() for _ in range(J)]
+    K = np.zeros((J, L + 1, G), dtype=np.int64)
+    excess = np.zeros((J, G), dtype=np.int64)
+    k_live = np.zeros((J, L + 1), dtype=np.int64)
+    x_live = np.zeros(J, dtype=np.int64)
+    for i, delta in enumerate(increments):
+        if delta:
+            idx = np.searchsorted(table, rng.random((delta, J)), side="right") + 1
+            for path in idx.tolist():
+                for g in range(J):
+                    box = tuple(path[: g + 1])
+                    old = counts[g].get(box, 0)
+                    counts[g][box] = old + 1
+                    if old < L + 1:
+                        k_live[g, old] += 1
+                    if old + 1 > L:
+                        x_live[g] += old + 1 - (old if old > L else 0)
+        K[:, :, i] = k_live
+        excess[:, i] = x_live
+    return {
+        "K": K[:, :L, :],
+        "K_star": K[:, :L, :] - K[:, 1:, :],
+        "guard": K[:, L, :],
+        "excess": excess,
+        "balls": np.cumsum(increments),
+    }
+
+
+def _philox(seed, replica):
+    key = np.array([seed % 2**64, replica % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _assert_matches_reference(traj, want):
+    for name, value in want.items():
+        assert_array_equal(getattr(traj, name), value, err_msg=name)
+
 
 @pytest.fixture(scope="module")
 def geo():
@@ -44,6 +93,12 @@ class TestSampleIndex:
         with pytest.raises(ValidationError):
             sample_index(geo, -0.01)
 
+    def test_rejects_nan(self, geo):
+        with pytest.raises(ValidationError):
+            sample_index(geo, math.nan)
+        with pytest.raises(ValidationError):
+            sample_index(geo, np.array([0.2, math.nan, 0.7]))
+
     def test_vectorized_matches_scalar(self, fin3):
         draws = np.array([0.0, 0.3, 0.49999, 0.5, 0.79, 0.8, 0.999])
         got = sample_index(fin3, draws)
@@ -58,6 +113,90 @@ class TestSampleIndex:
             se = math.sqrt(pk * (1.0 - pk) / n)
             freq = float(np.count_nonzero(idx == k)) / n
             assert abs(freq - pk) <= 4.0 * se, k
+
+
+class TestTableSearch:
+    @pytest.mark.parametrize(
+        "family",
+        [*FAMILIES.values(), WeightFamily.finite([0.25, 0.5, 0.25])],
+        ids=[*FAMILIES, "fin-on-edges"],
+    )
+    def test_equals_searchsorted(self, family):
+        table = family.cumulative_table()
+        points = np.concatenate([
+            table,
+            np.nextafter(table, -np.inf),
+            np.nextafter(table, np.inf),
+            np.arange(2**16) / 2**16,
+            [0.0, 1.0 - 2.0**-53],
+        ])
+        u = points[(points >= 0.0) & (points < 1.0)]
+        want = np.searchsorted(table, u, side="right")
+        assert_array_equal(family.table_search(u), want)
+        assert_array_equal(sample_index(family, u), want + 1)
+        assert_array_equal(family.table_search(u.reshape(-1, 1)), want.reshape(-1, 1))
+
+
+class TestExactAgainstDictCounter:
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([0, 0, 1, 2, 5, 17]), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_n(self, kind, J, L, steps, seed):
+        family = FAMILIES[kind]
+        grid = np.cumsum(steps).tolist()
+        traj = simulate_deterministic(family, grid[-1], J, L, grid, seed, replica=3)
+        want = _reference_counts(family, steps, J, L, _philox(seed, 3))
+        _assert_matches_reference(traj, want)
+
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([0.0, 0.0, 0.5, 2.0, 9.0, 40.0]), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_poissonized(self, kind, J, L, gaps, seed):
+        family = FAMILIES[kind]
+        times = np.cumsum(gaps).tolist()
+        traj = simulate_poissonized(family, times, J, L, seed, replica=5)
+        rng = _philox(seed, 5)
+        steps = [int(rng.poisson(gap)) if gap > 0.0 else 0 for gap in gaps]
+        want = _reference_counts(family, steps, J, L, rng)
+        _assert_matches_reference(traj, want)
+
+
+class TestKeyPacking:
+    def test_guard_at_int64_boundary(self):
+        # 126 boxes plus the overflow index give base 128 = 2**7 codes:
+        # 9 generations fill 63 bits exactly, and so do 8 generations
+        # with 128 snapshots (7 snapshot bits)
+        family = WeightFamily.finite([1.0] * 126)
+        traj = simulate_deterministic(family, 300, 9, 2, [300], seed=1)
+        _assert_matches_reference(
+            traj, _reference_counts(family, [300], 9, 2, _philox(1, 0))
+        )
+        grid = list(range(128))
+        simulate_deterministic(family, 127, 8, 1, grid, seed=1).validate()
+        with pytest.raises(ValidationError):
+            simulate_deterministic(family, 300, 9, 2, [100, 300], seed=1)
+        with pytest.raises(ValidationError):
+            simulate_deterministic(family, 128, 8, 1, grid + [128], seed=1)
+        with pytest.raises(ValidationError):
+            simulate_poissonized(family, [1.0], 10, 1, seed=1)
+
+    def test_guard_counts_snapshot_bits(self):
+        # base 3: 2 * 3**39 < 2**63 < 4 * 3**39
+        solo = WeightFamily.finite([1.0])
+        traj = simulate_deterministic(solo, 4, 39, 2, [1, 4], seed=2)
+        assert traj.K[38, :, 1].tolist() == [1, 1]
+        with pytest.raises(ValidationError):
+            simulate_deterministic(solo, 4, 39, 2, [1, 2, 4], seed=2)
 
 
 class TestDeterministicExamples:
@@ -80,6 +219,21 @@ class TestDeterministicExamples:
             simulate_deterministic(fin3, 5, 1, 1, [3, 2], seed=0)
         with pytest.raises(ValidationError):
             simulate_deterministic(fin3, 5, 1, 1, [], seed=0)
+
+    @pytest.mark.parametrize(
+        "n, grid",
+        [(10, [2.7]), (10, [math.nan]), (10, [1, math.inf]), (2.5, [2]), (math.nan, [2])],
+    )
+    def test_rejects_non_finite_or_fractional_counts(self, fin3, n, grid):
+        with pytest.raises(ValidationError):
+            simulate_deterministic(fin3, n, 1, 1, grid, seed=0)
+
+    def test_whole_float_counts_accepted(self, fin3):
+        a = simulate_deterministic(fin3, 5.0, 2, 2, [2.0, 5.0], seed=3)
+        b = simulate_deterministic(fin3, 5, 2, 2, [2, 5], seed=3)
+        assert a.grid.dtype == np.int64
+        assert_array_equal(a.grid, b.grid)
+        assert_array_equal(a.K, b.K)
 
     def test_three_ball_outcome_distribution(self, fin3):
         # exhaustive oracle: 27 equally-structured assignments of 3 balls
