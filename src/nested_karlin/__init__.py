@@ -4,117 +4,29 @@ Simulation of the nested (weighted-branching) infinite occupancy scheme,
 exact finite-time moments with certified truncation bounds, closed-form
 limit-process covariances with an independent quadrature oracle, Gaussian
 limit samplers, and a Monte Carlo verification harness.
+
+The package namespace holds the names of the README quickstart and the two
+error types; everything else is imported from its module.
 """
 
 from .errors import NumericalError, ValidationError
-from .gaussian import (
-    LimitCovarianceGrid,
-    build_grid,
-    sample,
-    sample_Z1_whitenoise,
-    whitenoise_mesh_covariance,
-)
-from .harness import (
-    CellResult,
-    ExperimentConfig,
-    ExperimentReport,
-    run_asymptotic_trend,
-    run_clt_check,
-    run_depoissonization_check,
-    run_moment_check,
-)
-from .kernels import (
-    AsymptoticParams,
-    b_constants,
-    binomial_identity_lhs,
-    binomial_tail,
-    c_f_g,
-    convolution_identity,
-    erlang_and_gl,
-    gl_density_bound,
-    poisson_tail,
-    psi,
-)
-from .limits import (
-    LimitCovQuery,
-    closed_cov,
-    comparison_table,
-    covX,
-    covY,
-    covZ,
-    crossX,
-    crossZ,
-    quadrature_cov,
-)
-from .moments import (
-    MomentEstimate,
-    cov_K_cross_gen,
-    cov_K_cross_level,
-    cov_K_same,
-    cov_K_star_same,
-    depoissonization_constant,
-    enumerate_boxes,
-    mean_K,
-    mean_K_binomial,
-    mean_K_star,
-)
-from .scheme import (
-    OccupancyTrajectory,
-    sample_index,
-    simulate_deterministic,
-    simulate_poissonized,
-)
+from .gaussian import build_grid, sample
+from .limits import closed_cov, quadrature_cov
+from .moments import cov_K_cross_gen, mean_K
+from .scheme import simulate_poissonized
 from .weights import WeightFamily
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticParams",
-    "CellResult",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "LimitCovQuery",
-    "LimitCovarianceGrid",
-    "MomentEstimate",
     "NumericalError",
-    "OccupancyTrajectory",
     "ValidationError",
     "WeightFamily",
-    "b_constants",
-    "binomial_identity_lhs",
-    "binomial_tail",
     "build_grid",
-    "c_f_g",
     "closed_cov",
-    "comparison_table",
-    "convolution_identity",
     "cov_K_cross_gen",
-    "cov_K_cross_level",
-    "cov_K_same",
-    "cov_K_star_same",
-    "covX",
-    "covY",
-    "covZ",
-    "crossX",
-    "crossZ",
-    "depoissonization_constant",
-    "enumerate_boxes",
-    "erlang_and_gl",
-    "gl_density_bound",
     "mean_K",
-    "mean_K_binomial",
-    "mean_K_star",
-    "poisson_tail",
-    "psi",
     "quadrature_cov",
-    "run_asymptotic_trend",
-    "run_clt_check",
-    "run_depoissonization_check",
-    "run_moment_check",
     "sample",
-    "sample_Z1_whitenoise",
-    "sample_index",
-    "simulate_deterministic",
     "simulate_poissonized",
-    "whitenoise_mesh_covariance",
 ]

@@ -68,17 +68,6 @@ def _csv_floats(text: str) -> list:
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _family(ns) -> WeightFamily:
-    if ns.family == "weibull":
-        return WeightFamily.weibull_like(ns.alpha)
-    if ns.family == "geometric":
-        return WeightFamily.geometric(ns.p)
-    probs = _csv_floats(ns.probs)
-    if not probs:
-        raise ValidationError("finite family needs --probs p1,p2,...")
-    return WeightFamily.finite(probs)
-
-
 def _threads(ns) -> int:
     if getattr(ns, "threads", None):
         return int(ns.threads)
@@ -132,7 +121,7 @@ def _add_common(p, *, seed=0) -> None:
 
 
 def _cmd_weights_table(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     lines = ["k,weight,cumulative"]
     acc = 0.0
     for k in range(1, ns.k_max + 1):
@@ -144,7 +133,7 @@ def _cmd_weights_table(ns) -> int:
 
 
 def _cmd_weights_rho(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     lines = ["t,rho"]
     for t in _csv_floats(ns.t):
         lines.append(f"{t!r},{fam.rho(t)}")
@@ -153,7 +142,7 @@ def _cmd_weights_rho(ns) -> int:
 
 
 def _cmd_weights_profile(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     lines = ["lambda,t,ratio"]
     for lam, t, ratio in fam.dehaan_profile(_csv_floats(ns.lambdas), _csv_floats(ns.times)):
         lines.append(f"{lam!r},{t!r},{ratio!r}")
@@ -190,7 +179,7 @@ def _cmd_identities(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     lines = [OccupancyTrajectory.csv_header()]
     if ns.deterministic_n:
         grid = _csv_floats(ns.times) if ns.times else [ns.deterministic_n]
@@ -223,7 +212,7 @@ def _moment_row(quantity, j, l, l2, s, t, est) -> str:
 
 
 def _cmd_moments_mean(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     if ns.binomial:
         est = mean_K_binomial(fam, ns.j, ns.l, ns.n, prune=ns.prune)
         row = _moment_row("mean_K_binomial", ns.j, ns.l, None, None, float(ns.n), est)
@@ -238,7 +227,7 @@ def _cmd_moments_mean(ns) -> int:
 
 
 def _cmd_moments_cov(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     s = ns.s if ns.s is not None else ns.t
     if ns.which == "same":
         est = cov_K_same(fam, ns.j, ns.l, s, ns.t, prune=ns.prune)
@@ -261,7 +250,7 @@ def _cmd_moments_cov(ns) -> int:
 
 
 def _cmd_moments_gap(ns) -> int:
-    fam = _family(ns)
+    fam = ns.weight_family
     a = mean_K(fam, ns.j, ns.l, ns.t, prune=ns.prune)
     b = mean_K_binomial(fam, ns.j, ns.l, int(math.floor(ns.t)), prune=ns.prune)
     gap = abs(a.value - b.value)
@@ -459,7 +448,7 @@ def build_parser() -> _Parser:
     lsubs.required = True
     lc = lsubs.add_parser("cov")
     _add_common(lc)
-    lc.add_argument("--kind", choices=("Z", "X"), required=True)
+    lc.add_argument("--kind", choices=("Z", "X", "Y"), required=True)
     lc.add_argument("--l1", type=int, required=True)
     lc.add_argument("--l2", type=int, required=True)
     lc.add_argument("--delta", type=float, default=0.0)
@@ -559,6 +548,10 @@ def main(argv=None) -> int:
         if hasattr(ns, "threads"):
             ns.threads = _threads(ns)  # resolve flag/env/cpu before echoing
         _echo_config(ns)
+        if hasattr(ns, "family"):
+            ns.weight_family = WeightFamily.from_spec(
+                ns.family, alpha=ns.alpha, p=ns.p, probs=_csv_floats(ns.probs)
+            )
         return ns.func(ns)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,15 +83,9 @@ class ExperimentConfig:
     out: str = ""
 
     def family(self) -> WeightFamily:
-        if self.family_kind == "weibull":
-            return WeightFamily.weibull_like(self.alpha)
-        if self.family_kind == "geometric":
-            return WeightFamily.geometric(self.p)
-        if self.family_kind == "finite":
-            if not self.probs:
-                raise ValidationError("finite family needs nonempty probs")
-            return WeightFamily.finite(list(self.probs))
-        raise ValidationError(f"unknown family kind {self.family_kind!r}")
+        return WeightFamily.from_spec(
+            self.family_kind, alpha=self.alpha, p=self.p, probs=self.probs
+        )
 
     def manifest(self) -> str:
         pairs = [
@@ -185,43 +179,31 @@ class ExperimentReport:
 # worker pool: replica chunks and exact targets
 
 
-def _family_args(cfg: ExperimentConfig) -> tuple:
-    return (cfg.family_kind, cfg.alpha, cfg.p, tuple(cfg.probs))
-
-
-def _family_from_args(args: tuple) -> WeightFamily:
-    kind, alpha, p, probs = args
-    if kind == "weibull":
-        return WeightFamily.weibull_like(alpha)
-    if kind == "geometric":
-        return WeightFamily.geometric(p)
-    return WeightFamily.finite(list(probs))
-
-
 def _replica_chunk(payload: tuple) -> np.ndarray:
     """Worker: simulate a contiguous replica range, return the value matrix
     (one row per replica: K then K*, flattened over (j, l, grid))."""
-    fam_args, times, J, L, seed, r_lo, r_hi, det_n = payload
-    family = _family_from_args(fam_args)
+    cfg, times, r_lo, r_hi = payload
+    family = cfg.family()
+    J, L, det_n = cfg.generations, cfg.levels, int(cfg.deterministic_n)
     rows = []
     for r in range(r_lo, r_hi):
         if det_n:
             traj = simulate_deterministic(
-                family, det_n, J, L, [int(x) for x in times], seed, replica=r
+                family, det_n, J, L, [int(x) for x in times], cfg.seed, replica=r
             )
         else:
-            traj = simulate_poissonized(family, times, J, L, seed, replica=r)
+            traj = simulate_poissonized(family, times, J, L, cfg.seed, replica=r)
         rows.append(
             np.concatenate([traj.K.ravel(), traj.K_star.ravel()]).astype(float)
         )
     return np.asarray(rows)
 
 
-def _exact_target(fam_args: tuple, fn, args: tuple, prune: float):
-    """Worker: one exact moment ``fn(family, *args, prune=prune)``.  The
-    family is rebuilt from its arguments: a geometric family holds a lambda
-    and does not pickle."""
-    return fn(_family_from_args(fam_args), *args, prune=prune)
+def _exact_target(cfg: ExperimentConfig, fn, args: tuple):
+    """Worker: one exact moment ``fn(family, *args, prune=cfg.prune)``.  The
+    family is rebuilt from the config: a geometric family holds a lambda and
+    does not pickle."""
+    return fn(cfg.family(), *args, prune=cfg.prune)
 
 
 def _replica_payloads(cfg: ExperimentConfig, times, threads: int) -> list:
@@ -232,16 +214,9 @@ def _replica_payloads(cfg: ExperimentConfig, times, threads: int) -> list:
         raise ValidationError(
             f"statistical experiments need >= {_MIN_STAT_REPLICAS} replicas, got {R}"
         )
-    payload = (
-        _family_args(cfg),
-        tuple(float(x) for x in times),
-        cfg.generations,
-        cfg.levels,
-        cfg.seed,
-    )
+    times = tuple(float(x) for x in times)
     chunk = R if threads == 1 else max(1, math.ceil(R / (4 * threads)))
-    det_n = int(cfg.deterministic_n)
-    return [payload + (lo, min(lo + chunk, R), det_n) for lo in range(0, R, chunk)]
+    return [(cfg, times, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
 
 
 def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
@@ -264,7 +239,6 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
         parts = [_replica_chunk(p) for p in payloads]
         values = [fn(family, *args, prune=cfg.prune) for fn, args in targets]
     else:
-        fam_args = _family_args(cfg)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             try:
                 # Longest first, so the last tasks are short: the replica
@@ -273,7 +247,7 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
                 # with each).
                 chunks = [pool.submit(_replica_chunk, p) for p in payloads]
                 exact = [
-                    pool.submit(_exact_target, fam_args, fn, args, cfg.prune)
+                    pool.submit(_exact_target, cfg, fn, args)
                     for fn, args in reversed(targets)
                 ][::-1]
                 parts = [f.result() for f in chunks]

@@ -4,16 +4,9 @@ The limit objects are centered stationary Gaussian processes: ``Z_l`` (the
 limit of normalized at-least-l counts) and ``X_l = Z_l - Z_{l+1}`` (exactly-l
 counts), plus the fixed-time marginals ``Y_l = X_l(0)``.
 
-Sign/offset conventions (easy to transpose silently, so they are pinned here
-and on :class:`LimitCovQuery`):
+One convention throughout: ``delta = u - v``, with level ``l1`` at ``u``.
 
-* ``crossZ(l, n, delta)`` is ``E Z_l(u) Z_{l+n}(v)`` with ``delta = u - v``
-  (the lower level sits at ``u``).
-* ``crossX(l1, l2, delta)`` is ``E X_{l1}(u) X_{l2}(v)`` for ``l1 > l2`` with
-  ``delta = v - u`` (the larger level sits at ``u``).
-* Same-level covariances depend on ``|delta|`` only.
-
-``quadrature_cov`` re-derives the same quantities along a independent route:
+``quadrature_cov`` re-derives the same quantities along an independent route:
 the white-noise integral representations reduce every covariance to
 one-dimensional integrals of products of Poisson weights
 ``psi_l(e^{-(x-u)})``, which are integrated adaptively over ``[-A, A]``;
@@ -26,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from scipy import integrate
@@ -34,36 +26,35 @@ from scipy import integrate
 from .errors import NumericalError, ValidationError
 from .kernels import b_constants
 
-__all__ = [
-    "covZ",
-    "crossZ",
-    "covX",
-    "crossX",
-    "covY",
-    "quadrature_cov",
-    "closed_cov",
-    "LimitCovQuery",
-    "comparison_table",
-]
+__all__ = ["closed_cov", "quadrature_cov", "comparison_table"]
 
 _WINDOW = 40.0
 _MAX_LEVEL = 6
 _QUAD_BUDGET = 1e-10
 
 
-def _check_level(l: int, name: str = "l") -> int:
+def _check_level(l: int, name: str) -> int:
     l = int(l)
     if l < 1:
         raise ValidationError(f"{name} must be >= 1, got {l}")
     return l
 
 
-def covZ(l: int, delta: float) -> float:
-    """Cov(Z_l(u), Z_l(v)) with delta = u - v (depends on |delta| only):
+def _check_query(kind: str, l1: int, l2: int, delta: float) -> tuple:
+    """Validated (l1, l2, delta); Y ignores delta, so it reads as 0."""
+    if kind not in ("Z", "X", "Y"):
+        raise ValidationError(f"unknown kind {kind!r} (expected 'Z', 'X' or 'Y')")
+    d = float(delta)
+    if not math.isfinite(d):
+        raise ValidationError(f"delta must be finite, got {delta}")
+    return _check_level(l1, "l1"), _check_level(l2, "l2"), 0.0 if kind == "Y" else d
+
+
+def _covZ(l: int, delta: float) -> float:
+    """Cov(Z_l(u), Z_l(v)), depending on |delta| only:
     ``log(1+e^{-|d|}) - sum_{k<l} (2k-1)! e^{-|d|k} / ((k!)^2 (1+e^{-|d|})^{2k})``.
     """
-    l = _check_level(l)
-    d = abs(float(delta))
+    d = abs(delta)
     e = math.exp(-d)
     total = math.log1p(e)
     for k in range(1, l):
@@ -73,19 +64,14 @@ def covZ(l: int, delta: float) -> float:
     return total
 
 
-def crossZ(l: int, n: int, delta: float) -> float:
-    """E Z_l(u) Z_{l+n}(v) with delta = u - v (signed; asymmetric for n >= 1).
+def _crossZ(l: int, n: int, delta: float) -> float:
+    """E Z_l(u) Z_{l+n}(v) for n >= 0 (asymmetric in delta for n >= 1).
 
-    Equals ``covZ(l, delta)`` plus a finite double sum whose first part
-    carries the positive-part factor ``((1 - e^{u-v})_+)^{l+r-i}``; reduces
-    to covZ at n = 0.
+    Equals ``_covZ(l, delta)`` plus a finite double sum whose first part
+    carries the positive-part factor ``((1 - e^{u-v})_+)^{l+r-i}``.
     """
-    l = _check_level(l)
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"level gap must be >= 0, got {n}")
-    x = float(delta)
-    total = covZ(l, x)
+    x = delta
+    total = _covZ(l, x)
     pos = -math.expm1(x) if x < 0.0 else 0.0  # (1 - e^x)_+
     log1pex = math.log1p(math.exp(x)) if x < 50.0 else x
     for r in range(n):
@@ -107,30 +93,26 @@ def crossZ(l: int, n: int, delta: float) -> float:
     return total
 
 
-def covX(l: int, delta: float) -> float:
-    """Cov(X_l(u), X_l(v)) with delta = u - v (depends on |delta| only):
+def _covX(l: int, delta: float) -> float:
+    """Cov(X_l(u), X_l(v)), depending on |delta| only:
     ``e^{-|d|l}/l - (2l-1)! e^{-|d|l} / ((l!)^2 (1+e^{-|d|})^{2l})``.
 
     At delta = 0 this is exactly ``b*_l``.
     """
-    l = _check_level(l)
-    d = abs(float(delta))
+    d = abs(delta)
     e = math.exp(-d)
     return math.exp(-d * l) / l - math.exp(
         math.lgamma(2 * l) - 2 * math.lgamma(l + 1) - d * l - 2 * l * math.log1p(e)
     )
 
 
-def crossX(l1: int, l2: int, delta: float) -> float:
-    """E X_{l1}(u) X_{l2}(v) for l1 > l2 >= 1 with delta = v - u (signed):
+def _crossX(l1: int, l2: int, delta: float) -> float:
+    """E X_{l1}(u) X_{l2}(v) for l1 > l2 >= 1; with y = -delta = v - u,
 
-    ``e^{delta*l2} [ C(l1,l2)/l1 * ((1-e^delta)_+)^{l1-l2}
-                    - C(l1+l2,l2)/(l1+l2) * (1+e^delta)^{-(l1+l2)} ]``.
+    ``e^{y*l2} [ C(l1,l2)/l1 * ((1-e^y)_+)^{l1-l2}
+                - C(l1+l2,l2)/(l1+l2) * (1+e^y)^{-(l1+l2)} ]``.
     """
-    l1, l2 = _check_level(l1, "l1"), _check_level(l2, "l2")
-    if l1 <= l2:
-        raise ValidationError(f"crossX requires l1 > l2, got {l1} <= {l2}")
-    y = float(delta)
+    y = -delta
     pos = -math.expm1(y) if y < 0.0 else 0.0
     log1pey = math.log1p(math.exp(y)) if y < 50.0 else y
     t1 = 0.0
@@ -144,16 +126,33 @@ def crossX(l1: int, l2: int, delta: float) -> float:
     return t1 - t2
 
 
-def covY(l1: int, l2: int) -> float:
+def _covY(l1: int, l2: int) -> float:
     """Moments of the fixed-time marginals Y_l = X_l(0):
     ``E Y_l^2 = b*_l`` and ``E Y_{l1} Y_{l2} = -C(l1+l2, l1) / ((l1+l2) 2^{l1+l2})``
     for l1 != l2.  Computed in exact rationals, converted once.
     """
-    l1, l2 = _check_level(l1, "l1"), _check_level(l2, "l2")
     if l1 == l2:
         return b_constants(l1)[1]
     s = l1 + l2
     return float(-Fraction(math.comb(s, l1), s * 2**s))
+
+
+def closed_cov(kind: str, l1: int, l2: int, delta: float) -> float:
+    """Closed-form E W_{l1}(u) W_{l2}(v) for W = Z, X or Y, with
+    ``delta = u - v`` and the levels in either order.  Same-level values
+    depend on |delta| only; Y ignores delta."""
+    l1, l2, d = _check_query(kind, l1, l2, delta)
+    if kind == "Y":
+        return _covY(l1, l2)
+    if kind == "Z":
+        if l1 <= l2:
+            return _crossZ(l1, l2 - l1, d)
+        return _crossZ(l2, l1 - l2, -d)
+    if l1 == l2:
+        return _covX(l1, d)
+    if l1 > l2:
+        return _crossX(l1, l2, d)
+    return _crossX(l2, l1, -d)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +174,19 @@ def _log_psi_factor(l: int, a: float) -> float:
     return -l * a - math.exp(-a) - math.lgamma(l + 1)
 
 
-def _quad_piece(fn, window: float) -> tuple[float, float]:
+def _quad_piece(fn) -> tuple[float, float]:
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
-                fn, -window, window, epsabs=1e-13, epsrel=1e-13, limit=400
+                fn, -_WINDOW, _WINDOW, epsabs=1e-13, epsrel=1e-13, limit=400
             )
         except integrate.IntegrationWarning as exc:  # pragma: no cover - defensive
             raise NumericalError(f"quadrature failed to converge: {exc}") from exc
     return val, err
 
 
-def _qx_same(l: int, u: float, v: float, window: float) -> tuple[float, float]:
+def _qx_same(l: int, u: float, v: float) -> tuple[float, float]:
     u_, v_ = min(u, v), max(u, v)
     lg = math.lgamma(l + 1)
 
@@ -197,10 +196,10 @@ def _qx_same(l: int, u: float, v: float, window: float) -> tuple[float, float]:
         t2 = math.exp(_log_psi_factor(l, a) + _log_psi_factor(l, b))
         return t1 - t2
 
-    return _quad_piece(integrand, window)
+    return _quad_piece(integrand)
 
 
-def _qx_cross(l1: int, l2: int, u: float, v: float, window: float) -> tuple[float, float]:
+def _qx_cross(l1: int, l2: int, u: float, v: float) -> tuple[float, float]:
     """E X_{l1}(u) X_{l2}(v) for l1 > l2 >= 0 by direct integration."""
     if u > v:
         log_diff = u + math.log1p(-math.exp(v - u))  # log(e^u - e^v)
@@ -216,10 +215,10 @@ def _qx_cross(l1: int, l2: int, u: float, v: float, window: float) -> tuple[floa
         def integrand(x: float) -> float:
             return -math.exp(_log_psi_factor(l1, x - u) + _log_psi_factor(l2, x - v))
 
-    return _quad_piece(integrand, window)
+    return _quad_piece(integrand)
 
 
-def _qz1z1(u: float, v: float, window: float) -> tuple[float, float]:
+def _qz1z1(u: float, v: float) -> tuple[float, float]:
     hi, lo = max(u, v), min(u, v)
 
     def integrand(x: float) -> float:
@@ -227,73 +226,50 @@ def _qz1z1(u: float, v: float, window: float) -> tuple[float, float]:
         qlo = math.exp(-math.exp(-(x - lo)))
         return qhi * (1.0 - qlo)
 
-    return _quad_piece(integrand, window)
+    return _quad_piece(integrand)
 
 
-def _e_xx(i: int, k: int, u: float, v: float, window: float) -> tuple[float, float]:
+def _e_xx(i: int, k: int, u: float, v: float) -> tuple[float, float]:
     """E X_i(u) X_k(v) for i, k >= 0 (X_0 = -Z_1), dispatching orientation."""
     if i == k == 0:
-        return _qz1z1(u, v, window)
+        return _qz1z1(u, v)
     if i == k:
-        return _qx_same(i, u, v, window)
+        return _qx_same(i, u, v)
     if i > k:
-        return _qx_cross(i, k, u, v, window)
-    return _qx_cross(k, i, v, u, window)
+        return _qx_cross(i, k, u, v)
+    return _qx_cross(k, i, v, u)
 
 
 def quadrature_cov(
-    kind: str,
-    l1: int,
-    l2: int,
-    delta: float,
-    *,
-    max_level: int = _MAX_LEVEL,
-    window: float = _WINDOW,
+    kind: str, l1: int, l2: int, delta: float, *, max_level: int = _MAX_LEVEL
 ) -> float:
-    """Independent numeric evaluation of the limit covariances.
-
-    ``kind="X"``: E X_{l1}(u) X_{l2}(v) with ``delta = v - u`` (matches
-    :func:`crossX`; for l1 == l2 matches :func:`covX`).
-    ``kind="Z"``: E Z_{l1}(u) Z_{l2}(v) with ``delta = u - v`` (matches
-    :func:`crossZ` via l2 = l1 + n), assembled from Z_1/X_k pieces by
-    bilinearity.
+    """Independent numeric evaluation of :func:`closed_cov`, with the same
+    arguments: E X_{l1}(u) X_{l2}(v) is one integral, and Z is assembled from
+    Z_1/X_k pieces by bilinearity.
 
     The summed quadrature error estimates must stay below 1e-10, else
     :class:`NumericalError` is raised.
     """
-    l1, l2 = _check_level(l1, "l1"), _check_level(l2, "l2")
+    l1, l2, d = _check_query(kind, l1, l2, delta)
     if max(l1, l2) > max_level:
         raise ValidationError(
             f"levels up to {max(l1, l2)} exceed the configured max {max_level}"
         )
-    if abs(delta) > window / 2.0:
+    if abs(d) > _WINDOW / 2.0:
         raise ValidationError("offset too large for the integration window")
+    if kind == "Z":
+        # Z_l = -sum_{i<l} X_i with X_0 = -Z_1, so E Z_{l1} Z_{l2} is the sum
+        # of E X_i X_k; the pieces with a Z_1 factor are summed first
+        pairs = [(0, k) for k in range(l2)] + [(i, 0) for i in range(1, l1)]
+        pairs += [(i, k) for i in range(1, l1) for k in range(1, l2)]
+    else:
+        pairs = [(l1, l2)]
     total = 0.0
     err = 0.0
-    if kind == "X":
-        u, v = 0.0, float(delta)
-        val, e = _e_xx(l1, l2, u, v, window)
-        total, err = val, e
-    elif kind == "Z":
-        u, v = float(delta), 0.0
-        val, e = _qz1z1(u, v, window)
+    for i, k in pairs:
+        val, e = _e_xx(i, k, d, 0.0)
         total += val
         err += e
-        for k in range(1, l2):  # - E Z_1(u) X_k(v) = + E X_0(u) X_k(v)
-            val, e = _e_xx(0, k, u, v, window)
-            total += val
-            err += e
-        for i in range(1, l1):  # - E X_i(u) Z_1(v) = + E X_i(u) X_0(v)
-            val, e = _e_xx(i, 0, u, v, window)
-            total += val
-            err += e
-        for i in range(1, l1):
-            for k in range(1, l2):
-                val, e = _e_xx(i, k, u, v, window)
-                total += val
-                err += e
-    else:
-        raise ValidationError(f"unknown kind {kind!r} (expected 'Z' or 'X')")
     if err > _QUAD_BUDGET:
         raise NumericalError(
             f"quadrature error estimate {err:.2e} exceeds budget {_QUAD_BUDGET:.0e} "
@@ -302,80 +278,15 @@ def quadrature_cov(
     return total
 
 
-def closed_cov(kind: str, l1: int, l2: int, delta: float) -> float:
-    """Closed-form E W_{l1}(u) W_{l2}(v) under the *single* convention
-    ``delta = u - v`` (process with level l1 sits at u), W = Z or X.
-
-    This is the dispatch the Gaussian grid builder uses; it folds the two
-    per-formula conventions into one place.
-    """
-    l1, l2 = _check_level(l1, "l1"), _check_level(l2, "l2")
-    d = float(delta)
-    if kind == "Z":
-        if l1 <= l2:
-            return crossZ(l1, l2 - l1, d)
-        return crossZ(l2, l1 - l2, -d)
-    if kind == "X":
-        if l1 == l2:
-            return covX(l1, d)
-        if l1 > l2:
-            return crossX(l1, l2, -d)
-        return crossX(l2, l1, d)
-    raise ValidationError(f"unknown kind {kind!r} (expected 'Z' or 'X')")
-
-
-@dataclass(frozen=True)
-class LimitCovQuery:
-    """A covariance query with the offset conventions spelled out.
-
-    ``kind="Z"``: delta = u - v, Z_{l1} at u, Z_{l2} at v.
-    ``kind="X"``: delta = v - u, X_{l1} at u, X_{l2} at v (l1 != l2 needs
-    l1 > l2 for the closed form; the query accepts either order).
-    ``kind="Y"``: delta ignored (fixed-time marginals).
-
-    Same-level values depend on |delta| only; cross-level values are
-    genuinely asymmetric in the sign of delta.
-    """
-
-    kind: str
-    l1: int
-    l2: int
-    delta: float = 0.0
-
-    def closed_form(self) -> float:
-        if self.kind == "Y":
-            return covY(self.l1, self.l2)
-        if self.kind == "Z":
-            if self.l1 <= self.l2:
-                return crossZ(self.l1, self.l2 - self.l1, self.delta)
-            return crossZ(self.l2, self.l1 - self.l2, -self.delta)
-        if self.kind == "X":
-            if self.l1 == self.l2:
-                return covX(self.l1, self.delta)
-            hi, lo = max(self.l1, self.l2), min(self.l1, self.l2)
-            d = self.delta if self.l1 > self.l2 else -self.delta
-            return crossX(hi, lo, d)
-        raise ValidationError(f"unknown kind {self.kind!r}")
-
-    def quadrature(self, **kwargs) -> float:
-        if self.kind == "Y":
-            return quadrature_cov("X", self.l1, self.l2, 0.0, **kwargs)
-        if self.kind == "X" and self.l1 < self.l2:
-            return quadrature_cov("X", self.l2, self.l1, -self.delta, **kwargs)
-        return quadrature_cov(self.kind, self.l1, self.l2, self.delta, **kwargs)
-
-
-def comparison_table(kinds, level_pairs, deltas, **kwargs):
+def comparison_table(kinds, level_pairs, deltas):
     """Rows (kind, l1, l2, delta, closed_form, quadrature, abs_diff) for the
     CLI `limits table` CSV."""
     rows = []
     for kind in kinds:
         for l1, l2 in level_pairs:
-            for d in deltas:
-                q = LimitCovQuery(kind=kind, l1=int(l1), l2=int(l2), delta=float(d))
-                closed = q.closed_form()
-                quad = q.quadrature(**kwargs)
-                rows.append(
-                    (kind, int(l1), int(l2), float(d), closed, quad, abs(closed - quad))
-                )
+            l1, l2 = int(l1), int(l2)
+            for d in map(float, deltas):
+                closed = closed_cov(kind, l1, l2, d)
+                quad = quadrature_cov(kind, l1, l2, d)
+                rows.append((kind, l1, l2, d, closed, quad, abs(closed - quad)))
     return rows

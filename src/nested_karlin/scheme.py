@@ -21,11 +21,12 @@ trajectory is the one that drawing each snapshot's balls in turn gives.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .weights import WeightFamily
 
 __all__ = [
@@ -148,7 +149,16 @@ def _run(
         )
     increments = np.asarray(increments, dtype=np.int64)
     balls = np.cumsum(increments)
-    idx = family.table_search(rng.random((int(balls[-1]), J))) + 1
+    N = int(balls[-1])
+    # the draws and indices take N * J words, the snapshots, codes and keys N each
+    need = 8 * N * (2 * J + 3)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise NumericalError(
+            f"{N} balls over {J} generations need about {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+    idx = family.table_search(rng.random((N, J))) + 1
     snap = np.repeat(np.arange(G, dtype=np.int64), increments)
     K_full = np.empty((J, L + 1, G), dtype=np.int64)
     excess = np.empty((J, G), dtype=np.int64)

@@ -109,8 +109,10 @@ class WeightFamily:
             self.probs = None
         elif kind == "finite":
             arr = np.asarray(probs, dtype=float)
-            if arr.ndim != 1 or arr.size == 0 or np.any(arr <= 0.0):
-                raise ValidationError("finite family needs a nonempty positive list")
+            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0.0)):
+                raise ValidationError(
+                    f"finite family needs a nonempty list of finite positive weights, got {probs}"
+                )
             total = float(arr.sum())
             self.normalizer = 1.0 / total
             self.probs = arr / total
@@ -140,6 +142,18 @@ class WeightFamily:
     @classmethod
     def finite(cls, probs: Iterable[float]) -> "WeightFamily":
         return cls("finite", probs=list(probs))
+
+    @classmethod
+    def from_spec(cls, kind: str, *, alpha=None, p=None, probs=()) -> "WeightFamily":
+        """The family a spec names, as the CLI flags and ExperimentConfig
+        give it; only the parameter of ``kind`` is read."""
+        if kind == "weibull":
+            return cls.weibull_like(alpha)
+        if kind == "geometric":
+            return cls.geometric(p)
+        if kind == "finite":
+            return cls.finite(probs)
+        raise ValidationError(f"unknown family kind {kind!r}")
 
     def __repr__(self):
         if self.kind == "weibull":
@@ -212,7 +226,10 @@ class WeightFamily:
         weibull-like bound is the integral comparison
         ``C_alpha * integral_K^infty exp(-x**alpha) dx``.
         """
-        K = int(K)
+        try:
+            K = int(K)
+        except (OverflowError, ValueError) as exc:
+            raise ValidationError(f"tail_mass_bound needs a finite K, got {K}") from exc
         if K < 0:
             raise ValidationError("tail_mass_bound needs K >= 0")
         if K == 0:
@@ -227,8 +244,8 @@ class WeightFamily:
         """Smallest K >= 0 with tail_mass_bound(K) <= threshold."""
         if threshold >= 1.0:
             return 0
-        if threshold < 0.0:
-            raise ValidationError("tail threshold must be nonnegative")
+        if not threshold >= 0.0:
+            raise ValidationError(f"tail threshold must be >= 0, got {threshold}")
         if self.kind == "finite":
             # support is short; linear scan is simplest and exact
             for K in range(self.probs.size + 1):

@@ -20,7 +20,7 @@ from nested_karlin.harness import (
     run_moment_check,
 )
 from nested_karlin.kernels import b_constants, binomial_identity_lhs, convolution_identity
-from nested_karlin.limits import closed_cov, covX, covY, covZ, crossX, quadrature_cov
+from nested_karlin.limits import closed_cov, quadrature_cov
 from nested_karlin.moments import mean_K_binomial
 from nested_karlin.scheme import simulate_deterministic
 from nested_karlin.weights import WeightFamily
@@ -58,28 +58,20 @@ def test_criterion_02_quadrature_oracle_agreement():
     start = time.perf_counter()
     deltas = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
     worst = 0.0
-    for kind in ("Z", "X"):
+    cells = 0
+    for kind in ("Z", "X", "Y"):
         for l1 in range(1, 5):
             for l2 in range(1, 5):
                 for d in deltas:
-                    closed = closed_cov(kind, l1, l2, d)
-                    # quadrature_cov's own offset conventions per kind
-                    if kind == "Z":
-                        lo, hi = min(l1, l2), max(l1, l2)
-                        dd = d if l1 <= l2 else -d
-                        quad = quadrature_cov("Z", lo, hi, dd)
-                    else:
-                        hi, lo = max(l1, l2), min(l1, l2)
-                        dd = -d if l1 >= l2 else d
-                        quad = quadrature_cov("X", hi, lo, dd)
-                    dev = abs(closed - quad)
+                    dev = abs(closed_cov(kind, l1, l2, d) - quadrature_cov(kind, l1, l2, d))
                     worst = max(worst, dev)
+                    cells += 1
                     assert dev <= 1e-8, (kind, l1, l2, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(
         f"PASS criterion 2: closed forms vs quadrature worst dev={worst:.2e} "
-        f"(<=1e-8) over 224 cells, runtime {elapsed:.1f}s (<30s)"
+        f"(<=1e-8) over {cells} cells, runtime {elapsed:.1f}s (<30s)"
     )
 
 
@@ -87,13 +79,14 @@ def test_criterion_03_constant_reproduction():
     worst = 0.0
     for l in range(1, 21):
         b, bstar = b_constants(l)
-        worst = max(worst, abs(covZ(l, 0.0) - b), abs(covX(l, 0.0) - bstar))
-        assert abs(covZ(l, 0.0) - b) <= 1e-12
-        assert abs(covX(l, 0.0) - bstar) <= 1e-12
-    assert covY(1, 1) == 0.75
-    assert covY(1, 2) == -0.125
-    assert crossX(2, 1, 0.0) == pytest.approx(-0.125, abs=1e-15)
-    assert covX(1, 0.0) == pytest.approx(0.75, abs=1e-15)
+        z, x = closed_cov("Z", l, l, 0.0), closed_cov("X", l, l, 0.0)
+        worst = max(worst, abs(z - b), abs(x - bstar))
+        assert abs(z - b) <= 1e-12
+        assert abs(x - bstar) <= 1e-12
+    assert closed_cov("Y", 1, 1, 0.0) == 0.75
+    assert closed_cov("Y", 1, 2, 0.0) == -0.125
+    assert closed_cov("X", 2, 1, 0.0) == pytest.approx(-0.125, abs=1e-15)
+    assert closed_cov("X", 1, 1, 0.0) == pytest.approx(0.75, abs=1e-15)
     print(
         f"PASS criterion 3: b_l/b*_l reproduced to {worst:.2e} (<=1e-12) for l<=20; "
         f"E Y_1^2 = 3/4 and E Y_1 Y_2 = -1/8 exact"
@@ -247,11 +240,11 @@ def test_criterion_10_holder_increment_bound():
     worst = 0.0
     for l in range(1, 6):
         for d in (0.01, 0.1, 0.5, 1.0):
-            incr = 2.0 * (b_constants(l)[0] - covZ(l, d))
+            incr = 2.0 * (b_constants(l)[0] - closed_cov("Z", l, l, d))
             worst = max(worst, incr / d)
             assert 0.0 < incr <= d
     print(
-        f"PASS criterion 10: increment bound 2(b_l - covZ) <= delta holds, "
+        f"PASS criterion 10: increment bound 2(b_l - Cov Z_l(u) Z_l(v)) <= |u - v| holds, "
         f"worst ratio {worst:.3f} (<=1)"
     )
 

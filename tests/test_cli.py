@@ -138,6 +138,15 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and not out
 
+    def test_non_finite_finite_family_weights(self, capsys):
+        for args in (
+            ["weights", "table", "--family", "finite", "--probs", "0.5,nan"],
+            ["simulate", "--family", "finite", "--probs", "0.5,inf"],
+        ):
+            code, out, err = run_cli(args, capsys)
+            assert code == 1, args
+            assert "error:" in err and not out
+
     def test_help_everywhere(self, capsys):
         for args in (
             ["--help"],
@@ -149,6 +158,24 @@ class TestExitCodes:
                 main(args)
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+
+class TestLimitsConsistency:
+    def test_cov_prints_every_table_closed_form(self, capsys):
+        code, out, _ = run_cli(
+            ["limits", "table", "--kinds", "Z,X,Y", "--max-l", "3"], capsys
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3 * 9 * 7
+        for kind, l1, l2, delta, closed, _, _ in rows:
+            code, value, _ = run_cli(
+                ["limits", "cov", "--kind", kind, "--l1", l1, "--l2", l2,
+                 "--delta", delta],
+                capsys,
+            )
+            assert code == 0
+            assert value.strip() == closed, (kind, l1, l2, delta)
 
 
 class TestDeterminism:

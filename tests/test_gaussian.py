@@ -14,7 +14,7 @@ from nested_karlin.gaussian import (
     whitenoise_mesh_covariance,
 )
 from nested_karlin.kernels import b_constants
-from nested_karlin.limits import closed_cov, covZ
+from nested_karlin.limits import closed_cov
 
 
 class TestBuildGrid:
@@ -94,7 +94,7 @@ class TestFactorSampler:
         n = 100_000
         draws = sample(grid, n, seed=11)
         emp = float(np.mean(draws[:, 0] * draws[:, 1]))
-        want = covZ(1, 0.7)
+        want = closed_cov("Z", 1, 1, 0.7)
         cii, cjj, cij = grid.matrix[0, 0], grid.matrix[1, 1], grid.matrix[0, 1]
         se = math.sqrt((cii * cjj + cij * cij) / n)
         assert abs(emp - want) <= 3.0 * se

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from nested_karlin.errors import ValidationError
+from types import SimpleNamespace
+
+from nested_karlin import scheme
+from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.kernels import poisson_tail
 from nested_karlin.moments import mean_K_star
 from nested_karlin.scheme import (
@@ -197,6 +200,48 @@ class TestKeyPacking:
         assert traj.K[38, :, 1].tolist() == [1, 1]
         with pytest.raises(ValidationError):
             simulate_deterministic(solo, 4, 39, 2, [1, 2, 4], seed=2)
+
+
+class _NoUniformDraws:
+    """Stand-in generator: Poisson counts come from the real stream, and a
+    uniform draw fails the test instead of allocating."""
+
+    def __init__(self, rng):
+        self.poisson = rng.poisson
+
+    def random(self, size):
+        raise AssertionError(f"attempted to draw {size} uniforms")
+
+
+class TestMemoryGuard:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        make = scheme._make_rng
+        monkeypatch.setattr(
+            scheme, "_make_rng", lambda seed, replica: _NoUniformDraws(make(seed, replica))
+        )
+
+    def test_oversized_runs_are_refused_before_drawing(self, no_draws):
+        weib = WeightFamily.weibull_like(0.5)
+        with pytest.raises(NumericalError):
+            simulate_poissonized(weib, [1e12], 2, 3, seed=1)
+        with pytest.raises(NumericalError):
+            simulate_deterministic(weib, 10**12, 1, 1, [10**12], seed=1)
+
+    def test_cli_exit_code(self, no_draws, capsys):
+        from nested_karlin.cli import main
+
+        assert main(["simulate", "--t", "1e12"]) == 2
+        captured = capsys.readouterr()
+        assert "numeric error:" in captured.err and not captured.out
+
+    def test_limit_is_physical_memory(self, monkeypatch, fin3):
+        # one 4096-byte page: 50 balls in one generation fit, 200 do not
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.__getitem__
+        monkeypatch.setattr(scheme, "os", SimpleNamespace(sysconf=sysconf))
+        simulate_deterministic(fin3, 50, 1, 1, [50], seed=1).validate()
+        with pytest.raises(NumericalError):
+            simulate_deterministic(fin3, 200, 1, 1, [200], seed=1)
 
 
 class TestDeterministicExamples:

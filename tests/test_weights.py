@@ -145,6 +145,14 @@ class TestTailBound:
         with pytest.raises(ValidationError):
             weib.tail_index(0.0)
 
+    def test_nan_threshold_and_index(self, weib, geo, fin):
+        for fam in (weib, geo, fin):
+            with pytest.raises(ValidationError):
+                fam.tail_index(math.nan)
+            for K in (math.nan, math.inf):
+                with pytest.raises(ValidationError):
+                    fam.tail_mass_bound(K)
+
 
 class TestCumulativeTable:
     def test_matches_prefix(self, geo):
@@ -216,6 +224,33 @@ class TestConstructors:
             WeightFamily.finite([])
         with pytest.raises(ValidationError):
             WeightFamily.finite([0.5, -0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights(self, bad):
+        with pytest.raises(ValidationError):
+            WeightFamily.finite([0.5, bad])
+        with pytest.raises(ValidationError):
+            WeightFamily.from_spec("finite", probs=(bad, 0.5))
+
+    def test_from_spec_reads_only_its_kind(self):
+        for fam, want in (
+            (WeightFamily.from_spec("weibull", alpha=0.3, p=2.0), WeightFamily.weibull_like(0.3)),
+            (WeightFamily.from_spec("geometric", alpha=7.0, p=0.25), WeightFamily.geometric(0.25)),
+            (WeightFamily.from_spec("finite", alpha=7.0, probs=(2.0, 1.0, 1.0)),
+             WeightFamily.finite([0.5, 0.25, 0.25])),
+        ):
+            assert repr(fam) == repr(want)
+            assert_allclose(fam.weight_prefix(3), want.weight_prefix(3), rtol=0, atol=0)
+
+    def test_from_spec_rejects_bad_specs(self):
+        for kind, kwargs in (
+            ("poisson", {}),
+            ("finite", {"probs": ()}),
+            ("weibull", {"alpha": math.nan}),
+            ("geometric", {"p": math.nan}),
+        ):
+            with pytest.raises(ValidationError):
+                WeightFamily.from_spec(kind, **kwargs)
 
     def test_finite_is_test_only(self, fin, weib):
         assert fin.test_only and not weib.test_only
