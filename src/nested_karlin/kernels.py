@@ -49,6 +49,11 @@ def psi(l: int, x) -> Union[float, np.ndarray]:
 
     Accepts a scalar or array of finite ``x >= 0``; ``psi(l, 0) = 1`` iff
     ``l == 0``.
+
+    Accuracy: the exponent carries an absolute error of a few ulp of its
+    largest part, so the relative error is at most
+    ``4 eps (1 + |l log x| + x + lgamma(l+1))`` (tested against mpmath at 50
+    digits; 463 ulp at most on x in [1e-12, 700], l <= 20).
     """
     l = int(l)
     if l < 0:
@@ -72,6 +77,10 @@ def psi_table(n: int, x) -> np.ndarray:
     Built by ``psi_{i+1} = psi_i * x / (i+1)`` from ``psi_0 = exp(-x)``: one
     ``exp`` per element for all n levels.  Where ``exp(-x)`` would be
     subnormal or zero (x > 700) the rows fall back to the log form of ``psi``.
+
+    Accuracy: for x <= 700 row i is within ``(4 + 2 i)`` ulp (an ulp or two
+    from ``exp``, then two roundings per step; tested against mpmath at 50
+    digits, 5.7 ulp at most over rows < 21), beyond that ``psi``'s bound.
     """
     n = int(n)
     if n < 0:
@@ -96,7 +105,8 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
     """P{Poisson(m) >= l} as the regularized lower incomplete gamma function
     P(l, m), which keeps full relative precision in both tails (the tail
     itself when it is many orders of magnitude below 1, the complement near
-    1)."""
+    1).  Accuracy: within 256 ulp of mpmath at 50 digits for l <= 5 and m in
+    [1e-12, 1e6]."""
     l = int(l)
     m_arr = np.asarray(m, dtype=float)
     if not np.all(m_arr >= 0.0):
@@ -114,6 +124,11 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
     box weights).  The identity P{Bin(n, p) >= l} = I_p(l, n - l + 1) keeps
     full relative precision in both tails, where direct pmf accumulation
     against ``1 - lower_sum`` cancels.
+
+    Accuracy: scipy's ``betainc`` loses precision about linearly in n; the
+    relative error is at most ``max(256, n)`` ulp (tested against mpmath at
+    100 digits for p in [1e-9, 1): 5 ulp at n = 10, 106 at n = 1e3 and
+    1.9e4 at n = 1e5).
     """
     n = int(n)
     l = int(l)

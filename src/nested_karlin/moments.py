@@ -1,31 +1,48 @@
-"""Exact finite-time moments by pruned enumeration over generation-j boxes.
+"""Exact finite-time moments by certified sums over generation-j boxes.
 
 Every expectation/covariance of the Poissonized scheme is a sum over the
 (countably many) generation-j boxes r of a summand evaluated at the box
-weight p_r.  The enumeration keeps a tensor product of box indices, cut at
-depth d to the first K_d weights, and prunes with *certified* bounds: the
-caller supplies ``scale``, a per-unit-weight Markov coefficient such that
-the absolute contribution of any set of boxes of total weight m is at most
-``scale * m`` (e.g. ``t/l`` for ``E K_t(l)`` since
-``P{Poisson(pt) >= l} <= pt/l``).  The reported ``error_bound`` is
-``scale`` times the mass cut away, which never exceeds the requested budget.
+weight p_r.  The single-generation moments split the boxes at a threshold
+on x_r = p_r * rate, where the rate is the summand's largest time (or the
+ball count n for the fixed-n scheme):
 
-Per-depth cutoffs: with budget B, a non-terminal depth d may leave out the
-weight tail beyond K_d up to B/(2^d scale) per unit of prefix weight, and
-the terminal depth up to B/(2^(j-1) scale).  These shares add up to B, and
-since the prefix weights at any depth sum to at most 1 the total certified
-error stays within B.  So one ``tail_index`` search per depth fixes the
-whole plan, and cost scales like the product of the K_d.
+* Active boxes, x_r >= ``_ETA``, are summed directly.  A recursion over
+  box prefixes finds them: a prefix q at depth d keeps the children k with
+  q * p_k >= ``_ETA``/rate, one ``searchsorted`` per depth over the
+  descending weight table, so it never visits a prefix lighter than the
+  threshold.  The active boxes stream in blocks of at most ``_BLOCK``.
+* Every other box enters through the summand's Taylor series in x,
+  sum_{m <= _ORDER} c_m U_m, where U_m = sum_r x_r^m over those boxes.  U_m
+  is assembled from positive terms only: a live prefix q at depth d with K
+  live children adds (rate q)^m R_m(K) S_m^(j-d-1), where R_m(K) is the
+  reverse cumulative power sum sum_{k>K} p_k^m of the table and S_m =
+  R_m(0).  The table's power sums are stored in blocks scaled by an anchor
+  weight, so every power is formed as a product (rate q p)^m <= _ETA^m
+  times a sum of ratios <= 1; nothing overflows or underflows for rates
+  up to 1e300.
 
-Sums stream over the box weights in blocks of at most ``_BLOCK`` elements
-(slices of the outer product of the prefix weights with the terminal
-weights), and the block sums are combined with math.fsum, so no
-intermediate array ever holds the full box population.  The per-level
-Poisson weights come from ``kernels.psi_table``, one ``exp`` per element.
+The certified ``error_bound`` adds two terms.  The series remainder: for
+the single alternating tails (Poisson, psi_l, and the binomial tail, whose
+terms shrink by a factor below x < ``_ETA``) the first omitted term, and
+for the covariance products a majorant series of absolute coefficients,
+both as a factor times U_{_ORDER+1}.  The table cut: the caller supplies
+``scale``, a per-unit-weight Markov coefficient such that any set of boxes
+of total weight m contributes at most ``scale * m`` (e.g. ``t/l`` for
+``E K_t(l)`` since ``P{Poisson(pt) >= l} <= pt/l``), and the boxes with a
+coordinate beyond the table's cut weigh at most j times its tail mass.  The
+cut takes half the budget, and the series remainder must fit in the other
+half, so the bound never exceeds ``prune``.
+
+``cov_K_cross_gen`` still sums a tensor-product plan (``enumerate_boxes``):
+indices cut at each depth d to the first K_d weights by one ``tail_index``
+search per depth, with the budget shared so that the Markov bound on the
+cut mass stays within it.  The per-level Poisson weights come from
+``kernels.psi_table``, one ``exp`` per element.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kernels import binomial_tail, poisson_tail, psi, psi_table
 from .weights import WeightFamily
 
@@ -55,6 +72,18 @@ __all__ = [
 _BOX_WARN = 20_000_000
 # elements per block of box weights (and per 2-D cross-generation block)
 _BLOCK = 2**15
+# boxes with p_r * rate >= _ETA are summed directly, the rest by the series
+_ETA = 0.1
+# the series keeps the powers x^1 .. x^_ORDER; _EXTRA more majorant
+# coefficients certify the remainder
+_ORDER = 16
+_EXTRA = 20
+_SIZE = _ORDER + _EXTRA + 1
+_POWERS = np.arange(1, _ORDER + 2)
+# the table's power sums are scaled within blocks spanning at most this many
+# binary orders of magnitude, so (p / anchor)^m stays a normal float
+_ANCHOR_BITS = 960 // (_ORDER + 1)
+_FACTORIAL = np.array([math.factorial(m) for m in range(_SIZE)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -165,28 +194,169 @@ def _check_times(prune: float, *times) -> None:
             raise ValidationError(f"times must be finite and >= 0, got {x}")
 
 
-def _box_sum(family, j, prune, scale, summand) -> MomentEstimate:
-    """sum_r summand(p_r) over the certified plan; a zero scale (zero time)
-    means an empty sum."""
+@dataclass(frozen=True)
+class _Series:
+    """Taylor coefficients of a summand in x = p * rate up to x^(_SIZE-1):
+    ``coef`` signed, ``major`` upper bounds on the absolute coefficients of
+    a majorant series, and ``whole`` an upper bound on the majorant's value
+    at x = 1.  ``alternating`` marks a single tail whose terms alternate and
+    shrink in magnitude for 0 <= x < 1."""
+
+    coef: np.ndarray
+    major: np.ndarray
+    whole: float
+    alternating: bool = False
+
+    def __add__(self, other: "_Series") -> "_Series":
+        return _Series(self.coef + other.coef, self.major + other.major,
+                       self.whole + other.whole)
+
+    def __sub__(self, other: "_Series") -> "_Series":
+        return _Series(self.coef - other.coef, self.major + other.major,
+                       self.whole + other.whole)
+
+    def __mul__(self, other: "_Series") -> "_Series":
+        return _Series(np.convolve(self.coef, other.coef)[:_SIZE],
+                       np.convolve(self.major, other.major)[:_SIZE],
+                       self.whole * other.whole)
+
+    def remainder_factor(self) -> float:
+        """F with |sum_{m > _ORDER} c_m x^m| <= F x^(_ORDER+1) for 0 <= x <= _ETA:
+        the first nonzero omitted term of an alternating series, otherwise
+        the majorant's omitted terms (those past x^(_SIZE-1) by ``whole``)."""
+        rest = self.major[_ORDER + 1:] * _ETA ** np.arange(_EXTRA)
+        if self.alternating and np.any(rest):
+            return float(rest[np.flatnonzero(rest)[0]])
+        return float(rest.sum()) + _ETA**_EXTRA * self.whole
+
+
+def _signed(coef: np.ndarray, whole: float, alternating: bool = True) -> _Series:
+    return _Series(coef, np.abs(coef), whole, alternating)
+
+
+_ONE = _signed(np.eye(1, _SIZE)[0], 1.0, False)
+
+
+def _psi_series(i: int, rho: float) -> _Series:
+    """psi_i(rho x) = (rho x)^i e^(-rho x) / i! for 0 <= rho <= 1; its
+    majorant at 1 is rho^i e^rho / i! <= e^rho."""
+    m = np.arange(max(_SIZE - i, 0))
+    coef = np.zeros(_SIZE)
+    coef[i:] = (-1.0) ** m * rho ** (m + i) / (math.factorial(i) * _FACTORIAL[m])
+    return _signed(coef, math.exp(rho))
+
+
+def _at_least_series(l: int, rho: float) -> _Series:
+    """P{Poisson(rho x) >= l} = sum_{m>=l} (-1)^(m-l) C(m-1, l-1) (rho x)^m / m!;
+    its majorant at 1 is at most sum_m 2^(m-1) rho^m / m! <= (e^(2 rho) - 1) / 2."""
+    m = np.arange(l, _SIZE)
+    coef = np.zeros(_SIZE)
+    coef[l:] = [(-1.0) ** (k - l) * math.comb(k - 1, l - 1) for k in m]
+    coef[l:] *= rho**m / _FACTORIAL[l:]
+    return _signed(coef, math.expm1(2.0 * rho) / 2.0)
+
+
+def _binomial_series(n: int, l: int) -> _Series:
+    """P{Bin(n, p) >= l} = sum_{m=l}^n (-1)^(m-l) C(m-1, l-1) C(n, m) p^m in
+    x = n p: the Poisson tail's coefficients times C(n, m) m! / n^m =
+    prod_{i<m} (1 - i/n), which is <= 1 and 0 for m > n."""
+    falling = np.cumprod(np.concatenate([[1.0], 1.0 - np.arange(_SIZE - 1) / n]))
+    return _signed(_at_least_series(l, 1.0).coef * falling, math.expm1(2.0) / 2.0)
+
+
+def _power_table(w: np.ndarray) -> tuple:
+    """(anchor, rsum) for the descending weights w: sum_{k>K} w_k^m =
+    anchor[K]^m * rsum[m-1, K] for K < w.size and m = 1 .. _ORDER+1.  Each
+    block of weights within 2^_ANCHOR_BITS of its first entry (the anchor)
+    holds reverse cumulative sums of (w_k / anchor)^m, plus the later blocks
+    carried over in units of its anchor."""
+    octave = np.floor((math.log2(w[0]) - np.log2(w)) / _ANCHOR_BITS)
+    first = np.flatnonzero(np.diff(octave, prepend=-1.0))
+    ends = np.append(first[1:], w.size)
+    anchor = np.repeat(w[first], ends - first)
+    rsum = (w / anchor) ** _POWERS[:, None]
+    for a, b in zip(first[::-1], ends[::-1]):
+        block = np.cumsum(rsum[:, a:b][:, ::-1], axis=1)[:, ::-1]
+        if b < w.size:
+            block += ((w[b] / w[a]) ** _POWERS * rsum[:, b])[:, None]
+        rsum[:, a:b] = block
+    return anchor, rsum
+
+
+def _children(live: np.ndarray, count: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
+    """Weights live[i] * w[k] for k < count[i], in blocks of at most _BLOCK."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for g0 in range(0, total, _BLOCK):
+        g = np.arange(g0, min(g0 + _BLOCK, total))
+        owner = np.searchsorted(ends, g, side="right")
+        yield live[owner] * w[g - (ends[owner] - count[owner])]
+
+
+def _box_sum(family, j, prune, scale, rate, summand, series) -> MomentEstimate:
+    """sum_r summand(p_r): directly over the boxes with p_r * rate >= _ETA,
+    by ``series`` (Taylor coefficients in x = p * rate) over the others; a
+    zero scale (zero time) means an empty sum."""
     if scale == 0.0:
         return MomentEstimate(0.0, 0.0, 0, prune)
-    enum = enumerate_boxes(family, j, prune, scale)
-    value = math.fsum(float(np.sum(summand(c))) for c in enum.chunks())
-    return MomentEstimate(value, enum.tail_bound, enum.boxes, prune)
+    j = int(j)
+    if j < 1:
+        raise ValidationError(f"generation must be >= 1, got {j}")
+    # the boxes with a coordinate beyond the cut weigh at most
+    # tail * sum_{d<j} mass^d, and each unit of weight costs at most scale
+    cut = family.tail_index(prune / (2.0 * j * scale))
+    table = family.weight_prefix(cut)
+    mass = math.fsum(table)
+    cut_bound = scale * family.tail_mass_bound(cut) * sum(mass**d for d in range(j))
+    w = np.sort(table[table > 0.0])[::-1]
+    # u[m-1] = sum of x_r^m over the boxes left to the series, m = 1 .. _ORDER+1
+    u = np.zeros(_ORDER + 1)
+    sums: list = []
+    boxes = 0
+    if w.size:
+        anchor, rsum = _power_table(w)
+        power_sums = w[0] ** _POWERS * rsum[:, 0]
+        theta = _ETA / rate
+        live = np.ones(1)
+        if theta > 1.0:  # even the root is below the threshold
+            live = live[:0]
+            u += rate**_POWERS * power_sums**j
+        for d in range(j):
+            count = np.searchsorted(-w, -theta / live, side="right")
+            rest = np.flatnonzero(count < w.size)
+            for i in range(0, rest.size, _BLOCK):
+                sel = rest[i : i + _BLOCK]
+                k = count[sel]
+                x = rate * live[sel] * anchor[k]
+                u += (x ** _POWERS[:, None] * rsum[:, k]).sum(axis=1) * power_sums ** (j - d - 1)
+            if d < j - 1:
+                live = np.concatenate([np.empty(0), *_children(live, count, w)])
+        for block in _children(live, count, w):
+            boxes += block.size
+            sums.append(float(np.sum(summand(block))))
+    sums += [float(c) * float(um) for c, um in zip(series.coef[1 : _ORDER + 1], u)]
+    remainder = series.remainder_factor() * float(u[_ORDER])
+    if remainder > prune / 2.0:
+        raise NumericalError(
+            f"series remainder {remainder:.3g} exceeds half the budget {prune:g}"
+        )
+    return MomentEstimate(math.fsum(sums), cut_bound + remainder, boxes, prune)
 
 
 def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K_t^(j)(l) = sum_r P{Poisson(p_r t) >= l} (Poissonized scheme)."""
     l = _check_level(l)
     _check_times(prune, t)
-    return _box_sum(family, j, prune, t / l, lambda c: poisson_tail(l, c * t))
+    return _box_sum(family, j, prune, t / l, t, lambda c: poisson_tail(l, c * t),
+                    _at_least_series(l, 1.0))
 
 
 def mean_K_star(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K*_t^(j)(l) = sum_r psi_l(p_r t) (exactly-l boxes)."""
     l = _check_level(l)
     _check_times(prune, t)
-    return _box_sum(family, j, prune, t / l, lambda c: psi(l, c * t))
+    return _box_sum(family, j, prune, t / l, t, lambda c: psi(l, c * t),
+                    _psi_series(l, 1.0))
 
 
 def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
@@ -196,7 +366,8 @@ def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
     n = int(n)
     if n < l:
         return MomentEstimate(0.0, 0.0, 0, prune)
-    return _box_sum(family, j, prune, n / l, lambda c: binomial_tail(n, c, l))
+    return _box_sum(family, j, prune, n / l, n, lambda c: binomial_tail(n, c, l),
+                    _binomial_series(n, l))
 
 
 def cov_K_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
@@ -205,9 +376,10 @@ def cov_K_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     l = _check_level(l)
     _check_times(prune, s, t)
     lo, hi = min(s, t), max(s, t)
+    series = _at_least_series(l, lo / hi if hi else 0.0) * (_ONE - _at_least_series(l, 1.0))
     return _box_sum(
-        family, j, prune, lo / l,
-        lambda c: poisson_tail(l, c * lo) * poisson_low(l, c * hi),
+        family, j, prune, lo / l, hi,
+        lambda c: poisson_tail(l, c * lo) * poisson_low(l, c * hi), series,
     )
 
 
@@ -217,10 +389,13 @@ def cov_K_star_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimat
     l = _check_level(l)
     _check_times(prune, s, t)
     lo, hi = min(s, t), max(s, t)
+    rho, sigma = (lo / hi, (hi - lo) / hi) if hi else (0.0, 0.0)
+    series = _psi_series(l, rho) * (_psi_series(0, sigma) - _psi_series(l, 1.0))
     return _box_sum(
-        family, j, prune, lo / l,
+        family, j, prune, lo / l, hi,
         lambda c: psi(l, c * lo) * np.exp(-c * (hi - lo))
         - psi(l, c * s) * psi(l, c * t),
+        series,
     )
 
 
@@ -247,7 +422,17 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
         joint = sum(early[i] * late[l2 - 1 - i] for i in range(l1))
         return joint - early.sum(axis=0) * low_t
 
-    return _box_sum(family, j, prune, min(s / l1, t / l2), summand)
+    rho, sigma = (s / t, (t - s) / t) if t else (0.0, 0.0)
+    low_t = _ONE - _at_least_series(l2, 1.0)
+    if l1 >= l2:
+        series = _at_least_series(l1, rho) * low_t
+    else:
+        early = [_psi_series(i, rho) for i in range(l1)]
+        late = list(itertools.accumulate(_psi_series(q, sigma) for q in range(l2)))
+        joint = sum((early[i] * late[l2 - 1 - i] for i in range(1, l1)),
+                    early[0] * late[l2 - 1])
+        series = joint - sum(early[1:], early[0]) * low_t
+    return _box_sum(family, j, prune, min(s / l1, t / l2), t, summand, series)
 
 
 def _binomial_pmfs(size: int, p: np.ndarray) -> np.ndarray:

@@ -128,6 +128,19 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
+def _check_memory(N: float, J: int) -> None:
+    """NumericalError when N balls over J generations would not fit in
+    physical memory: the draws and indices take N * J words, the snapshots,
+    codes and keys N each."""
+    need = 8 * N * (2 * J + 3)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise NumericalError(
+            f"{N:.6g} balls over {J} generations need about {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _run(
     family: WeightFamily,
     increments: list,
@@ -150,14 +163,7 @@ def _run(
     increments = np.asarray(increments, dtype=np.int64)
     balls = np.cumsum(increments)
     N = int(balls[-1])
-    # the draws and indices take N * J words, the snapshots, codes and keys N each
-    need = 8 * N * (2 * J + 3)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise NumericalError(
-            f"{N} balls over {J} generations need about {need / 2**30:.3g} GiB, "
-            f"more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory(N, J)
     idx = family.table_search(rng.random((N, J))) + 1
     snap = np.repeat(np.arange(G, dtype=np.int64), increments)
     K_full = np.empty((J, L + 1, G), dtype=np.int64)
@@ -264,6 +270,9 @@ def simulate_poissonized(
         raise ValidationError(f"times must be finite, got {grid.tolist()}")
     if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
         raise ValidationError("times must be nondecreasing and nonnegative")
+    # the expected ball count, checked before numpy is asked for Poisson
+    # draws it cannot make (means above about 9.2e18)
+    _check_memory(float(grid[-1]), J)
     rng = _make_rng(seed, replica)
     gaps = np.diff(np.concatenate([[0.0], grid]))
     increments = [int(rng.poisson(gap)) if gap > 0.0 else 0 for gap in gaps]

@@ -51,7 +51,50 @@ class TestPsi:
                 psi(l, x)
 
 
+    def test_against_mpmath_50_digits(self):
+        # error model of the log form: the exponent z = l log x - x - lgamma(l+1)
+        # carries an absolute error of a few ulp of its largest part, and exp
+        # turns it into a relative error of the same size
+        eps = np.finfo(float).eps
+        x = np.logspace(-12.0, math.log10(700.0), 361)
+        for l in (0, 1, 2, 3, 5, 10, 20):
+            with mpmath.workdps(50):
+                want = np.array([
+                    float(mpmath.mpf(float(v)) ** l * mpmath.exp(-mpmath.mpf(float(v)))
+                          / mpmath.factorial(l))
+                    for v in x
+                ])
+            normal = want >= 1e-280
+            scale = 1.0 + np.abs(l * np.log(x)) + x + math.lgamma(l + 1)
+            rel = np.abs(psi(l, x) - want)[normal] / want[normal]
+            assert np.all(rel <= 4.0 * eps * scale[normal]), (l, x[normal][rel.argmax()])
+
+
 class TestPsiTable:
+    def test_against_mpmath_50_digits(self):
+        # error model of the recurrence: exp(-x) within an ulp or two, then
+        # two roundings (x / i and the product) per row; rows past x = 700
+        # take psi's log form and its bound
+        eps = np.finfo(float).eps
+        x = np.logspace(-12.0, 3.5, 311)
+        rows = 21
+        table = psi_table(rows, x)
+        with mpmath.workdps(50):
+            want = np.array([
+                [float(mpmath.mpf(float(v)) ** i * mpmath.exp(-mpmath.mpf(float(v)))
+                       / mpmath.factorial(i)) for v in x]
+                for i in range(rows)
+            ])
+        for i in range(rows):
+            normal = want[i] >= 1e-280
+            bound = np.where(
+                x > 700.0,
+                4.0 * eps * (1.0 + np.abs(i * np.log(x)) + x + math.lgamma(i + 1)),
+                (4.0 + 2.0 * i) * eps,
+            )
+            rel = np.abs(table[i] - want[i])[normal] / want[i][normal]
+            assert np.all(rel <= bound[normal]), (i, x[normal][rel.argmax()])
+
     def test_rows_match_psi(self):
         x = np.concatenate([[0.0], np.logspace(-12.0, 6.0, 400)])
         table = psi_table(21, x)
@@ -143,6 +186,28 @@ class TestBinomialTail:
             p = float(rng.uniform(1e-6, 1.0 - 1e-6))
             want = betainc(l, n - l + 1, p)
             assert binomial_tail(n, p, l) == pytest.approx(want, rel=1e-10, abs=1e-280)
+
+    def test_against_mpmath_100_digits(self):
+        # 1 - sum_{k<l} C(n, k) p^k (1-p)^(n-k) at 100 digits, which keeps
+        # 50 after the cancellation for every tail on this grid (>= 1e-45);
+        # scipy's betainc loses accuracy about linearly in n, so the bound
+        # is max(256, n) ulp
+        eps = np.finfo(float).eps
+        p = np.logspace(-9.0, -1e-9, 181)
+        for n in (10, 1000, 100_000):
+            for l in (1, 2, 3, 5):
+                with mpmath.workdps(100):
+                    want = np.array([
+                        float(1 - mpmath.fsum(
+                            mpmath.binomial(n, k) * mpmath.mpf(float(v)) ** k
+                            * (1 - mpmath.mpf(float(v))) ** (n - k)
+                            for k in range(l)
+                        ))
+                        for v in p
+                    ])
+                normal = want >= 1e-280
+                rel = np.abs(binomial_tail(n, p, l) - want)[normal] / want[normal]
+                assert rel.max() <= max(256, n) * eps, (n, l, p[normal][rel.argmax()])
 
     def test_endpoints(self):
         assert binomial_tail(5, 0.0, 1) == 0.0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nested_karlin.errors import ValidationError
-from nested_karlin.kernels import poisson_tail, psi
+from nested_karlin.kernels import binomial_tail, poisson_tail, psi
 from nested_karlin.moments import (
     _BLOCK,
+    _ETA,
+    _ORDER,
     cov_K_cross_gen,
     cov_K_cross_level,
     cov_K_same,
@@ -19,6 +22,7 @@ from nested_karlin.moments import (
     mean_K,
     mean_K_binomial,
     mean_K_star,
+    poisson_low,
 )
 from nested_karlin.weights import WeightFamily
 
@@ -48,15 +52,24 @@ def fin3():
 
 class TestEnumeration:
     def test_finite_family_is_exhaustive(self, fin3):
+        # the whole table is kept; boxes with 7 p_r >= _ETA are summed
+        # directly and the others by the series, whose first omitted term
+        # (1/(_ORDER+1)! x^(_ORDER+1) at l = 1) is the whole certificate
+        t = 7.0
         for j in (1, 2, 3):
-            est = mean_K(fin3, j, 1, 7.0)
-            assert est.error_bound == 0.0
-            assert est.boxes_enumerated == 3**j
+            x = [t * math.prod(r) for r in itertools.product(fin3.probs, repeat=j)]
+            rest = [v for v in x if v < _ETA]
+            est = mean_K(fin3, j, 1, t)
+            assert est.boxes_enumerated == len(x) - len(rest)
+            want = math.fsum(v ** (_ORDER + 1) for v in rest) / math.factorial(_ORDER + 1)
+            assert est.error_bound == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert len(rest) == 4  # j = 3 leaves 0.2^3, 0.3 * 0.2^2 (x3) to the series
 
     def test_geometric_box_count(self, geo):
         est = mean_K(geo, 1, 1, 10.0, prune=1e-8)
-        # k-loop stops once the geometric tail 2^-k dips under eps/t
-        assert est.boxes_enumerated == 30
+        # only the boxes with 10 * 2^-k >= _ETA are summed directly
+        want = sum(10.0 * float(geo.weight(k)) >= _ETA for k in range(1, 200))
+        assert est.boxes_enumerated == want == 6
         assert est.error_bound <= 1e-8
 
     def test_weibull_two_generations(self, weib):
@@ -430,6 +443,125 @@ class TestCertification:
         coarse = cov_K_cross_gen(geo, 1, 2, 1, 1, 9.0, 30.0, prune=1e-4)
         fine = cov_K_cross_gen(geo, 1, 2, 1, 1, 9.0, 30.0, prune=1e-8)
         assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
+
+
+def _reference(family, j, prune, scale, summand, **kwargs):
+    """The tensor-product plan the active-set engine replaced: the summand
+    summed over every box of ``enumerate_boxes``; returns the value and the
+    certified bound on the boxes left out."""
+    enum = enumerate_boxes(family, j, prune, scale, **kwargs)
+    value = math.fsum(float(np.sum(summand(c))) for c in enum.chunks())
+    return value, enum.tail_bound
+
+
+def _cases(t):
+    """(moment at t, its Markov scale, its rate, its summand) for the six
+    single-generation moments: level 2 where one level is read, and levels
+    1 and 3 across the times s = t/3 and t in both orders (the convolution
+    and the nested branch of cov_K_cross_level)."""
+    s, n = t / 3.0, int(t)
+    return [
+        (lambda f, j, **kw: mean_K(f, j, 2, t, **kw), t / 2, t,
+         lambda c: poisson_tail(2, c * t)),
+        (lambda f, j, **kw: mean_K_star(f, j, 2, t, **kw), t / 2, t,
+         lambda c: psi(2, c * t)),
+        (lambda f, j, **kw: mean_K_binomial(f, j, 2, n, **kw), n / 2, n,
+         lambda c: binomial_tail(n, c, 2)),
+        (lambda f, j, **kw: cov_K_same(f, j, 2, s, t, **kw), s / 2, t,
+         lambda c: poisson_tail(2, c * s) * poisson_low(2, c * t)),
+        (lambda f, j, **kw: cov_K_star_same(f, j, 2, t, s, **kw), s / 2, t,
+         lambda c: psi(2, c * s) * np.exp(-c * (t - s)) - psi(2, c * t) * psi(2, c * s)),
+        # empty at s and fewer than 3 balls in (s, t], minus the product
+        (lambda f, j, **kw: cov_K_cross_level(f, j, 1, 3, s, t, **kw), t / 3, t,
+         lambda c: np.exp(-c * s) * (poisson_low(3, c * (t - s)) - poisson_low(3, c * t))),
+        (lambda f, j, **kw: cov_K_cross_level(f, j, 1, 3, t, s, **kw), s / 3, t,
+         lambda c: poisson_tail(3, c * s) * np.exp(-c * t)),
+    ]
+
+
+class TestActiveSetEngine:
+    @pytest.mark.parametrize("kind", ["weib", "geo"])
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("t", [10.0, 3000.0, 1e5])
+    def test_matches_tensor_product_reference(self, request, kind, j, t):
+        fam = request.getfixturevalue(kind)
+        for i, (call, scale, _, summand) in enumerate(_cases(t)):
+            est = call(fam, j, prune=1e-9)
+            value, bound = _reference(fam, j, 1e-9, scale, summand)
+            assert est.error_bound <= 1e-9, i
+            assert abs(est.value - value) <= est.error_bound + bound, i
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.1, 0.35, 0.05, 0.3, 0.2]])
+    @pytest.mark.parametrize("t", [0.5, 7.0, 40.0])
+    def test_finite_families_match_brute_force(self, probs, t):
+        # every box of an unsorted finite family; each term is a difference
+        # of products of probabilities <= 1, so either route rounds it by a
+        # few eps
+        fam = WeightFamily.finite(probs)
+        for j in (1, 2, 3):
+            p = np.array([math.prod(r) for r in itertools.product(fam.probs, repeat=j)])
+            for i, (call, _, rate, summand) in enumerate(_cases(t)):
+                est = call(fam, j)
+                terms = np.atleast_1d(summand(p))
+                tol = est.error_bound + 64 * np.finfo(float).eps * p.size
+                assert abs(est.value - math.fsum(terms)) <= tol, (j, i)
+                assert est.boxes_enumerated == np.count_nonzero(p * rate >= _ETA), (j, i)
+
+    def test_generation_three(self, weib):
+        start = time.perf_counter()
+        est = mean_K(weib, 3, 1, 3000.0, prune=1e-9)
+        elapsed = time.perf_counter() - start
+        # the tensor-product plan reaches only prune 1e-3 (51,241,833 boxes)
+        value, bound = _reference(
+            weib, 3, 1e-3, 3000.0, lambda c: poisson_tail(1, c * 3000.0),
+            box_warn_threshold=10**8,
+        )
+        assert bound <= 1e-3
+        assert est.error_bound <= 1e-9
+        assert abs(est.value - value) <= est.error_bound + bound
+        assert elapsed < 10.0
+
+    def test_huge_times(self, weib):
+        # powers are formed as (p * rate)^m: nothing overflows at t = 1e300
+        for i, (call, scale, _, summand) in enumerate(_cases(1e300)):
+            if i == 2:  # binomial_tail is NaN at n = 1e300 (scipy betainc)
+                continue
+            est = call(weib, 1, prune=1e-9)
+            value, bound = _reference(weib, 1, 1e-9, scale, summand)
+            assert est.error_bound <= 1e-9, i
+            assert abs(est.value - value) <= est.error_bound + bound, i
+
+    @given(
+        st.sampled_from(["weib", "weib3", "geo", "geo9", "fin"]),
+        st.integers(1, 2),
+        st.integers(1, 4),
+        st.floats(-3.0, 6.0),
+        st.floats(0.0, 1.0),
+        st.floats(-12.0, -3.0),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finite_and_within_budget(self, kind, j, l, log_t, frac, log_prune, which):
+        fam = {
+            "weib": WeightFamily.weibull_like(0.5),
+            "weib3": WeightFamily.weibull_like(0.3),
+            "geo": WeightFamily.geometric(0.5),
+            "geo9": WeightFamily.geometric(0.9),
+            "fin": WeightFamily.finite([0.4, 0.1, 0.3, 0.2]),
+        }[kind]
+        t, prune = 10.0**log_t, 10.0**log_prune
+        s = frac * t
+        est = [
+            lambda: mean_K(fam, j, l, t, prune=prune),
+            lambda: mean_K_star(fam, j, l, t, prune=prune),
+            lambda: mean_K_binomial(fam, j, l, int(t), prune=prune),
+            lambda: cov_K_same(fam, j, l, s, t, prune=prune),
+            lambda: cov_K_star_same(fam, j, l, t, s, prune=prune),
+            lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, s, t, prune=prune),
+            lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, t, s, prune=prune),
+        ][which]()
+        assert math.isfinite(est.value)
+        assert 0.0 <= est.error_bound <= prune
 
 
 class TestDepoissonizationConstant:

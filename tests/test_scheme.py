@@ -213,6 +213,16 @@ class _NoUniformDraws:
         raise AssertionError(f"attempted to draw {size} uniforms")
 
 
+class _NoDraws:
+    """Stand-in generator that fails the test on any draw."""
+
+    def poisson(self, lam):
+        raise AssertionError(f"attempted a Poisson({lam}) draw")
+
+    def random(self, size):
+        raise AssertionError(f"attempted to draw {size} uniforms")
+
+
 class TestMemoryGuard:
     @pytest.fixture
     def no_draws(self, monkeypatch):
@@ -220,6 +230,25 @@ class TestMemoryGuard:
         monkeypatch.setattr(
             scheme, "_make_rng", lambda seed, replica: _NoUniformDraws(make(seed, replica))
         )
+
+    @pytest.fixture
+    def any_draw_fails(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_make_rng", lambda seed, replica: _NoDraws())
+
+    def test_expected_ball_count_is_checked_before_any_draw(self, any_draw_fails):
+        # numpy refuses Poisson means above about 9.2e18
+        weib = WeightFamily.weibull_like(0.5)
+        with pytest.raises(NumericalError):
+            simulate_poissonized(weib, [1e20], 2, 3, seed=1)
+        with pytest.raises(NumericalError):
+            simulate_poissonized(weib, [1.0, 1e12], 1, 1, seed=1)
+
+    def test_cli_exit_code_before_any_draw(self, any_draw_fails, capsys):
+        from nested_karlin.cli import main
+
+        assert main(["simulate", "--t", "1e20"]) == 2
+        captured = capsys.readouterr()
+        assert "numeric error:" in captured.err and not captured.out
 
     def test_oversized_runs_are_refused_before_drawing(self, no_draws):
         weib = WeightFamily.weibull_like(0.5)
