@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_whole
 from .limits import closed_cov
 
 __all__ = [
@@ -92,9 +92,7 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
     """Assemble the closed-form covariance over levels 1..L and u_grid."""
     if kind not in ("Z", "X"):
         raise ValidationError(f"kind must be 'Z' or 'X', got {kind!r}")
-    L = int(L)
-    if L < 1:
-        raise ValidationError("L must be >= 1")
+    L = check_whole("L", L, 1)
     u = np.asarray(list(u_grid), dtype=float)
     if u.size == 0:
         raise ValidationError("u_grid must be nonempty")
@@ -126,9 +124,7 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
 
 def sample(grid: LimitCovarianceGrid, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the grid vector; rows are samples."""
-    n = int(n)
-    if n < 1:
-        raise ValidationError("sample count must be >= 1")
+    n = check_whole("sample count", n, 1)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
     z = rng.standard_normal((n, grid.dim))
     return z @ grid.cholesky.T
@@ -192,9 +188,7 @@ def sample_Z1_whitenoise(
     exactly the one induced by per-cell independent N(0, cell-area) noise
     (see module docstring), including the discretization bias.
     """
-    n = int(n)
-    if n < 1:
-        raise ValidationError("sample count must be >= 1")
+    n = check_whole("sample count", n, 1)
     u = np.asarray(list(u_grid), dtype=float)
     cov = whitenoise_mesh_covariance(u, A=x_window, x_step=x_step, y_step=y_step)
     chol, _ = _factor_with_jitter(cov)

@@ -23,7 +23,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError, check_whole
 
 __all__ = [
     "psi",
@@ -55,9 +55,7 @@ def psi(l: int, x) -> Union[float, np.ndarray]:
     ``4 eps (1 + |l log x| + x + lgamma(l+1))`` (tested against mpmath at 50
     digits; 463 ulp at most on x in [1e-12, 700], l <= 20).
     """
-    l = int(l)
-    if l < 0:
-        raise ValidationError(f"level must be >= 0, got {l}")
+    l = check_whole("level", l, 0)
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise ValidationError("psi requires finite x >= 0")
@@ -82,9 +80,7 @@ def psi_table(n: int, x) -> np.ndarray:
     from ``exp``, then two roundings per step; tested against mpmath at 50
     digits, 5.7 ulp at most over rows < 21), beyond that ``psi``'s bound.
     """
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"level count must be >= 0, got {n}")
+    n = check_whole("level count", n, 0)
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
     if not np.all((flat >= 0.0) & (flat < np.inf)):
@@ -128,12 +124,11 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
     Accuracy: scipy's ``betainc`` loses precision about linearly in n; the
     relative error is at most ``max(256, n)`` ulp (tested against mpmath at
     100 digits for p in [1e-9, 1): 5 ulp at n = 10, 106 at n = 1e3 and
-    1.9e4 at n = 1e5).
+    1.9e4 at n = 1e5).  Where ``betainc`` gives no finite value (ball counts
+    above about 1e200) this raises ``NumericalError``.
     """
-    n = int(n)
+    n = check_whole("ball count", n, 0)
     l = int(l)
-    if n < 0:
-        raise ValidationError(f"ball count must be >= 0, got {n}")
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise ValidationError("binomial_tail requires 0 <= p <= 1")
@@ -145,6 +140,9 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
         out = np.zeros_like(p_arr)
     else:
         out = special.betainc(l, n - l + 1, p_arr)
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(
+                f"binomial tail at l={l} is not finite for a {len(str(n))}-digit n")
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
@@ -178,9 +176,7 @@ def c_f_g(params: AsymptoticParams, t: float) -> tuple[float, float, float]:
     ``f_j(T) = g_j(e^T)``.  Variance normalizations use ``c_j * f_j(T)``
     at time ``e^T``; mean normalizations use ``c_j * g_j(t)`` directly.
     """
-    beta, j = float(params.beta), int(params.j)
-    if j < 1:
-        raise ValidationError(f"generation must be >= 1, got {j}")
+    beta, j = float(params.beta), check_whole("generation", params.j, 1)
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
     if t <= 1.0:
@@ -204,9 +200,7 @@ def b_constants(l: int) -> tuple[float, float]:
     for l=1, so b_1 = log 2) and ``b*_l = (1 - binom(2l, l) 2^{-2l-1}) / l``.
     The series is accumulated in exact rationals and converted to float once.
     """
-    l = int(l)
-    if l < 1:
-        raise ValidationError(f"level must be >= 1, got {l}")
+    l = check_whole("level", l, 1)
     s = Fraction(0)
     for k in range(1, l):
         s += _x_series_term(k)
@@ -224,9 +218,7 @@ def convolution_identity(a: int, r: int, n: int, max_value: int = 30) -> tuple[i
     Inputs are capped (default 30, override via ``max_value``) per the
     configured exact-arithmetic range.
     """
-    a, r, n = int(a), int(r), int(n)
-    if min(a, r, n) < 0:
-        raise ValidationError("convolution_identity needs nonnegative integers")
+    a, r, n = (check_whole(name, v, 0) for name, v in (("a", a), ("r", r), ("n", n)))
     if max(a, r, n) > max_value:
         raise ValidationError(
             f"inputs up to {max(a, r, n)} exceed the configured bound {max_value}"
@@ -243,9 +235,7 @@ def binomial_identity_lhs(l: int, a: float, b: float) -> float:
     Evaluated with the normalized ratios a/(a+b), b/(a+b) so large raw
     inputs cannot overflow.  Tests assert the sum equals 1/l.
     """
-    l = int(l)
-    if l < 1:
-        raise ValidationError(f"level must be >= 1, got {l}")
+    l = check_whole("level", l, 1)
     if a <= 0 or b <= 0:
         raise ValidationError("binomial_identity_lhs requires a, b > 0")
     u = a / (a + b)
@@ -265,9 +255,7 @@ def erlang_and_gl(l: int, x) -> tuple:
     ``g_l(x) = e^{-e^x} e^{xl} / (l-1)!``, unimodal with mode at ``log l``.
     Requires ``|x|`` moderate (``e^x`` must stay finite).
     """
-    l = int(l)
-    if l < 1:
-        raise ValidationError(f"level must be >= 1, got {l}")
+    l = check_whole("level", l, 1)
     arr = np.asarray(x, dtype=float)
     ex = np.exp(arr)
     cdf = poisson_tail(l, ex)
@@ -283,9 +271,7 @@ def gl_density_bound(l: int) -> float:
     ``d_1 = 1``; for l >= 2 it is the max of
     ``(l+1)^{l+1} e^{-(l+1)} / l!`` and ``(l-1)^{l-1} e^{-(l-1)} l / (l-1)!``.
     """
-    l = int(l)
-    if l < 1:
-        raise ValidationError(f"level must be >= 1, got {l}")
+    l = check_whole("level", l, 1)
     if l == 1:
         return 1.0
     first = math.exp((l + 1) * math.log(l + 1.0) - (l + 1) - math.lgamma(l + 1))

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from scipy import integrate
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_whole
 from .kernels import b_constants
 
 __all__ = ["closed_cov", "quadrature_cov", "comparison_table"]
@@ -33,13 +33,6 @@ _MAX_LEVEL = 6
 _QUAD_BUDGET = 1e-10
 
 
-def _check_level(l: int, name: str) -> int:
-    l = int(l)
-    if l < 1:
-        raise ValidationError(f"{name} must be >= 1, got {l}")
-    return l
-
-
 def _check_query(kind: str, l1: int, l2: int, delta: float) -> tuple:
     """Validated (l1, l2, delta); Y ignores delta, so it reads as 0."""
     if kind not in ("Z", "X", "Y"):
@@ -47,7 +40,7 @@ def _check_query(kind: str, l1: int, l2: int, delta: float) -> tuple:
     d = float(delta)
     if not math.isfinite(d):
         raise ValidationError(f"delta must be finite, got {delta}")
-    return _check_level(l1, "l1"), _check_level(l2, "l2"), 0.0 if kind == "Y" else d
+    return check_whole("l1", l1, 1), check_whole("l2", l2, 1), 0.0 if kind == "Y" else d
 
 
 def _covZ(l: int, delta: float) -> float:

@@ -2,15 +2,17 @@
 
 Every expectation/covariance of the Poissonized scheme is a sum over the
 (countably many) generation-j boxes r of a summand evaluated at the box
-weight p_r.  The single-generation moments split the boxes at a threshold
-on x_r = p_r * rate, where the rate is the summand's largest time (or the
-ball count n for the fixed-n scheme):
+weight p_r.  One engine, ``enumerate_boxes``, splits the boxes at a
+threshold on x_r = p_r * rate, where the rate is the summand's largest time
+(or the ball count n for the fixed-n scheme):
 
 * Active boxes, x_r >= ``_ETA``, are summed directly.  A recursion over
   box prefixes finds them: a prefix q at depth d keeps the children k with
   q * p_k >= ``_ETA``/rate, one ``searchsorted`` per depth over the
   descending weight table, so it never visits a prefix lighter than the
-  threshold.  The active boxes stream in blocks of at most ``_BLOCK``.
+  threshold.  The active boxes stream in blocks of at most ``_BLOCK``; a
+  plan of more than ``_MAX_BOXES`` boxes at any depth is refused before
+  any of them is formed.
 * Every other box enters through the summand's Taylor series in x,
   sum_{m <= _ORDER} c_m U_m, where U_m = sum_r x_r^m over those boxes.  U_m
   is assembled from positive terms only: a live prefix q at depth d with K
@@ -33,30 +35,29 @@ coordinate beyond the table's cut weigh at most j times its tail mass.  The
 cut takes half the budget, and the series remainder must fit in the other
 half, so the bound never exceeds ``prune``.
 
-``cov_K_cross_gen`` still sums a tensor-product plan (``enumerate_boxes``):
-indices cut at each depth d to the first K_d weights by one ``tail_index``
-search per depth, with the budget shared so that the Markov bound on the
-cut mass stays within it.  The per-level Poisson weights come from
-``kernels.psi_table``, one ``exp`` per element.
+``cov_K_cross_gen`` sums pairs (r1, r2) of a generation-i box and a
+generation-(j-i) suffix over the same plan, split at depth i: the active
+generation-j boxes r1 r2 directly, the inactive suffixes of each active r1
+by a series whose coefficients depend on r1, and the inactive r1 by a 1-D
+series over the generation-i power sums (see its docstring).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_whole
 from .kernels import binomial_tail, poisson_tail, psi, psi_table
 from .weights import WeightFamily
 
 __all__ = [
     "MomentEstimate",
-    "BoxEnumeration",
+    "BoxPlan",
     "enumerate_boxes",
     "mean_K",
     "mean_K_star",
@@ -69,9 +70,10 @@ __all__ = [
     "poisson_low",
 ]
 
-_BOX_WARN = 20_000_000
-# elements per block of box weights (and per 2-D cross-generation block)
+# elements per block of box weights
 _BLOCK = 2**15
+# a plan with more active boxes than this at any depth is refused
+_MAX_BOXES = 2**30
 # boxes with p_r * rate >= _ETA are summed directly, the rest by the series
 _ETA = 0.1
 # the series keeps the powers x^1 .. x^_ORDER; _EXTRA more majorant
@@ -102,89 +104,15 @@ class MomentEstimate:
         )
 
 
-@dataclass
-class BoxEnumeration:
-    """Plan of the enumerated boxes: every r with r_d <= cutoffs[d-1] at each
-    depth d.  chunks() yields their weights; tail_bound is the certified
-    scaled bound on everything not enumerated."""
-
-    family: WeightFamily
-    j: int
-    cutoffs: tuple
-    boxes: int
-    tail_bound: float
-
-    def chunks(self, block: int = _BLOCK) -> Iterator[np.ndarray]:
-        """Box weights in depth-first order, in 1-D blocks of at most
-        ``block`` elements."""
-        if not self.boxes:
-            return
-        *heads, last = [self.family.weight_prefix(k) for k in self.cutoffs]
-        prefix = np.ones(1)
-        for w in heads:
-            prefix = np.multiply.outer(prefix, w).ravel()
-        cols = min(last.size, block)
-        rows = max(1, block // last.size)
-        for r in range(0, prefix.size, rows):
-            for c in range(0, last.size, cols):
-                block_w = np.multiply.outer(prefix[r : r + rows], last[c : c + cols])
-                yield block_w.ravel()
-
-
 def _check_positive(name: str, x) -> None:
     if not (math.isfinite(x) and x > 0.0):
         raise ValidationError(f"{name} must be finite and > 0, got {x}")
-
-
-def enumerate_boxes(
-    family: WeightFamily,
-    j: int,
-    budget: float,
-    scale: float,
-    *,
-    box_warn_threshold: int = _BOX_WARN,
-) -> BoxEnumeration:
-    """Certified enumeration of generation-j box weights.
-
-    Guarantees ``tail_bound <= budget`` where tail_bound bounds
-    ``scale * (total weight of boxes not enumerated)``; the caller's summand
-    must be absolutely bounded by ``scale * p_r`` per box for this to be a
-    certified truncation error.
-    """
-    j = int(j)
-    if j < 1:
-        raise ValidationError(f"generation must be >= 1, got {j}")
-    _check_positive("prune budget", budget)
-    _check_positive("scale", scale)
-    cutoffs = []
-    tail = 0.0
-    mass = 1.0  # total weight of the depth-d prefixes
-    for d in range(1, j + 1):
-        k = family.tail_index(budget / (2.0 ** min(d, j - 1) * scale))
-        tail += scale * mass * family.tail_mass_bound(k)
-        mass *= math.fsum(family.weight_prefix(k))
-        cutoffs.append(k)
-    boxes = math.prod(cutoffs)
-    if boxes > box_warn_threshold:
-        warnings.warn(
-            f"enumeration visits {boxes} generation-{j} boxes; "
-            "consider a looser prune budget",
-            stacklevel=2,
-        )
-    return BoxEnumeration(family, j, tuple(cutoffs), boxes, tail)
 
 
 def poisson_low(l: int, m) -> np.ndarray:
     """P{Poisson(m) < l} = sum_{i<l} psi_i(m), summed directly so it stays
     accurate when it is tiny (the complement 1 - poisson_tail would not)."""
     return np.minimum(psi_table(l, m).sum(axis=0), 1.0)
-
-
-def _check_level(l: int, name: str = "l") -> int:
-    l = int(l)
-    if l < 1:
-        raise ValidationError(f"{name} must be >= 1, got {l}")
-    return l
 
 
 def _check_times(prune: float, *times) -> None:
@@ -256,6 +184,11 @@ def _at_least_series(l: int, rho: float) -> _Series:
     return _signed(coef, math.expm1(2.0 * rho) / 2.0)
 
 
+def _below_series(l: int, rho: float) -> _Series:
+    """P{Poisson(rho x) < l}."""
+    return _ONE - _at_least_series(l, rho)
+
+
 def _binomial_series(n: int, l: int) -> _Series:
     """P{Bin(n, p) >= l} = sum_{m=l}^n (-1)^(m-l) C(m-1, l-1) C(n, m) p^m in
     x = n p: the Poisson tail's coefficients times C(n, m) m! / n^m =
@@ -283,14 +216,111 @@ def _power_table(w: np.ndarray) -> tuple:
     return anchor, rsum
 
 
-def _children(live: np.ndarray, count: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
-    """Weights live[i] * w[k] for k < count[i], in blocks of at most _BLOCK."""
+def _children(live: np.ndarray, count: np.ndarray, w: np.ndarray) -> Iterator[tuple]:
+    """(parent, weight) blocks of at most _BLOCK children: live[i] * w[k] for
+    k < count[i], in depth-first order, with i as the parent index."""
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
     for g0 in range(0, total, _BLOCK):
         g = np.arange(g0, min(g0 + _BLOCK, total))
-        owner = np.searchsorted(ends, g, side="right")
-        yield live[owner] * w[g - (ends[owner] - count[owner])]
+        parent = np.searchsorted(ends, g, side="right")
+        yield parent, live[parent] * w[g - (ends[parent] - count[parent])]
+
+
+@dataclass(frozen=True)
+class BoxPlan:
+    """The ``boxes`` active boxes (p_r * rate >= _ETA) stream from ``blocks()``.
+    ``u[m-1]`` sums x^m, x = p * rate, m = 1 .. _ORDER+1, over the inactive
+    depth-``split`` prefixes.  ``ancestors`` holds the weights of the active
+    ones (the root alone when split = j) and ``below[m-1, a]`` the power sums
+    over the inactive generation-j descendants of ancestor a.
+    ``power_sums[m-1]`` is S_m = sum of p^m over the table, and ``cut_bound``
+    bounds the boxes beyond the table's cut."""
+
+    boxes: int
+    u: np.ndarray
+    ancestors: np.ndarray
+    below: np.ndarray
+    power_sums: np.ndarray
+    cut_bound: float
+    _last: tuple
+
+    def blocks(self) -> Iterator[tuple]:
+        """(weights, ancestor index) of the active boxes, depth-first, in
+        blocks of at most ``_BLOCK``."""
+        live, count, owner, w = self._last
+        for parent, weights in _children(live, count, w):
+            yield weights, owner[parent]
+
+
+def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
+                    rate: float, *, split: int | None = None) -> BoxPlan:
+    """The active-set plan of the generation-j boxes at ``rate``, split at
+    depth ``split`` (default j).  The table is cut so that ``cut_bound``,
+    ``scale`` times the weight of the boxes with a coordinate beyond the cut,
+    is at most ``prune / 2``.  Raises ``NumericalError`` when any depth holds
+    more than ``_MAX_BOXES`` active prefixes, before forming them."""
+    j = check_whole("generation", j, 1)
+    split = j if split is None else min(check_whole("split depth", split, 1), j)
+    _check_positive("prune budget", prune)
+    _check_positive("scale", scale)
+    _check_positive("rate", rate)
+    # the boxes with a coordinate beyond the cut weigh at most
+    # tail * sum_{d<j} mass^d, and each unit of weight costs at most scale
+    cut = family.tail_index(prune / (2.0 * j * scale))
+    table = family.weight_prefix(cut)
+    mass = math.fsum(table)
+    cut_bound = scale * family.tail_mass_bound(cut) * sum(mass**d for d in range(j))
+    w = np.sort(table[table > 0.0])[::-1]
+    u = np.zeros(_ORDER + 1)
+    power_sums = np.zeros(_ORDER + 1)
+    live, owner, count = np.ones(1), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    ancestors, below = live, np.zeros((_ORDER + 1, 1))
+    if w.size:
+        anchor, rsum = _power_table(w)
+        power_sums = w[0] ** _POWERS * rsum[:, 0]
+        theta = _ETA / rate
+        if theta > 1.0:  # even the root is below the threshold
+            live, owner = live[:0], owner[:0]
+            u += rate**_POWERS * power_sums**split
+        for d in range(j):
+            if d == split:
+                ancestors, owner = live, np.arange(live.size)
+                below = np.zeros((_ORDER + 1, live.size))
+            count = np.searchsorted(-w, -theta / live, side="right")
+            boxes = int(count.sum())  # before any child is formed
+            if boxes > _MAX_BOXES:
+                raise NumericalError(
+                    f"{boxes} active generation-{d + 1} boxes exceed the limit "
+                    f"{_MAX_BOXES}; use a smaller rate or generation"
+                )
+            rest = np.flatnonzero(count < w.size)
+            for i in range(0, rest.size, _BLOCK):
+                sel = rest[i : i + _BLOCK]
+                k = count[sel]
+                x = rate * live[sel] * anchor[k]
+                terms = x ** _POWERS[:, None] * rsum[:, k]
+                if d < split:
+                    u += terms.sum(axis=1) * power_sums ** (split - d - 1)
+                else:  # live is sorted by owner: one segment per ancestor
+                    own = owner[sel]
+                    starts = np.flatnonzero(np.diff(own, prepend=-1))
+                    below[:, own[starts]] += (np.add.reduceat(terms, starts, axis=1)
+                                              * power_sums[:, None] ** (j - d - 1))
+            if d < j - 1:
+                parts = list(_children(live, count, w))
+                live = np.concatenate([np.empty(0), *(c for _, c in parts)])
+                owner = np.concatenate([owner[:0], *(owner[p] for p, _ in parts)])
+    return BoxPlan(int(count.sum()), u, ancestors, below, power_sums, cut_bound,
+                   (live, count, owner, w))
+
+
+def _certify(remainder: float, prune: float) -> float:
+    if remainder > prune / 2.0:
+        raise NumericalError(
+            f"series remainder {remainder:.3g} exceeds half the budget {prune:g}"
+        )
+    return remainder
 
 
 def _box_sum(family, j, prune, scale, rate, summand, series) -> MomentEstimate:
@@ -299,53 +329,16 @@ def _box_sum(family, j, prune, scale, rate, summand, series) -> MomentEstimate:
     zero scale (zero time) means an empty sum."""
     if scale == 0.0:
         return MomentEstimate(0.0, 0.0, 0, prune)
-    j = int(j)
-    if j < 1:
-        raise ValidationError(f"generation must be >= 1, got {j}")
-    # the boxes with a coordinate beyond the cut weigh at most
-    # tail * sum_{d<j} mass^d, and each unit of weight costs at most scale
-    cut = family.tail_index(prune / (2.0 * j * scale))
-    table = family.weight_prefix(cut)
-    mass = math.fsum(table)
-    cut_bound = scale * family.tail_mass_bound(cut) * sum(mass**d for d in range(j))
-    w = np.sort(table[table > 0.0])[::-1]
-    # u[m-1] = sum of x_r^m over the boxes left to the series, m = 1 .. _ORDER+1
-    u = np.zeros(_ORDER + 1)
-    sums: list = []
-    boxes = 0
-    if w.size:
-        anchor, rsum = _power_table(w)
-        power_sums = w[0] ** _POWERS * rsum[:, 0]
-        theta = _ETA / rate
-        live = np.ones(1)
-        if theta > 1.0:  # even the root is below the threshold
-            live = live[:0]
-            u += rate**_POWERS * power_sums**j
-        for d in range(j):
-            count = np.searchsorted(-w, -theta / live, side="right")
-            rest = np.flatnonzero(count < w.size)
-            for i in range(0, rest.size, _BLOCK):
-                sel = rest[i : i + _BLOCK]
-                k = count[sel]
-                x = rate * live[sel] * anchor[k]
-                u += (x ** _POWERS[:, None] * rsum[:, k]).sum(axis=1) * power_sums ** (j - d - 1)
-            if d < j - 1:
-                live = np.concatenate([np.empty(0), *_children(live, count, w)])
-        for block in _children(live, count, w):
-            boxes += block.size
-            sums.append(float(np.sum(summand(block))))
-    sums += [float(c) * float(um) for c, um in zip(series.coef[1 : _ORDER + 1], u)]
-    remainder = series.remainder_factor() * float(u[_ORDER])
-    if remainder > prune / 2.0:
-        raise NumericalError(
-            f"series remainder {remainder:.3g} exceeds half the budget {prune:g}"
-        )
-    return MomentEstimate(math.fsum(sums), cut_bound + remainder, boxes, prune)
+    plan = enumerate_boxes(family, j, prune, scale, rate)
+    sums = [float(np.sum(summand(block))) for block, _ in plan.blocks()]
+    sums += [float(c) * float(um) for c, um in zip(series.coef[1 : _ORDER + 1], plan.u)]
+    remainder = _certify(series.remainder_factor() * float(plan.u[_ORDER]), prune)
+    return MomentEstimate(math.fsum(sums), plan.cut_bound + remainder, plan.boxes, prune)
 
 
 def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K_t^(j)(l) = sum_r P{Poisson(p_r t) >= l} (Poissonized scheme)."""
-    l = _check_level(l)
+    l = check_whole("l", l, 1)
     _check_times(prune, t)
     return _box_sum(family, j, prune, t / l, t, lambda c: poisson_tail(l, c * t),
                     _at_least_series(l, 1.0))
@@ -353,7 +346,7 @@ def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
 
 def mean_K_star(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K*_t^(j)(l) = sum_r psi_l(p_r t) (exactly-l boxes)."""
-    l = _check_level(l)
+    l = check_whole("l", l, 1)
     _check_times(prune, t)
     return _box_sum(family, j, prune, t / l, t, lambda c: psi(l, c * t),
                     _psi_series(l, 1.0))
@@ -361,9 +354,9 @@ def mean_K_star(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
 
 def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
     """E 𝒦_n^(j)(l) for the deterministic scheme: sum_r P{Bin(n, p_r) >= l}."""
-    l = _check_level(l)
-    _check_times(prune, n)
-    n = int(n)
+    l = check_whole("l", l, 1)
+    _check_times(prune)
+    n = check_whole("ball count n", n, 0)
     if n < l:
         return MomentEstimate(0.0, 0.0, 0, prune)
     return _box_sum(family, j, prune, n / l, n, lambda c: binomial_tail(n, c, l),
@@ -373,10 +366,10 @@ def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
 def cov_K_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K_s^(j)(l), K_t^(j)(l)); the events nest across time, so the
     per-box term is tail(l, p*(s∧t)) * P{Poisson(p*(s∨t)) < l}."""
-    l = _check_level(l)
+    l = check_whole("l", l, 1)
     _check_times(prune, s, t)
     lo, hi = min(s, t), max(s, t)
-    series = _at_least_series(l, lo / hi if hi else 0.0) * (_ONE - _at_least_series(l, 1.0))
+    series = _at_least_series(l, lo / hi if hi else 0.0) * _below_series(l, 1.0)
     return _box_sum(
         family, j, prune, lo / l, hi,
         lambda c: poisson_tail(l, c * lo) * poisson_low(l, c * hi), series,
@@ -386,7 +379,7 @@ def cov_K_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
 def cov_K_star_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K*_s^(j)(l), K*_t^(j)(l)) =
     sum_r [psi_l(p(s∧t)) e^{-p|t-s|} - psi_l(ps) psi_l(pt)]."""
-    l = _check_level(l)
+    l = check_whole("l", l, 1)
     _check_times(prune, s, t)
     lo, hi = min(s, t), max(s, t)
     rho, sigma = (lo / hi, (hi - lo) / hi) if hi else (0.0, 0.0)
@@ -408,7 +401,7 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
     nest; otherwise the joint lower tail is a short psi-convolution: i < l1
     balls by time s and fewer than l2 - i more in (s, t].
     """
-    l1, l2 = _check_level(l1, "l1"), _check_level(l2, "l2")
+    l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
     _check_times(prune, s, t)
     if s > t:
         l1, l2, s, t = l2, l1, t, s
@@ -423,7 +416,7 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
         return joint - early.sum(axis=0) * low_t
 
     rho, sigma = (s / t, (t - s) / t) if t else (0.0, 0.0)
-    low_t = _ONE - _at_least_series(l2, 1.0)
+    low_t = _below_series(l2, 1.0)
     if l1 >= l2:
         series = _at_least_series(l1, rho) * low_t
     else:
@@ -445,72 +438,74 @@ def _binomial_pmfs(size: int, p: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def cov_K_cross_gen(
-    family, i, j, l, n, s, t, *, prune: float = 1e-9, box_warn_threshold: int = _BOX_WARN
-) -> MomentEstimate:
+def _pair_cov(p1, x, l, n, s, t) -> np.ndarray:
+    """Cov(1{r1 holds < l balls at s}, 1{r1 r2 holds < n at t}) for boxes r1
+    of weight p1 and r1 r2 of weight x = p1 p2, elementwise."""
+    pmf = _binomial_pmfs(l, x / p1)  # k of r1's m balls continue into r2
+    if t >= s:  # m < l balls in r1 at s; r2 then needs fewer than n - k fresh
+        held = psi_table(l, p1 * s)
+        fresh = np.cumsum(psi_table(n, x * (t - s)), axis=0)
+        joint = sum(fresh[n - 1 - k] * np.einsum("mr,mr->r", held, pmf[:, k])
+                    for k in range(min(l, n)))
+    else:  # k < l balls in r1 at t, and fewer than l - k more by s
+        held = psi_table(l, p1 * t) * np.cumsum(psi_table(l, p1 * (s - t)), axis=0)[::-1]
+        joint = np.einsum("kr,kr->r", held, pmf[:, :n].sum(axis=1))
+    return joint - poisson_low(l, p1 * s) * poisson_low(n, x * t)
+
+
+def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K_s^(i)(l), K_t^(j)(n)) across generations i < j.
 
-    Thinning argument: conditioned on a generation-i box r1, each of its
-    balls independently continues into a given generation-(j-i) suffix r2
-    with probability p_{r2}, and fresh arrivals after the earlier snapshot
-    are an independent Poisson stream.  The double sum over (r1, r2) is
-    summed in 2-D blocks (outer weights p1 x inner weights p2); the outer
-    enumeration has budget prune/2, and each outer box hands its
-    weight-proportional share prune/2 * p_{r1} to the inner enumeration.
+    Thinning: a generation-i box r1 (weight p1) and a generation-(j-i) suffix
+    r2 (weight p2) contribute Cov(1{A+B < l}, 1{A+F < n}) for independent
+    Poisson counts A, B, F of means x lo, p1 s - x lo and x (t - lo), where
+    x = p1 p2, lo = min(s, t) and hi = max(s, t).  In z = x hi this is
+    sum_{q<l} P{Poisson(p1 s) < l - q} G_q(z), with L_k(y) = P{Poisson(y) < k},
+    rho = lo/hi, sigma = (t - lo)/hi, G_0 = L_n(sigma z) - L_n(t z / hi) and
+    G_q = (rho z)^q sum_{k <= min(q, n-1)} (-1)^(q-k) L_{n-k}(sigma z) / (k! (q-k)!).
+    The G_q series, weighted per ancestor r1, cover the inactive suffixes of
+    the active r1; the weights lie in [0, 1], so the majorant of sum_q G_q
+    certifies them.  Over all suffixes of an inactive r1 (y = p1 hi < _ETA),
+    z^m = y^m p2^m sums to y^m S_m^(j-i), a 1-D series in y certified by its
+    majorant at p2 = 1 since S_m <= 1.  ``boxes_enumerated`` counts the
+    pairs summed directly, those with z >= _ETA.
     """
-    i, j = int(i), int(j)
-    if not 1 <= i < j:
+    i, j = check_whole("i", i, 1), check_whole("j", j, 1)
+    if not i < j:
         raise ValidationError(f"need 1 <= i < j, got i={i}, j={j}")
-    l, n = _check_level(l, "l"), _check_level(n, "n")
+    l, n = check_whole("l", l, 1), check_whole("n", n, 1)
     _check_times(prune, s, t)
-    if s == 0.0 or t == 0.0:
+    lo, hi = min(s, t), max(s, t)
+    # the pair term is at most P{A >= 1} <= x lo and P{A + F >= n} <= x t / n;
+    # a zero scale (a zero time, or t / n underflowing) means an empty sum
+    scale = min(lo, t / n)
+    if scale == 0.0:
         return MomentEstimate(0.0, 0.0, 0, prune)
-    outer = enumerate_boxes(
-        family, i, prune / 2.0, t / n, box_warn_threshold=box_warn_threshold
-    )
-    # Inner cutoffs do not depend on the outer weight p1 (budget and scale are
-    # both proportional to p1), so one inner plan serves every outer box; its
-    # tail bound enters scaled by p1, and sum(p1) <= 1 keeps the total within
-    # budget.
-    inner = enumerate_boxes(
-        family, j - i, prune / 2.0, t / n, box_warn_threshold=box_warn_threshold
-    )
-    rows = _BLOCK // max(1, min(inner.boxes, _BLOCK))
-    sums: list = []
-    outer_mass = 0.0
-    for p1 in outer.chunks(rows):
-        outer_mass += float(np.sum(p1))
-        low_s = poisson_low(l, p1 * s)[:, None]
-        if t >= s:  # m < l balls in r1 at s
-            held = psi_table(l, p1 * s)
-        else:  # k < l balls in r1 at t, and fewer than l - k more by s
-            held = psi_table(l, p1 * t) * np.cumsum(
-                psi_table(l, p1 * (s - t)), axis=0
-            )[::-1]
-        for p2 in inner.chunks():
-            x = np.multiply.outer(p1, p2)
-            pmf = _binomial_pmfs(l, p2)  # k of r1's m balls continue into r2
-            if t >= s:
-                # r2 then needs fewer than n - k of the fresh balls in (s, t]
-                fresh = np.cumsum(psi_table(n, x * (t - s)), axis=0)
-                joint = sum(
-                    fresh[n - 1 - k] * np.einsum("mr,mc->rc", held, pmf[:, k])
-                    for k in range(min(l, n))
-                )
-            else:
-                joint = np.einsum("kr,kc->rc", held, pmf[:, :n].sum(axis=1))
-            sums.append(float(np.sum(joint - low_s * poisson_low(n, x * t))))
-    boxes = outer.boxes * (1 + inner.boxes)
-    if boxes > box_warn_threshold:
-        warnings.warn(
-            f"cross-generation enumeration visited {boxes} boxes", stacklevel=2
-        )
-    return MomentEstimate(
-        value=math.fsum(sums),
-        error_bound=outer.tail_bound + outer_mass * inner.tail_bound,
-        boxes_enumerated=boxes,
-        prune_threshold=prune,
-    )
+    rho, sigma = lo / hi, (t - lo) / hi
+    plan = enumerate_boxes(family, j, prune, scale, hi, split=i)
+    series = [_below_series(n, sigma) - _below_series(n, t / hi)]
+    for q in range(1, l):
+        terms = []
+        for k in range(min(q, n - 1) + 1):
+            c = rho**q * (-1.0) ** (q - k) / (math.factorial(k) * math.factorial(q - k))
+            terms.append(_signed(c * np.eye(1, _SIZE, q)[0], abs(c), False)
+                         * _below_series(n - k, sigma))
+        series.append(sum(terms[1:], terms[0]))
+    sums = [float(np.sum(_pair_cov(plan.ancestors[owner], block, l, n, s, t)))
+            for block, owner in plan.blocks()]
+    # inactive suffixes of the active r1, weighted by P{Poisson(p1 s) < l - q}
+    weights = np.minimum(np.cumsum(psi_table(l, plan.ancestors * s), axis=0)[::-1], 1.0)
+    coef = np.array([g.coef[1 : _ORDER + 1] for g in series])  # [q, a-1]
+    sums += (coef.T * (plan.below[:_ORDER] @ weights.T)).ravel().tolist()
+    remainder = sum(series[1:], series[0]).remainder_factor() * float(plan.below[_ORDER].sum())
+    # inactive r1: y^a p2^m summed over every suffix is y^a S_m^(j-i)
+    collapse = np.concatenate([[1.0], plan.power_sums ** (j - i), np.ones(_EXTRA - 1)])
+    parts = [_below_series(l - q, s / hi) * _Series(g.coef * collapse, g.major, g.whole)
+             for q, g in enumerate(series)]
+    flat = sum(parts[1:], parts[0])
+    sums += [float(c) * float(v) for c, v in zip(flat.coef[1 : _ORDER + 1], plan.u)]
+    remainder = _certify(remainder + flat.remainder_factor() * float(plan.u[_ORDER]), prune)
+    return MomentEstimate(math.fsum(sums), plan.cut_bound + remainder, plan.boxes, prune)
 
 
 def depoissonization_constant(l: int) -> float:
@@ -521,7 +516,7 @@ def depoissonization_constant(l: int) -> float:
 
     For l = 1 this is 1 + e^{-1} ≈ 1.3679.
     """
-    l = _check_level(l)
+    l = check_whole("l", l, 1)
     total = 1.0
     for i in range(l):
         if i == 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_whole
 from .weights import WeightFamily
 
 __all__ = [
@@ -206,13 +206,6 @@ def _run(
     )
 
 
-def _check_jl(J: int, L: int) -> tuple:
-    J, L = int(J), int(L)
-    if J < 1 or L < 1:
-        raise ValidationError(f"need J >= 1 and L >= 1, got J={J}, L={L}")
-    return J, L
-
-
 def _ball_counts(values: list, what: str) -> np.ndarray:
     """``values`` as int64; each must be a finite whole number."""
     arr = np.asarray(values)
@@ -235,7 +228,7 @@ def simulate_deterministic(
 ) -> OccupancyTrajectory:
     """Fixed-ball-count scheme: snapshots at the integer ball counts in
     ``time_grid`` (nondecreasing, max <= n)."""
-    J, L = _check_jl(J, L)
+    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
     n = int(_ball_counts([n], "ball count n")[0])
     if n < 0:
         raise ValidationError("ball count must be >= 0")
@@ -262,7 +255,7 @@ def simulate_poissonized(
 ) -> OccupancyTrajectory:
     """Poissonized scheme: fresh Poisson(t_i - t_{i-1}) balls before each
     snapshot, so the count at t_i is Poisson(t_i)-many i.i.d. placements."""
-    J, L = _check_jl(J, L)
+    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
     grid = np.asarray(list(times), dtype=float)
     if grid.size == 0:
         raise ValidationError("times must be nonempty")

@@ -81,6 +81,12 @@ class TestExitCodes:
         assert code == 2
         assert "numeric error:" in err
 
+    def test_oversized_enumeration_is_numeric_error(self, capsys):
+        # 3.8e10 active generation-2 boxes: refused before any is formed
+        code, _, err = run_cli(["moments", "mean", "--j", "2", "--t", "1e300"], capsys)
+        assert code == 2
+        assert "numeric error:" in err
+
     def test_geometric_trend_is_vacuous_pass(self, capsys):
         # geometric rows are diagnostic-only: nothing flagged -> exit 0
         code, out, _ = run_cli(

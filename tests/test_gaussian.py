@@ -74,6 +74,13 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid("W", [0.0], 1)
 
+    def test_rejects_fractional_counts(self):
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                build_grid("Z", [0.0], bad)
+            with pytest.raises(ValidationError):
+                sample(build_grid("Z", [0.0], 1), bad, seed=0)
+
     def test_rejects_non_finite_grid(self):
         for u in ([0.0, math.nan], [math.nan], [0.0, math.inf]):
             with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import betainc
 
-from nested_karlin.errors import ValidationError
+from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.kernels import (
     b_constants,
     binomial_identity_lhs,
@@ -219,6 +219,11 @@ class TestBinomialTail:
             with pytest.raises(ValidationError):
                 binomial_tail(10, p, 1)
 
+    def test_huge_ball_count_is_numeric_error(self):
+        # scipy's betainc gives NaN beyond about 1e200 balls
+        with pytest.raises(NumericalError):
+            binomial_tail(10**300, np.array([1e-300, 5e-301]), 2)
+
     def test_vectorized(self):
         p = np.array([0.0, 1e-9, 0.2, 0.9, 1.0])
         got = binomial_tail(10, p, 2)
@@ -253,6 +258,26 @@ class TestConstants:
         vals = [b_constants(l)[0] for l in range(1, 21)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_whole_number_arguments():
+    # levels, counts and ball counts: fractions and non-finite values are
+    # refused, never truncated; whole floats are accepted
+    calls = (
+        lambda k: psi(k, 1.0),
+        lambda k: psi_table(k, np.ones(2)),
+        lambda k: binomial_tail(k, 0.3, 1),
+        b_constants,
+        lambda k: convolution_identity(k, 1, 1),
+        lambda k: binomial_identity_lhs(k, 1.0, 2.0),
+        lambda k: erlang_and_gl(k, 0.5),
+        gl_density_bound,
+    )
+    for call in calls:
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                call(bad)
+        assert np.array_equal(call(2.0), call(2))
 
 
 class TestIdentities:

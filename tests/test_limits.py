@@ -107,6 +107,15 @@ class TestConventions:
         with pytest.raises(ValidationError):
             closed_cov("Y", 1, 0, 0.0)
 
+    def test_levels_must_be_whole(self):
+        for fn in (closed_cov, quadrature_cov):
+            for bad in (math.nan, math.inf, -math.inf, 1.5):
+                with pytest.raises(ValidationError):
+                    fn("Z", bad, 1, 0.0)
+                with pytest.raises(ValidationError):
+                    fn("X", 1, bad, 0.0)
+        assert closed_cov("Z", 2.0, 1.0, 0.5) == closed_cov("Z", 2, 1, 0.5)
+
     def test_non_finite_offset(self):
         for fn in (closed_cov, quadrature_cov):
             for kind in ("Z", "X", "Y"):

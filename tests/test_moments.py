@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nested_karlin.errors import ValidationError
-from nested_karlin.kernels import binomial_tail, poisson_tail, psi
+from nested_karlin.errors import NumericalError, ValidationError
+from nested_karlin.kernels import binomial_tail, poisson_tail, psi, psi_table
 from nested_karlin.moments import (
     _BLOCK,
     _ETA,
     _ORDER,
+    _binomial_pmfs,
     cov_K_cross_gen,
     cov_K_cross_level,
     cov_K_same,
@@ -90,19 +91,32 @@ class TestEnumeration:
         assert est.boxes_enumerated == 0
 
     def test_enumerate_boxes_plan_weights(self, fin3):
-        enum = enumerate_boxes(fin3, 2, 1e-9, 5.0)
-        w = np.concatenate(list(enum.chunks()))
-        assert w.size == 9
+        # the reference plan holds all 9 boxes; the active-set plan holds the
+        # boxes with p * rate >= _ETA and the rest's weight in u[0] = sum x
+        boxes, _, chunks = _tensor_product(fin3, 2, 1e-9, 5.0)
+        w = np.concatenate(list(chunks()))
+        assert boxes == w.size == 9
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
+        p = np.array([a * b for a, b in itertools.product(fin3.probs, repeat=2)])
+        for rate in (5.0, 1.0, 0.05):
+            plan = enumerate_boxes(fin3, 2, 1e-9, 5.0, rate)
+            active = np.concatenate([np.empty(0), *(b for b, _ in plan.blocks())])
+            assert plan.boxes == active.size == np.count_nonzero(p * rate >= _ETA)
+            assert np.array_equal(np.sort(active), np.sort(p[p * rate >= _ETA]))
+            assert float(active.sum()) + plan.u[0] / rate == pytest.approx(1.0, abs=1e-12)
+            rest = p[p * rate < _ETA] * rate
+            assert plan.u == pytest.approx([np.sum(rest**m) for m in range(1, _ORDER + 2)],
+                                           rel=1e-12, abs=0.0)
+            assert plan.cut_bound == 0.0
 
     def test_blocks_cover_tensor_product(self, geo):
-        # per-depth thresholds 1e-9 / (2 * 10), / (4 * 10), / (4 * 10) cut the
-        # geometric(0.5) tail 2^-K at K = 35, 36, 36
+        # reference plan: per-depth thresholds 1e-9 / (2 * 10), / (4 * 10),
+        # / (4 * 10) cut the geometric(0.5) tail 2^-K at K = 35, 36, 36
         budget, scale = 1e-9, 10.0
-        enum = enumerate_boxes(geo, 3, budget, scale)
-        assert enum.boxes == 35 * 36 * 36
-        assert enum.boxes % _BLOCK != 0 and enum.boxes > _BLOCK
-        chunks = list(enum.chunks())
+        boxes, tail_bound, chunks = _tensor_product(geo, 3, budget, scale)
+        assert boxes == 35 * 36 * 36
+        assert boxes % _BLOCK != 0 and boxes > _BLOCK
+        chunks = list(chunks())
         assert all(c.size <= _BLOCK for c in chunks)
         w = [float(geo.weight(k)) for k in range(1, 37)]
         brute = [
@@ -110,11 +124,51 @@ class TestEnumeration:
             for a, b, c in itertools.product(range(35), range(36), range(36))
         ]
         assert np.array_equal(np.concatenate(chunks), np.array(brute))
-        assert enum.tail_bound <= budget
+        assert tail_bound <= budget
         # geometric tail bounds are exact: the certificate is the mass left out
-        assert scale * (1.0 - math.fsum(brute)) == pytest.approx(
-            enum.tail_bound, rel=1e-12
+        assert scale * (1.0 - math.fsum(brute)) == pytest.approx(tail_bound, rel=1e-12)
+        # active-set plan: the table is cut where 10 * 2^-K <= 1e-9 / (2 * 3),
+        # at K = 36, and the boxes with x = 2^-(a+b+c) * 2^70 / 10 >= _ETA are
+        # more than a block, in depth-first order
+        rate = 2.0**70 / 10.0
+        plan = enumerate_boxes(geo, 3, budget, scale, rate)
+        blocks = [b for b, _ in plan.blocks()]
+        assert all(b.size <= _BLOCK for b in blocks)
+        active = [v for v in (w[a] * w[b] * w[c]
+                              for a, b, c in itertools.product(range(36), repeat=3))
+                  if v * rate >= _ETA]
+        assert plan.boxes == len(active) > _BLOCK and plan.boxes % _BLOCK != 0
+        assert np.array_equal(np.concatenate(blocks), np.array(active))
+        assert plan.cut_bound <= budget / 2.0
+        mass = math.fsum(w)
+        assert scale * (1.0 - mass**3) == pytest.approx(plan.cut_bound, rel=1e-9)
+
+    def test_refuses_oversized_plan(self, weib):
+        # 38,229,460,989 active generation-2 boxes; the count is known after
+        # the depth-1 search, before any of them is formed
+        start = time.perf_counter()
+        with pytest.raises(NumericalError):
+            mean_K(weib, 2, 1, 1e300)
+        assert time.perf_counter() - start < 1.0
+
+    def test_whole_number_arguments(self, geo):
+        # fractional, NaN and infinite generations, levels and ball counts
+        # are refused, never truncated; whole floats are accepted
+        calls = (
+            lambda x: mean_K(geo, 1, x, 10.0),
+            lambda x: mean_K(geo, x, 1, 10.0),
+            lambda x: mean_K_binomial(geo, 1, 1, x),
+            lambda x: cov_K_cross_level(geo, 1, 1, x, 2.0, 3.0),
+            lambda x: cov_K_cross_gen(geo, 1, x, 1, 1, 2.0, 3.0),
+            lambda x: cov_K_cross_gen(geo, x, 3, 1, 1, 2.0, 3.0),
+            lambda x: cov_K_cross_gen(geo, 1, 2, 1, x, 2.0, 3.0),
+            depoissonization_constant,
         )
+        for call in calls:
+            for bad in (1.5, 1.7, 2.5, 10.7, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValidationError):
+                    call(bad)
+            assert call(2.0) == call(2)
 
     def test_rejects_bad_arguments(self, geo):
         with pytest.raises(ValidationError):
@@ -127,9 +181,11 @@ class TestEnumeration:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, geo, bad):
         with pytest.raises(ValidationError):
-            enumerate_boxes(geo, 1, bad, 1.0)
+            enumerate_boxes(geo, 1, bad, 1.0, 1.0)
         with pytest.raises(ValidationError):
-            enumerate_boxes(geo, 1, 1e-9, bad)
+            enumerate_boxes(geo, 1, 1e-9, bad, 1.0)
+        with pytest.raises(ValidationError):
+            enumerate_boxes(geo, 1, 1e-9, 1.0, bad)
         with pytest.raises(ValidationError):
             mean_K(geo, 1, 1, 10.0, prune=bad)
         calls = (
@@ -413,6 +469,88 @@ class TestCrossGeneration:
         with pytest.raises(ValidationError):
             cov_K_cross_gen(fin3, 2, 1, 1, 1, 1.0, 1.0)
 
+    def test_underflowing_scale_is_an_empty_sum(self, weib):
+        # t / n underflows to 0 for the smallest subnormal t: |Cov| <= t / n
+        tiny = 5e-324
+        for s, t in [(1.0, tiny), (tiny, tiny)]:
+            est = cov_K_cross_gen(weib, 1, 2, 1, 4, s, t)
+            assert (est.value, est.error_bound, est.boxes_enumerated) == (0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.1, 0.35, 0.05, 0.3, 0.2]])
+    @pytest.mark.parametrize("gens", [(1, 2), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("s, t", [(0.5, 1.5), (1.5, 0.5), (3.0, 7.0), (40.0, 20.0)])
+    def test_finite_families_match_brute_force(self, probs, gens, s, t):
+        # every pair (r1, r2) of an unsorted finite family, scalar arithmetic;
+        # the small times leave generation-i boxes and suffixes to the series
+        fam = WeightFamily.finite(probs)
+        i, j = gens
+        pairs = [(math.prod(r1), math.prod(r2))
+                 for r1 in itertools.product(fam.probs, repeat=i)
+                 for r2 in itertools.product(fam.probs, repeat=j - i)]
+        active = sum(p1 * p2 * max(s, t) >= _ETA for p1, p2 in pairs)
+        for l, n in ((1, 1), (2, 3), (3, 2)):
+            want = math.fsum(_pair_term(p1, p2, l, n, s, t) for p1, p2 in pairs)
+            est = cov_K_cross_gen(fam, i, j, l, n, s, t)
+            tol = est.error_bound + 64 * np.finfo(float).eps * len(pairs)
+            assert abs(est.value - want) <= tol, (l, n)
+            assert est.boxes_enumerated == active, (l, n)
+
+    def test_remainders_cover_first_omitted_terms(self, fin3):
+        # l = n = 1 at s = t: the pair term is e^(-p1 s) (1 - e^(-z)), z = p1 p2 s.
+        # Every generation-1 box inactive (y = p1 s < _ETA): summed over r2
+        # its y^17 coefficient is sum_r2 ((1 + p2)^17 - 1) / 17!
+        s = 0.15
+        y = [p * s for p in fin3.probs]
+        assert max(y) < _ETA
+        est = cov_K_cross_gen(fin3, 1, 2, 1, 1, s, s)
+        first = math.fsum(v ** (_ORDER + 1) for v in y) * math.fsum(
+            (1.0 + p) ** (_ORDER + 1) - 1.0 for p in fin3.probs
+        ) / math.factorial(_ORDER + 1)
+        assert est.boxes_enumerated == 0
+        assert first <= est.error_bound <= 1e-9
+        # every generation-1 box active, most suffixes not: e^(-p1 s) / 17!
+        s = 0.5
+        z = [(p1, p1 * p2 * s) for p1, p2 in itertools.product(fin3.probs, repeat=2)]
+        assert min(p * s for p in fin3.probs) >= _ETA
+        est = cov_K_cross_gen(fin3, 1, 2, 1, 1, s, s)
+        first = math.fsum(math.exp(-p1 * s) * x ** (_ORDER + 1)
+                          for p1, x in z if x < _ETA) / math.factorial(_ORDER + 1)
+        assert est.boxes_enumerated == sum(x >= _ETA for _, x in z) == 1
+        assert first <= est.error_bound <= 1e-9
+
+    @pytest.mark.parametrize("gens", [(1, 3), (2, 3)])
+    def test_generation_three(self, weib, gens):
+        start = time.perf_counter()
+        est = cov_K_cross_gen(weib, *gens, 1, 1, 3000.0, 3000.0, prune=1e-9)
+        elapsed = time.perf_counter() - start
+        assert est.error_bound <= 1e-9
+        assert elapsed < 10.0
+        # the tensor-product plan, at a budget it reaches in about a second
+        value, bound = _cross_gen_reference(weib, *gens, 1, 1, 3000.0, 3000.0, 1e-2)
+        assert bound <= 1e-2
+        assert abs(est.value - value) <= est.error_bound + bound
+
+
+def _pair_term(p1, p2, l, n, s, t):
+    """Cov(1{r1 holds < l balls at s}, 1{r1 r2 holds < n at t}) in scalar
+    arithmetic, conditioning on the balls of r1 at the earlier time."""
+    def pois(k, x):
+        return math.exp(-x) * x**k / math.factorial(k)
+
+    def below(q, x):
+        return sum(pois(k, x) for k in range(q))
+
+    def binom(m, k, p):
+        return math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+
+    if s <= t:  # m balls in r1 at s, k of them in r2, then fresh ones
+        joint = sum(pois(m, p1 * s) * binom(m, k, p2) * below(n - k, p1 * p2 * (t - s))
+                    for m in range(l) for k in range(min(m, n - 1) + 1))
+    else:  # k balls in r1 at t (m of them in r2), more in r1 by s
+        joint = sum(pois(k, p1 * t) * below(l - k, p1 * (s - t)) * binom(k, m, p2)
+                    for k in range(l) for m in range(min(k, n - 1) + 1))
+    return joint - below(l, p1 * s) * below(n, p1 * p2 * t)
+
 
 class TestCertification:
     @given(
@@ -445,13 +583,67 @@ class TestCertification:
         assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
 
 
-def _reference(family, j, prune, scale, summand, **kwargs):
-    """The tensor-product plan the active-set engine replaced: the summand
-    summed over every box of ``enumerate_boxes``; returns the value and the
-    certified bound on the boxes left out."""
-    enum = enumerate_boxes(family, j, prune, scale, **kwargs)
-    value = math.fsum(float(np.sum(summand(c))) for c in enum.chunks())
-    return value, enum.tail_bound
+def _tensor_product(family, j, budget, scale):
+    """The tensor-product plan the active-set engine replaced: every box r
+    with r_d <= K_d at each depth d, one ``tail_index`` search per depth with
+    the budget shared so that scale times the weight left out stays within
+    it.  Returns (boxes, tail_bound, chunks); chunks(block) yields the box
+    weights in depth-first order, in blocks of at most ``block``."""
+    cutoffs, tail, mass = [], 0.0, 1.0  # mass: total weight of the depth-d prefixes
+    for d in range(1, j + 1):
+        k = family.tail_index(budget / (2.0 ** min(d, j - 1) * scale))
+        tail += scale * mass * family.tail_mass_bound(k)
+        mass *= math.fsum(family.weight_prefix(k))
+        cutoffs.append(k)
+    boxes = math.prod(cutoffs)
+
+    def chunks(block=_BLOCK):
+        if not boxes:
+            return
+        *heads, last = [family.weight_prefix(k) for k in cutoffs]
+        prefix = np.ones(1)
+        for w in heads:
+            prefix = np.multiply.outer(prefix, w).ravel()
+        cols, rows = min(last.size, block), max(1, block // last.size)
+        for r in range(0, prefix.size, rows):
+            for c in range(0, last.size, cols):
+                yield np.multiply.outer(prefix[r : r + rows], last[c : c + cols]).ravel()
+
+    return boxes, tail, chunks
+
+
+def _reference(family, j, prune, scale, summand):
+    """The summand summed over every box of the tensor-product plan; returns
+    the value and the certified bound on the boxes left out."""
+    _, tail, chunks = _tensor_product(family, j, prune, scale)
+    return math.fsum(float(np.sum(summand(c))) for c in chunks()), tail
+
+
+def _cross_gen_reference(family, i, j, l, n, s, t, prune):
+    """cov_K_cross_gen as the tensor-product plan summed it: 2-D blocks of
+    outer weights p1 (generation i, budget prune/2) by inner weights p2
+    (generation j - i, budget prune/2 per unit of outer weight)."""
+    _, outer_tail, outer = _tensor_product(family, i, prune / 2.0, t / n)
+    inner_boxes, inner_tail, inner = _tensor_product(family, j - i, prune / 2.0, t / n)
+    sums, outer_mass = [], 0.0
+    for p1 in outer(_BLOCK // max(1, min(inner_boxes, _BLOCK))):
+        outer_mass += float(np.sum(p1))
+        low_s = poisson_low(l, p1 * s)[:, None]
+        if t >= s:
+            held = psi_table(l, p1 * s)
+        else:
+            held = psi_table(l, p1 * t) * np.cumsum(psi_table(l, p1 * (s - t)), axis=0)[::-1]
+        for p2 in inner():
+            x = np.multiply.outer(p1, p2)
+            pmf = _binomial_pmfs(l, p2)
+            if t >= s:
+                fresh = np.cumsum(psi_table(n, x * (t - s)), axis=0)
+                joint = sum(fresh[n - 1 - k] * np.einsum("mr,mc->rc", held, pmf[:, k])
+                            for k in range(min(l, n)))
+            else:
+                joint = np.einsum("kr,kc->rc", held, pmf[:, :n].sum(axis=1))
+            sums.append(float(np.sum(joint - low_s * poisson_low(n, x * t))))
+    return math.fsum(sums), outer_tail + outer_mass * inner_tail
 
 
 def _cases(t):
@@ -513,8 +705,7 @@ class TestActiveSetEngine:
         elapsed = time.perf_counter() - start
         # the tensor-product plan reaches only prune 1e-3 (51,241,833 boxes)
         value, bound = _reference(
-            weib, 3, 1e-3, 3000.0, lambda c: poisson_tail(1, c * 3000.0),
-            box_warn_threshold=10**8,
+            weib, 3, 1e-3, 3000.0, lambda c: poisson_tail(1, c * 3000.0)
         )
         assert bound <= 1e-3
         assert est.error_bound <= 1e-9
@@ -524,7 +715,9 @@ class TestActiveSetEngine:
     def test_huge_times(self, weib):
         # powers are formed as (p * rate)^m: nothing overflows at t = 1e300
         for i, (call, scale, _, summand) in enumerate(_cases(1e300)):
-            if i == 2:  # binomial_tail is NaN at n = 1e300 (scipy betainc)
+            if i == 2:  # scipy's betainc has no finite binomial tail at n = 1e300
+                with pytest.raises(NumericalError):
+                    call(weib, 1, prune=1e-9)
                 continue
             est = call(weib, 1, prune=1e-9)
             value, bound = _reference(weib, 1, 1e-9, scale, summand)
@@ -538,10 +731,11 @@ class TestActiveSetEngine:
         st.floats(-3.0, 6.0),
         st.floats(0.0, 1.0),
         st.floats(-12.0, -3.0),
-        st.integers(0, 6),
+        st.integers(0, 8),
+        st.sampled_from([(1, 2), (1, 3), (2, 3)]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_finite_and_within_budget(self, kind, j, l, log_t, frac, log_prune, which):
+    def test_finite_and_within_budget(self, kind, j, l, log_t, frac, log_prune, which, gens):
         fam = {
             "weib": WeightFamily.weibull_like(0.5),
             "weib3": WeightFamily.weibull_like(0.3),
@@ -559,6 +753,8 @@ class TestActiveSetEngine:
             lambda: cov_K_star_same(fam, j, l, t, s, prune=prune),
             lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, s, t, prune=prune),
             lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, t, s, prune=prune),
+            lambda: cov_K_cross_gen(fam, *gens, l, 4 - l + 1, s, t, prune=prune),
+            lambda: cov_K_cross_gen(fam, *gens, l, 4 - l + 1, t, s, prune=prune),
         ][which]()
         assert math.isfinite(est.value)
         assert 0.0 <= est.error_bound <= prune

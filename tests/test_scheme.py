@@ -309,6 +309,15 @@ class TestDeterministicExamples:
         assert_array_equal(a.grid, b.grid)
         assert_array_equal(a.K, b.K)
 
+    def test_generations_and_levels_must_be_whole(self, fin3):
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                simulate_deterministic(fin3, 5, bad, 1, [5], seed=0)
+            with pytest.raises(ValidationError):
+                simulate_poissonized(fin3, [5.0], 1, bad, seed=0)
+        a = simulate_deterministic(fin3, 5, 2.0, 1.0, [5], seed=3)
+        assert_array_equal(a.K, simulate_deterministic(fin3, 5, 2, 1, [5], seed=3).K)
+
     def test_three_ball_outcome_distribution(self, fin3):
         # exhaustive oracle: 27 equally-structured assignments of 3 balls
         probs = fin3.probs
