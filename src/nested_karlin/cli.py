@@ -16,6 +16,7 @@ lines, so CSV output on stdout stays clean while runs remain auditable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -53,6 +54,9 @@ from .scheme import OccupancyTrajectory, simulate_deterministic, simulate_poisso
 from .weights import WeightFamily
 
 MOMENTS_CSV_HEADER = "quantity,j,l,l2,s,t,value,error_bound,boxes"
+# samples per block of `sample` CSV rows: the text held at once stays bounded
+# whatever --n is
+_SAMPLE_BLOCK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,13 +94,23 @@ def _echo_config(ns) -> None:
         print(f"# {key}={getattr(ns, key)}", file=sys.stderr)
 
 
+def _output(out: str):
+    """The --out file opened for writing, or stdout (left open)."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(lines, out: str) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _emit_samples(draws, labels, out: str) -> None:
+    """The sample CSV, written one block of _SAMPLE_BLOCK samples at a time."""
+    with _output(out) as fh:
+        fh.write(sample_csv_header() + "\n")
+        for start in range(0, draws.shape[0], _SAMPLE_BLOCK):
+            block = draws[start:start + _SAMPLE_BLOCK]
+            fh.write("\n".join(draws_to_csv_rows(block, labels, start)) + "\n")
 
 
 def _add_family_flags(p) -> None:
@@ -289,10 +303,7 @@ def _cmd_limits_table(ns) -> int:
 
 def _cmd_sample_limit(ns) -> int:
     grid = build_grid(ns.kind, _csv_floats(ns.u_grid), ns.levels)
-    draws = sample(grid, ns.n, ns.seed)
-    lines = [sample_csv_header()]
-    lines.extend(draws_to_csv_rows(draws, grid.labels()))
-    _emit(lines, ns.out)
+    _emit_samples(sample(grid, ns.n, ns.seed), grid.labels(), ns.out)
     return 0
 
 
@@ -302,9 +313,7 @@ def _cmd_sample_whitenoise(ns) -> int:
         u, x_window=ns.x_window, x_step=ns.x_step, y_step=ns.y_step,
         n=ns.n, seed=ns.seed,
     )
-    lines = [sample_csv_header()]
-    lines.extend(draws_to_csv_rows(draws, [(1, float(x)) for x in u]))
-    _emit(lines, ns.out)
+    _emit_samples(draws, [(1, float(x)) for x in u], ns.out)
     return 0
 
 

@@ -22,10 +22,10 @@ class NumericalError(RuntimeError):
     """
 
 
-def check_whole(name: str, value, minimum: int) -> int:
-    """``value`` as an int >= ``minimum``.  Integers and whole floats pass;
-    NaN, infinities and fractional values raise ``ValidationError`` instead
-    of being truncated."""
+def check_whole(name: str, value, minimum) -> int:
+    """``value`` as an int >= ``minimum`` (no lower bound when ``minimum``
+    is None).  Integers and whole floats pass; NaN, infinities and
+    fractional values raise ``ValidationError`` instead of being truncated."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -33,6 +33,6 @@ def check_whole(name: str, value, minimum: int) -> int:
         if not (math.isfinite(x) and x == math.floor(x)):
             raise ValidationError(f"{name} must be a whole number, got {value!r}") from None
         n = int(x)
-    if n < minimum:
+    if minimum is not None and n < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
     return n

@@ -18,6 +18,10 @@ dimensions still honor the documented cell budget.
 Higher-level processes X_l need an (l+2)-dimensional noise domain and are
 deliberately not given a white-noise path; their covariances are checked
 against the quadrature oracle instead.
+
+Draws leave as CSV rows ``sample_id,level,u,value``: ``draws_to_csv_rows``
+formats one block of samples, numbering them from its ``start`` argument, so
+a writer can emit a large run block by block.
 """
 
 from __future__ import annotations
@@ -197,13 +201,23 @@ def sample_Z1_whitenoise(
     return z @ chol.T
 
 
-def draws_to_csv_rows(draws: np.ndarray, labels) -> "list[str]":
-    """Rows `sample_id,level,u,value` for a draw matrix whose columns carry
-    the (level, u) labels."""
+def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> "list[str]":
+    """Rows `sample_id,level,u,value` for a block of draws whose columns carry
+    the (level, u) labels; sample ids count from ``start``.
+
+    Values print as ``repr`` of the float, so ``float(value)`` gives back
+    each draw exactly.  Writers pass one block at a time, as the CLI's
+    ``sample`` commands do, so the rows of a large run are never all held at
+    once.
+    """
+    start = check_whole("start", start, 0)
+    if draws.ndim != 2 or draws.shape[1] != len(labels):
+        raise ValidationError(
+            f"draws of shape {draws.shape} do not match {len(labels)} labels")
+    prefixes = [f",{level},{float(u)!r}," for level, u in labels]
     rows = []
-    for sid in range(draws.shape[0]):
-        for col, (level, u) in enumerate(labels):
-            rows.append(f"{sid},{level},{float(u)!r},{float(draws[sid, col])!r}")
+    for sid, values in enumerate(draws.tolist(), start):
+        rows.extend([f"{sid}{prefix}{v!r}" for prefix, v in zip(prefixes, values)])
     return rows
 
 

@@ -102,8 +102,8 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
     P(l, m), which keeps full relative precision in both tails (the tail
     itself when it is many orders of magnitude below 1, the complement near
     1).  Accuracy: within 256 ulp of mpmath at 50 digits for l <= 5 and m in
-    [1e-12, 1e6]."""
-    l = int(l)
+    [1e-12, 1e6].  Any whole l is a level; for l <= 0 the tail is 1."""
+    l = check_whole("level", l, None)
     m_arr = np.asarray(m, dtype=float)
     if not np.all(m_arr >= 0.0):
         raise ValidationError("poisson_tail requires m >= 0")
@@ -125,10 +125,11 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
     relative error is at most ``max(256, n)`` ulp (tested against mpmath at
     100 digits for p in [1e-9, 1): 5 ulp at n = 10, 106 at n = 1e3 and
     1.9e4 at n = 1e5).  Where ``betainc`` gives no finite value (ball counts
-    above about 1e200) this raises ``NumericalError``.
+    above about 1e200) this raises ``NumericalError``.  Any whole l is a
+    level; for l <= 0 the tail is 1.
     """
     n = check_whole("ball count", n, 0)
-    l = int(l)
+    l = check_whole("level", l, None)
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise ValidationError("binomial_tail requires 0 <= p <= 1")

@@ -21,8 +21,6 @@ import math
 import warnings
 from fractions import Fraction
 
-from scipy import integrate
-
 from .errors import NumericalError, ValidationError, check_whole
 from .kernels import b_constants
 
@@ -168,13 +166,17 @@ def _log_psi_factor(l: int, a: float) -> float:
 
 
 def _quad_piece(fn) -> tuple[float, float]:
+    # imported here: only the oracle integrates, and scipy.integrate costs
+    # every other entry point a noticeable share of its start-up
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
                 fn, -_WINDOW, _WINDOW, epsabs=1e-13, epsrel=1e-13, limit=400
             )
-        except integrate.IntegrationWarning as exc:  # pragma: no cover - defensive
+        except integrate.IntegrationWarning as exc:
             raise NumericalError(f"quadrature failed to converge: {exc}") from exc
     return val, err
 
@@ -277,7 +279,7 @@ def comparison_table(kinds, level_pairs, deltas):
     rows = []
     for kind in kinds:
         for l1, l2 in level_pairs:
-            l1, l2 = int(l1), int(l2)
+            l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
             for d in map(float, deltas):
                 closed = closed_cov(kind, l1, l2, d)
                 quad = quadrature_cov(kind, l1, l2, d)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import nested_karlin
+from nested_karlin import cli
 from nested_karlin.cli import main
+from nested_karlin.gaussian import build_grid, sample, sample_Z1_whitenoise
 
 
 def run_cli(args, capsys):
@@ -219,6 +221,73 @@ class TestDeterminism:
         assert header == "experiment,cell_id,j,l,l2,u,v,T,empirical,se,target,target_kind,pass"
 
 
+B = cli._SAMPLE_BLOCK
+
+
+def sample_csv_reference(draws, labels) -> str:
+    """The whole sample CSV formatted one element at a time."""
+    rows = ["sample_id,level,u,value"] + [
+        f"{sid},{level},{float(u)!r},{float(draws[sid, col])!r}"
+        for sid in range(draws.shape[0])
+        for col, (level, u) in enumerate(labels)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts; a mismatch names its first differing line (pytest's
+    diff of two whole CSVs would take minutes)."""
+    if got != want:
+        a, b = got.split("\n"), want.split("\n")
+        k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {k}: {a[k:k + 1]} != {b[k:k + 1]} "
+                    f"({len(a)} vs {len(b)} lines)")
+
+
+class TestSampleBlocks:
+    """`sample` writes its CSV one block of B samples at a time; the bytes
+    must equal the CSV formatted in one piece."""
+
+    @staticmethod
+    def _cases(n):
+        grid = build_grid("X", [0.0, 1.0], 2)
+        limit = sample_csv_reference(sample(grid, n, 11), grid.labels())
+        noise = sample_csv_reference(
+            sample_Z1_whitenoise([0.0, 1.0], n=n, seed=11), [(1, 0.0), (1, 1.0)])
+        return [
+            (["sample", "limit", "--kind", "X", "--levels", "2", "--u-grid", "0,1",
+              "--n", str(n), "--seed", "11"], limit, 4),
+            (["sample", "whitenoise", "--u-grid", "0,1", "--n", str(n),
+              "--seed", "11"], noise, 2),
+        ]
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_out_and_stdout_match_one_piece(self, n, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recorded(draws, labels, start=0):
+            rows = draws_to_csv_rows(draws, labels, start)
+            calls.append((len(draws), start, type(rows), len(rows)))
+            return rows
+
+        draws_to_csv_rows = cli.draws_to_csv_rows
+        monkeypatch.setattr(cli, "draws_to_csv_rows", recorded)
+        for args, want, columns in self._cases(n):
+            out = tmp_path / "sample.csv"
+            assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
+            assert_same_text(out.read_text(), want)
+            stdout = sys.stdout
+            code, text, _ = run_cli(args, capsys)
+            assert code == 0
+            assert_same_text(text, want)
+            assert sys.stdout is stdout and not stdout.closed
+            # one call per block, each returning its block's rows as a list
+            blocks = [(min(B, n - s), s, list, columns * min(B, n - s))
+                      for s in range(0, n, B)]
+            assert calls == blocks + blocks
+            calls.clear()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -252,6 +321,18 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.6931471805599453"
+
+    def test_cli_import_leaves_out_quadrature(self):
+        # scipy.integrate is imported only when quadrature runs
+        import_root = Path(nested_karlin.__file__).resolve().parent.parent
+        probe = ("import sys, nested_karlin.cli; "
+                 "print('scipy.integrate' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_threads_env_fallback(self):
         # the child sees a minimal environment plus the import path of the

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from nested_karlin.errors import NumericalError, ValidationError
@@ -15,6 +18,15 @@ from nested_karlin.gaussian import (
 )
 from nested_karlin.kernels import b_constants
 from nested_karlin.limits import closed_cov
+
+
+def csv_rows_reference(draws, labels):
+    """The sample rows formatted one element at a time."""
+    return [
+        f"{sid},{level},{float(u)!r},{float(draws[sid, col])!r}"
+        for sid in range(draws.shape[0])
+        for col, (level, u) in enumerate(labels)
+    ]
 
 
 class TestBuildGrid:
@@ -138,6 +150,46 @@ class TestFactorSampler:
         sid, level, u, value = rows[0].split(",")
         assert (sid, level, u) == ("0", "1", "0.0")
         float(value)  # parses
+
+    def test_csv_rows_of_a_block_count_from_start(self):
+        grid = build_grid("Z", [0.0, 0.5], 2)
+        draws = sample(grid, 7, seed=2)
+        labels = grid.labels()
+        whole = draws_to_csv_rows(draws, labels)
+        assert whole == csv_rows_reference(draws, labels)
+        blocks = draws_to_csv_rows(draws[:3], labels) + draws_to_csv_rows(
+            draws[3:], labels, start=3)
+        assert blocks == whole
+        assert draws_to_csv_rows(draws[:0], labels, start=5) == []
+
+    def test_csv_rows_reject_bad_blocks(self):
+        labels = [(1, 0.0), (1, 1.0)]
+        for bad in (-1, 1.5, math.nan):
+            with pytest.raises(ValidationError):
+                draws_to_csv_rows(np.zeros((2, 2)), labels, start=bad)
+        for shape in ((2, 3), (2,)):
+            with pytest.raises(ValidationError):
+                draws_to_csv_rows(np.zeros(shape), labels)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.integers(0, 10**12))
+    @example(np.array([[-0.0, 0.0, 5e-324, -5e-324],
+                       [2.2250738585072014e-308, 1e-310, 1e300, -1e300]]), 0)
+    @settings(max_examples=80, deadline=None)
+    def test_csv_rows_round_trip(self, draws, start):
+        # float(value) gives back every draw bit for bit (the sign of -0.0
+        # and subnormals included), and the ids and labels read back
+        labels = [(c + 1, 0.25 * c) for c in range(draws.shape[1])]
+        rows = draws_to_csv_rows(draws, labels, start)
+        assert len(rows) == draws.size
+        back = np.empty_like(draws)
+        for k, row in enumerate(rows):
+            sid, level, u, value = row.split(",")
+            i, c = divmod(k, draws.shape[1])
+            assert (int(sid), int(level), float(u)) == (start + i, *labels[c])
+            back[i, c] = float(value)
+        assert back.tobytes() == draws.tobytes()
 
 
 class TestWhiteNoise:

@@ -280,6 +280,24 @@ def test_whole_number_arguments():
         assert np.array_equal(call(2.0), call(2))
 
 
+def test_tail_levels_are_whole_and_may_be_non_positive():
+    # a tail's level is refused when fractional or non-finite, never
+    # truncated; any whole level is allowed, and at l <= 0 the tail is 1
+    tails = (
+        lambda l: poisson_tail(l, 2.0),
+        lambda l: binomial_tail(10, 0.3, l),
+    )
+    for tail in tails:
+        for bad in (1.5, 2.7, -0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                tail(bad)
+        for level in (0, -3, 0.0, -2.0):
+            assert tail(level) == 1.0
+        assert tail(2.0) == tail(2)
+    assert poisson_tail(np.int64(2), 2.0) == poisson_tail(2, 2.0)
+    assert np.array_equal(poisson_tail(-1, np.array([0.0, 3.0])), [1.0, 1.0])
+
+
 class TestIdentities:
     def test_convolution_exact_small(self):
         for a in range(6):

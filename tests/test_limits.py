@@ -1,10 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nested_karlin.errors import ValidationError
+from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.kernels import b_constants
 from nested_karlin.limits import closed_cov, comparison_table, quadrature_cov
 
@@ -162,6 +163,33 @@ class TestQuadratureOracle:
         for kind, l1, l2, d, closed, quad, diff in rows:
             assert kind == "Z"
             assert diff == abs(closed - quad) < 5e-11
+
+    def test_comparison_table_levels_must_be_whole(self):
+        # a fractional level pair is refused, not truncated to a whole one
+        for bad in (1.9, 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                comparison_table(["Z"], [(bad, 1)], [0.0])
+            with pytest.raises(ValidationError):
+                comparison_table(["X"], [(1, bad)], [0.0])
+        (row,) = comparison_table(["Z"], [(2.0, 1.0)], [0.0])
+        assert row[1:3] == (2, 1) and all(type(l) is int for l in row[1:3])
+        assert row == comparison_table(["Z"], [(2, 1)], [0.0])[0]
+
+    def test_integration_warning_is_numerical_error(self, monkeypatch):
+        # a quadrature that warns (no convergence, roundoff) must not pass
+        # its number on
+        from scipy import integrate
+
+        def warning_quad(fn, a, b, **kwargs):
+            warnings.warn("maximum number of subdivisions reached",
+                          integrate.IntegrationWarning)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(integrate, "quad", warning_quad)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            quadrature_cov("Z", 1, 1, 0.0)
+        with pytest.raises(NumericalError):
+            comparison_table(["X"], [(2, 1)], [0.5])
 
 
 class TestStructuralIdentities:
