@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_whole
 from .gaussian import (
     build_grid,
     draws_to_csv_rows,
@@ -50,7 +50,7 @@ from .moments import (
     mean_K_binomial,
     mean_K_star,
 )
-from .scheme import OccupancyTrajectory, simulate_deterministic, simulate_poissonized
+from .scheme import OccupancyTrajectory, simulate_replicas
 from .weights import WeightFamily
 
 MOMENTS_CSV_HEADER = "quantity,j,l,l2,s,t,value,error_bound,boxes"
@@ -73,16 +73,20 @@ def _csv_floats(text: str) -> list:
 
 
 def _threads(ns) -> int:
-    if getattr(ns, "threads", None):
-        return int(ns.threads)
+    """The worker count: --threads, else NESTED_KARLIN_THREADS, else the
+    CPU count.  A --threads of 0 means "not given"."""
+    threads = check_whole("--threads", ns.threads, 0)
+    if threads:
+        return threads
     env = os.environ.get("NESTED_KARLIN_THREADS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise ValidationError(
                 f"NESTED_KARLIN_THREADS must be an integer, got {env!r}"
             ) from exc
+        return check_whole("NESTED_KARLIN_THREADS", threads, 1)
     return os.cpu_count() or 1
 
 
@@ -193,23 +197,18 @@ def _cmd_identities(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    fam = ns.weight_family
-    lines = [OccupancyTrajectory.csv_header()]
+    replicas = check_whole("replicas", ns.replicas, 1)
     if ns.deterministic_n:
         grid = _csv_floats(ns.times) if ns.times else [ns.deterministic_n]
-        for r in range(ns.replicas):
-            traj = simulate_deterministic(
-                fam, ns.deterministic_n, ns.generations, ns.levels, grid,
-                ns.seed, replica=r,
-            )
-            lines.extend(traj.to_csv_rows())
     else:
-        times = _csv_floats(ns.times) if ns.times else [float(ns.t)]
-        for r in range(ns.replicas):
-            traj = simulate_poissonized(
-                fam, times, ns.generations, ns.levels, ns.seed, replica=r
-            )
-            lines.extend(traj.to_csv_rows())
+        grid = _csv_floats(ns.times) if ns.times else [float(ns.t)]
+    trajectories = simulate_replicas(
+        ns.weight_family, grid, ns.generations, ns.levels, ns.seed,
+        range(replicas), n=ns.deterministic_n or None,
+    )
+    lines = [OccupancyTrajectory.csv_header()]
+    for traj in trajectories:
+        lines.extend(traj.to_csv_rows())
     _emit(lines, ns.out)
     return 0
 

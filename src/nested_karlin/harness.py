@@ -40,7 +40,8 @@ from .moments import (
     mean_K_binomial,
     mean_K_star,
 )
-from .scheme import simulate_deterministic, simulate_poissonized
+# the single-replica simulators stay importable here for perfbench/trace_cli.py
+from .scheme import simulate_deterministic, simulate_poissonized, simulate_replicas  # noqa: F401
 from .weights import WeightFamily
 
 __all__ = [
@@ -183,20 +184,14 @@ def _replica_chunk(payload: tuple) -> np.ndarray:
     """Worker: simulate a contiguous replica range, return the value matrix
     (one row per replica: K then K*, flattened over (j, l, grid))."""
     cfg, times, r_lo, r_hi = payload
-    family = cfg.family()
-    J, L, det_n = cfg.generations, cfg.levels, int(cfg.deterministic_n)
-    rows = []
-    for r in range(r_lo, r_hi):
-        if det_n:
-            traj = simulate_deterministic(
-                family, det_n, J, L, [int(x) for x in times], cfg.seed, replica=r
-            )
-        else:
-            traj = simulate_poissonized(family, times, J, L, cfg.seed, replica=r)
-        rows.append(
-            np.concatenate([traj.K.ravel(), traj.K_star.ravel()]).astype(float)
-        )
-    return np.asarray(rows)
+    trajectories = simulate_replicas(
+        cfg.family(), times, cfg.generations, cfg.levels, cfg.seed,
+        range(r_lo, r_hi), n=int(cfg.deterministic_n) or None,
+    )
+    return np.asarray(
+        [np.concatenate([traj.K.ravel(), traj.K_star.ravel()]) for traj in trajectories],
+        dtype=float,
+    )
 
 
 def _exact_target(cfg: ExperimentConfig, fn, args: tuple):

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError, ValidationError, check_whole
 
@@ -109,7 +108,12 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
         raise ValidationError("poisson_tail requires m >= 0")
     scalar = m_arr.ndim == 0
     m_arr = np.atleast_1d(m_arr)
-    out = np.ones_like(m_arr) if l <= 0 else special.gammainc(l, m_arr)
+    if l <= 0:
+        out = np.ones_like(m_arr)
+    else:
+        from scipy.special import gammainc  # imported where it runs: it is slow to load
+
+        out = gammainc(l, m_arr)
     return float(out[0]) if scalar else out
 
 
@@ -140,7 +144,9 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
     elif l > n:
         out = np.zeros_like(p_arr)
     else:
-        out = special.betainc(l, n - l + 1, p_arr)
+        from scipy.special import betainc
+
+        out = betainc(l, n - l + 1, p_arr)
         if not np.all(np.isfinite(out)):
             raise NumericalError(
                 f"binomial tail at l={l} is not finite for a {len(str(n))}-digit n")

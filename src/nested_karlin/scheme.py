@@ -7,16 +7,24 @@ box is the prefix (ξ_1, ..., ξ_j).  We only ever materialize prefixes up to
 the requested maximum generation J, and only counts-of-counts up to level
 L+1 (the guard level makes K* at level L exact).
 
-Each replica is simulated in one vectorized pass.  Its ball counts per
-snapshot come first (Poisson increments, or the grid's differences), then
-one ``rng.random((N, J))`` draw for all N balls, mapped to indices by the
-family's guide-table inverse CDF.  Per generation, box prefixes are packed
-into one int64 key each (base ``len(table) + 2`` positional code) together
-with the snapshot that brought the ball, and one sort of the keys gives each
-box's count before and after every snapshot.  A box adds 1 to K(l) at the
-snapshot where its count crosses l; K over the grid is the running sum.  The
-keys take O(N * J) memory whatever the number of snapshots, and the
-trajectory is the one that drawing each snapshot's balls in turn gives.
+Replica r draws from its own counter-based stream keyed by (seed, r): its
+ball counts per snapshot come first (Poisson increments, or the grid's
+differences), then one draw of ``N * J`` uniforms for all its N balls, in
+the order ``rng.random((N, J))`` gives them.  Consecutive replicas are
+counted together, in passes of up to _PASS_BALLS balls whose draws share one
+buffer (a replica with more balls is a pass of its own).  A pass maps all
+its draws to indices with one search of the family's guide-table inverse
+CDF.  Per generation it packs each ball's box prefix (a base
+``len(table) + 2`` positional code) into one int64 key, together with the
+replica's place in the pass (the top bits) and the snapshot that brought
+the ball (the bottom bits).  One sort of the keys gives each box's count
+before and after every snapshot.  A box adds 1 to K(l) at the snapshot
+where its count crosses l, so two ``bincount``s over (replica, snapshot,
+level) and running sums give K over the grid.  A pass takes fewer replicas
+when more would not fit in the keys.  The keys take O(N * J) memory
+whatever the number of snapshots, and each replica's trajectory is, bit for
+bit, the one that drawing each snapshot's balls in turn gives, however the
+replicas are grouped into passes.
 """
 
 from __future__ import annotations
@@ -34,9 +42,11 @@ __all__ = [
     "sample_index",
     "simulate_deterministic",
     "simulate_poissonized",
+    "simulate_replicas",
 ]
 
 _TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
+_PASS_BALLS = 2**15  # ball budget of one pass over consecutive replicas
 
 
 def sample_index(family: WeightFamily, draw):
@@ -121,11 +131,11 @@ def _make_rng(seed: int, replica: int) -> np.random.Generator:
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Indices at which a run of equal values starts in the sorted ``a``."""
+    """True where a run of equal values starts in the sorted ``a``."""
     mark = np.empty(len(a), dtype=bool)
     mark[:1] = True
     np.not_equal(a[1:], a[:-1], out=mark[1:])
-    return np.flatnonzero(mark)
+    return mark
 
 
 def _check_memory(N: float, J: int) -> None:
@@ -141,69 +151,129 @@ def _check_memory(N: float, J: int) -> None:
         )
 
 
-def _run(
-    family: WeightFamily,
-    increments: list,
-    grid: np.ndarray,
-    J: int,
-    L: int,
-    rng: np.random.Generator,
-    kind: str,
-    seed: int,
-    replica: int,
-) -> OccupancyTrajectory:
-    stride = len(family.cumulative_table()) + 2
-    G = len(grid)
-    snap_bits = (G - 1).bit_length()
-    if (stride**J << snap_bits) > 2**63:
-        raise ValidationError(
-            f"cannot pack {J} generations of indices < {stride} and {G} "
-            "snapshots into int64 keys"
-        )
-    increments = np.asarray(increments, dtype=np.int64)
-    balls = np.cumsum(increments)
-    N = int(balls[-1])
-    _check_memory(N, J)
-    idx = family.table_search(rng.random((N, J))) + 1
-    snap = np.repeat(np.arange(G, dtype=np.int64), increments)
-    K_full = np.empty((J, L + 1, G), dtype=np.int64)
-    excess = np.empty((J, G), dtype=np.int64)
-    codes = np.zeros(len(idx), dtype=np.int64)
+def _count(family: WeightFamily, increments: np.ndarray, draws: np.ndarray,
+           work: np.ndarray, J: int, L: int, stride: int, snap_bits: int):
+    """K through the guard level, shape (R, J, L + 1, G), and the excess,
+    shape (R, J, G), of the R replicas of one pass.  Row r of ``increments``
+    holds replica r's ball count per snapshot, ``draws`` the uniforms of all
+    the pass's N balls, replica after replica, and ``work`` three rows of at
+    least N int64 scratch for the snapshots, codes and keys."""
+    R, G = increments.shape
+    N = len(draws)
+    snap, codes, keys = work[:, :N]
+    # The balls that replica r brings at snapshot i are draws[bounds[c]:
+    # bounds[c + 1]], c = r * G + i.  Each code starts as the replica's place
+    # in the pass, so a key reads (replica, box, snapshot) from the top bits
+    # down, and replica r's balls sort to bounds[r * G] <= p < bounds[r * G + G].
+    bounds = np.concatenate([[0], np.cumsum(increments)])
+    edges = bounds.tolist()
+    for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        snap[lo:hi], codes[lo:hi] = c % G, c // G
+    idx = family.table_search(draws)
+    K_full = np.empty((R, J, L + 1, G), dtype=np.int64)
+    excess = np.empty((R, J, G), dtype=np.int64)
     for g in range(J):
-        codes = codes * stride + idx[:, g]
-        keys = (codes << snap_bits) | snap
+        codes *= stride
+        codes += idx[:, g]
+        np.left_shift(codes, snap_bits, out=keys)
+        keys |= snap
         keys.sort()
         # A box's balls form one run of the sorted keys, cut into one group
         # per snapshot that adds to it.  Positions within the run give the
         # box's count before (old) and after (new) each group's arrivals.
-        first = _run_starts(keys)
+        first = np.flatnonzero(_run_starts(keys))
         group = keys[first]
         box, at = group >> snap_bits, group & (2**snap_bits - 1)
-        box_first = _run_starts(box)
-        origin = np.repeat(first[box_first], np.diff(box_first, append=len(first)))
+        origin = np.maximum.accumulate(np.where(_run_starts(box), first, 0))
         old = first - origin
-        new = np.append(first[1:], len(keys)) - origin
-        # the group adds 1 to K(l) at its snapshot for old < l <= new: +1 at
-        # level old + 1 and -1 at level new + 1 (both capped at L + 2), then
-        # summed over levels
-        rows = at * (L + 2)
-        step = np.bincount(rows + np.minimum(old, L + 1), minlength=G * (L + 2))
-        step -= np.bincount(rows + np.minimum(new, L + 1), minlength=G * (L + 2))
-        K_full[g] = step.reshape(G, L + 2).cumsum(axis=1).cumsum(axis=0)[:, : L + 1].T
+        new = np.concatenate((first[1:], [N])) - origin
+        # the group adds 1 to K(l) at its (replica, snapshot) cell for
+        # old < l <= new: +1 at level old + 1 and -1 at level new + 1 (both
+        # capped at L + 2), then summed over levels and snapshots
+        cell = at
+        if R > 1:
+            groups_before = np.searchsorted(first, bounds[::G])
+            cell = at + np.repeat(np.arange(0, R * G, G), groups_before[1:] - groups_before[:-1])
+        rows, size = cell * (L + 2), R * G * (L + 2)
+        step = np.bincount(rows + np.minimum(old, L + 1), minlength=size)
+        step -= np.bincount(rows + np.minimum(new, L + 1), minlength=size)
+        K = step.reshape(R, G, L + 2).cumsum(axis=2).cumsum(axis=1)
+        K_full[:, g] = K[:, :, : L + 1].transpose(0, 2, 1)
         moved = np.where(new > L, new, 0) - np.where(old > L, old, 0)
-        excess[g] = np.bincount(at, weights=moved, minlength=G).cumsum()
-    return OccupancyTrajectory(
-        kind=kind,
-        grid=np.asarray(grid),
-        K=K_full[:, :L, :].copy(),
-        K_star=K_full[:, :L, :] - K_full[:, 1:, :],
-        guard=K_full[:, L, :].copy(),
-        excess=excess,
-        balls=balls,
-        seed=seed,
-        replica=replica,
-        family_kind=family.kind,
-    )
+        excess[:, g] = np.bincount(cell, weights=moved, minlength=R * G).reshape(R, G).cumsum(axis=1)
+    return K_full, excess
+
+
+def _run(
+    family: WeightFamily,
+    grid: np.ndarray,
+    J: int,
+    L: int,
+    seed: int,
+    replicas,
+    kind: str,
+) -> list:
+    """The engine: the trajectories of ``replicas``, in order.
+
+    Replica r's Poisson increments come first, then its uniforms, drawn
+    into the pass's buffer.  A pass is counted when the next replica would
+    take it over _PASS_BALLS balls or past the ``fit`` replicas whose keys
+    fit in int64; a replica above the budget is a pass of its own."""
+    stride = len(family.cumulative_table()) + 2
+    snap_bits = (len(grid) - 1).bit_length()
+    fit = 2**63 // (stride**J << snap_bits)
+    if fit == 0:
+        raise ValidationError(
+            f"cannot pack {J} generations of indices < {stride} and {len(grid)} "
+            "snapshots into int64 keys"
+        )
+    gaps = np.diff(grid, prepend=0)
+    draws = np.empty((_PASS_BALLS, J))
+    work = np.empty((3, _PASS_BALLS), dtype=np.int64)
+    trajectories, held, used = [], [], 0
+
+    def count(batch, uniforms, scratch):
+        increments = np.array([inc for _, inc in batch])
+        K_full, excess = _count(family, increments, uniforms, scratch, J, L, stride, snap_bits)
+        trajectories.extend(
+            OccupancyTrajectory(
+                kind=kind,
+                grid=grid,
+                K=K_full[i, :, :L, :].copy(),
+                K_star=K_full[i, :, :L, :] - K_full[i, :, 1:, :],
+                guard=K_full[i, :, L, :].copy(),
+                excess=excess[i],
+                balls=np.cumsum(increments[i]),
+                seed=seed,
+                replica=r,
+                family_kind=family.kind,
+            )
+            for i, (r, _) in enumerate(batch)
+        )
+
+    for r in replicas:
+        rng = _make_rng(seed, r)
+        if kind == "poissonized":
+            increments = np.array(
+                [rng.poisson(gap) if gap > 0.0 else 0 for gap in gaps.tolist()],
+                dtype=np.int64,
+            )
+        else:
+            increments = gaps
+        N = int(increments.sum())
+        _check_memory(N, J)
+        if held and (len(held) == fit or used + N > _PASS_BALLS):
+            count(held, draws[:used], work)
+            held, used = [], 0
+        if N > _PASS_BALLS:
+            count([(r, increments)], rng.random((N, J)), np.empty((3, N), dtype=np.int64))
+        else:
+            rng.random(out=draws[used:used + N])
+            held.append((r, increments))
+            used += N
+    if held:
+        count(held, draws[:used], work)
+    return trajectories
 
 
 def _ball_counts(values: list, what: str) -> np.ndarray:
@@ -214,6 +284,47 @@ def _ball_counts(values: list, what: str) -> np.ndarray:
         if not np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (abs(arr) < 2.0**62)):
             raise ValidationError(f"{what} must be finite and whole, got {arr.tolist()}")
     return arr.astype(np.int64)
+
+
+def simulate_replicas(
+    family: WeightFamily,
+    grid,
+    J: int,
+    L: int,
+    seed: int,
+    replicas,
+    *,
+    n=None,
+) -> list:
+    """Trajectories of the replicas listed in ``replicas`` (e.g. a range),
+    in that order: of the Poissonized scheme at the times ``grid``, or, when
+    ``n`` is given, of the fixed-ball-count scheme at the ball counts
+    ``grid``.  Replica r is the trajectory that ``simulate_poissonized`` or
+    ``simulate_deterministic`` gives with ``replica=r``, bit for bit."""
+    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
+    if n is None:
+        grid = np.asarray(list(grid), dtype=float)
+        if grid.size == 0:
+            raise ValidationError("times must be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise ValidationError(f"times must be finite, got {grid.tolist()}")
+        if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
+            raise ValidationError("times must be nondecreasing and nonnegative")
+        # the expected ball count, checked before numpy is asked for Poisson
+        # draws it cannot make (means above about 9.2e18)
+        _check_memory(float(grid[-1]), J)
+        return _run(family, grid, J, L, seed, replicas, "poissonized")
+    n = int(_ball_counts([n], "ball count n")[0])
+    if n < 0:
+        raise ValidationError("ball count must be >= 0")
+    grid = _ball_counts(list(grid), "time_grid")
+    if grid.size == 0:
+        raise ValidationError("time_grid must be nonempty")
+    if np.any(np.diff(grid) < 0) or grid[0] < 0:
+        raise ValidationError("time_grid must be nondecreasing and nonnegative")
+    if grid[-1] > n:
+        raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
+    return _run(family, grid, J, L, seed, replicas, "deterministic")
 
 
 def simulate_deterministic(
@@ -228,20 +339,7 @@ def simulate_deterministic(
 ) -> OccupancyTrajectory:
     """Fixed-ball-count scheme: snapshots at the integer ball counts in
     ``time_grid`` (nondecreasing, max <= n)."""
-    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
-    n = int(_ball_counts([n], "ball count n")[0])
-    if n < 0:
-        raise ValidationError("ball count must be >= 0")
-    grid = _ball_counts(list(time_grid), "time_grid")
-    if grid.size == 0:
-        raise ValidationError("time_grid must be nonempty")
-    if np.any(np.diff(grid) < 0) or grid[0] < 0:
-        raise ValidationError("time_grid must be nondecreasing and nonnegative")
-    if grid[-1] > n:
-        raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
-    increments = np.diff(np.concatenate([[0], grid])).tolist()
-    rng = _make_rng(seed, replica)
-    return _run(family, increments, grid, J, L, rng, "deterministic", seed, replica)
+    return simulate_replicas(family, time_grid, J, L, seed, [replica], n=n)[0]
 
 
 def simulate_poissonized(
@@ -255,18 +353,4 @@ def simulate_poissonized(
 ) -> OccupancyTrajectory:
     """Poissonized scheme: fresh Poisson(t_i - t_{i-1}) balls before each
     snapshot, so the count at t_i is Poisson(t_i)-many i.i.d. placements."""
-    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
-    grid = np.asarray(list(times), dtype=float)
-    if grid.size == 0:
-        raise ValidationError("times must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError(f"times must be finite, got {grid.tolist()}")
-    if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
-        raise ValidationError("times must be nondecreasing and nonnegative")
-    # the expected ball count, checked before numpy is asked for Poisson
-    # draws it cannot make (means above about 9.2e18)
-    _check_memory(float(grid[-1]), J)
-    rng = _make_rng(seed, replica)
-    gaps = np.diff(np.concatenate([[0.0], grid]))
-    increments = [int(rng.poisson(gap)) if gap > 0.0 else 0 for gap in gaps]
-    return _run(family, increments, grid, J, L, rng, "poissonized", seed, replica)
+    return simulate_replicas(family, times, J, L, seed, [replica])[0]

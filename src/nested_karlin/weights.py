@@ -29,7 +29,6 @@ import math
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .kernels import AsymptoticParams
@@ -56,11 +55,9 @@ def _weibull_integral_tail(alpha: float, k: int) -> float:
     if k <= 0:
         # crude but valid: full integral plus the k=0 step
         return math.gamma(1.0 / alpha) / alpha + 1.0
-    return (
-        math.gamma(1.0 / alpha)
-        / alpha
-        * float(special.gammaincc(1.0 / alpha, float(k) ** alpha))
-    )
+    from scipy.special import gammaincc  # imported where it runs: it is slow to load
+
+    return math.gamma(1.0 / alpha) / alpha * float(gammaincc(1.0 / alpha, float(k) ** alpha))
 
 
 def _weibull_tail_cut(alpha: float, threshold: float) -> int:

@@ -139,6 +139,42 @@ class TestExitCodes:
             assert code == 1, times
             assert "error:" in err and not out
 
+    @pytest.mark.parametrize("replicas", ["0", "-2"])
+    def test_simulate_needs_a_replica(self, replicas, capsys):
+        code, out, err = run_cli(["simulate", "--t", "10", "--replicas", replicas], capsys)
+        assert code == 1
+        assert "replicas must be >= 1" in err and not out
+
+    def test_negative_threads_flag(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "moment", "--t", "120", "--replicas", "100",
+             "--generations", "1", "--levels", "1", "--threads", "-3"],
+            capsys,
+        )
+        assert code == 1
+        assert "--threads must be >= 0" in err and not out
+        assert "# threads=" not in err
+
+    @pytest.mark.parametrize("env", ["0", "-5"])
+    def test_threads_env_below_one(self, env, monkeypatch, capsys):
+        monkeypatch.setenv("NESTED_KARLIN_THREADS", env)
+        code, out, err = run_cli(
+            ["verify", "moment", "--t", "120", "--replicas", "100",
+             "--generations", "1", "--levels", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert "NESTED_KARLIN_THREADS must be >= 1" in err and not out
+
+    def test_threads_flag_overrides_a_bad_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("NESTED_KARLIN_THREADS", "-5")
+        code, _, err = run_cli(
+            ["limits", "cov", "--kind", "Z", "--l1", "1", "--l2", "1", "--threads", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert "# threads=1\n" in err
+
     def test_non_finite_limit_grid_is_validation_error(self, capsys):
         code, out, err = run_cli(
             ["sample", "limit", "--u-grid", "0,nan", "--n", "10"], capsys
@@ -327,6 +363,19 @@ class TestModuleEntryPoint:
         import_root = Path(nested_karlin.__file__).resolve().parent.parent
         probe = ("import sys, nested_karlin.cli; "
                  "print('scipy.integrate' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_out_special_functions(self):
+        # scipy.special is imported only where a special function runs, so
+        # the sample and limits commands never load it
+        import_root = Path(nested_karlin.__file__).resolve().parent.parent
+        probe = ("import sys, nested_karlin.cli; "
+                 "print('scipy.special' in sys.modules)")
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},

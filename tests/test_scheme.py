@@ -18,6 +18,7 @@ from nested_karlin.scheme import (
     sample_index,
     simulate_deterministic,
     simulate_poissonized,
+    simulate_replicas,
 )
 from nested_karlin.weights import WeightFamily
 
@@ -200,6 +201,138 @@ class TestKeyPacking:
         assert traj.K[38, :, 1].tolist() == [1, 1]
         with pytest.raises(ValidationError):
             simulate_deterministic(solo, 4, 39, 2, [1, 2, 4], seed=2)
+
+
+BATCH_FAMILIES = {
+    "weib0.5": FAMILIES["weib"],
+    "weib0.3": WeightFamily.weibull_like(0.3),
+    "geo": FAMILIES["geo"],
+    "fin": FAMILIES["fin"],
+}
+TRAJECTORY_FIELDS = ("K", "K_star", "guard", "excess", "balls", "grid")
+
+
+def _assert_batch_matches_singles(family, grid, J, L, seed, replicas, n=None):
+    """simulate_replicas equals one single-replica call per replica, on
+    every field and dtype, in the order the replicas were listed."""
+    batch = simulate_replicas(family, grid, J, L, seed, replicas, n=n)
+    assert [traj.replica for traj in batch] == list(replicas)
+    for traj in batch:
+        if n is None:
+            single = simulate_poissonized(family, grid, J, L, seed, replica=traj.replica)
+        else:
+            single = simulate_deterministic(family, n, J, L, grid, seed, replica=traj.replica)
+        assert traj.kind == single.kind
+        for name in TRAJECTORY_FIELDS:
+            got, want = getattr(traj, name), getattr(single, name)
+            assert got.dtype == want.dtype, name
+            assert_array_equal(got, want, err_msg=f"{name}, replica {traj.replica}")
+        traj.validate()
+    return batch
+
+
+class TestBatchedPasses:
+    """simulate_replicas counts consecutive replicas in one pass; each
+    trajectory must be bit-equal to the replica simulated alone."""
+
+    @given(
+        st.sampled_from(sorted(BATCH_FAMILIES)),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([0.0, 0.0, 0.5, 3.0, 20.0, 60.0]), min_size=1, max_size=5),
+        st.integers(0, 50),
+        st.integers(1, 7),
+        st.sampled_from([1, 5, 40, 150, 2**15]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_poissonized_batches_match_singles(self, kind, J, L, gaps, first, count,
+                                               budget, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "_PASS_BALLS", budget)
+            _assert_batch_matches_singles(
+                BATCH_FAMILIES[kind], np.cumsum(gaps).tolist(), J, L, seed,
+                range(first, first + count),
+            )
+
+    @given(
+        st.sampled_from(sorted(BATCH_FAMILIES)),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([0, 0, 1, 4, 30]), min_size=1, max_size=5),
+        st.integers(1, 6),
+        st.sampled_from([1, 7, 64, 2**15]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_n_batches_match_singles(self, kind, J, L, steps, count, budget, seed):
+        grid = np.cumsum(steps).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "_PASS_BALLS", budget)
+            _assert_batch_matches_singles(
+                BATCH_FAMILIES[kind], grid, J, L, seed, range(count), n=grid[-1] + 2
+            )
+
+    def test_repeated_and_zero_times(self, geo, fin3):
+        _assert_batch_matches_singles(geo, [0.0, 0.0, 4.0, 4.0, 9.0], 2, 3, 5, range(12))
+        _assert_batch_matches_singles(fin3, [0, 0, 3, 3, 8], 3, 2, 5, range(12), n=8)
+
+    def test_replicas_without_balls(self, geo):
+        # at t = 0 every replica is empty; at t = 0.3 most are, and the
+        # empty ones sit between replicas with balls in the same pass
+        batch = _assert_batch_matches_singles(geo, [0.0], 2, 2, 3, range(5))
+        assert all(traj.balls.tolist() == [0] and not traj.K.any() for traj in batch)
+        batch = _assert_batch_matches_singles(geo, [0.1, 0.3], 2, 2, 3, range(40))
+        balls = [int(traj.balls[-1]) for traj in batch]
+        assert 0 in balls and max(balls) > 0
+
+    def test_listed_order_is_kept(self, geo):
+        batch = _assert_batch_matches_singles(geo, [3.0, 7.0], 2, 2, 9, [7, 2, 30, 3])
+        assert [traj.replica for traj in batch] == [7, 2, 30, 3]
+        assert simulate_replicas(geo, [3.0], 2, 2, 9, []) == []
+
+    def test_runs_across_the_budget_boundary(self, fin3, monkeypatch):
+        # 10 balls each: a 25-ball budget takes two replicas a pass, and the
+        # 11-replica run ends on a pass of one
+        monkeypatch.setattr(scheme, "_PASS_BALLS", 25)
+        _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(11), n=10)
+        monkeypatch.setattr(scheme, "_PASS_BALLS", 20)  # exactly two a pass
+        _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(11), n=10)
+        monkeypatch.setattr(scheme, "_PASS_BALLS", 9)  # every replica above it
+        _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(5), n=10)
+
+    def test_replica_above_the_budget(self):
+        # Poisson counts around the real budget: some replicas take a pass
+        # of their own, the others share one
+        weib = WeightFamily.weibull_like(0.5)
+        t = float(scheme._PASS_BALLS) - 40.0
+        batch = _assert_batch_matches_singles(weib, [t / 2, t], 1, 2, 4, range(6))
+        balls = [int(traj.balls[-1]) for traj in batch]
+        assert min(balls) <= scheme._PASS_BALLS < max(balls)
+
+    def test_pass_shrinks_when_replica_bits_do_not_fit(self):
+        # base 128 = 2**7 codes: 8 generations and 64 snapshots take 62 of
+        # the 63 key bits, so a pass holds two replicas; 9 generations and
+        # one snapshot take all 63, so one.  One more snapshot (or one more
+        # generation) does not fit even a single replica.
+        family = WeightFamily.finite([1.0] * 126)
+        grid = list(range(1, 65))
+        _assert_batch_matches_singles(family, grid, 8, 1, 1, range(5), n=64)
+        _assert_batch_matches_singles(family, [40], 9, 2, 1, range(3), n=40)
+        with pytest.raises(ValidationError):
+            simulate_replicas(family, [20, 40], 9, 2, 1, range(3), n=40)
+        with pytest.raises(ValidationError):
+            simulate_replicas(family, [1.0], 10, 1, 1, range(3))
+
+    def test_validation_matches_the_single_replica_functions(self, geo):
+        for grid in ([], [2.0, 1.0], [-1.0], [float("nan")]):
+            with pytest.raises(ValidationError):
+                simulate_replicas(geo, grid, 1, 1, 0, range(2))
+        for grid, n in (([5], 4), ([1.5], 4), ([], 4), ([1], -1)):
+            with pytest.raises(ValidationError):
+                simulate_replicas(geo, grid, 1, 1, 0, range(2), n=n)
+        with pytest.raises(ValidationError):
+            simulate_replicas(geo, [1.0], 0, 1, 0, range(2))
 
 
 class _NoUniformDraws:
