@@ -7,7 +7,9 @@ Statistical targets are always *exact finite-time* values from the moments
 module — never asymptotic limits — so the pass criteria are free of
 asymptotic bias; limit values appear only in unflagged diagnostic rows and
 in the trend experiment, whose assertion is about monotone approach rather
-than closeness.
+than closeness.  The Monte Carlo runners declare each cell once, as a
+``_Cell`` holding its statistic, its columns and its exact target; the
+targets the worker pool computes are read off that table.
 
 Reproducibility: replica r of a run with master seed s draws from a
 dedicated counter-based stream keyed by (s, r), and replica-level results
@@ -22,12 +24,13 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_whole
 from .kernels import b_constants, c_f_g
 from .limits import closed_cov
 from .moments import (
@@ -228,7 +231,7 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
     functions as listed.
     """
     targets = list(dict.fromkeys(targets))
-    threads = max(1, int(cfg.threads))
+    threads = check_whole("threads", cfg.threads, 1)
     payloads = [] if times is None else _replica_payloads(cfg, times, threads)
     if threads == 1:
         parts = [_replica_chunk(p) for p in payloads]
@@ -237,9 +240,10 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
         with ProcessPoolExecutor(max_workers=threads) as pool:
             try:
                 # Longest first, so the last tasks are short: the replica
-                # chunks, then the targets backwards (the runners list them
-                # with generation, level and time ascending, and cost grows
-                # with each).
+                # chunks, then the targets backwards.  The runners list any
+                # centering means first, then the terms of their cells in
+                # report order, generation and level ascending with the
+                # cross-generation cells last; cost grows along that order.
                 chunks = [pool.submit(_replica_chunk, p) for p in payloads]
                 exact = [
                     pool.submit(_exact_target, cfg, fn, args)
@@ -253,11 +257,6 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
     V = np.concatenate(parts, axis=0) if parts else None
     results = dict(zip(targets, values))
     return (lambda fn, *args: results[(fn, args)]), V
-
-
-def _col(j: int, l: int, g: int, L: int, G: int, star: bool, J: int) -> int:
-    base = J * L * G if star else 0
-    return base + ((j - 1) * L + (l - 1)) * G + g
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +296,96 @@ def _skew_kurt(x: np.ndarray) -> tuple:
     return skew, kurt
 
 
+def _skew_se(x: np.ndarray) -> tuple:
+    """Skewness, with its standard error sqrt(6/R) under normality."""
+    return _skew_kurt(x)[0], math.sqrt(6.0 / len(x))
+
+
+def _kurt_se(x: np.ndarray) -> tuple:
+    """Excess kurtosis, with its standard error sqrt(24/R) under normality."""
+    return _skew_kurt(x)[1], math.sqrt(24.0 / len(x))
+
+
 # ---------------------------------------------------------------------------
-# experiments
+# cell tables
 
 
-def _star_cov(cov, l1, l2):
-    """Cov(K*(l1), K*(l2)) from at-least-level covariances ``cov(l1, l2)``,
-    by K*(l) = K(l) - K(l + 1)."""
-    return math.fsum(
-        sa * sb * cov(l1 + da, l2 + db)
+@dataclass(frozen=True)
+class _Cell:
+    """One flagged report row: the statistic ``stat`` of the value-array
+    columns ``X[:, *index]`` for ``index`` in ``cols``, against the exact
+    target sum(coef * fn(family, *args)) / scale over ``terms`` (0 when there
+    are none), passing within 4 SE.  A ``limit`` adds the unflagged
+    ``limit_`` row of the same statistic against that value."""
+
+    cid: str
+    j: int
+    l: int
+    l2: int | None
+    u: float | None
+    v: float | None
+    stat: Callable
+    cols: tuple
+    terms: tuple = ()
+    scale: float = 1.0
+    kind: str = "exact"
+    limit: float | None = None
+
+
+def _exact(fn, *args) -> tuple:
+    """The terms of the single exact moment ``fn(family, *args)``."""
+    return ((1.0, fn, args),)
+
+
+def _star_terms(fn, head: tuple, l1: int, l2: int, tail: tuple) -> tuple:
+    """The terms of Cov(K*(l1), K*(l2)) over the at-least-level covariance
+    ``fn(family, *head, a, b, *tail)``, by K*(l) = K(l) - K(l + 1)."""
+    return tuple(
+        (sa * sb, fn, (*head, l1 + da, l2 + db, *tail))
         for da, sa in ((0, 1.0), (1, -1.0))
         for db, sb in ((0, 1.0), (1, -1.0))
     )
 
 
+def _pool_targets(cells: list) -> list:
+    return [(fn, args) for c in cells for _, fn, args in c.terms]
+
+
+def _evaluate(experiment: str, cells: list, X: np.ndarray, estimate, T=None) -> list:
+    """The report rows of ``cells`` over the replica value array ``X``."""
+    rows: list = []
+    for c in cells:
+        emp, se = c.stat(*(X[(slice(None), *index)] for index in c.cols))
+        vals = [coef * estimate(fn, *args).value for coef, fn, args in c.terms]
+        # a lone term is taken as is (fsum would turn -0.0 into 0.0)
+        target = (vals[0] if len(vals) == 1 else math.fsum(vals)) / c.scale
+        head = (c.j, c.l, c.l2, c.u, c.v, T, emp, se)
+        rows.append(CellResult(experiment, c.cid, *head, target, c.kind,
+                               abs(emp - target) <= 4.0 * se))
+        if c.limit is not None:
+            rows.append(CellResult(experiment, f"limit_{c.cid}", *head, c.limit,
+                                   "limit", None))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# experiments
+
+
 def _check_finite(name: str, values) -> None:
     if not all(math.isfinite(x) for x in values):
         raise ValidationError(f"{name} must be finite, got {list(values)}")
+
+
+def _finish(experiment: str, config: ExperimentConfig, cells: list, start: float,
+            **notes) -> ExperimentReport:
+    """The report of a run begun at ``start``, written to ``config.out`` if
+    that is set."""
+    report = ExperimentReport(experiment, config, cells,
+                              runtime_seconds=time.perf_counter() - start, notes=notes)
+    if config.out:
+        report.write(config.out)
+    return report
 
 
 def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
@@ -325,120 +397,51 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     _check_finite("t", [config.t])
     family = config.family()
     J, L = int(config.generations), int(config.levels)
-    det_n = int(config.deterministic_n)
-    t = float(det_n) if det_n else float(config.t)
+    n = int(config.deterministic_n)
+    t = float(n) if n else float(config.t)
     js, ls = range(1, J + 1), range(1, L + 1)
-    if det_n:
-        # K*(l) = K(l) - K(l + 1): levels 1..L+1
-        targets = [
-            (mean_K_binomial, (j, l, det_n)) for j in js for l in range(1, L + 2)
-        ]
-    else:
-        targets = [
-            (fn, (j, l, *ts))
-            for j in js
-            for l in ls
-            for fn, ts in ((mean_K, (t,)), (mean_K_star, (t,)),
-                           (cov_K_same, (t, t)), (cov_K_star_same, (t, t)))
-        ]
-        # the plain cross-level cells and their K* combinations
-        targets += [
-            (cov_K_cross_level, (j, a, b, t, t))
-            for j in js
-            for l1 in ls
-            for l2 in range(l1 + 1, L + 1)
-            for a in (l1, l1 + 1)
-            for b in (l2, l2 + 1)
-        ]
-        if J >= 2:
-            targets += [
-                (cov_K_cross_gen, (1, 2, l, n, t, t))
-                for l in range(1, L + 2)
-                for n in range(1, L + 2)
-            ]
-    estimate, V = _run_pool(config, family, targets, [det_n] if det_n else [t])
-
-    def value(fn, *args):
-        return estimate(fn, *args).value
-
-    G = 1
     cells: list = []
-
-    def cell(cid, j, l, l2, emp, se, target, kind="exact", tol=4.0, passed="auto"):
-        ok = abs(emp - target) <= tol * se if passed == "auto" else passed
-        cells.append(
-            CellResult(
-                "moment_check", cid, j, l, l2, t, t, None, emp, se, target, kind, ok
-            )
-        )
-
+    # value-array columns: (0 for K or 1 for K*, j - 1, l - 1, 0)
     for j in js:
         for l in ls:
-            xk = V[:, _col(j, l, 0, L, G, False, J)]
-            xs = V[:, _col(j, l, 0, L, G, True, J)]
-            if det_n:
-                target = value(mean_K_binomial, j, l, det_n)
-                emp, se = _mean_se(xk)
-                cell(f"mean_K:j={j},l={l}", j, l, None, emp, se, target)
-                tk = target - value(mean_K_binomial, j, l + 1, det_n)
-                emp, se = _mean_se(xs)
-                cell(f"mean_K_star:j={j},l={l}", j, l, None, emp, se, tk)
-                continue
-            emp, se = _mean_se(xk)
-            cell(f"mean_K:j={j},l={l}", j, l, None, emp, se, value(mean_K, j, l, t))
-            emp, se = _mean_se(xs)
-            cell(f"mean_K_star:j={j},l={l}", j, l, None, emp, se,
-                 value(mean_K_star, j, l, t))
-            emp, se = _var_se(xk)
-            cell(f"var_K:j={j},l={l}", j, l, None, emp, se,
-                 value(cov_K_same, j, l, t, t))
-            emp, se = _var_se(xs)
-            cell(f"var_K_star:j={j},l={l}", j, l, None, emp, se,
-                 value(cov_K_star_same, j, l, t, t))
-    if not det_n:
-        for j in js:
-            def cross_level(a, b):
-                return value(cov_K_cross_level, j, a, b, t, t)
+            if n:
+                # K*(l) = K(l) - K(l + 1)
+                stats = [("mean", _mean_se, _exact(mean_K_binomial, j, l, n),
+                          ((1.0, mean_K_binomial, (j, l, n)),
+                           (-1.0, mean_K_binomial, (j, l + 1, n))))]
+            else:
+                stats = [("mean", _mean_se, _exact(mean_K, j, l, t),
+                          _exact(mean_K_star, j, l, t)),
+                         ("var", _var_se, _exact(cov_K_same, j, l, t, t),
+                          _exact(cov_K_star_same, j, l, t, t))]
+            for stat_name, stat, k_terms, star_terms in stats:
+                for p, name, terms in ((0, "K", k_terms), (1, "K_star", star_terms)):
+                    cells.append(_Cell(f"{stat_name}_{name}:j={j},l={l}", j, l, None,
+                                       t, t, stat, ((p, j - 1, l - 1, 0),), terms))
 
+    def cov_pair(kind, tag, i, j, l1, l2, fn, head):
+        """Cov(K_i(l1), K_j(l2)) and the same for K*, with exact value
+        ``fn(family, *head, l1, l2, t, t)``."""
+        for p, name, terms in ((0, "K", _exact(fn, *head, l1, l2, t, t)),
+                               (1, "K_star", _star_terms(fn, head, l1, l2, (t, t)))):
+            cells.append(_Cell(f"cov_{name}_{kind}:{tag}", i, l1, l2, t, t, _cov_se,
+                               ((p, i - 1, l1 - 1, 0), (p, j - 1, l2 - 1, 0)), terms))
+
+    if not n:
+        for j in js:
             for l1 in ls:
                 for l2 in range(l1 + 1, L + 1):
-                    x = V[:, _col(j, l1, 0, L, G, False, J)]
-                    y = V[:, _col(j, l2, 0, L, G, False, J)]
-                    emp, se = _cov_se(x, y)
-                    cell(f"cov_K_levels:j={j},l={l1},l2={l2}", j, l1, l2, emp, se,
-                         cross_level(l1, l2))
-                    xs = V[:, _col(j, l1, 0, L, G, True, J)]
-                    ys = V[:, _col(j, l2, 0, L, G, True, J)]
-                    emp, se = _cov_se(xs, ys)
-                    cell(f"cov_K_star_levels:j={j},l={l1},l2={l2}",
-                         j, l1, l2, emp, se, _star_cov(cross_level, l1, l2))
+                    cov_pair("levels", f"j={j},l={l1},l2={l2}", j, j, l1, l2,
+                             cov_K_cross_level, (j,))
         if J >= 2:
-            def cross_gen(a, b):
-                return value(cov_K_cross_gen, 1, 2, a, b, t, t)
-
-            for l in ls:
-                for n in ls:
-                    x = V[:, _col(1, l, 0, L, G, False, J)]
-                    y = V[:, _col(2, n, 0, L, G, False, J)]
-                    emp, se = _cov_se(x, y)
-                    cell(f"cov_K_gens:l={l},l2={n}", 1, l, n, emp, se,
-                         cross_gen(l, n))
-                    xs = V[:, _col(1, l, 0, L, G, True, J)]
-                    ys = V[:, _col(2, n, 0, L, G, True, J)]
-                    emp, se = _cov_se(xs, ys)
-                    cell(f"cov_K_star_gens:l={l},l2={n}", 1, l, n, emp, se,
-                         _star_cov(cross_gen, l, n))
-
-    report = ExperimentReport(
-        "moment_check",
-        config,
-        cells,
-        runtime_seconds=time.perf_counter() - start,
-        notes={"pass_fraction_required": 0.95},
-    )
-    if config.out:
-        report.write(config.out)
-    return report
+            for l1 in ls:
+                for l2 in ls:
+                    cov_pair("gens", f"l={l1},l2={l2}", 1, 2, l1, l2,
+                             cov_K_cross_gen, (1, 2))
+    estimate, V = _run_pool(config, family, _pool_targets(cells), [t])
+    X = V.reshape(len(V), 2, J, L, 1)
+    return _finish("moment_check", config, _evaluate("moment_check", cells, X, estimate),
+                   start, pass_fraction_required=0.95)
 
 
 def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
@@ -456,104 +459,51 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     if sorted(times) != times:
         raise ValidationError("u_grid must be nondecreasing")
     G = len(u_grid)
-    js, ls, gs = range(1, J + 1), range(1, L + 1), range(G)
-    targets = [(mean_K, (j, l, tg)) for j in js for l in ls for tg in times]
-    targets += [
-        (cov_K_same, (j, l, times[ga], times[gb]))
-        for j in js for l in ls for ga in gs for gb in range(ga, G)
-    ]
-    targets += [
-        (cov_K_cross_level, (j, l1, l2, tg, tg))
-        for j in js for l1 in ls for l2 in range(l1 + 1, L + 1) for tg in times
-    ]
-    if J >= 2:
-        targets += [
-            (cov_K_cross_gen, (1, 2, l, n, tg, tg))
-            for l in ls for n in ls for tg in times
-        ]
-    estimate, V = _run_pool(config, family, targets, times)
-    R = V.shape[0]
-    norms = {}
-    for j in range(1, J + 1):
-        c, f, _ = c_f_g(family.asymptotic_params(j), T)
-        norms[j] = math.sqrt(c * f)
-    # center and scale the K columns
-    N = np.empty((R, J, L, G))
-    for j in range(1, J + 1):
-        for l in range(1, L + 1):
-            for g, tg in enumerate(times):
-                mu = estimate(mean_K, j, l, tg).value
-                N[:, j - 1, l - 1, g] = (
-                    V[:, _col(j, l, g, L, G, False, J)] - mu
-                ) / norms[j]
+    js, ls = range(1, J + 1), range(1, L + 1)
+    norms = [math.sqrt(c * f)
+             for c, f, _ in (c_f_g(family.asymptotic_params(j), T) for j in js)]
     cells: list = []
-
-    def put(cid, j, l, l2, u, v, emp, se, target, kind, flagged, tol=4.0):
-        ok = (abs(emp - target) <= tol * se) if flagged else None
-        cells.append(
-            CellResult("clt_check", cid, j, l, l2, u, v, T, emp, se, target, kind, ok)
-        )
-
-    for j in range(1, J + 1):
-        nj2 = norms[j] ** 2
-        for l in range(1, L + 1):
-            for ga in range(G):
-                for gb in range(ga, G):
-                    ua, ub = u_grid[ga], u_grid[gb]
-                    x, y = N[:, j - 1, l - 1, ga], N[:, j - 1, l - 1, gb]
-                    emp, se = (_var_se(x) if ga == gb else _cov_se(x, y))
-                    exact = estimate(
-                        cov_K_same, j, l, times[ga], times[gb]
-                    ).value / nj2
-                    tag = f"j={j},l={l},u={ua},v={ub}"
-                    put(f"cov:{tag}", j, l, None, ua, ub, emp, se, exact,
-                        "exact", True)
-                    put(f"limit_cov:{tag}", j, l, None, ua, ub, emp, se,
-                        closed_cov("Z", l, l, ua - ub), "limit", False)
+    # value-array columns: (j - 1, l - 1, g) of the normalized counts
+    for j in js:
+        nj2 = norms[j - 1] ** 2
+        for l in ls:
             for ga, ua in enumerate(u_grid):
-                sk, ku = _skew_kurt(N[:, j - 1, l - 1, ga])
-                put(f"skewness:j={j},l={l},u={ua}", j, l, None, ua, None,
-                    sk, math.sqrt(6.0 / R), 0.0, "normality", True)
-                put(f"excess_kurtosis:j={j},l={l},u={ua}", j, l, None, ua, None,
-                    ku, math.sqrt(24.0 / R), 0.0, "normality", True)
-        for l1 in range(1, L + 1):
+                for gb in range(ga, G):
+                    ub = u_grid[gb]
+                    a, b = (j - 1, l - 1, ga), (j - 1, l - 1, gb)
+                    stat, cols = (_var_se, (a,)) if ga == gb else (_cov_se, (a, b))
+                    cells.append(_Cell(
+                        f"cov:j={j},l={l},u={ua},v={ub}", j, l, None, ua, ub, stat, cols,
+                        _exact(cov_K_same, j, l, times[ga], times[gb]), nj2,
+                        limit=closed_cov("Z", l, l, ua - ub)))
+            for ga, ua in enumerate(u_grid):
+                for name, stat in (("skewness", _skew_se), ("excess_kurtosis", _kurt_se)):
+                    cells.append(_Cell(f"{name}:j={j},l={l},u={ua}", j, l, None, ua, None,
+                                       stat, ((j - 1, l - 1, ga),), kind="normality"))
+        for l1 in ls:
             for l2 in range(l1 + 1, L + 1):
                 for ga, ua in enumerate(u_grid):
-                    x, y = N[:, j - 1, l1 - 1, ga], N[:, j - 1, l2 - 1, ga]
-                    emp, se = _cov_se(x, y)
-                    exact = estimate(
-                        cov_K_cross_level, j, l1, l2, times[ga], times[ga]
-                    ).value / nj2
-                    tag = f"j={j},l={l1},l2={l2},u={ua}"
-                    put(f"cov_levels:{tag}", j, l1, l2, ua, ua, emp, se,
-                        exact, "exact", True)
-                    put(f"limit_cov_levels:{tag}", j, l1, l2, ua, ua, emp, se,
-                        closed_cov("Z", l1, l2, 0.0), "limit", False)
+                    cells.append(_Cell(
+                        f"cov_levels:j={j},l={l1},l2={l2},u={ua}", j, l1, l2, ua, ua,
+                        _cov_se, ((j - 1, l1 - 1, ga), (j - 1, l2 - 1, ga)),
+                        _exact(cov_K_cross_level, j, l1, l2, times[ga], times[ga]), nj2,
+                        limit=closed_cov("Z", l1, l2, 0.0)))
     if J >= 2:
-        cross_norm = norms[1] * norms[2]
-        for l in range(1, L + 1):
-            for n in range(1, L + 1):
+        for l1 in ls:
+            for l2 in ls:
                 for ga, ua in enumerate(u_grid):
-                    x, y = N[:, 0, l - 1, ga], N[:, 1, n - 1, ga]
-                    emp, se = _cov_se(x, y)
-                    exact = estimate(
-                        cov_K_cross_gen, 1, 2, l, n, times[ga], times[ga]
-                    ).value / cross_norm
-                    tag = f"l={l},l2={n},u={ua}"
-                    put(f"cov_gens:{tag}", 1, l, n, ua, ua, emp, se,
-                        exact, "exact", True)
-                    put(f"limit_cov_gens:{tag}", 1, l, n, ua, ua, emp, se,
-                        0.0, "limit", False)
-    report = ExperimentReport(
-        "clt_check",
-        config,
-        cells,
-        runtime_seconds=time.perf_counter() - start,
-        notes={"pass_fraction_required": 0.95},
-    )
-    if config.out:
-        report.write(config.out)
-    return report
+                    cells.append(_Cell(
+                        f"cov_gens:l={l1},l2={l2},u={ua}", 1, l1, l2, ua, ua, _cov_se,
+                        ((0, l1 - 1, ga), (1, l2 - 1, ga)),
+                        _exact(cov_K_cross_gen, 1, 2, l1, l2, times[ga], times[ga]),
+                        norms[0] * norms[1], limit=0.0))
+    means = [(mean_K, (j, l, tg)) for j in js for l in ls for tg in times]
+    estimate, V = _run_pool(config, family, means + _pool_targets(cells), times)
+    mu = np.reshape([estimate(fn, *args).value for fn, args in means], (J, L, G))
+    N = V.reshape(len(V), 2, J, L, G)[:, 0] - mu
+    N /= np.reshape(norms, (J, 1, 1))
+    return _finish("clt_check", config, _evaluate("clt_check", cells, N, estimate, T),
+                   start, pass_fraction_required=0.95)
 
 
 def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
@@ -632,12 +582,7 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
             vals.append(e.value / norm)
             bnds.append(e.error_bound / norm)
         series("cross_gen_ratio:l=1,l2=1", 1, 1, 1, vals, bnds, 0.0, "limit")
-    report = ExperimentReport(
-        "asymptotic_trend", config, cells, runtime_seconds=time.perf_counter() - start
-    )
-    if config.out:
-        report.write(config.out)
-    return report
+    return _finish("asymptotic_trend", config, cells, start)
 
 
 def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
@@ -677,10 +622,4 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
                         gap + err <= bound,
                     )
                 )
-    report = ExperimentReport(
-        "depoissonization_check", config, cells,
-        runtime_seconds=time.perf_counter() - start,
-    )
-    if config.out:
-        report.write(config.out)
-    return report
+    return _finish("depoissonization_check", config, cells, start)

@@ -39,7 +39,6 @@ from .weights import WeightFamily
 
 __all__ = [
     "OccupancyTrajectory",
-    "sample_index",
     "simulate_deterministic",
     "simulate_poissonized",
     "simulate_replicas",
@@ -47,23 +46,6 @@ __all__ = [
 
 _TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
 _PASS_BALLS = 2**15  # ball budget of one pass over consecutive replicas
-
-
-def sample_index(family: WeightFamily, draw):
-    """Inverse-CDF sample of a single path coordinate.
-
-    ``draw`` may be a scalar in [0, 1) or an array of such; returns 1-based
-    indices.  The lookup table covers cumulative mass >= 1 - 2**-53; draws
-    landing beyond it (probability < 2**-53) are assigned to one extra
-    overflow bucket rather than rejected, so the map is total.
-    """
-    arr = np.asarray(draw, dtype=float)
-    if not np.all((arr >= 0.0) & (arr < 1.0)):
-        raise ValidationError("uniform draws must lie in [0, 1)")
-    idx = family.table_search(np.atleast_1d(arr)) + 1
-    if np.isscalar(draw) or arr.ndim == 0:
-        return int(idx[0])
-    return idx.reshape(arr.shape)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import signal
 import time
@@ -113,6 +114,17 @@ class TestMomentCheck:
         with pytest.raises(ValidationError):
             run_moment_check(cfg)
 
+    @pytest.mark.parametrize("threads", [-3, 0, 1.5])
+    def test_bad_thread_counts_rejected(self, monkeypatch, threads):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before the worker count was checked")
+
+        monkeypatch.setattr(harness, "simulate_replicas", never)
+        cfg = ExperimentConfig(threads=threads, replicas=100, t=50.0,
+                               generations=1, levels=1)
+        with pytest.raises(ValidationError):
+            run_moment_check(cfg)
+
 
 class TestReproducibility:
     def test_reports_bit_identical(self):
@@ -167,6 +179,36 @@ class TestReproducibility:
         # manifests must be reproducible verbatim (no timestamps)
         report.write(str(out))
         assert (out.parent / "report.csv.manifest").read_text() == manifest
+
+
+# sha256 of to_csv(), one worker; a change that moves any digit of a
+# report, or a row, or its order, changes the digest
+_PINNED_DIGESTS = [
+    (run_moment_check,
+     ExperimentConfig(t=300.0, generations=2, levels=3, replicas=200, seed=11),
+     "e19fab2f497cd8c9657a64f9c9540f2299cb3fe444c05427888c949dee22dfcc"),
+    (run_moment_check,
+     ExperimentConfig(deterministic_n=300, generations=2, levels=2, replicas=200,
+                      seed=12),
+     "25e0c40a5290fff09dd29ea4d8ba631e1c0ac08c275cabd6635c9d7053300633"),
+    (run_moment_check,
+     ExperimentConfig(t=300.0, generations=1, levels=2, replicas=200, seed=13),
+     "988a8186073591eb2849b84155eaef9dc02052e833ae46a5da043aa167a0be89"),
+    (run_clt_check,
+     ExperimentConfig(T=5.0, u_grid=(0.0, 0.5), generations=2, levels=2,
+                      replicas=200, seed=14),
+     "5122dc0931d02424922789dea1cc94a5d8659c374358ebb459459e5c069ddf8c"),
+    (run_clt_check,
+     ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=1, levels=2,
+                      replicas=200, seed=15),
+     "86df2cebfa7c860bb1713cc5241134982d4bf2adadddd3603744c0556c25ae0e"),
+]
+
+
+def test_report_digests_pinned():
+    for runner, cfg, want in _PINNED_DIGESTS:
+        csv = runner(replace(cfg, threads=1)).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == want, cfg
 
 
 class TestCltCheck:

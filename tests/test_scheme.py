@@ -15,7 +15,6 @@ from nested_karlin.kernels import poisson_tail
 from nested_karlin.moments import mean_K_star
 from nested_karlin.scheme import (
     OccupancyTrajectory,
-    sample_index,
     simulate_deterministic,
     simulate_poissonized,
     simulate_replicas,
@@ -82,43 +81,6 @@ def fin3():
     return WeightFamily.finite([0.5, 0.3, 0.2])
 
 
-class TestSampleIndex:
-    def test_geometric_bracket(self, geo):
-        # CDF steps 0.5, 0.75: 0.6 lands in the second box
-        assert sample_index(geo, 0.6) == 2
-
-    def test_zero_draw(self, geo, fin3):
-        assert sample_index(geo, 0.0) == 1
-        assert sample_index(fin3, 0.0) == 1
-
-    def test_rejects_out_of_range(self, geo):
-        with pytest.raises(ValidationError):
-            sample_index(geo, 1.0)
-        with pytest.raises(ValidationError):
-            sample_index(geo, -0.01)
-
-    def test_rejects_nan(self, geo):
-        with pytest.raises(ValidationError):
-            sample_index(geo, math.nan)
-        with pytest.raises(ValidationError):
-            sample_index(geo, np.array([0.2, math.nan, 0.7]))
-
-    def test_vectorized_matches_scalar(self, fin3):
-        draws = np.array([0.0, 0.3, 0.49999, 0.5, 0.79, 0.8, 0.999])
-        got = sample_index(fin3, draws)
-        assert got.tolist() == [sample_index(fin3, float(d)) for d in draws]
-
-    def test_empirical_frequencies(self, geo):
-        rng = np.random.default_rng(2718)
-        n = 1_000_000
-        idx = sample_index(geo, rng.random(n))
-        for k in range(1, 21):
-            pk = geo.weight(k)
-            se = math.sqrt(pk * (1.0 - pk) / n)
-            freq = float(np.count_nonzero(idx == k)) / n
-            assert abs(freq - pk) <= 4.0 * se, k
-
-
 class TestTableSearch:
     @pytest.mark.parametrize(
         "family",
@@ -137,8 +99,25 @@ class TestTableSearch:
         u = points[(points >= 0.0) & (points < 1.0)]
         want = np.searchsorted(table, u, side="right")
         assert_array_equal(family.table_search(u), want)
-        assert_array_equal(sample_index(family, u), want + 1)
         assert_array_equal(family.table_search(u.reshape(-1, 1)), want.reshape(-1, 1))
+
+    def test_geometric_bracket(self, geo):
+        # CDF steps 0.5, 0.75: 0.6 lands in the second box (0-based index 1)
+        assert geo.table_search(np.array([0.6])).tolist() == [1]
+
+    def test_zero_draw(self, geo, fin3):
+        assert geo.table_search(np.array([0.0])).tolist() == [0]
+        assert fin3.table_search(np.array([0.0])).tolist() == [0]
+
+    def test_empirical_frequencies(self, geo):
+        rng = np.random.default_rng(2718)
+        n = 1_000_000
+        idx = geo.table_search(rng.random(n)) + 1
+        for k in range(1, 21):
+            pk = geo.weight(k)
+            se = math.sqrt(pk * (1.0 - pk) / n)
+            freq = float(np.count_nonzero(idx == k)) / n
+            assert abs(freq - pk) <= 4.0 * se, k
 
 
 class TestExactAgainstDictCounter:
