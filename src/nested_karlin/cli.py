@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -272,7 +273,7 @@ def _cmd_moments_gap(ns) -> int:
         MOMENTS_CSV_HEADER + ",uniform_bound",
         _moment_row("depoissonization_gap", ns.j, ns.l, None, None, ns.t,
                     type(a)(gap, a.error_bound + b.error_bound,
-                            a.boxes_enumerated + b.boxes_enumerated, ns.prune))
+                            a.boxes_enumerated + b.boxes_enumerated))
         + f",{bound!r}",
     ]
     _emit(lines, ns.out)
@@ -317,31 +318,17 @@ def _cmd_sample_whitenoise(ns) -> int:
 
 
 def _experiment_config(ns) -> ExperimentConfig:
-    kwargs = dict(
-        family_kind=ns.family,
-        alpha=ns.alpha,
-        p=ns.p,
-        probs=tuple(_csv_floats(ns.probs)),
-        generations=ns.generations,
-        levels=ns.levels,
-        replicas=ns.replicas,
-        seed=ns.seed,
-        prune=ns.prune,
-        threads=_threads(ns),
-        out=ns.out,
-    )
-    if hasattr(ns, "t"):
-        kwargs["t"] = ns.t
-    if hasattr(ns, "deterministic_n"):
-        kwargs["deterministic_n"] = ns.deterministic_n
-    if hasattr(ns, "T"):
-        kwargs["T"] = ns.T
-    if hasattr(ns, "T_grid") and ns.T_grid:
-        kwargs["T_grid"] = tuple(_csv_floats(ns.T_grid))
-    if hasattr(ns, "t_grid") and ns.t_grid:
-        kwargs["t_grid"] = tuple(_csv_floats(ns.t_grid))
-    if hasattr(ns, "u_grid"):
-        kwargs["u_grid"] = tuple(_csv_floats(ns.u_grid))
+    """Each ExperimentConfig field from the flag of its name (--family for
+    family_kind), tuple fields parsed from comma lists; a field without a
+    flag in this subcommand keeps its default."""
+    kwargs = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = "family" if f.name == "family_kind" else f.name
+        if hasattr(ns, flag):
+            value = getattr(ns, flag)
+            if isinstance(f.default, tuple):
+                value = tuple(_csv_floats(value))
+            kwargs[f.name] = value
     return ExperimentConfig(**kwargs)
 
 

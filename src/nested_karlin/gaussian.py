@@ -92,22 +92,25 @@ def _factor_with_jitter(mat: np.ndarray) -> tuple:
     )
 
 
-def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
-    """Assemble the closed-form covariance over levels 1..L and u_grid."""
-    if kind not in ("Z", "X"):
-        raise ValidationError(f"kind must be 'Z' or 'X', got {kind!r}")
-    L = check_whole("L", L, 1)
+def _u_array(u_grid) -> np.ndarray:
+    """``u_grid`` as a float array, checked nonempty and finite."""
     u = np.asarray(list(u_grid), dtype=float)
     if u.size == 0:
         raise ValidationError("u_grid must be nonempty")
     if not np.all(np.isfinite(u)):
         raise ValidationError(f"u_grid must be finite, got {u.tolist()}")
-    if np.any(np.diff(u) <= 0) and u.size > 1:
-        # strictly increasing is the contract; duplicated points are allowed
-        # only through the documented degenerate path (jitter), so flag any
-        # non-increase that is not an exact duplication
-        if np.any(np.diff(u) < 0):
-            raise ValidationError("u_grid must be nondecreasing")
+    return u
+
+
+def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
+    """Assemble the closed-form covariance over levels 1..L and u_grid."""
+    if kind not in ("Z", "X"):
+        raise ValidationError(f"kind must be 'Z' or 'X', got {kind!r}")
+    L = check_whole("L", L, 1)
+    u = _u_array(u_grid)
+    # a duplicated point is allowed: the factorization jitters it
+    if np.any(np.diff(u) < 0):
+        raise ValidationError("u_grid must be nondecreasing")
     m = u.size
     dim = L * m
     mat = np.empty((dim, dim))
@@ -158,13 +161,11 @@ def whitenoise_mesh_covariance(u_grid, A: float = 30.0, x_step: float = 0.01, y_
     form N_min - q N' - q' N + M q q', so the whole matrix costs O(columns x
     grid^2) with no mesh materialized.
     """
-    u = np.asarray(list(u_grid), dtype=float)
-    if u.size == 0:
-        raise ValidationError("u_grid must be nonempty")
-    if A < 30.0:
-        raise ValidationError("x window must extend at least to |x| = 30")
-    if x_step <= 0.0 or y_step <= 0.0:
-        raise ValidationError("mesh steps must be > 0")
+    u = _u_array(u_grid)
+    if not (math.isfinite(A) and A >= 30.0):
+        raise ValidationError(f"x window must be finite and at least 30, got {A}")
+    if not all(math.isfinite(h) and h > 0.0 for h in (x_step, y_step)):
+        raise ValidationError(f"mesh steps must be finite and > 0, got {x_step} {y_step}")
     q, nb, mx, my = _column_profile(u, A, x_step, y_step)
     m = u.size
     cov = np.empty((m, m))

@@ -7,9 +7,10 @@ Statistical targets are always *exact finite-time* values from the moments
 module — never asymptotic limits — so the pass criteria are free of
 asymptotic bias; limit values appear only in unflagged diagnostic rows and
 in the trend experiment, whose assertion is about monotone approach rather
-than closeness.  The Monte Carlo runners declare each cell once, as a
-``_Cell`` holding its statistic, its columns and its exact target; the
-targets the worker pool computes are read off that table.
+than closeness.  Every runner declares its rows once (``_Cell`` specs, trend
+series, gap pairs) and the worker pool's exact moments are read off them;
+every exact value and certified bound in a row comes from ``_combine``,
+(sum coef * value, sum |coef| * error_bound) / scale over its terms.
 
 Reproducibility: replica r of a run with master seed s draws from a
 dedicated counter-based stream keyed by (s, r), and replica-level results
@@ -26,7 +27,7 @@ import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,24 +93,16 @@ class ExperimentConfig:
         )
 
     def manifest(self) -> str:
-        pairs = [
-            ("family_kind", self.family_kind),
-            ("alpha", repr(self.alpha)),
-            ("p", repr(self.p)),
-            ("probs", ",".join(repr(x) for x in self.probs)),
-            ("t", repr(self.t)),
-            ("deterministic_n", self.deterministic_n),
-            ("T", repr(self.T)),
-            ("T_grid", ",".join(repr(x) for x in self.T_grid)),
-            ("t_grid", ",".join(repr(x) for x in self.t_grid)),
-            ("u_grid", ",".join(repr(x) for x in self.u_grid)),
-            ("generations", self.generations),
-            ("levels", self.levels),
-            ("replicas", self.replicas),
-            ("seed", self.seed),
-            ("prune", repr(self.prune)),
-        ]
-        return "".join(f"{k}={v}\n" for k, v in pairs)
+        """One ``name=value`` line per field but ``threads`` and ``out``, in
+        field order: strings as is, tuples as comma lists, numbers by repr."""
+        lines = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name not in ("threads", "out"):
+                text = v if isinstance(v, str) else (
+                    ",".join(map(repr, v)) if isinstance(v, tuple) else repr(v))
+                lines.append(f"{f.name}={text}\n")
+        return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -217,20 +210,21 @@ def _replica_payloads(cfg: ExperimentConfig, times, threads: int) -> list:
     return [(cfg, times, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
 
 
-def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
-    """Compute a run's exact targets and, when ``times`` is given, its
+def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, times=None):
+    """Compute a run's exact moments and, when ``times`` is given, its
     replica value matrix (replicas, 2*J*L*G), on one pool of ``cfg.threads``
     workers.
 
-    ``targets`` lists ``(fn, args)`` pairs, each computed once as
-    ``fn(family, *args, prune=cfg.prune)``; the returned lookup
-    ``estimate(fn, *args)`` gives its MomentEstimate.  Every exact moment is
-    a pure function of its arguments and replica r always draws from the
-    stream keyed by (seed, r), so the results do not depend on the worker
-    count.  With one worker everything runs in this process, through the
-    functions as listed.
+    ``exact`` lists the run's exact values, each as its terms
+    ``((coef, fn, args), ...)``; every distinct ``(fn, args)`` among them is
+    computed once as ``fn(family, *args, prune=cfg.prune)``, and the
+    returned dict maps it to its MomentEstimate for ``_combine``.  Every
+    exact moment is a pure function of its arguments and replica r always
+    draws from the stream keyed by (seed, r), so the results do not depend
+    on the worker count.  With one worker everything runs in this process,
+    through the functions as listed.
     """
-    targets = list(dict.fromkeys(targets))
+    targets = list(dict.fromkeys((fn, args) for terms in exact for _, fn, args in terms))
     threads = check_whole("threads", cfg.threads, 1)
     payloads = [] if times is None else _replica_payloads(cfg, times, threads)
     if threads == 1:
@@ -241,22 +235,19 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, targets, times=None):
             try:
                 # Longest first, so the last tasks are short: the replica
                 # chunks, then the targets backwards.  The runners list any
-                # centering means first, then the terms of their cells in
+                # centering means first, then the terms of their rows in
                 # report order, generation and level ascending with the
-                # cross-generation cells last; cost grows along that order.
+                # cross-generation rows last; cost grows along that order.
                 chunks = [pool.submit(_replica_chunk, p) for p in payloads]
-                exact = [
-                    pool.submit(_exact_target, cfg, fn, args)
-                    for fn, args in reversed(targets)
-                ][::-1]
+                futures = [pool.submit(_exact_target, cfg, fn, args)
+                           for fn, args in reversed(targets)][::-1]
                 parts = [f.result() for f in chunks]
-                values = [f.result() for f in exact]
+                values = [f.result() for f in futures]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
     V = np.concatenate(parts, axis=0) if parts else None
-    results = dict(zip(targets, values))
-    return (lambda fn, *args: results[(fn, args)]), V
+    return dict(zip(targets, values)), V
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +338,25 @@ def _star_terms(fn, head: tuple, l1: int, l2: int, tail: tuple) -> tuple:
     )
 
 
-def _pool_targets(cells: list) -> list:
-    return [(fn, args) for c in cells for _, fn, args in c.terms]
+def _combine(terms: tuple, results: dict, scale: float = 1.0) -> tuple:
+    """``(sum coef * value, sum |coef| * error_bound) / scale`` over the
+    terms ``((coef, fn, args), ...)``, the estimates read from ``results``:
+    an exact linear combination of moments and its certified error.  A lone
+    term is taken as is (fsum would turn -0.0 into 0.0); no terms give 0."""
+    ests = [(coef, results[(fn, args)]) for coef, fn, args in terms]
+    values = [coef * e.value for coef, e in ests]
+    bounds = [abs(coef) * e.error_bound for coef, e in ests]
+    if len(ests) == 1:
+        return values[0] / scale, bounds[0] / scale
+    return math.fsum(values) / scale, math.fsum(bounds) / scale
 
 
-def _evaluate(experiment: str, cells: list, X: np.ndarray, estimate, T=None) -> list:
+def _evaluate(experiment: str, cells: list, X: np.ndarray, results: dict, T=None) -> list:
     """The report rows of ``cells`` over the replica value array ``X``."""
     rows: list = []
     for c in cells:
         emp, se = c.stat(*(X[(slice(None), *index)] for index in c.cols))
-        vals = [coef * estimate(fn, *args).value for coef, fn, args in c.terms]
-        # a lone term is taken as is (fsum would turn -0.0 into 0.0)
-        target = (vals[0] if len(vals) == 1 else math.fsum(vals)) / c.scale
+        target = _combine(c.terms, results, c.scale)[0]
         head = (c.j, c.l, c.l2, c.u, c.v, T, emp, se)
         rows.append(CellResult(experiment, c.cid, *head, target, c.kind,
                                abs(emp - target) <= 4.0 * se))
@@ -438,9 +436,9 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
                 for l2 in ls:
                     cov_pair("gens", f"l={l1},l2={l2}", 1, 2, l1, l2,
                              cov_K_cross_gen, (1, 2))
-    estimate, V = _run_pool(config, family, _pool_targets(cells), [t])
+    results, V = _run_pool(config, family, [c.terms for c in cells], [t])
     X = V.reshape(len(V), 2, J, L, 1)
-    return _finish("moment_check", config, _evaluate("moment_check", cells, X, estimate),
+    return _finish("moment_check", config, _evaluate("moment_check", cells, X, results),
                    start, pass_fraction_required=0.95)
 
 
@@ -497,12 +495,12 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                         ((0, l1 - 1, ga), (1, l2 - 1, ga)),
                         _exact(cov_K_cross_gen, 1, 2, l1, l2, times[ga], times[ga]),
                         norms[0] * norms[1], limit=0.0))
-    means = [(mean_K, (j, l, tg)) for j in js for l in ls for tg in times]
-    estimate, V = _run_pool(config, family, means + _pool_targets(cells), times)
-    mu = np.reshape([estimate(fn, *args).value for fn, args in means], (J, L, G))
+    means = [_exact(mean_K, j, l, tg) for j in js for l in ls for tg in times]
+    results, V = _run_pool(config, family, means + [c.terms for c in cells], times)
+    mu = np.reshape([_combine(m, results)[0] for m in means], (J, L, G))
     N = V.reshape(len(V), 2, J, L, G)[:, 0] - mu
     N /= np.reshape(norms, (J, 1, 1))
-    return _finish("clt_check", config, _evaluate("clt_check", cells, N, estimate, T),
+    return _finish("clt_check", config, _evaluate("clt_check", cells, N, results, T),
                    start, pass_fraction_required=0.95)
 
 
@@ -520,68 +518,41 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     family = config.family()
     J, L = int(config.generations), int(config.levels)
     T_grid = [float(T) for T in config.T_grid]
-    if len(T_grid) < 2 or sorted(T_grid) != T_grid:
-        raise ValidationError("T_grid must be increasing with >= 2 points")
+    if len(T_grid) < 2 or any(a >= b for a, b in zip(T_grid, T_grid[1:])):
+        raise ValidationError("T_grid must be strictly increasing with >= 2 points")
+    js, ls = range(1, J + 1), range(1, L + 1)
     ts = [math.exp(T) for T in T_grid]
-    targets = [(cov_K_same, (1, l, t, t)) for l in range(1, L + 1) for t in ts]
-    targets += [
-        (mean_K_star, (j, l, t))
-        for j in range(1, J + 1) for l in range(1, L + 1) for t in ts
-    ]
+    # (c_j, f_j(T)) per horizon, for each generation j
+    cf = {j: [c_f_g(family.asymptotic_params(j), T)[:2] for T in T_grid] for j in js}
+    # (stem, j, l, l2, limit, [(terms, scale) per horizon]); the value at a
+    # horizon is _combine(terms, ..., scale)
+    series = [(f"var_ratio:j=1,l={l}", 1, l, None, b_constants(l)[0],
+               [(_exact(cov_K_same, 1, l, t, t), c * f) for t, (c, f) in zip(ts, cf[1])])
+              for l in ls]
+    series += [(f"mean_star_ratio:j={j},l={l}", j, l, None, 1.0,
+                [(((l, mean_K_star, (j, l, t)),), c * f) for t, (c, f) in zip(ts, cf[j])])
+               for j in js for l in ls]
     if J >= 2:
-        targets += [(cov_K_cross_gen, (1, 2, 1, 1, t, t)) for t in ts]
-    estimate, _ = _run_pool(config, family, targets)
+        series.append(("cross_gen_ratio:l=1,l2=1", 1, 1, 1, 0.0,
+                       [(_exact(cov_K_cross_gen, 1, 2, 1, 1, t, t),
+                         math.sqrt(c1 * f1 * c2 * f2))
+                        for t, (c1, f1), (c2, f2) in zip(ts, cf[1], cf[2])]))
+    results, _ = _run_pool(config, family,
+                           [terms for *_, points in series for terms, _ in points])
     diagnostic = family.kind == "geometric"
     cells: list = []
-
-    def series(cid_stem, j, l, l2, values, bounds, target, kind):
+    for stem, j, l, l2, limit, points in series:
         devs = []
-        for T, val, bnd in zip(T_grid, values, bounds):
-            passed = None
-            cells.append(
-                CellResult("asymptotic_trend", f"{cid_stem}:T={T}", j, l, l2,
-                           None, None, T, val, bnd, target,
-                           "diagnostic" if diagnostic else kind, passed)
-            )
-            devs.append(abs(val - target))
+        for T, (terms, scale) in zip(T_grid, points):
+            value, bound = _combine(terms, results, scale)
+            cells.append(CellResult("asymptotic_trend", f"{stem}:T={T}", j, l, l2,
+                                    None, None, T, value, bound, limit,
+                                    "diagnostic" if diagnostic else "limit", None))
+            devs.append(abs(value - limit))
         if not diagnostic:
-            cells.append(
-                CellResult(
-                    "asymptotic_trend", f"{cid_stem}:endpoint_decreasing", j, l,
-                    l2, None, None, T_grid[-1], devs[-1], 0.0, devs[0],
-                    "endpoint", devs[-1] < devs[0],
-                )
-            )
-
-    for l in range(1, L + 1):
-        vals, bnds = [], []
-        for T, t in zip(T_grid, ts):
-            c1, f1, _ = c_f_g(family.asymptotic_params(1), T)
-            e = estimate(cov_K_same, 1, l, t, t)
-            vals.append(e.value / (c1 * f1))
-            bnds.append(e.error_bound / (c1 * f1))
-        b_l, _ = b_constants(l)
-        series(f"var_ratio:j=1,l={l}", 1, l, None, vals, bnds, b_l, "limit")
-    for j in range(1, J + 1):
-        for l in range(1, L + 1):
-            vals, bnds = [], []
-            for T, t in zip(T_grid, ts):
-                c, f, _ = c_f_g(family.asymptotic_params(j), T)
-                e = estimate(mean_K_star, j, l, t)
-                vals.append(e.value * l / (c * f))
-                bnds.append(e.error_bound * l / (c * f))
-            series(f"mean_star_ratio:j={j},l={l}", j, l, None, vals, bnds,
-                   1.0, "limit")
-    if J >= 2:
-        vals, bnds = [], []
-        for T, t in zip(T_grid, ts):
-            c1, f1, _ = c_f_g(family.asymptotic_params(1), T)
-            c2, f2, _ = c_f_g(family.asymptotic_params(2), T)
-            norm = math.sqrt(c1 * f1 * c2 * f2)
-            e = estimate(cov_K_cross_gen, 1, 2, 1, 1, t, t)
-            vals.append(e.value / norm)
-            bnds.append(e.error_bound / norm)
-        series("cross_gen_ratio:l=1,l2=1", 1, 1, 1, vals, bnds, 0.0, "limit")
+            cells.append(CellResult("asymptotic_trend", f"{stem}:endpoint_decreasing",
+                                    j, l, l2, None, None, T_grid[-1], devs[-1], 0.0,
+                                    devs[0], "endpoint", devs[-1] < devs[0]))
     return _finish("asymptotic_trend", config, cells, start)
 
 
@@ -593,33 +564,16 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     _check_finite("t_grid", config.t_grid)
     family = config.family()
     J, L = int(config.generations), int(config.levels)
-    t_grid = [float(x) for x in config.t_grid] or list(
-        np.logspace(1.0, 5.0, 20)
-    )
-    js, ls = range(1, J + 1), range(1, L + 1)
-    targets = [
-        target
-        for j in js for l in ls for t in t_grid
-        for target in ((mean_K, (j, l, t)),
-                       (mean_K_binomial, (j, l, int(math.floor(t)))))
-    ]
-    estimate, _ = _run_pool(config, family, targets)
+    t_grid = [float(x) for x in config.t_grid] or list(np.logspace(1.0, 5.0, 20))
+    gaps = [(j, l, t, ((1, mean_K, (j, l, t)),
+                       (-1, mean_K_binomial, (j, l, int(math.floor(t))))))
+            for j in range(1, J + 1) for l in range(1, L + 1) for t in t_grid]
+    results, _ = _run_pool(config, family, [terms for *_, terms in gaps])
     cells: list = []
-    for j in js:
-        for l in ls:
-            bound = depoissonization_constant(l)
-            for t in t_grid:
-                a = estimate(mean_K, j, l, t)
-                b = estimate(mean_K_binomial, j, l, int(math.floor(t)))
-                err = a.error_bound + b.error_bound
-                gap = abs(a.value - b.value)
-                cells.append(
-                    CellResult(
-                        "depoissonization_check",
-                        f"gap:j={j},l={l},t={t}",
-                        j, l, None, None, None, t,
-                        gap, err, bound, "uniform-bound",
-                        gap + err <= bound,
-                    )
-                )
+    for j, l, t, terms in gaps:
+        value, err = _combine(terms, results)
+        gap, bound = abs(value), depoissonization_constant(l)
+        cells.append(CellResult("depoissonization_check", f"gap:j={j},l={l},t={t}",
+                                j, l, None, None, None, t, gap, err, bound,
+                                "uniform-bound", gap + err <= bound))
     return _finish("depoissonization_check", config, cells, start)

@@ -95,7 +95,6 @@ class MomentEstimate:
     value: float
     error_bound: float
     boxes_enumerated: int
-    prune_threshold: float
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -328,12 +327,12 @@ def _box_sum(family, j, prune, scale, rate, summand, series) -> MomentEstimate:
     by ``series`` (Taylor coefficients in x = p * rate) over the others; a
     zero scale (zero time) means an empty sum."""
     if scale == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
+        return MomentEstimate(0.0, 0.0, 0)
     plan = enumerate_boxes(family, j, prune, scale, rate)
     sums = [float(np.sum(summand(block))) for block, _ in plan.blocks()]
     sums += [float(c) * float(um) for c, um in zip(series.coef[1 : _ORDER + 1], plan.u)]
     remainder = _certify(series.remainder_factor() * float(plan.u[_ORDER]), prune)
-    return MomentEstimate(math.fsum(sums), plan.cut_bound + remainder, plan.boxes, prune)
+    return MomentEstimate(math.fsum(sums), plan.cut_bound + remainder, plan.boxes)
 
 
 def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
@@ -358,7 +357,7 @@ def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
     _check_times(prune)
     n = check_whole("ball count n", n, 0)
     if n < l:
-        return MomentEstimate(0.0, 0.0, 0, prune)
+        return MomentEstimate(0.0, 0.0, 0)
     return _box_sum(family, j, prune, n / l, n, lambda c: binomial_tail(n, c, l),
                     _binomial_series(n, l))
 
@@ -480,7 +479,7 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
     # a zero scale (a zero time, or t / n underflowing) means an empty sum
     scale = min(lo, t / n)
     if scale == 0.0:
-        return MomentEstimate(0.0, 0.0, 0, prune)
+        return MomentEstimate(0.0, 0.0, 0)
     rho, sigma = lo / hi, (t - lo) / hi
     plan = enumerate_boxes(family, j, prune, scale, hi, split=i)
     series = [_below_series(n, sigma) - _below_series(n, t / hi)]
@@ -505,7 +504,7 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
     flat = sum(parts[1:], parts[0])
     sums += [float(c) * float(v) for c, v in zip(flat.coef[1 : _ORDER + 1], plan.u)]
     remainder = _certify(remainder + flat.remainder_factor() * float(plan.u[_ORDER]), prune)
-    return MomentEstimate(math.fsum(sums), plan.cut_bound + remainder, plan.boxes, prune)
+    return MomentEstimate(math.fsum(sums), plan.cut_bound + remainder, plan.boxes)
 
 
 def depoissonization_constant(l: int) -> float:

@@ -93,7 +93,6 @@ class WeightFamily:
             self.normalizer, self._norm_terms = _weibull_normalizer(float(alpha))
             self.beta = 1.0 / alpha - 1.0
             self.ell = 1.0 / alpha
-            self.ell_description = f"constant 1/alpha = {1.0 / alpha:g}"
             self.probs = None
         elif kind == "geometric":
             if not (p is not None and 0.0 < p < 1.0):
@@ -102,7 +101,6 @@ class WeightFamily:
             self.beta = 0.0
             logq = math.log(1.0 / p)
             self.ell = lambda y: y / logq
-            self.ell_description = f"y / log(1/p), log(1/p) = {logq:g} (unbounded)"
             self.probs = None
         elif kind == "finite":
             arr = np.asarray(probs, dtype=float)
@@ -118,7 +116,6 @@ class WeightFamily:
             )
             self.beta = 0.0
             self.ell = 1.0
-            self.ell_description = "1 (finite test-only family)"
             self.test_only = True
         else:
             raise ValidationError(f"unknown family kind {kind!r}")

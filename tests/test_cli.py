@@ -182,6 +182,30 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and not out
 
+    @pytest.mark.parametrize("flags", [
+        ["--u-grid", "nan"],
+        ["--u-grid", "0,inf"],
+        ["--x-window", "nan"],
+        ["--x-window", "inf"],
+        ["--x-step", "nan"],
+        ["--x-step", "inf"],
+        ["--y-step", "nan"],
+        ["--y-step=-inf"],
+    ])
+    def test_non_finite_whitenoise_input(self, flags, capsys):
+        code, out, err = run_cli(["sample", "whitenoise", "--n", "2", *flags], capsys)
+        assert code == 1
+        # after the `# key=value` echo, the one line left is the error
+        assert [line for line in err.splitlines() if not line.startswith("#")][0] \
+            .startswith("error:")
+        assert not out
+
+    def test_trend_needs_an_increasing_grid(self, capsys):
+        for grid in ("10,10", "", "15,10"):
+            code, out, err = run_cli(["verify", "trend", "--T-grid", grid], capsys)
+            assert code == 1, grid
+            assert "T_grid must be strictly increasing" in err and not out, grid
+
     def test_non_finite_finite_family_weights(self, capsys):
         for args in (
             ["weights", "table", "--family", "finite", "--probs", "0.5,nan"],

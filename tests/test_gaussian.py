@@ -244,3 +244,21 @@ class TestWhiteNoise:
     def test_step_validation(self):
         with pytest.raises(ValidationError):
             whitenoise_mesh_covariance([0.0], A=30.0, x_step=-0.01)
+
+    @pytest.mark.parametrize("u_grid, mesh", [
+        ([0.0, math.nan], {}),
+        ([math.inf], {}),
+        ([-math.inf, 0.0], {}),
+        ([0.0], {"A": math.nan}),
+        ([0.0], {"A": math.inf}),
+        ([0.0], {"x_step": math.nan}),
+        ([0.0], {"x_step": math.inf}),
+        ([0.0], {"y_step": math.nan}),
+        ([0.0], {"y_step": math.inf}),
+    ])
+    def test_non_finite_input_rejected(self, u_grid, mesh):
+        with pytest.raises(ValidationError):
+            whitenoise_mesh_covariance(u_grid, **mesh)
+        window = {"x_window" if k == "A" else k: v for k, v in mesh.items()}
+        with pytest.raises(ValidationError):
+            sample_Z1_whitenoise(u_grid, n=2, seed=0, **window)

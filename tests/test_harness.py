@@ -202,6 +202,26 @@ _PINNED_DIGESTS = [
      ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=1, levels=2,
                       replicas=200, seed=15),
      "86df2cebfa7c860bb1713cc5241134982d4bf2adadddd3603744c0556c25ae0e"),
+    (run_asymptotic_trend,
+     ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2, prune=1e-6),
+     "ccc75fda777537e4dae2e06133ceaf749d7dcf10b862d681cd9215752d9fb98f"),
+    (run_asymptotic_trend,
+     ExperimentConfig(T_grid=(10.0, 12.0, 14.0), generations=3, levels=2),
+     "942de7f231b4a8b34cb6a6d6f85abfdb51db30c92373b2baa5a5e5c6a2681872"),
+    # geometric: every row an unflagged diagnostic, no endpoint verdicts
+    (run_asymptotic_trend,
+     ExperimentConfig(family_kind="geometric", p=0.5, T_grid=(10.0, 14.0),
+                      generations=2, levels=2),
+     "ea3b230aafa4ddefadde172d0d9bd863e50ef3f68a44f17b1d9bf3133c658701"),
+    # the default t-grid: 20 log-spaced times from 10 to 1e5
+    (run_depoissonization_check,
+     ExperimentConfig(generations=2, levels=2),
+     "7049ef3b1a1aee44c959fa7a1a60281c124bf26bd647976060b0eb88f6d8aa3e"),
+    # t = 0 and 0.5 both compare against the binomial sum at 0 balls
+    (run_depoissonization_check,
+     ExperimentConfig(family_kind="finite", probs=(0.5, 0.3, 0.2),
+                      t_grid=(0.0, 0.5, 3.0, 10.0), generations=2, levels=2),
+     "c248c83267a9482f8dc7597fb411a9c36bfe4f3215294c3282e2011383955949"),
 ]
 
 
@@ -255,6 +275,12 @@ class TestAsymptoticTrend:
         report = run_asymptotic_trend(cfg)
         per_t = [c for c in report.cells if c.T is not None and c.passed is None]
         assert len(per_t) >= 2
+
+    @pytest.mark.parametrize("grid", [(10.0, 10.0), (10.0, 15.0, 15.0), (15.0, 10.0),
+                                      (10.0,), ()])
+    def test_grid_must_strictly_increase(self, grid):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            run_asymptotic_trend(ExperimentConfig(T_grid=grid, generations=1, levels=1))
 
     def test_geometric_family_is_diagnostic_only(self):
         cfg = ExperimentConfig(
