@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import os
 import sys
 
@@ -34,6 +33,8 @@ from .gaussian import (
 )
 from .harness import (
     ExperimentConfig,
+    _combine,
+    _gap_terms,
     run_asymptotic_trend,
     run_clt_check,
     run_depoissonization_check,
@@ -42,9 +43,9 @@ from .harness import (
 from .kernels import binomial_identity_lhs, convolution_identity
 from .limits import closed_cov, comparison_table
 from .moments import (
+    MomentEstimate,
     cov_K_cross_gen,
     cov_K_cross_level,
-    cov_K_same,
     cov_K_star_same,
     depoissonization_constant,
     mean_K,
@@ -143,7 +144,7 @@ def _cmd_weights_table(ns) -> int:
     fam = ns.weight_family
     lines = ["k,weight,cumulative"]
     acc = 0.0
-    for k in range(1, ns.k_max + 1):
+    for k in range(1, check_whole("--k-max", ns.k_max, 1) + 1):
         w = float(fam.weight(k))
         acc += w
         lines.append(f"{k},{w!r},{acc!r}")
@@ -170,11 +171,13 @@ def _cmd_weights_profile(ns) -> int:
 
 
 def _cmd_identities(ns) -> int:
+    max_l = check_whole("--max-l", ns.max_l, 1)
+    max_n = check_whole("--max-n", ns.max_n, 0)
     cells = 0
-    for a in range(ns.max_n + 1):
-        for r in range(ns.max_n + 1):
-            for n in range(ns.max_n + 1):
-                lhs, rhs = convolution_identity(a, r, n, max_value=ns.max_n)
+    for a in range(max_n + 1):
+        for r in range(max_n + 1):
+            for n in range(max_n + 1):
+                lhs, rhs = convolution_identity(a, r, n, max_value=max_n)
                 if lhs != rhs:
                     print(f"convolution identity FAILED at a={a} r={r} n={n}")
                     return 2
@@ -185,7 +188,7 @@ def _cmd_identities(ns) -> int:
     for _ in range(100):
         a, b = rng.uniform(0.0, 10.0, size=2)
         a, b = a or 1e-3, b or 1e-3
-        for l in range(1, ns.max_l + 1):
+        for l in range(1, max_l + 1):
             got = binomial_identity_lhs(l, a, b)
             worst = max(worst, abs(got - 1.0 / l) * l)
             checks += 1
@@ -244,7 +247,7 @@ def _cmd_moments_cov(ns) -> int:
     fam = ns.weight_family
     s = ns.s if ns.s is not None else ns.t
     if ns.which == "same":
-        est = cov_K_same(fam, ns.j, ns.l, s, ns.t, prune=ns.prune)
+        est = cov_K_cross_level(fam, ns.j, ns.l, ns.l, s, ns.t, prune=ns.prune)
         row = _moment_row("cov_K_same", ns.j, ns.l, None, s, ns.t, est)
     elif ns.which == "star":
         est = cov_K_star_same(fam, ns.j, ns.l, s, ns.t, prune=ns.prune)
@@ -264,16 +267,16 @@ def _cmd_moments_cov(ns) -> int:
 
 
 def _cmd_moments_gap(ns) -> int:
-    fam = ns.weight_family
-    a = mean_K(fam, ns.j, ns.l, ns.t, prune=ns.prune)
-    b = mean_K_binomial(fam, ns.j, ns.l, int(math.floor(ns.t)), prune=ns.prune)
-    gap = abs(a.value - b.value)
+    terms = _gap_terms(ns.j, ns.l, ns.t)
+    results = {(fn, args): fn(ns.weight_family, *args, prune=ns.prune)
+               for _, fn, args in terms}
+    value, error = _combine(terms, results)
+    boxes = sum(e.boxes_enumerated for e in results.values())
     bound = depoissonization_constant(ns.l)
     lines = [
         MOMENTS_CSV_HEADER + ",uniform_bound",
         _moment_row("depoissonization_gap", ns.j, ns.l, None, None, ns.t,
-                    type(a)(gap, a.error_bound + b.error_bound,
-                            a.boxes_enumerated + b.boxes_enumerated))
+                    MomentEstimate(abs(value), error, boxes))
         + f",{bound!r}",
     ]
     _emit(lines, ns.out)
@@ -288,11 +291,8 @@ def _cmd_limits_cov(ns) -> int:
 
 def _cmd_limits_table(ns) -> int:
     kinds = [k.strip() for k in ns.kinds.split(",") if k.strip()]
-    pairs = [
-        (l1, l2)
-        for l1 in range(1, ns.max_l + 1)
-        for l2 in range(1, ns.max_l + 1)
-    ]
+    max_l = check_whole("--max-l", ns.max_l, 1)
+    pairs = [(l1, l2) for l1 in range(1, max_l + 1) for l2 in range(1, max_l + 1)]
     rows = comparison_table(kinds, pairs, _csv_floats(ns.deltas))
     lines = ["kind,l1,l2,delta,closed_form,quadrature,abs_diff"]
     for kind, l1, l2, d, closed, quad, diff in rows:

@@ -32,12 +32,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ValidationError, check_whole
-from .kernels import b_constants, c_f_g
+from .kernels import b_constants
 from .limits import closed_cov
 from .moments import (
     cov_K_cross_gen,
     cov_K_cross_level,
-    cov_K_same,
     cov_K_star_same,
     depoissonization_constant,
     mean_K,
@@ -182,7 +181,7 @@ def _replica_chunk(payload: tuple) -> np.ndarray:
     cfg, times, r_lo, r_hi = payload
     trajectories = simulate_replicas(
         cfg.family(), times, cfg.generations, cfg.levels, cfg.seed,
-        range(r_lo, r_hi), n=int(cfg.deterministic_n) or None,
+        range(r_lo, r_hi), n=cfg.deterministic_n or None,
     )
     return np.asarray(
         [np.concatenate([traj.K.ravel(), traj.K_star.ravel()]) for traj in trajectories],
@@ -197,14 +196,16 @@ def _exact_target(cfg: ExperimentConfig, fn, args: tuple):
     return fn(cfg.family(), *args, prune=cfg.prune)
 
 
+def _whole(cfg: ExperimentConfig, **minimums) -> list:
+    """The named whole-number fields of ``cfg`` as ints, each checked against
+    its minimum (None for none) before a run does any work."""
+    return [check_whole(name, getattr(cfg, name), low) for name, low in minimums.items()]
+
+
 def _replica_payloads(cfg: ExperimentConfig, times, threads: int) -> list:
     """Contiguous replica ranges covering 0..R-1 in order: one range in
     process, about four per worker otherwise."""
-    R = int(cfg.replicas)
-    if R < _MIN_STAT_REPLICAS:
-        raise ValidationError(
-            f"statistical experiments need >= {_MIN_STAT_REPLICAS} replicas, got {R}"
-        )
+    R, _ = _whole(cfg, replicas=_MIN_STAT_REPLICAS, seed=None)
     times = tuple(float(x) for x in times)
     chunk = R if threads == 1 else max(1, math.ceil(R / (4 * threads)))
     return [(cfg, times, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
@@ -338,6 +339,12 @@ def _star_terms(fn, head: tuple, l1: int, l2: int, tail: tuple) -> tuple:
     )
 
 
+def _gap_terms(j: int, l: int, t: float) -> tuple:
+    """The terms of the depoissonization gap E K_t^(j)(l) - E 𝒦_⌊t⌋^(j)(l)."""
+    _check_finite("t", [t])
+    return ((1, mean_K, (j, l, t)), (-1, mean_K_binomial, (j, l, int(math.floor(t)))))
+
+
 def _combine(terms: tuple, results: dict, scale: float = 1.0) -> tuple:
     """``(sum coef * value, sum |coef| * error_bound) / scale`` over the
     terms ``((coef, fn, args), ...)``, the estimates read from ``results``:
@@ -393,9 +400,8 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     compared against the binomial-scheme exact sums."""
     start = time.perf_counter()
     _check_finite("t", [config.t])
+    J, L, n = _whole(config, generations=1, levels=1, deterministic_n=0)
     family = config.family()
-    J, L = int(config.generations), int(config.levels)
-    n = int(config.deterministic_n)
     t = float(n) if n else float(config.t)
     js, ls = range(1, J + 1), range(1, L + 1)
     cells: list = []
@@ -410,7 +416,7 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
             else:
                 stats = [("mean", _mean_se, _exact(mean_K, j, l, t),
                           _exact(mean_K_star, j, l, t)),
-                         ("var", _var_se, _exact(cov_K_same, j, l, t, t),
+                         ("var", _var_se, _exact(cov_K_cross_level, j, l, l, t, t),
                           _exact(cov_K_star_same, j, l, t, t))]
             for stat_name, stat, k_terms, star_terms in stats:
                 for p, name, terms in ((0, "K", k_terms), (1, "K_star", star_terms)):
@@ -449,8 +455,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     skewness/excess-kurtosis normality diagnostics (flagged, 4 SE bands)."""
     start = time.perf_counter()
     _check_finite("T and u_grid", [config.T, *config.u_grid])
+    J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    J, L = int(config.generations), int(config.levels)
     T = float(config.T)
     u_grid = [float(u) for u in config.u_grid]
     times = [math.exp(T + u) for u in u_grid]
@@ -458,8 +464,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("u_grid must be nondecreasing")
     G = len(u_grid)
     js, ls = range(1, J + 1), range(1, L + 1)
-    norms = [math.sqrt(c * f)
-             for c, f, _ in (c_f_g(family.asymptotic_params(j), T) for j in js)]
+    norms = [math.sqrt(c * f) for c, f in (family.normalization(j, T) for j in js)]
     cells: list = []
     # value-array columns: (j - 1, l - 1, g) of the normalized counts
     for j in js:
@@ -472,7 +477,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                     stat, cols = (_var_se, (a,)) if ga == gb else (_cov_se, (a, b))
                     cells.append(_Cell(
                         f"cov:j={j},l={l},u={ua},v={ub}", j, l, None, ua, ub, stat, cols,
-                        _exact(cov_K_same, j, l, times[ga], times[gb]), nj2,
+                        _exact(cov_K_cross_level, j, l, l, times[ga], times[gb]), nj2,
                         limit=closed_cov("Z", l, l, ua - ub)))
             for ga, ua in enumerate(u_grid):
                 for name, stat in (("skewness", _skew_se), ("excess_kurtosis", _kurt_se)):
@@ -515,19 +520,20 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     """
     start = time.perf_counter()
     _check_finite("T_grid", config.T_grid)
+    J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    J, L = int(config.generations), int(config.levels)
     T_grid = [float(T) for T in config.T_grid]
     if len(T_grid) < 2 or any(a >= b for a, b in zip(T_grid, T_grid[1:])):
         raise ValidationError("T_grid must be strictly increasing with >= 2 points")
     js, ls = range(1, J + 1), range(1, L + 1)
     ts = [math.exp(T) for T in T_grid]
     # (c_j, f_j(T)) per horizon, for each generation j
-    cf = {j: [c_f_g(family.asymptotic_params(j), T)[:2] for T in T_grid] for j in js}
+    cf = {j: [family.normalization(j, T) for T in T_grid] for j in js}
     # (stem, j, l, l2, limit, [(terms, scale) per horizon]); the value at a
     # horizon is _combine(terms, ..., scale)
     series = [(f"var_ratio:j=1,l={l}", 1, l, None, b_constants(l)[0],
-               [(_exact(cov_K_same, 1, l, t, t), c * f) for t, (c, f) in zip(ts, cf[1])])
+               [(_exact(cov_K_cross_level, 1, l, l, t, t), c * f)
+                for t, (c, f) in zip(ts, cf[1])])
               for l in ls]
     series += [(f"mean_star_ratio:j={j},l={l}", j, l, None, 1.0,
                 [(((l, mean_K_star, (j, l, t)),), c * f) for t, (c, f) in zip(ts, cf[j])])
@@ -561,12 +567,10 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     The `se` column carries the certified enumeration error, which is added
     to the gap before comparison (conservative direction)."""
     start = time.perf_counter()
-    _check_finite("t_grid", config.t_grid)
+    J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    J, L = int(config.generations), int(config.levels)
     t_grid = [float(x) for x in config.t_grid] or list(np.logspace(1.0, 5.0, 20))
-    gaps = [(j, l, t, ((1, mean_K, (j, l, t)),
-                       (-1, mean_K_binomial, (j, l, int(math.floor(t))))))
+    gaps = [(j, l, t, _gap_terms(j, l, t))
             for j in range(1, J + 1) for l in range(1, L + 1) for t in t_grid]
     results, _ = _run_pool(config, family, [terms for *_, terms in gaps])
     cells: list = []

@@ -2,11 +2,11 @@
 
 Recurring objects: the Poisson weights ``psi_l(x) = x^l e^{-x} / l!`` and
 their tails, binomial tails for the deterministic (fixed ball count) scheme,
-the normalization constants ``c_j``/``f_j``/``g_j`` that turn raw box counts
-into convergent quantities, the limiting variance constants ``b_l`` (at-least
-counts) and ``b*_l`` (exact counts), two binomial-coefficient identities the
-covariance algebra rests on, and the log-Erlang distribution of box fill
-epochs.
+the limiting variance constants ``b_l`` (at-least counts) and ``b*_l``
+(exact counts), two binomial-coefficient identities the covariance algebra
+rests on, and the log-Erlang distribution of box fill epochs.  The
+normalization ``(c_j, f_j(T))`` depends on the weight family and is
+``WeightFamily.normalization``.
 
 Everything here is a pure function; exact integer / rational arithmetic is
 used where equality is claimed exact, log-space floats everywhere sums can
@@ -16,9 +16,8 @@ overflow or underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "psi_table",
     "poisson_tail",
     "binomial_tail",
-    "AsymptoticParams",
-    "c_f_g",
     "b_constants",
     "convolution_identity",
     "binomial_identity_lhs",
@@ -152,47 +149,6 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
                 f"binomial tail at l={l} is not finite for a {len(str(n))}-digit n")
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Normalization inputs: index beta >= 0, generation j >= 1, and the
-    slowly varying factor ``ell`` (a constant or a callable of the argument).
-
-    For the Weibull-like family ``beta = 1/alpha - 1`` and ``ell`` is the
-    constant ``1/alpha``; the geometric family has ``beta = 0`` with
-    ``ell(y) = y / log(1/p)``.
-    """
-
-    beta: float
-    j: int
-    ell: Union[float, Callable[[float], float]] = 1.0
-
-    def ell_at(self, y: float) -> float:
-        if callable(self.ell):
-            return float(self.ell(y))
-        return float(self.ell)
-
-
-def c_f_g(params: AsymptoticParams, t: float) -> tuple[float, float, float]:
-    """Normalization triple ``(c_j, f_j(t), g_j(t))``.
-
-    ``c_j = Gamma(beta+1)^j / Gamma(j*(beta+1))``,
-    ``f_j(t) = t^{j*beta + j - 1} * ell(t)^j`` and
-    ``g_j(t) = (log t)^{j*beta + j - 1} * ell(log t)^j``, so that
-    ``f_j(T) = g_j(e^T)``.  Variance normalizations use ``c_j * f_j(T)``
-    at time ``e^T``; mean normalizations use ``c_j * g_j(t)`` directly.
-    """
-    beta, j = float(params.beta), check_whole("generation", params.j, 1)
-    if beta < 0:
-        raise ValidationError(f"beta must be >= 0, got {beta}")
-    if t <= 1.0:
-        raise ValidationError(f"normalizations need t > 1, got {t}")
-    c = math.gamma(beta + 1.0) ** j / math.gamma(j * (beta + 1.0))
-    expo = j * beta + j - 1.0
-    f = t**expo * params.ell_at(t) ** j
-    g = math.log(t) ** expo * params.ell_at(math.log(t)) ** j
-    return c, f, g
 
 
 def _x_series_term(k: int) -> Fraction:

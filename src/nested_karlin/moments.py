@@ -62,7 +62,6 @@ __all__ = [
     "mean_K",
     "mean_K_star",
     "mean_K_binomial",
-    "cov_K_same",
     "cov_K_star_same",
     "cov_K_cross_level",
     "cov_K_cross_gen",
@@ -362,19 +361,6 @@ def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
                     _binomial_series(n, l))
 
 
-def cov_K_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
-    """Cov(K_s^(j)(l), K_t^(j)(l)); the events nest across time, so the
-    per-box term is tail(l, p*(s∧t)) * P{Poisson(p*(s∨t)) < l}."""
-    l = check_whole("l", l, 1)
-    _check_times(prune, s, t)
-    lo, hi = min(s, t), max(s, t)
-    series = _at_least_series(l, lo / hi if hi else 0.0) * _below_series(l, 1.0)
-    return _box_sum(
-        family, j, prune, lo / l, hi,
-        lambda c: poisson_tail(l, c * lo) * poisson_low(l, c * hi), series,
-    )
-
-
 def cov_K_star_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K*_s^(j)(l), K*_t^(j)(l)) =
     sum_r [psi_l(p(s∧t)) e^{-p|t-s|} - psi_l(ps) psi_l(pt)]."""
@@ -393,7 +379,7 @@ def cov_K_star_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimat
 
 def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K_s^(j)(l1), K_t^(j)(l2)) — level l1 observed at time s, level l2
-    at time t.  Matches cov_K_same when l1 == l2.
+    at time t; at l1 == l2 the same-level covariance over time.
 
     Internally normalized to s <= t (the covariance is symmetric under
     swapping the (level, time) pairs).  With s <= t and l1 >= l2 the events

@@ -66,9 +66,7 @@ class OccupancyTrajectory:
     guard: np.ndarray  # K at level L+1, shape (J, G)
     excess: np.ndarray  # shape (J, G)
     balls: np.ndarray  # shape (G,)
-    seed: int
     replica: int
-    family_kind: str = ""
     levels: int = field(init=False)
     generations: int = field(init=False)
 
@@ -226,9 +224,7 @@ def _run(
                 guard=K_full[i, :, L, :].copy(),
                 excess=excess[i],
                 balls=np.cumsum(increments[i]),
-                seed=seed,
                 replica=r,
-                family_kind=family.kind,
             )
             for i, (r, _) in enumerate(batch)
         )

@@ -14,9 +14,9 @@ the nested scheme.  Three kinds are built in:
   like ``log t / log(1/p)`` — the auxiliary function is constant rather than
   unbounded, which is exactly why normalized counts for this family do not
   converge; it serves as the negative control.
-* ``finite(probs)``: explicit normalized list, **test-only** — used by
-  brute-force oracles.  It violates the standing assumption that infinitely
-  many weights are positive.
+* ``finite(probs)``: explicit normalized list, used by brute-force oracles.
+  It violates the standing assumption that infinitely many weights are
+  positive.
 
 Families are immutable after construction (internal lookup tables are lazy
 but idempotent), so they can be shared freely across worker processes.
@@ -30,8 +30,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
-from .kernels import AsymptoticParams
+from .errors import ValidationError, check_whole
 
 __all__ = ["WeightFamily"]
 
@@ -40,13 +39,11 @@ _GUIDE_SIZE = 2**16  # buckets of the inverse-CDF guide table
 
 
 @functools.lru_cache(maxsize=None)
-def _weibull_normalizer(alpha: float) -> tuple[float, int]:
-    """(C_alpha, K) with 1/C_alpha = sum_{k<=K} exp(-k**alpha) and the
-    integral tail beyond K below 1e-15."""
-    k = _weibull_tail_cut(alpha, 1e-15)
-    ks = np.arange(1, k + 1, dtype=float)
-    s = float(np.sum(np.exp(-(ks**alpha))))
-    return 1.0 / s, k
+def _weibull_normalizer(alpha: float) -> float:
+    """C_alpha with 1/C_alpha = sum_{k<=K} exp(-k**alpha), K the first cut
+    with the integral tail beyond it below 1e-15."""
+    ks = np.arange(1, _weibull_tail_cut(alpha, 1e-15) + 1, dtype=float)
+    return 1.0 / float(np.sum(np.exp(-(ks**alpha))))
 
 
 def _weibull_integral_tail(alpha: float, k: int) -> float:
@@ -86,11 +83,10 @@ class WeightFamily:
         self.kind = kind
         self.alpha = alpha
         self.p = p
-        self.test_only = False
         if kind == "weibull":
             if not (alpha is not None and 0.0 < alpha < 1.0):
                 raise ValidationError(f"weibull-like needs alpha in (0,1), got {alpha}")
-            self.normalizer, self._norm_terms = _weibull_normalizer(float(alpha))
+            self.normalizer = _weibull_normalizer(float(alpha))
             self.beta = 1.0 / alpha - 1.0
             self.ell = 1.0 / alpha
             self.probs = None
@@ -116,7 +112,6 @@ class WeightFamily:
             )
             self.beta = 0.0
             self.ell = 1.0
-            self.test_only = True
         else:
             raise ValidationError(f"unknown family kind {kind!r}")
         self._cum = None
@@ -301,8 +296,15 @@ class WeightFamily:
 
     # -- diagnostics -------------------------------------------------------
 
-    def asymptotic_params(self, j: int) -> AsymptoticParams:
-        return AsymptoticParams(beta=self.beta, j=int(j), ell=self.ell)
+    def normalization(self, j: int, T: float) -> tuple[float, float]:
+        """``(c_j, f_j(T))`` with ``c_j = Gamma(beta+1)^j / Gamma(j(beta+1))``
+        and ``f_j(T) = T^(j beta + j - 1) ell(T)^j``: the variance of the
+        generation-j counts at time e^T grows like ``c_j f_j(T)``."""
+        j = check_whole("generation", j, 1)
+        if not T > 1.0:
+            raise ValidationError(f"normalizations need T > 1, got {T}")
+        c = math.gamma(self.beta + 1.0) ** j / math.gamma(j * (self.beta + 1.0))
+        return c, T ** (j * self.beta + j - 1.0) * self.ell_at(T) ** j
 
     def ell_at(self, y: float) -> float:
         return self.ell(y) if callable(self.ell) else float(self.ell)

@@ -206,6 +206,30 @@ class TestExitCodes:
             assert code == 1, grid
             assert "T_grid must be strictly increasing" in err and not out, grid
 
+    @pytest.mark.parametrize("args", [
+        ["identities", "check", "--max-l", "0"],
+        ["identities", "check", "--max-n", "-1"],
+        ["identities", "check", "--max-l", "0", "--max-n", "-1"],
+        ["weights", "table", "--k-max", "-3"],
+        ["weights", "table", "--k-max", "0"],
+        ["limits", "table", "--max-l", "0"],
+    ])
+    def test_a_check_of_nothing_is_rejected(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert "error:" in err and not out
+
+    def test_smallest_identity_check_runs(self, capsys):
+        code, out, _ = run_cli(["identities", "check", "--max-l", "1", "--max-n", "0"], capsys)
+        assert code == 0
+        assert out.startswith("identities ok: convolution_cells=1 binomial_checks=100 ")
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_gap_needs_a_finite_time(self, t, capsys):
+        code, out, err = run_cli(["moments", "gap", f"--t={t}"], capsys)
+        assert code == 1
+        assert "error:" in err and not out
+
     def test_non_finite_finite_family_weights(self, capsys):
         for args in (
             ["weights", "table", "--family", "finite", "--probs", "0.5,nan"],
@@ -406,6 +430,21 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_bench_tracer_installs(self):
+        # perfbench/trace_cli.py wraps names it reads off the package's modules
+        # (harness.simulate_poissonized, cli.closed_cov, cli._VERIFY_RUNNERS,
+        # ...); deleting one must fail here, not only in a traced bench run
+        import_root = Path(nested_karlin.__file__).resolve().parent.parent
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import trace_cli; "
+                 "rec = trace_cli.Recorder(); trace_cli.install(rec); print(len(rec.names))")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(bench)], capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
 
     def test_threads_env_fallback(self):
         # the child sees a minimal environment plus the import path of the

@@ -126,6 +126,41 @@ class TestMomentCheck:
             run_moment_check(cfg)
 
 
+# the functions through which a run does its work: simulation and exact moments
+_WORK = ("simulate_replicas", "mean_K", "mean_K_star", "mean_K_binomial",
+         "cov_K_star_same", "cov_K_cross_level", "cov_K_cross_gen")
+
+
+@pytest.mark.parametrize("runner, name, value", [
+    (run_moment_check, "generations", 1.5),
+    (run_moment_check, "levels", 2.7),
+    (run_moment_check, "replicas", 150.5),
+    (run_moment_check, "replicas", math.nan),
+    (run_moment_check, "deterministic_n", 300.7),
+    (run_moment_check, "seed", 1.5),
+    (run_clt_check, "generations", 1.5),
+    (run_clt_check, "levels", 2.7),
+    (run_clt_check, "replicas", 150.5),
+    (run_clt_check, "seed", 1.5),
+    (run_asymptotic_trend, "generations", 1.5),
+    (run_asymptotic_trend, "levels", 2.7),
+    (run_asymptotic_trend, "generations", 0),
+    (run_depoissonization_check, "generations", 1.5),
+    (run_depoissonization_check, "levels", 2.7),
+    (run_depoissonization_check, "levels", 0),
+])
+def test_whole_fields_checked_before_any_work(monkeypatch, runner, name, value):
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the config was checked")
+
+    for fn in _WORK:
+        monkeypatch.setattr(harness, fn, never)
+    cfg = ExperimentConfig(t=100.0, T=5.0, T_grid=(10.0, 12.0), t_grid=(10.0,),
+                           generations=1, levels=1, replicas=150)
+    with pytest.raises(ValidationError, match=name):
+        runner(replace(cfg, **{name: value}))
+
+
 class TestReproducibility:
     def test_reports_bit_identical(self):
         cfg = ExperimentConfig(t=200.0, generations=2, levels=2, replicas=100, seed=99)

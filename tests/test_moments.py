@@ -16,7 +16,6 @@ from nested_karlin.moments import (
     _binomial_pmfs,
     cov_K_cross_gen,
     cov_K_cross_level,
-    cov_K_same,
     cov_K_star_same,
     depoissonization_constant,
     enumerate_boxes,
@@ -192,7 +191,7 @@ class TestEnumeration:
             lambda x: mean_K(geo, 1, 1, x),
             lambda x: mean_K_star(geo, 1, 1, x),
             lambda x: mean_K_binomial(geo, 1, 1, x),
-            lambda x: cov_K_same(geo, 1, 1, x, 2.0),
+            lambda x: cov_K_cross_level(geo, 1, 1, 1, x, 2.0),
             lambda x: cov_K_star_same(geo, 1, 1, 2.0, x),
             lambda x: cov_K_cross_level(geo, 1, 1, 2, x, 2.0),
             lambda x: cov_K_cross_gen(geo, 1, 2, 1, 1, 2.0, x),
@@ -276,7 +275,7 @@ class TestSameLevelCovariances:
         t, l = 6.0, 1
         a = np.array([poisson_tail(l, p * t) for p in fin3.probs])
         want = float(np.sum(a * (1.0 - a)))
-        est = cov_K_same(fin3, 1, l, t, t)
+        est = cov_K_cross_level(fin3, 1, l, l, t, t)
         assert est.value == pytest.approx(want, rel=1e-13)
 
     def test_two_box_closed_form(self):
@@ -286,18 +285,18 @@ class TestSameLevelCovariances:
         want = sum(
             math.exp(-p * t) * (1.0 - math.exp(-p * s)) for p in fam.probs
         )
-        est = cov_K_same(fam, 1, 1, s, t)
+        est = cov_K_cross_level(fam, 1, 1, 1, s, t)
         assert est.value == pytest.approx(want, rel=1e-13)
 
     def test_symmetric_in_times(self, geo):
-        a = cov_K_same(geo, 1, 2, 11.0, 29.0)
-        b = cov_K_same(geo, 1, 2, 29.0, 11.0)
+        a = cov_K_cross_level(geo, 1, 2, 2, 11.0, 29.0)
+        b = cov_K_cross_level(geo, 1, 2, 2, 29.0, 11.0)
         assert a.value == b.value
 
     def test_variance_nonnegative(self, geo, weib):
         for fam in (geo, weib):
             for t in (2.0, 50.0):
-                assert cov_K_same(fam, 1, 1, t, t).value >= 0.0
+                assert cov_K_cross_level(fam, 1, 1, 1, t, t).value >= 0.0
 
     def test_star_equal_times(self, fin3):
         t, l = 6.0, 2
@@ -321,7 +320,7 @@ class TestSameLevelCovariances:
         early = rng.poisson(p[None, :] * s, size=(replicas, 3))
         late = early + rng.poisson(p[None, :] * (t - s), size=(replicas, 3))
         emp, se = _mc_cov((early >= l).sum(axis=1), (late >= l).sum(axis=1))
-        exact = cov_K_same(fin3, 1, l, s, t)
+        exact = cov_K_cross_level(fin3, 1, l, l, s, t)
         assert abs(emp - exact.value) <= 4.0 * se
 
     def test_star_mc_oracle_three_boxes(self, fin3):
@@ -337,10 +336,12 @@ class TestSameLevelCovariances:
 
 class TestCrossLevelCovariances:
     def test_reduces_to_same_level(self, geo):
+        # at l1 == l2 the events nest: per box P{pi_s >= 2} P{pi_t < 2}
+        p = geo.weight(np.arange(1, 200))
         for s, t in ((7.0, 7.0), (4.0, 19.0)):
             a = cov_K_cross_level(geo, 1, 2, 2, s, t)
-            b = cov_K_same(geo, 1, 2, s, t)
-            assert a.value == pytest.approx(b.value, abs=1e-12)
+            want = float(np.sum(poisson_tail(2, p * s) * np.exp(-p * t) * (1.0 + p * t)))
+            assert a.value == pytest.approx(want, abs=1e-12)
 
     def test_single_box_nested_events(self):
         # l1 >= l2 with s <= t: {pi_s >= 2} forces {pi_t >= 1}
@@ -452,14 +453,12 @@ class TestCrossGeneration:
 
     def test_normalized_decorrelation_trend(self, weib):
         # |cov| / sqrt(f_1 f_2) must fall along T in {8, 12, 16}
-        from nested_karlin.kernels import c_f_g
-
         ratios = []
         for T in (8.0, 12.0, 16.0):
             t = math.exp(T)
             est = cov_K_cross_gen(weib, 1, 2, 1, 1, t, t, prune=1e-6)
-            _, f1, _ = c_f_g(weib.asymptotic_params(1), t)
-            _, f2, _ = c_f_g(weib.asymptotic_params(2), t)
+            _, f1 = weib.normalization(1, t)
+            _, f2 = weib.normalization(2, t)
             ratios.append(abs(est.value) / math.sqrt(f1 * f2))
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -569,7 +568,7 @@ class TestCertification:
     def test_halving_honesty_covariances(self, geo, weib):
         for fam in (geo, weib):
             for fn, args in (
-                (cov_K_same, (1, 1, 9.0, 30.0)),
+                (cov_K_cross_level, (1, 1, 1, 9.0, 30.0)),
                 (cov_K_star_same, (1, 2, 9.0, 30.0)),
                 (cov_K_cross_level, (1, 2, 1, 9.0, 30.0)),
             ):
@@ -647,10 +646,11 @@ def _cross_gen_reference(family, i, j, l, n, s, t, prune):
 
 
 def _cases(t):
-    """(moment at t, its Markov scale, its rate, its summand) for the six
-    single-generation moments: level 2 where one level is read, and levels
-    1 and 3 across the times s = t/3 and t in both orders (the convolution
-    and the nested branch of cov_K_cross_level)."""
+    """(moment at t, its Markov scale, its rate, its summand) for the
+    single-generation moments: level 2 where one level is read (for
+    cov_K_cross_level at l1 = l2 = 2), and levels 1 and 3 across the times
+    s = t/3 and t in both orders (the convolution and the nested branch of
+    cov_K_cross_level)."""
     s, n = t / 3.0, int(t)
     return [
         (lambda f, j, **kw: mean_K(f, j, 2, t, **kw), t / 2, t,
@@ -659,7 +659,7 @@ def _cases(t):
          lambda c: psi(2, c * t)),
         (lambda f, j, **kw: mean_K_binomial(f, j, 2, n, **kw), n / 2, n,
          lambda c: binomial_tail(n, c, 2)),
-        (lambda f, j, **kw: cov_K_same(f, j, 2, s, t, **kw), s / 2, t,
+        (lambda f, j, **kw: cov_K_cross_level(f, j, 2, 2, s, t, **kw), s / 2, t,
          lambda c: poisson_tail(2, c * s) * poisson_low(2, c * t)),
         (lambda f, j, **kw: cov_K_star_same(f, j, 2, t, s, **kw), s / 2, t,
          lambda c: psi(2, c * s) * np.exp(-c * (t - s)) - psi(2, c * t) * psi(2, c * s)),
@@ -749,7 +749,7 @@ class TestActiveSetEngine:
             lambda: mean_K(fam, j, l, t, prune=prune),
             lambda: mean_K_star(fam, j, l, t, prune=prune),
             lambda: mean_K_binomial(fam, j, l, int(t), prune=prune),
-            lambda: cov_K_same(fam, j, l, s, t, prune=prune),
+            lambda: cov_K_cross_level(fam, j, l, l, s, t, prune=prune),
             lambda: cov_K_star_same(fam, j, l, t, s, prune=prune),
             lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, s, t, prune=prune),
             lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, t, s, prune=prune),

@@ -252,11 +252,32 @@ class TestConstructors:
             with pytest.raises(ValidationError):
                 WeightFamily.from_spec(kind, **kwargs)
 
-    def test_finite_is_test_only(self, fin, weib):
-        assert fin.test_only and not weib.test_only
-
     def test_asymptotic_params(self, weib, geo):
-        pw = weib.asymptotic_params(2)
-        assert pw.beta == pytest.approx(1.0) and pw.j == 2
-        assert geo.asymptotic_params(1).beta == 0.0
+        # the index beta and slowly varying part ell that normalization reads
+        assert weib.beta == pytest.approx(1.0) and weib.normalization(2, 8.0)[0] == 1.0 / 6.0
+        assert geo.beta == 0.0
         assert geo.ell_at(10.0) == pytest.approx(10.0 / math.log(2.0), rel=1e-15)
+
+
+class TestNormalization:
+    @pytest.mark.parametrize("T", [1.5, 8.0, 25.0])
+    def test_weibull_half_pinned(self, weib, T):
+        # beta = 1 and ell = 2: c_1 = 1, f_1 = 2T; c_2 = 1/6, f_2 = 4T^3
+        c1, f1 = weib.normalization(1, T)
+        c2, f2 = weib.normalization(2, T)
+        assert (c1, f1) == pytest.approx((1.0, 2.0 * T), rel=1e-15)
+        assert (c2, f2) == pytest.approx((1.0 / 6.0, 4.0 * T**3), rel=1e-14)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_geometric_pinned(self, geo, j):
+        # beta = 0 and ell(T) = T / log 2: c_j = 1/Gamma(j), f_j = T^(j-1) (T/log 2)^j
+        T = 12.0
+        c, f = geo.normalization(j, T)
+        assert c == pytest.approx(1.0 / math.gamma(j), rel=1e-15)
+        assert f == pytest.approx(T ** (j - 1) * (T / math.log(2.0)) ** j, rel=1e-14)
+
+    @pytest.mark.parametrize("j, T", [(1, 1.0), (1, 0.5), (1, -3.0), (1, math.nan),
+                                      (0, 8.0), (1.5, 8.0)])
+    def test_bad_arguments_rejected(self, weib, j, T):
+        with pytest.raises(ValidationError):
+            weib.normalization(j, T)
