@@ -15,9 +15,11 @@ form.  Sampling from that covariance is therefore *law-identical* to summing
 literal per-cell Gaussians, at a tiny fraction of the cost; the mesh
 dimensions still honor the documented cell budget.
 
-Higher-level processes X_l need an (l+2)-dimensional noise domain and are
-deliberately not given a white-noise path; their covariances are checked
-against the quadrature oracle instead.
+Only Z_1 has a white-noise path.  With G_l the log of a box's l-th fill
+epoch, Z_l over u and all levels at one u need only noise on R x [0, 1]
+with y -> G_l; cross levels at u != v and X_l over u need the pair
+(G_l, G_m - G_l), a 3-D mesh.  Their covariances are checked against the
+quadrature oracle instead.
 
 Draws leave as CSV rows ``sample_id,level,u,value``: ``draws_to_csv_rows``
 formats one block of samples, numbering them from its ``start`` argument, so
@@ -33,6 +35,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, check_whole
 from .limits import closed_cov
+from .scheme import _keyed_rng
 
 __all__ = [
     "LimitCovarianceGrid",
@@ -132,8 +135,7 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
 def sample(grid: LimitCovarianceGrid, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the grid vector; rows are samples."""
     n = check_whole("sample count", n, 1)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
-    z = rng.standard_normal((n, grid.dim))
+    z = _keyed_rng(seed, 0).standard_normal((n, grid.dim))
     return z @ grid.cholesky.T
 
 
@@ -197,8 +199,7 @@ def sample_Z1_whitenoise(
     u = np.asarray(list(u_grid), dtype=float)
     cov = whitenoise_mesh_covariance(u, A=x_window, x_step=x_step, y_step=y_step)
     chol, _ = _factor_with_jitter(cov)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], dtype=np.uint64)))
-    z = rng.standard_normal((n, u.size))
+    z = _keyed_rng(seed, 1).standard_normal((n, u.size))
     return z @ chol.T
 
 

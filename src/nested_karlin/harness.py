@@ -178,22 +178,12 @@ class ExperimentReport:
 def _replica_chunk(payload: tuple) -> np.ndarray:
     """Worker: simulate a contiguous replica range, return the value matrix
     (one row per replica: K then K*, flattened over (j, l, grid))."""
-    cfg, times, r_lo, r_hi = payload
-    trajectories = simulate_replicas(
-        cfg.family(), times, cfg.generations, cfg.levels, cfg.seed,
-        range(r_lo, r_hi), n=cfg.deterministic_n or None,
-    )
+    family, times, J, L, seed, n, r_lo, r_hi = payload
+    trajectories = simulate_replicas(family, times, J, L, seed, range(r_lo, r_hi), n=n)
     return np.asarray(
         [np.concatenate([traj.K.ravel(), traj.K_star.ravel()]) for traj in trajectories],
         dtype=float,
     )
-
-
-def _exact_target(cfg: ExperimentConfig, fn, args: tuple):
-    """Worker: one exact moment ``fn(family, *args, prune=cfg.prune)``.  The
-    family is rebuilt from the config: a geometric family holds a lambda and
-    does not pickle."""
-    return fn(cfg.family(), *args, prune=cfg.prune)
 
 
 def _whole(cfg: ExperimentConfig, **minimums) -> list:
@@ -202,19 +192,24 @@ def _whole(cfg: ExperimentConfig, **minimums) -> list:
     return [check_whole(name, getattr(cfg, name), low) for name, low in minimums.items()]
 
 
-def _replica_payloads(cfg: ExperimentConfig, times, threads: int) -> list:
-    """Contiguous replica ranges covering 0..R-1 in order: one range in
-    process, about four per worker otherwise."""
-    R, _ = _whole(cfg, replicas=_MIN_STAT_REPLICAS, seed=None)
+def _replica_payloads(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
+                      threads: int) -> list:
+    """The replica tasks ``(family, times, J, L, seed, n, lo, hi)`` of the
+    simulation ``sim = (times, J, L, n)``: contiguous ranges covering
+    0..R-1 in order, one range in process, about four per worker otherwise."""
+    R, seed = _whole(cfg, replicas=_MIN_STAT_REPLICAS, seed=None)
+    times, J, L, n = sim
     times = tuple(float(x) for x in times)
     chunk = R if threads == 1 else max(1, math.ceil(R / (4 * threads)))
-    return [(cfg, times, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
+    return [(family, times, J, L, seed, n, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
 
 
-def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, times=None):
-    """Compute a run's exact moments and, when ``times`` is given, its
-    replica value matrix (replicas, 2*J*L*G), on one pool of ``cfg.threads``
-    workers.
+def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
+    """Compute a run's exact moments and, when the simulation ``sim = (times,
+    J, L, n)`` is given, its replica value matrix (replicas, 2*J*L*G), on one
+    pool of ``cfg.threads`` workers: J generations and L levels at ``times``,
+    of the fixed-n scheme when ``n`` is set and the Poissonized one when it
+    is None.
 
     ``exact`` lists the run's exact values, each as its terms
     ``((coef, fn, args), ...)``; every distinct ``(fn, args)`` among them is
@@ -222,12 +217,13 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, times=None):
     returned dict maps it to its MomentEstimate for ``_combine``.  Every
     exact moment is a pure function of its arguments and replica r always
     draws from the stream keyed by (seed, r), so the results do not depend
-    on the worker count.  With one worker everything runs in this process,
-    through the functions as listed.
+    on the worker count.  A task receives the family, pickled by its spec,
+    and its own arguments, never the config.  With one worker everything
+    runs in this process, through the functions as listed.
     """
     targets = list(dict.fromkeys((fn, args) for terms in exact for _, fn, args in terms))
     threads = check_whole("threads", cfg.threads, 1)
-    payloads = [] if times is None else _replica_payloads(cfg, times, threads)
+    payloads = [] if sim is None else _replica_payloads(cfg, family, sim, threads)
     if threads == 1:
         parts = [_replica_chunk(p) for p in payloads]
         values = [fn(family, *args, prune=cfg.prune) for fn, args in targets]
@@ -240,7 +236,7 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, times=None):
                 # report order, generation and level ascending with the
                 # cross-generation rows last; cost grows along that order.
                 chunks = [pool.submit(_replica_chunk, p) for p in payloads]
-                futures = [pool.submit(_exact_target, cfg, fn, args)
+                futures = [pool.submit(fn, family, *args, prune=cfg.prune)
                            for fn, args in reversed(targets)][::-1]
                 parts = [f.result() for f in chunks]
                 values = [f.result() for f in futures]
@@ -442,7 +438,7 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
                 for l2 in ls:
                     cov_pair("gens", f"l={l1},l2={l2}", 1, 2, l1, l2,
                              cov_K_cross_gen, (1, 2))
-    results, V = _run_pool(config, family, [c.terms for c in cells], [t])
+    results, V = _run_pool(config, family, [c.terms for c in cells], ([t], J, L, n or None))
     X = V.reshape(len(V), 2, J, L, 1)
     return _finish("moment_check", config, _evaluate("moment_check", cells, X, results),
                    start, pass_fraction_required=0.95)
@@ -501,7 +497,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                         _exact(cov_K_cross_gen, 1, 2, l1, l2, times[ga], times[ga]),
                         norms[0] * norms[1], limit=0.0))
     means = [_exact(mean_K, j, l, tg) for j in js for l in ls for tg in times]
-    results, V = _run_pool(config, family, means + [c.terms for c in cells], times)
+    results, V = _run_pool(config, family, means + [c.terms for c in cells],
+                           (times, J, L, None))
     mu = np.reshape([_combine(m, results)[0] for m in means], (J, L, G))
     N = V.reshape(len(V), 2, J, L, G)[:, 0] - mu
     N /= np.reshape(norms, (J, 1, 1))

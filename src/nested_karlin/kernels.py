@@ -3,10 +3,9 @@
 Recurring objects: the Poisson weights ``psi_l(x) = x^l e^{-x} / l!`` and
 their tails, binomial tails for the deterministic (fixed ball count) scheme,
 the limiting variance constants ``b_l`` (at-least counts) and ``b*_l``
-(exact counts), two binomial-coefficient identities the covariance algebra
-rests on, and the log-Erlang distribution of box fill epochs.  The
-normalization ``(c_j, f_j(T))`` depends on the weight family and is
-``WeightFamily.normalization``.
+(exact counts), and two binomial-coefficient identities the covariance
+algebra rests on.  The normalization ``(c_j, f_j(T))`` depends on the weight
+family and is ``WeightFamily.normalization``.
 
 Everything here is a pure function; exact integer / rational arithmetic is
 used where equality is claimed exact, log-space floats everywhere sums can
@@ -31,8 +30,6 @@ __all__ = [
     "b_constants",
     "convolution_identity",
     "binomial_identity_lhs",
-    "erlang_and_gl",
-    "gl_density_bound",
 ]
 
 
@@ -199,46 +196,11 @@ def binomial_identity_lhs(l: int, a: float, b: float) -> float:
     inputs cannot overflow.  Tests assert the sum equals 1/l.
     """
     l = check_whole("level", l, 1)
-    if a <= 0 or b <= 0:
-        raise ValidationError("binomial_identity_lhs requires a, b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValidationError(f"binomial_identity_lhs requires finite a, b > 0, got {a}, {b}")
     u = a / (a + b)
     v = b / (a + b)
     total = 0.0
     for k in range(l):
         total += math.comb(k + l, l) * (u**k * v**l + u**l * v**k) / (k + l)
     return total
-
-
-def erlang_and_gl(l: int, x) -> tuple:
-    """CDF and density of ``G_l``, the log of the l-th fill epoch of a
-    unit-weight box under Poissonization.
-
-    ``P{G_l <= x} = 1 - e^{-e^x} sum_{i<l} e^{xi}/i!`` — equivalently
-    ``P{Poisson(e^x) >= l}`` — and the density is
-    ``g_l(x) = e^{-e^x} e^{xl} / (l-1)!``, unimodal with mode at ``log l``.
-    Requires ``|x|`` moderate (``e^x`` must stay finite).
-    """
-    l = check_whole("level", l, 1)
-    arr = np.asarray(x, dtype=float)
-    ex = np.exp(arr)
-    cdf = poisson_tail(l, ex)
-    dens = np.exp(-ex + l * arr - math.lgamma(l))
-    if arr.ndim == 0:
-        return cdf, float(dens)
-    return cdf, dens
-
-
-def gl_density_bound(l: int) -> float:
-    """Constant ``d_l`` with ``g_l(x) <= d_l * exp(-|x - log l|)`` everywhere.
-
-    ``d_1 = 1``; for l >= 2 it is the max of
-    ``(l+1)^{l+1} e^{-(l+1)} / l!`` and ``(l-1)^{l-1} e^{-(l-1)} l / (l-1)!``.
-    """
-    l = check_whole("level", l, 1)
-    if l == 1:
-        return 1.0
-    first = math.exp((l + 1) * math.log(l + 1.0) - (l + 1) - math.lgamma(l + 1))
-    second = math.exp(
-        (l - 1) * math.log(l - 1.0) - (l - 1) + math.log(l) - math.lgamma(l)
-    )
-    return max(first, second)

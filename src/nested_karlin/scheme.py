@@ -105,9 +105,19 @@ class OccupancyTrajectory:
         return _TRAJECTORY_CSV_HEADER
 
 
-def _make_rng(seed: int, replica: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, replica % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _keyed_rng(seed: int, index: int, rng=None) -> np.random.Generator:
+    """The counter-based stream keyed by (seed, index): a Philox generator at
+    counter 0 with key [seed mod 2**64, index mod 2**64], the stream that
+    ``Philox(key=...)`` gives.  A ``rng`` from here is re-keyed in place:
+    setting the state skips the OS entropy a new ``Philox`` gathers."""
+    key = [check_whole("seed", seed, None) % 2**64, index % 2**64]
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -210,7 +220,7 @@ def _run(
     gaps = np.diff(grid, prepend=0)
     draws = np.empty((_PASS_BALLS, J))
     work = np.empty((3, _PASS_BALLS), dtype=np.int64)
-    trajectories, held, used = [], [], 0
+    trajectories, held, used, rng = [], [], 0, None
 
     def count(batch, uniforms, scratch):
         increments = np.array([inc for _, inc in batch])
@@ -230,7 +240,7 @@ def _run(
         )
 
     for r in replicas:
-        rng = _make_rng(seed, r)
+        rng = _keyed_rng(seed, r, rng)
         if kind == "poissonized":
             increments = np.array(
                 [rng.poisson(gap) if gap > 0.0 else 0 for gap in gaps.tolist()],

@@ -19,7 +19,9 @@ the nested scheme.  Three kinds are built in:
   positive.
 
 Families are immutable after construction (internal lookup tables are lazy
-but idempotent), so they can be shared freely across worker processes.
+but idempotent).  A family pickles as the spec it was built from, never its
+tables, so it is cheap to send to a worker process.  Every index question
+(the counting function, the tail cuts) is answered by one search, ``_first``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ _GUIDE_SIZE = 2**16  # buckets of the inverse-CDF guide table
 def _weibull_normalizer(alpha: float) -> float:
     """C_alpha with 1/C_alpha = sum_{k<=K} exp(-k**alpha), K the first cut
     with the integral tail beyond it below 1e-15."""
-    ks = np.arange(1, _weibull_tail_cut(alpha, 1e-15) + 1, dtype=float)
+    K = _first(lambda k: _weibull_integral_tail(alpha, k) <= 1e-15, 2**40)
+    ks = np.arange(1, K + 1, dtype=float)
     return 1.0 / float(np.sum(np.exp(-(ks**alpha))))
 
 
@@ -57,16 +60,20 @@ def _weibull_integral_tail(alpha: float, k: int) -> float:
     return math.gamma(1.0 / alpha) / alpha * float(gammaincc(1.0 / alpha, float(k) ** alpha))
 
 
-def _weibull_tail_cut(alpha: float, threshold: float) -> int:
-    """Smallest k with the unnormalized integral tail <= threshold."""
+def _first(pred, limit) -> int:
+    """Smallest k >= 0 with ``pred(k)``, for a ``pred`` that stays true once
+    it turns true: k = 0 first, then doubling and bisection.  Raises
+    ValidationError when it is still false past ``limit``."""
+    if pred(0):
+        return 0
     lo, hi = 0, 1
-    while _weibull_integral_tail(alpha, hi) > threshold:
-        lo, hi = hi, hi * 2
-        if hi > 2**40:
-            raise ValidationError("tail threshold unreachable")  # pragma: no cover
+    while not pred(hi):
+        if hi >= limit:
+            raise ValidationError("tail threshold unreachably small")
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _weibull_integral_tail(alpha, mid) <= threshold:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
@@ -79,7 +86,7 @@ class WeightFamily:
     Use the classmethod constructors; the raw ``__init__`` is internal.
     """
 
-    def __init__(self, kind, *, alpha=None, p=None, probs=None):
+    def __init__(self, kind, alpha=None, p=None, probs=None):
         self.kind = kind
         self.alpha = alpha
         self.p = p
@@ -88,15 +95,12 @@ class WeightFamily:
                 raise ValidationError(f"weibull-like needs alpha in (0,1), got {alpha}")
             self.normalizer = _weibull_normalizer(float(alpha))
             self.beta = 1.0 / alpha - 1.0
-            self.ell = 1.0 / alpha
             self.probs = None
         elif kind == "geometric":
             if not (p is not None and 0.0 < p < 1.0):
                 raise ValidationError(f"geometric needs p in (0,1), got {p}")
             self.normalizer = 1.0
             self.beta = 0.0
-            logq = math.log(1.0 / p)
-            self.ell = lambda y: y / logq
             self.probs = None
         elif kind == "finite":
             arr = np.asarray(probs, dtype=float)
@@ -104,6 +108,9 @@ class WeightFamily:
                 raise ValidationError(
                     f"finite family needs a nonempty list of finite positive weights, got {probs}"
                 )
+            # the weights as given: normalizing the normalized ones again
+            # could move their last bits
+            probs = tuple(arr.tolist())
             total = float(arr.sum())
             self.normalizer = 1.0 / total
             self.probs = arr / total
@@ -111,12 +118,16 @@ class WeightFamily:
                 [np.cumsum(self.probs[::-1])[::-1][1:], [0.0]]
             )
             self.beta = 0.0
-            self.ell = 1.0
         else:
             raise ValidationError(f"unknown family kind {kind!r}")
+        self._spec = (kind, alpha, p, probs)
         self._cum = None
         self._guide = None
         self._w = np.empty(0)
+
+    def __reduce__(self):
+        """Pickle the spec the family was built from, not its lookup tables."""
+        return WeightFamily, self._spec
 
     # -- constructors ------------------------------------------------------
 
@@ -154,9 +165,11 @@ class WeightFamily:
     # -- core quantities ---------------------------------------------------
 
     def weight(self, k) -> Union[float, np.ndarray]:
-        """p_k for 1-based index k (scalar or array).  Finite families
-        return 0.0 beyond their support."""
+        """p_k for 1-based index k (scalar or array of whole numbers).
+        Finite families return 0.0 beyond their support."""
         arr = np.asarray(k)
+        if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+            raise ValidationError(f"box indices must be whole numbers, got {k!r}")
         if np.any(arr < 1):
             raise ValidationError("box indices are 1-based")
         kf = arr.astype(float)
@@ -182,31 +195,15 @@ class WeightFamily:
         return self._w[:K]
 
     def rho(self, t: float) -> int:
-        """Counting function rho(t) = #{k : p_k >= 1/t}.
-
-        Closed forms are used for the built-in infinite families
-        (floor((log(C*t))**(1/alpha)) for weibull-like, the analogous log
-        ratio for geometric), then nudged by +-1 against the exact
-        inequality to absorb float boundary dust.
-        """
+        """Counting function rho(t) = #{k : p_k >= 1/t}: a count over the
+        weights of a finite family, otherwise the first k with p_{k+1} < 1/t
+        (the weights decrease)."""
         if not (math.isfinite(t) and t > 0.0):
             raise ValidationError(f"rho needs a finite t > 0, got {t}")
-        if t < 1.0:
-            return 0
-        if self.kind == "finite":
-            return int(np.count_nonzero(self.probs >= 1.0 / t))
-        if self.kind == "weibull":
-            x = math.log(self.normalizer) + math.log(t)
-            guess = int(x ** (1.0 / self.alpha)) if x > 0.0 else 0
-        else:
-            x = math.log(t) + math.log1p(-self.p)
-            guess = int(1.0 + x / math.log(1.0 / self.p)) if x >= 0.0 else 0
         thr = 1.0 / t
-        while guess >= 1 and self.weight(guess) < thr:
-            guess -= 1
-        while self.weight(guess + 1) >= thr:
-            guess += 1
-        return guess
+        if self.kind == "finite":
+            return int(np.count_nonzero(self.probs >= thr))
+        return _first(lambda k: self.weight(k + 1) < thr, math.inf)
 
     def tail_mass_bound(self, K: int) -> float:
         """Upper bound on sum_{k>K} p_k, nonincreasing in K.
@@ -231,32 +228,13 @@ class WeightFamily:
 
     def tail_index(self, threshold: float) -> int:
         """Smallest K >= 0 with tail_mass_bound(K) <= threshold."""
-        if threshold >= 1.0:
-            return 0
         if not threshold >= 0.0:
             raise ValidationError(f"tail threshold must be >= 0, got {threshold}")
-        if self.kind == "finite":
-            # support is short; linear scan is simplest and exact
-            for K in range(self.probs.size + 1):
-                if self.tail_mass_bound(K) <= threshold:
-                    return K
-            return self.probs.size
-        if threshold <= 0.0:
+        if threshold <= 0.0 and self.kind != "finite":
             raise ValidationError(
                 "infinite families cannot reach tail mass 0; threshold must be > 0"
             )
-        lo, hi = 0, 1
-        while self.tail_mass_bound(hi) > threshold:
-            lo, hi = hi, hi * 2
-            if hi > 2**48:  # pragma: no cover - guards absurd budgets
-                raise ValidationError("tail threshold unreachably small")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.tail_mass_bound(mid) <= threshold:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _first(lambda K: self.tail_mass_bound(K) <= threshold, 2**48)
 
     def cumulative_table(self) -> np.ndarray:
         """Cumulative sums of p_k out to mass >= 1 - 2**-53 (inverse-CDF table)."""
@@ -307,7 +285,13 @@ class WeightFamily:
         return c, T ** (j * self.beta + j - 1.0) * self.ell_at(T) ** j
 
     def ell_at(self, y: float) -> float:
-        return self.ell(y) if callable(self.ell) else float(self.ell)
+        """The slowly varying part ell(y): 1/alpha (weibull-like), y/log(1/p)
+        (geometric), 1 (finite)."""
+        if self.kind == "weibull":
+            return 1.0 / self.alpha
+        if self.kind == "geometric":
+            return y / math.log(1.0 / self.p)
+        return 1.0
 
     def dehaan_profile(
         self, lambdas: Sequence[float], ts: Sequence[float]

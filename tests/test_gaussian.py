@@ -130,6 +130,18 @@ class TestFactorSampler:
         assert_allclose(sample(grid, 50, seed=3), sample(grid, 50, seed=3), rtol=0)
         assert not np.allclose(sample(grid, 50, seed=3), sample(grid, 50, seed=4))
 
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf])
+    def test_seed_must_be_whole(self, seed):
+        grid = build_grid("Z", [0.0], 1)
+        with pytest.raises(ValidationError, match="seed"):
+            sample(grid, 3, seed)
+        with pytest.raises(ValidationError, match="seed"):
+            sample_Z1_whitenoise([0.0], n=3, seed=seed, x_step=0.05, y_step=0.05)
+
+    def test_negative_seed_wraps(self):
+        grid = build_grid("Z", [0.0, 1.0], 1)
+        assert_allclose(sample(grid, 5, -1), sample(grid, 5, 2**64 - 1), rtol=0)
+
     def test_seed_ranges_exchangeable(self):
         grid = build_grid("Z", [0.0, 1.0], 1)
         n = 30_000

@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import math
+import pickle
 import signal
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -186,12 +188,77 @@ class TestReproducibility:
             (run_depoissonization_check,
              ExperimentConfig(t_grid=(10.0, 100.0, 1000.0), generations=2,
                               levels=2, prune=1e-7)),
+            # every family kind travels to the workers
+            (run_moment_check,
+             ExperimentConfig(family_kind="geometric", p=0.5, t=200.0, generations=2,
+                              levels=2, replicas=100, seed=96)),
+            (run_asymptotic_trend,
+             ExperimentConfig(family_kind="geometric", p=0.5, T_grid=(10.0, 14.0),
+                              generations=2, levels=2)),
+            (run_depoissonization_check,
+             ExperimentConfig(family_kind="finite", probs=(0.5, 0.3, 0.2),
+                              t_grid=(0.5, 3.0, 10.7), generations=2, levels=2)),
         ]
         for runner, cfg in small:
             with _deadline(120):
                 csvs = [runner(replace(cfg, threads=n)).to_csv() for n in (1, 2, 3)]
             assert csvs[1] == csvs[0], runner.__name__
             assert csvs[2] == csvs[0], runner.__name__
+
+    def test_pool_tasks_carry_no_config(self, monkeypatch):
+        # every task the pool is given pickles, and none carries the config:
+        # the family travels by its spec, with the task's own arguments
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                submitted.append((fn, args, kwargs))
+                future = Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        def holds_config(x):
+            if isinstance(x, ExperimentConfig):
+                return True
+            if isinstance(x, (tuple, list)):
+                return any(holds_config(y) for y in x)
+            return isinstance(x, dict) and any(holds_config(y) for y in x.values())
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        runs = [
+            (run_moment_check,
+             ExperimentConfig(family_kind="geometric", p=0.5, t=100.0, generations=2,
+                              levels=2, replicas=100)),
+            (run_moment_check,
+             ExperimentConfig(deterministic_n=50, generations=1, levels=2, replicas=100)),
+            (run_clt_check,
+             ExperimentConfig(T=4.0, u_grid=(0.0, 0.5), generations=2, levels=1,
+                              replicas=100)),
+            (run_asymptotic_trend,
+             ExperimentConfig(T_grid=(10.0, 12.0), generations=1, levels=1, prune=1e-6)),
+            (run_depoissonization_check,
+             ExperimentConfig(family_kind="finite", probs=(0.5, 0.5), t_grid=(3.0,),
+                              generations=1, levels=1)),
+        ]
+        for runner, cfg in runs:
+            submitted.clear()
+            runner(replace(cfg, threads=2))
+            assert submitted, runner.__name__
+            chunks = [fn is harness._replica_chunk for fn, _, _ in submitted]
+            # replica chunks first, then the exact targets
+            assert chunks == sorted(chunks, reverse=True)
+            for task in submitted:
+                assert not holds_config(task), task
+                pickle.dumps(task)
 
     def test_worker_error_surfaces_as_validation_error(self):
         # a zero prune budget is rejected inside each exact moment, which
@@ -267,6 +334,15 @@ def test_report_digests_pinned():
 
 
 class TestCltCheck:
+    def test_deterministic_n_is_ignored(self):
+        # the fixed-n scheme is the moment check's; the clt check always
+        # simulates the Poissonized scheme at e^(T + u)
+        cfg = ExperimentConfig(T=2.0, u_grid=(0.0,), replicas=100, generations=1, levels=1)
+        want = run_clt_check(cfg).to_csv()
+        for threads in (1, 2):
+            got = run_clt_check(replace(cfg, deterministic_n=5, threads=threads)).to_csv()
+            assert got == want
+
     def test_structure_and_pass(self):
         cfg = ExperimentConfig(
             T=7.0, u_grid=(0.0, 1.0), generations=2, levels=2, replicas=400, seed=606

@@ -15,8 +15,6 @@ from nested_karlin.kernels import (
     binomial_identity_lhs,
     binomial_tail,
     convolution_identity,
-    erlang_and_gl,
-    gl_density_bound,
     poisson_tail,
     psi,
     psi_table,
@@ -270,8 +268,6 @@ def test_whole_number_arguments():
         b_constants,
         lambda k: convolution_identity(k, 1, 1),
         lambda k: binomial_identity_lhs(k, 1.0, 2.0),
-        lambda k: erlang_and_gl(k, 0.5),
-        gl_density_bound,
     )
     for call in calls:
         for bad in (1.5, math.nan, math.inf):
@@ -323,39 +319,13 @@ class TestIdentities:
     def test_binomial_sums_to_inverse_level(self, l, a, b):
         assert binomial_identity_lhs(l, a, b) * l == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf), (0.0, 1.0), (1.0, -2.0)])
+    def test_binomial_needs_finite_positive_inputs(self, a, b):
+        with pytest.raises(ValidationError):
+            binomial_identity_lhs(2, a, b)
+
     def test_binomial_scale_invariance(self):
         assert binomial_identity_lhs(4, 1.0, 2.0) == pytest.approx(
             binomial_identity_lhs(4, 10.0, 20.0), rel=1e-15
         )
-
-
-class TestErlang:
-    def test_cdf_matches_poisson_tail(self):
-        for l in (1, 2, 5):
-            for x in (-3.0, 0.0, 1.0, 2.5):
-                cdf, _ = erlang_and_gl(l, x)
-                assert cdf == pytest.approx(float(poisson_tail(l, math.exp(x))), rel=1e-13)
-
-    def test_density_integrates_to_one(self):
-        xs = np.linspace(-24, 8, 60001)
-        for l in (1, 3):
-            _, dens = erlang_and_gl(l, xs)
-            assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
-
-    def test_mode_at_log_l(self):
-        for l in (1, 2, 6):
-            xs = np.linspace(math.log(l) - 0.2, math.log(l) + 0.2, 401)
-            _, dens = erlang_and_gl(l, xs)
-            assert abs(xs[int(np.argmax(dens))] - math.log(l)) < 2e-3
-
-    def test_density_bound(self):
-        # g_l(x) <= d_l exp(-|x - log l|) on a wide grid
-        xs = np.linspace(-20.0, 8.0, 5000)
-        for l in (1, 2, 3, 7):
-            d = gl_density_bound(l)
-            _, dens = erlang_and_gl(l, xs)
-            envelope = d * np.exp(-np.abs(xs - math.log(l)))
-            assert np.all(dens <= envelope * (1 + 1e-12) + 1e-300)
-
-    def test_d1(self):
-        assert gl_density_bound(1) == 1.0

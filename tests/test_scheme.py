@@ -338,14 +338,15 @@ class _NoDraws:
 class TestMemoryGuard:
     @pytest.fixture
     def no_draws(self, monkeypatch):
-        make = scheme._make_rng
+        make = scheme._keyed_rng
         monkeypatch.setattr(
-            scheme, "_make_rng", lambda seed, replica: _NoUniformDraws(make(seed, replica))
+            scheme, "_keyed_rng",
+            lambda seed, replica, rng=None: _NoUniformDraws(make(seed, replica)),
         )
 
     @pytest.fixture
     def any_draw_fails(self, monkeypatch):
-        monkeypatch.setattr(scheme, "_make_rng", lambda seed, replica: _NoDraws())
+        monkeypatch.setattr(scheme, "_keyed_rng", lambda seed, replica, rng=None: _NoDraws())
 
     def test_expected_ball_count_is_checked_before_any_draw(self, any_draw_fails):
         # numpy refuses Poisson means above about 9.2e18
@@ -543,6 +544,29 @@ class TestInvariantsAndDeterminism:
         a = simulate_poissonized(geo, [50.0], 1, 1, seed=77, replica=0)
         b = simulate_poissonized(geo, [50.0], 1, 1, seed=77, replica=1)
         assert a.balls[0] != b.balls[0] or a.K[0, 0, 0] != b.K[0, 0, 0]
+
+    def test_rekeyed_stream_is_the_keyed_philox_stream(self):
+        # one generator re-keyed after each use gives, key for key, the
+        # draws of a fresh Philox(key=[seed mod 2**64, index mod 2**64])
+        rng = None
+        for seed, index in ((7, 0), (7, 1), (2026, 3999), (-1, 5), (2**64 + 3, 2**64 - 1),
+                            (7, 0)):
+            for draw in (lambda g: g.poisson(3.5, 7), lambda g: g.random(9),
+                         lambda g: g.standard_normal(5), lambda g: g.random((3, 2))):
+                rng = scheme._keyed_rng(seed, index, rng)
+                assert_array_equal(draw(rng), draw(_philox(seed, index)))
+            rng.random(3)  # leave a partly used buffer behind
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf])
+    def test_seed_must_be_whole(self, geo, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_replicas(geo, [5.0], 1, 1, seed, range(2))
+
+    def test_negative_seed_wraps(self, geo):
+        a = simulate_poissonized(geo, [20.0], 2, 2, seed=-1, replica=3)
+        b = simulate_poissonized(geo, [20.0], 2, 2, seed=2**64 - 1, replica=3)
+        assert_array_equal(a.K, b.K)
+        assert_array_equal(a.balls, b.balls)
 
     def test_multi_time_snapshot_consistency(self, geo):
         # a two-point grid must agree with two single-point runs of the

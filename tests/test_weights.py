@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestWeight:
         with pytest.raises(ValidationError):
             weib.weight(0)
 
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, np.array([1.0, 2.5])])
+    def test_indices_must_be_whole(self, weib, geo, fin, bad):
+        for fam in (weib, geo, fin):
+            with pytest.raises(ValidationError, match="whole"):
+                fam.weight(bad)
+
+    def test_whole_float_indices_accepted(self, weib, geo, fin):
+        for fam in (weib, geo, fin):
+            assert fam.weight(2.0) == fam.weight(2)
+            assert_allclose(fam.weight(np.array([1.0, 4.0])), fam.weight(np.array([1, 4])),
+                            rtol=0)
+
     def test_prefix_matches_weight(self, weib):
         w = weib.weight_prefix(50)
         assert_allclose(w, weib.weight(np.arange(1, 51)), rtol=0)
@@ -89,6 +102,22 @@ class TestRho:
     def test_nondecreasing(self, t, factor):
         fam = WeightFamily.geometric(0.37)
         assert fam.rho(t * factor) >= fam.rho(t)
+
+    @pytest.mark.parametrize("fam", [
+        WeightFamily.weibull_like(0.3), WeightFamily.weibull_like(0.5),
+        WeightFamily.geometric(0.5), WeightFamily.geometric(0.9),
+    ])
+    def test_search_matches_direct_count(self, fam):
+        # rho(t) against #{k : p_k >= 1/t} over the prefix, for t up to 1e12
+        # and at the boundaries t = 1/p_k, where a count changes
+        w = fam.weight_prefix(100_000)
+        assert w[-1] < 1e-12
+        ts = list(np.logspace(0.0, 12.0, 97))
+        for k in (1, 2, 3, 10, 50, 200):
+            edge = 1.0 / float(w[k - 1])
+            ts += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+        for t in ts:
+            assert fam.rho(float(t)) == int(np.count_nonzero(w >= 1.0 / float(t))), t
 
     def test_invalid_t(self, weib):
         with pytest.raises(ValidationError):
@@ -208,6 +237,23 @@ class TestDehaanProfile:
             weib.dehaan_profile([1.0], [0.5])
         with pytest.raises(ValidationError):
             weib.dehaan_profile([-1.0], [10.0])
+
+
+class TestPickle:
+    @pytest.mark.parametrize("make", [lambda: WeightFamily.weibull_like(0.5),
+                                      lambda: WeightFamily.geometric(0.5),
+                                      lambda: WeightFamily.finite([0.5, 0.3, 0.2]),
+                                      lambda: WeightFamily.finite([2.0, 1.0, 1.0])])
+    def test_round_trip_by_spec(self, make):
+        fam = make()
+        fam.table_search(np.array([0.25, 0.75]))  # builds the lookup tables
+        data = pickle.dumps(fam)
+        assert len(data) < 200
+        copy = pickle.loads(data)
+        assert repr(copy) == repr(fam)
+        assert copy.normalizer == fam.normalizer
+        assert_allclose(copy.cumulative_table(), fam.cumulative_table(), rtol=0, atol=0)
+        assert_allclose(copy.weight_prefix(40), fam.weight_prefix(40), rtol=0, atol=0)
 
 
 class TestConstructors:
