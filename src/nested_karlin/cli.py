@@ -34,7 +34,9 @@ from .gaussian import (
 from .harness import (
     ExperimentConfig,
     _combine,
+    _exact,
     _gap_terms,
+    _star_terms,
     run_asymptotic_trend,
     run_clt_check,
     run_depoissonization_check,
@@ -46,11 +48,9 @@ from .moments import (
     MomentEstimate,
     cov_K_cross_gen,
     cov_K_cross_level,
-    cov_K_star_same,
     depoissonization_constant,
     mean_K,
     mean_K_binomial,
-    mean_K_star,
 )
 from .scheme import OccupancyTrajectory, simulate_replicas
 from .weights import WeightFamily
@@ -228,56 +228,53 @@ def _moment_row(quantity, j, l, l2, s, t, est) -> str:
     )
 
 
+def _estimate(ns, terms) -> MomentEstimate:
+    """The exact linear combination ``terms`` ``((coef, fn, args), ...)``:
+    each distinct moment computed once at --prune and read through
+    ``_combine``, with the boxes of all of them."""
+    results = {(fn, args): fn(ns.weight_family, *args, prune=ns.prune)
+               for _, fn, args in terms}
+    value, error = _combine(terms, results)
+    return MomentEstimate(value, error, sum(e.boxes_enumerated for e in results.values()))
+
+
 def _cmd_moments_mean(ns) -> int:
-    fam = ns.weight_family
+    if ns.binomial and ns.star:
+        raise ValidationError("--star has no fixed-n form; drop --binomial or --star")
     if ns.binomial:
-        est = mean_K_binomial(fam, ns.j, ns.l, ns.n, prune=ns.prune)
-        row = _moment_row("mean_K_binomial", ns.j, ns.l, None, None, float(ns.n), est)
+        quantity, t, terms = ("mean_K_binomial", float(ns.n),
+                              _exact(mean_K_binomial, ns.j, ns.l, ns.n))
     elif ns.star:
-        est = mean_K_star(fam, ns.j, ns.l, ns.t, prune=ns.prune)
-        row = _moment_row("mean_K_star", ns.j, ns.l, None, None, ns.t, est)
+        quantity, t, terms = "mean_K_star", ns.t, _star_terms(mean_K, (ns.j,), (ns.l,), (ns.t,))
     else:
-        est = mean_K(fam, ns.j, ns.l, ns.t, prune=ns.prune)
-        row = _moment_row("mean_K", ns.j, ns.l, None, None, ns.t, est)
+        quantity, t, terms = "mean_K", ns.t, _exact(mean_K, ns.j, ns.l, ns.t)
+    row = _moment_row(quantity, ns.j, ns.l, None, None, t, _estimate(ns, terms))
     _emit([MOMENTS_CSV_HEADER, row], ns.out)
     return 0
 
 
 def _cmd_moments_cov(ns) -> int:
-    fam = ns.weight_family
-    s = ns.s if ns.s is not None else ns.t
-    if ns.which == "same":
-        est = cov_K_cross_level(fam, ns.j, ns.l, ns.l, s, ns.t, prune=ns.prune)
-        row = _moment_row("cov_K_same", ns.j, ns.l, None, s, ns.t, est)
-    elif ns.which == "star":
-        est = cov_K_star_same(fam, ns.j, ns.l, s, ns.t, prune=ns.prune)
-        row = _moment_row("cov_K_star_same", ns.j, ns.l, None, s, ns.t, est)
-    elif ns.which == "levels":
-        est = cov_K_cross_level(fam, ns.j, ns.l, ns.l2, s, ns.t, prune=ns.prune)
-        row = _moment_row("cov_K_cross_level", ns.j, ns.l, ns.l2, s, ns.t, est)
-    else:  # gens
-        est = cov_K_cross_gen(
-            fam, ns.gen_i, ns.j, ns.l, ns.l2, s, ns.t, prune=ns.prune
-        )
-        row = _moment_row(
-            f"cov_K_cross_gen_{ns.gen_i}_{ns.j}", ns.j, ns.l, ns.l2, s, ns.t, est
-        )
-    _emit([MOMENTS_CSV_HEADER, row], ns.out)
+    j, l, l2, t = ns.j, ns.l, ns.l2, ns.t
+    s = ns.s if ns.s is not None else t
+    quantity, l2, terms = {
+        "same": ("cov_K_same", None, _exact(cov_K_cross_level, j, l, l, s, t)),
+        "star": ("cov_K_star_same", None, _star_terms(cov_K_cross_level, (j,), (l, l), (s, t))),
+        "levels": ("cov_K_cross_level", l2, _exact(cov_K_cross_level, j, l, l2, s, t)),
+        "gens": (f"cov_K_cross_gen_{ns.gen_i}_{j}", l2,
+                 _exact(cov_K_cross_gen, ns.gen_i, j, l, l2, s, t)),
+    }[ns.which]
+    _emit([MOMENTS_CSV_HEADER, _moment_row(quantity, j, l, l2, s, t, _estimate(ns, terms))],
+          ns.out)
     return 0
 
 
 def _cmd_moments_gap(ns) -> int:
-    terms = _gap_terms(ns.j, ns.l, ns.t)
-    results = {(fn, args): fn(ns.weight_family, *args, prune=ns.prune)
-               for _, fn, args in terms}
-    value, error = _combine(terms, results)
-    boxes = sum(e.boxes_enumerated for e in results.values())
-    bound = depoissonization_constant(ns.l)
+    est = _estimate(ns, _gap_terms(ns.j, ns.l, ns.t))
     lines = [
         MOMENTS_CSV_HEADER + ",uniform_bound",
         _moment_row("depoissonization_gap", ns.j, ns.l, None, None, ns.t,
-                    MomentEstimate(abs(value), error, boxes))
-        + f",{bound!r}",
+                    MomentEstimate(abs(est.value), est.error_bound, est.boxes_enumerated))
+        + f",{depoissonization_constant(ns.l)!r}",
     ]
     _emit(lines, ns.out)
     return 0

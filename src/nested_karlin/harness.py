@@ -22,6 +22,7 @@ pure function of its arguments, so reports are byte-identical for a fixed
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -37,11 +38,9 @@ from .limits import closed_cov
 from .moments import (
     cov_K_cross_gen,
     cov_K_cross_level,
-    cov_K_star_same,
     depoissonization_constant,
     mean_K,
     mean_K_binomial,
-    mean_K_star,
 )
 # the single-replica simulators stay importable here for perfbench/trace_cli.py
 from .scheme import simulate_deterministic, simulate_poissonized, simulate_replicas  # noqa: F401
@@ -325,13 +324,13 @@ def _exact(fn, *args) -> tuple:
     return ((1.0, fn, args),)
 
 
-def _star_terms(fn, head: tuple, l1: int, l2: int, tail: tuple) -> tuple:
-    """The terms of Cov(K*(l1), K*(l2)) over the at-least-level covariance
-    ``fn(family, *head, a, b, *tail)``, by K*(l) = K(l) - K(l + 1)."""
+def _star_terms(fn, head: tuple, levels: tuple, tail: tuple) -> tuple:
+    """The terms of the exact-count moment over the at-least-count moment
+    ``fn(family, *head, *levels, *tail)`` of one or two levels, each level l
+    expanded by K*(l) = K(l) - K(l + 1), the first level outermost."""
     return tuple(
-        (sa * sb, fn, (*head, l1 + da, l2 + db, *tail))
-        for da, sa in ((0, 1.0), (1, -1.0))
-        for db, sb in ((0, 1.0), (1, -1.0))
+        (math.prod(sign for _, sign in pick), fn, (*head, *(l for l, _ in pick), *tail))
+        for pick in itertools.product(*(((l, 1.0), (l + 1, -1.0)) for l in levels))
     )
 
 
@@ -399,21 +398,16 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     J, L, n = _whole(config, generations=1, levels=1, deterministic_n=0)
     family = config.family()
     t = float(n) if n else float(config.t)
+    fn, x = (mean_K_binomial, n) if n else (mean_K, t)
     js, ls = range(1, J + 1), range(1, L + 1)
     cells: list = []
     # value-array columns: (0 for K or 1 for K*, j - 1, l - 1, 0)
     for j in js:
         for l in ls:
-            if n:
-                # K*(l) = K(l) - K(l + 1)
-                stats = [("mean", _mean_se, _exact(mean_K_binomial, j, l, n),
-                          ((1.0, mean_K_binomial, (j, l, n)),
-                           (-1.0, mean_K_binomial, (j, l + 1, n))))]
-            else:
-                stats = [("mean", _mean_se, _exact(mean_K, j, l, t),
-                          _exact(mean_K_star, j, l, t)),
-                         ("var", _var_se, _exact(cov_K_cross_level, j, l, l, t, t),
-                          _exact(cov_K_star_same, j, l, t, t))]
+            stats = [("mean", _mean_se, _exact(fn, j, l, x), _star_terms(fn, (j,), (l,), (x,)))]
+            if not n:
+                stats.append(("var", _var_se, _exact(cov_K_cross_level, j, l, l, t, t),
+                              _star_terms(cov_K_cross_level, (j,), (l, l), (t, t))))
             for stat_name, stat, k_terms, star_terms in stats:
                 for p, name, terms in ((0, "K", k_terms), (1, "K_star", star_terms)):
                     cells.append(_Cell(f"{stat_name}_{name}:j={j},l={l}", j, l, None,
@@ -423,7 +417,7 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
         """Cov(K_i(l1), K_j(l2)) and the same for K*, with exact value
         ``fn(family, *head, l1, l2, t, t)``."""
         for p, name, terms in ((0, "K", _exact(fn, *head, l1, l2, t, t)),
-                               (1, "K_star", _star_terms(fn, head, l1, l2, (t, t)))):
+                               (1, "K_star", _star_terms(fn, head, (l1, l2), (t, t)))):
             cells.append(_Cell(f"cov_{name}_{kind}:{tag}", i, l1, l2, t, t, _cov_se,
                                ((p, i - 1, l1 - 1, 0), (p, j - 1, l2 - 1, 0)), terms))
 
@@ -533,7 +527,9 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
                 for t, (c, f) in zip(ts, cf[1])])
               for l in ls]
     series += [(f"mean_star_ratio:j={j},l={l}", j, l, None, 1.0,
-                [(((l, mean_K_star, (j, l, t)),), c * f) for t, (c, f) in zip(ts, cf[j])])
+                [(tuple((l * sign, fn, args)
+                        for sign, fn, args in _star_terms(mean_K, (j,), (l,), (t,))), c * f)
+                 for t, (c, f) in zip(ts, cf[j])])
                for j in js for l in ls]
     if J >= 2:
         series.append(("cross_gen_ratio:l=1,l2=1", 1, 1, 1, 0.0,

@@ -192,14 +192,15 @@ def binomial_identity_lhs(l: int, a: float, b: float) -> float:
     """Left side of
     ``sum_{k=0}^{l-1} C(k+l, l) (a^k b^l + a^l b^k) / ((a+b)^{k+l} (k+l)) = 1/l``.
 
-    Evaluated with the normalized ratios a/(a+b), b/(a+b) so large raw
-    inputs cannot overflow.  Tests assert the sum equals 1/l.
+    Evaluated with the normalized ratios a/(a+b), b/(a+b) after scaling a, b
+    by the power of two of max(a, b), an exact step, so nothing overflows.
     """
     l = check_whole("level", l, 1)
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValidationError(f"binomial_identity_lhs requires finite a, b > 0, got {a}, {b}")
-    u = a / (a + b)
-    v = b / (a + b)
+    e = math.frexp(max(a, b))[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
+    u, v = a / (a + b), b / (a + b)
     total = 0.0
     for k in range(l):
         total += math.comb(k + l, l) * (u**k * v**l + u**l * v**k) / (k + l)

@@ -24,7 +24,7 @@ threshold on x_r = p_r * rate, where the rate is the summand's largest time
   up to 1e300.
 
 The certified ``error_bound`` adds two terms.  The series remainder: for
-the single alternating tails (Poisson, psi_l, and the binomial tail, whose
+the single alternating tails (the Poisson and the binomial tail, whose
 terms shrink by a factor below x < ``_ETA``) the first omitted term, and
 for the covariance products a majorant series of absolute coefficients,
 both as a factor times U_{_ORDER+1}.  The table cut: the caller supplies
@@ -40,6 +40,9 @@ generation-(j-i) suffix over the same plan, split at depth i: the active
 generation-j boxes r1 r2 directly, the inactive suffixes of each active r1
 by a series whose coefficients depend on r1, and the inactive r1 by a 1-D
 series over the generation-i power sums (see its docstring).
+
+The four moments here are of the at-least counts K; an exact-count moment
+is their combination by K*(l) = K(l) - K(l+1) (``harness._star_terms``).
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_whole
-from .kernels import binomial_tail, poisson_tail, psi, psi_table
+# psi, no longer called here, stays importable for perfbench/trace_cli.py
+from .kernels import binomial_tail, poisson_tail, psi, psi_table  # noqa: F401
 from .weights import WeightFamily
 
 __all__ = [
@@ -60,9 +64,7 @@ __all__ = [
     "BoxPlan",
     "enumerate_boxes",
     "mean_K",
-    "mean_K_star",
     "mean_K_binomial",
-    "cov_K_star_same",
     "cov_K_cross_level",
     "cov_K_cross_gen",
     "depoissonization_constant",
@@ -342,14 +344,6 @@ def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
                     _at_least_series(l, 1.0))
 
 
-def mean_K_star(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
-    """E K*_t^(j)(l) = sum_r psi_l(p_r t) (exactly-l boxes)."""
-    l = check_whole("l", l, 1)
-    _check_times(prune, t)
-    return _box_sum(family, j, prune, t / l, t, lambda c: psi(l, c * t),
-                    _psi_series(l, 1.0))
-
-
 def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
     """E 𝒦_n^(j)(l) for the deterministic scheme: sum_r P{Bin(n, p_r) >= l}."""
     l = check_whole("l", l, 1)
@@ -359,22 +353,6 @@ def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
         return MomentEstimate(0.0, 0.0, 0)
     return _box_sum(family, j, prune, n / l, n, lambda c: binomial_tail(n, c, l),
                     _binomial_series(n, l))
-
-
-def cov_K_star_same(family, j, l, s, t, *, prune: float = 1e-9) -> MomentEstimate:
-    """Cov(K*_s^(j)(l), K*_t^(j)(l)) =
-    sum_r [psi_l(p(s∧t)) e^{-p|t-s|} - psi_l(ps) psi_l(pt)]."""
-    l = check_whole("l", l, 1)
-    _check_times(prune, s, t)
-    lo, hi = min(s, t), max(s, t)
-    rho, sigma = (lo / hi, (hi - lo) / hi) if hi else (0.0, 0.0)
-    series = _psi_series(l, rho) * (_psi_series(0, sigma) - _psi_series(l, 1.0))
-    return _box_sum(
-        family, j, prune, lo / l, hi,
-        lambda c: psi(l, c * lo) * np.exp(-c * (hi - lo))
-        - psi(l, c * s) * psi(l, c * t),
-        series,
-    )
 
 
 def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> MomentEstimate:

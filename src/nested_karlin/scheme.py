@@ -110,7 +110,7 @@ def _keyed_rng(seed: int, index: int, rng=None) -> np.random.Generator:
     counter 0 with key [seed mod 2**64, index mod 2**64], the stream that
     ``Philox(key=...)`` gives.  A ``rng`` from here is re-keyed in place:
     setting the state skips the OS entropy a new ``Philox`` gathers."""
-    key = [check_whole("seed", seed, None) % 2**64, index % 2**64]
+    key = [check_whole("seed", seed, None) % 2**64, check_whole("replica", index, None) % 2**64]
     if rng is None:
         rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {

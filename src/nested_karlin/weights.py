@@ -186,7 +186,7 @@ class WeightFamily:
 
     def weight_prefix(self, K: int) -> np.ndarray:
         """Read-only view of [p_1, ..., p_K]; grown and cached on demand."""
-        K = int(K)
+        K = check_whole("prefix length K", K, 0)
         if K > self._w.size:
             grow = max(K, 2 * self._w.size, 64)
             w = np.atleast_1d(self.weight(np.arange(1, grow + 1)))
@@ -212,12 +212,7 @@ class WeightFamily:
         weibull-like bound is the integral comparison
         ``C_alpha * integral_K^infty exp(-x**alpha) dx``.
         """
-        try:
-            K = int(K)
-        except (OverflowError, ValueError) as exc:
-            raise ValidationError(f"tail_mass_bound needs a finite K, got {K}") from exc
-        if K < 0:
-            raise ValidationError("tail_mass_bound needs K >= 0")
+        K = check_whole("tail_mass_bound K", K, 0)
         if K == 0:
             return 1.0
         if self.kind == "geometric":
@@ -279,8 +274,8 @@ class WeightFamily:
         and ``f_j(T) = T^(j beta + j - 1) ell(T)^j``: the variance of the
         generation-j counts at time e^T grows like ``c_j f_j(T)``."""
         j = check_whole("generation", j, 1)
-        if not T > 1.0:
-            raise ValidationError(f"normalizations need T > 1, got {T}")
+        if not 1.0 < T < math.inf:
+            raise ValidationError(f"normalizations need a finite T > 1, got {T}")
         c = math.gamma(self.beta + 1.0) ** j / math.gamma(j * (self.beta + 1.0))
         return c, T ** (j * self.beta + j - 1.0) * self.ell_at(T) ** j
 

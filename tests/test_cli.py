@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -230,6 +231,12 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and not out
 
+    def test_star_has_no_fixed_n_form(self, capsys):
+        # --binomial must not print the K row and drop --star
+        code, out, err = run_cli(["moments", "mean", "--binomial", "--star"], capsys)
+        assert code == 1
+        assert "error:" in err and not out
+
     def test_non_finite_finite_family_weights(self, capsys):
         for args in (
             ["weights", "table", "--family", "finite", "--probs", "0.5,nan"],
@@ -250,6 +257,34 @@ class TestExitCodes:
                 main(args)
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+
+def _moment_fields(args, capsys) -> list:
+    code, out, _ = run_cli(["moments", *args], capsys)
+    assert code == 0, args
+    return out.strip().split("\n")[1].split(",")
+
+
+class TestStarRows:
+    # K*(l) = K(l) - K(l + 1): each exact-count row against the rows of its terms
+    @pytest.mark.parametrize("star, parts", [
+        (["mean", "--star", "--j", "2", "--l", "2", "--t", "1e4"],
+         [(1.0, ["mean", "--j", "2", "--l", "2", "--t", "1e4"]),
+          (-1.0, ["mean", "--j", "2", "--l", "3", "--t", "1e4"])]),
+        (["cov", "--which", "star", "--j", "2", "--l", "1", "--s", "500", "--t", "3000"],
+         [(sign, ["cov", "--j", "2", "--s", "500", "--t", "3000", *which])
+          for sign, which in ((1.0, ["--which", "same", "--l", "1"]),
+                              (-1.0, ["--which", "levels", "--l", "1", "--l2", "2"]),
+                              (-1.0, ["--which", "levels", "--l", "2", "--l2", "1"]),
+                              (1.0, ["--which", "same", "--l", "2"]))]),
+    ])
+    def test_row_sums_its_terms(self, star, parts, capsys):
+        got = _moment_fields(star, capsys)
+        terms = [(coef, _moment_fields(args, capsys)) for coef, args in parts]
+        assert got[0] in ("mean_K_star", "cov_K_star_same") and got[3] == ""
+        assert float(got[6]) == math.fsum(coef * float(r[6]) for coef, r in terms)
+        assert float(got[7]) == math.fsum(abs(coef) * float(r[7]) for coef, r in terms)
+        assert int(got[8]) == sum(int(r[8]) for _, r in terms)
 
 
 class TestLimitsConsistency:

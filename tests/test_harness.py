@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from nested_karlin import harness
+from nested_karlin import harness, moments
 from nested_karlin.errors import ValidationError
 from nested_karlin.harness import (
     REPORT_CSV_HEADER,
@@ -128,9 +128,9 @@ class TestMomentCheck:
             run_moment_check(cfg)
 
 
-# the functions through which a run does its work: simulation and exact moments
-_WORK = ("simulate_replicas", "mean_K", "mean_K_star", "mean_K_binomial",
-         "cov_K_star_same", "cov_K_cross_level", "cov_K_cross_gen")
+# the functions through which a run does its work: simulation and every
+# name of the moments module that the harness binds
+_WORK = ("simulate_replicas", *(name for name in moments.__all__ if hasattr(harness, name)))
 
 
 @pytest.mark.parametrize("runner, name, value", [
@@ -288,14 +288,14 @@ class TestReproducibility:
 _PINNED_DIGESTS = [
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=2, levels=3, replicas=200, seed=11),
-     "e19fab2f497cd8c9657a64f9c9540f2299cb3fe444c05427888c949dee22dfcc"),
+     "0a5d8574ce58dadb3238891a88671ae4362ef7241b2e50a7a521557a28a80c48"),
     (run_moment_check,
      ExperimentConfig(deterministic_n=300, generations=2, levels=2, replicas=200,
                       seed=12),
      "25e0c40a5290fff09dd29ea4d8ba631e1c0ac08c275cabd6635c9d7053300633"),
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=1, levels=2, replicas=200, seed=13),
-     "988a8186073591eb2849b84155eaef9dc02052e833ae46a5da043aa167a0be89"),
+     "637ffd6c5f7cd00bf4bacd035b78455f51d89dfae39308ad829dea9717039d0f"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 0.5), generations=2, levels=2,
                       replicas=200, seed=14),
@@ -306,15 +306,15 @@ _PINNED_DIGESTS = [
      "86df2cebfa7c860bb1713cc5241134982d4bf2adadddd3603744c0556c25ae0e"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2, prune=1e-6),
-     "ccc75fda777537e4dae2e06133ceaf749d7dcf10b862d681cd9215752d9fb98f"),
+     "4dcb619f2b11f8ea9d29b6c753413a03be0658906f6a71e697aec0aa5104ed83"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 12.0, 14.0), generations=3, levels=2),
-     "942de7f231b4a8b34cb6a6d6f85abfdb51db30c92373b2baa5a5e5c6a2681872"),
+     "2cfcb1b6343c4b5a3b9c3dde3091122d757681fd70c776e95d9693588b32b9b9"),
     # geometric: every row an unflagged diagnostic, no endpoint verdicts
     (run_asymptotic_trend,
      ExperimentConfig(family_kind="geometric", p=0.5, T_grid=(10.0, 14.0),
                       generations=2, levels=2),
-     "ea3b230aafa4ddefadde172d0d9bd863e50ef3f68a44f17b1d9bf3133c658701"),
+     "8260b4a2c025bab6fe1456a3b364fd9fe54c7868d767c5342d699d3022574e44"),
     # the default t-grid: 20 log-spaced times from 10 to 1e5
     (run_depoissonization_check,
      ExperimentConfig(generations=2, levels=2),

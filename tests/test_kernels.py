@@ -325,6 +325,12 @@ class TestIdentities:
         with pytest.raises(ValidationError):
             binomial_identity_lhs(2, a, b)
 
+    @pytest.mark.parametrize("a, b", [(1e308, 1e308), (1e308, 1e-308)])
+    def test_binomial_huge_inputs(self, a, b):
+        # a + b itself overflows at (1e308, 1e308)
+        for l in (1, 2, 5):
+            assert binomial_identity_lhs(l, a, b) * l == pytest.approx(1.0, rel=1e-12)
+
     def test_binomial_scale_invariance(self):
         assert binomial_identity_lhs(4, 1.0, 2.0) == pytest.approx(
             binomial_identity_lhs(4, 10.0, 20.0), rel=1e-15

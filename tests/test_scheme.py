@@ -12,7 +12,8 @@ from types import SimpleNamespace
 from nested_karlin import scheme
 from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.kernels import poisson_tail
-from nested_karlin.moments import mean_K_star
+from nested_karlin.harness import _combine, _star_terms
+from nested_karlin.moments import mean_K
 from nested_karlin.scheme import (
     OccupancyTrajectory,
     simulate_deterministic,
@@ -482,7 +483,8 @@ class TestPoissonizedExamples:
             for l in (1, 2, 3):
                 cell = vals[:, j - 1, l - 1]
                 se = cell.std(ddof=1) / math.sqrt(replicas)
-                exact = mean_K_star(weib, j, l, t).value
+                terms = _star_terms(mean_K, (j,), (l,), (t,))
+                exact = _combine(terms, {(f, a): f(weib, *a) for _, f, a in terms})[0]
                 assert abs(cell.mean() - exact) <= 4.0 * se, (j, l)
 
     def test_ball_count_mean(self, geo):
@@ -561,6 +563,18 @@ class TestInvariantsAndDeterminism:
     def test_seed_must_be_whole(self, geo, seed):
         with pytest.raises(ValidationError, match="seed"):
             simulate_replicas(geo, [5.0], 1, 1, seed, range(2))
+
+    @pytest.mark.parametrize("replica", [1.99, math.nan])
+    def test_replica_must_be_whole(self, geo, replica):
+        # a fractional index must not run the stream of its integer part
+        with pytest.raises(ValidationError, match="replica"):
+            simulate_poissonized(geo, [20.0], 1, 1, seed=3, replica=replica)
+
+    def test_negative_replica_wraps(self, geo):
+        a = simulate_poissonized(geo, [20.0], 2, 2, seed=3, replica=-1)
+        b = simulate_poissonized(geo, [20.0], 2, 2, seed=3, replica=2**64 - 1)
+        assert_array_equal(a.K, b.K)
+        assert_array_equal(a.balls, b.balls)
 
     def test_negative_seed_wraps(self, geo):
         a = simulate_poissonized(geo, [20.0], 2, 2, seed=-1, replica=3)

@@ -63,6 +63,13 @@ class TestWeight:
             assert_allclose(fam.weight(np.array([1.0, 4.0])), fam.weight(np.array([1, 4])),
                             rtol=0)
 
+    @pytest.mark.parametrize("K", [-3, 2.5, math.nan])
+    def test_prefix_length_must_be_whole(self, weib, geo, fin, K):
+        # never a slice of the cached table: K = -3 would drop its last 3 weights
+        for fam in (weib, geo, fin):
+            with pytest.raises(ValidationError):
+                fam.weight_prefix(K)
+
     def test_prefix_matches_weight(self, weib):
         w = weib.weight_prefix(50)
         assert_allclose(w, weib.weight(np.arange(1, 51)), rtol=0)
@@ -173,6 +180,13 @@ class TestTailBound:
     def test_tail_index_rejects_zero_for_infinite(self, weib):
         with pytest.raises(ValidationError):
             weib.tail_index(0.0)
+
+    @pytest.mark.parametrize("K", [1.5, 0.5])
+    def test_index_must_be_whole(self, weib, geo, fin, K):
+        # a fractional K must not be read as its integer part
+        for fam in (weib, geo, fin):
+            with pytest.raises(ValidationError):
+                fam.tail_mass_bound(K)
 
     def test_nan_threshold_and_index(self, weib, geo, fin):
         for fam in (weib, geo, fin):
@@ -323,7 +337,7 @@ class TestNormalization:
         assert f == pytest.approx(T ** (j - 1) * (T / math.log(2.0)) ** j, rel=1e-14)
 
     @pytest.mark.parametrize("j, T", [(1, 1.0), (1, 0.5), (1, -3.0), (1, math.nan),
-                                      (0, 8.0), (1.5, 8.0)])
+                                      (1, math.inf), (0, 8.0), (1.5, 8.0)])
     def test_bad_arguments_rejected(self, weib, j, T):
         with pytest.raises(ValidationError):
             weib.normalization(j, T)
