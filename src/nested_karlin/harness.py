@@ -255,16 +255,8 @@ def _mean_se(x: np.ndarray) -> tuple:
     return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(R))
 
 
-def _var_se(x: np.ndarray) -> tuple:
-    R = len(x)
-    c = x - np.mean(x)
-    m2 = float(np.mean(c**2))
-    m4 = float(np.mean(c**4))
-    var = m2 * R / (R - 1)
-    return var, math.sqrt(max(m4 - m2**2, 0.0) / R)
-
-
 def _cov_se(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Covariance and its standard error; a variance is ``_cov_se(x, x)``."""
     R = len(x)
     cx, cy = x - np.mean(x), y - np.mean(y)
     c = float(np.mean(cx * cy))
@@ -404,14 +396,14 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     # value-array columns: (0 for K or 1 for K*, j - 1, l - 1, 0)
     for j in js:
         for l in ls:
-            stats = [("mean", _mean_se, _exact(fn, j, l, x), _star_terms(fn, (j,), (l,), (x,)))]
-            if not n:
-                stats.append(("var", _var_se, _exact(cov_K_cross_level, j, l, l, t, t),
+            stats = [("mean", _mean_se, 1, _exact(fn, j, l, x), _star_terms(fn, (j,), (l,), (x,)))]
+            if not n:  # a variance reads its column twice: _cov_se(x, x)
+                stats.append(("var", _cov_se, 2, _exact(cov_K_cross_level, j, l, l, t, t),
                               _star_terms(cov_K_cross_level, (j,), (l, l), (t, t))))
-            for stat_name, stat, k_terms, star_terms in stats:
+            for stat_name, stat, reads, k_terms, star_terms in stats:
                 for p, name, terms in ((0, "K", k_terms), (1, "K_star", star_terms)):
-                    cells.append(_Cell(f"{stat_name}_{name}:j={j},l={l}", j, l, None,
-                                       t, t, stat, ((p, j - 1, l - 1, 0),), terms))
+                    cells.append(_Cell(f"{stat_name}_{name}:j={j},l={l}", j, l, None, t, t,
+                                       stat, ((p, j - 1, l - 1, 0),) * reads, terms))
 
     def cov_pair(kind, tag, i, j, l1, l2, fn, head):
         """Cov(K_i(l1), K_j(l2)) and the same for K*, with exact value
@@ -463,10 +455,9 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
             for ga, ua in enumerate(u_grid):
                 for gb in range(ga, G):
                     ub = u_grid[gb]
-                    a, b = (j - 1, l - 1, ga), (j - 1, l - 1, gb)
-                    stat, cols = (_var_se, (a,)) if ga == gb else (_cov_se, (a, b))
                     cells.append(_Cell(
-                        f"cov:j={j},l={l},u={ua},v={ub}", j, l, None, ua, ub, stat, cols,
+                        f"cov:j={j},l={l},u={ua},v={ub}", j, l, None, ua, ub, _cov_se,
+                        ((j - 1, l - 1, ga), (j - 1, l - 1, gb)),
                         _exact(cov_K_cross_level, j, l, l, times[ga], times[gb]), nj2,
                         limit=closed_cov("Z", l, l, ua - ub)))
             for ga, ua in enumerate(u_grid):

@@ -95,11 +95,12 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
     P(l, m), which keeps full relative precision in both tails (the tail
     itself when it is many orders of magnitude below 1, the complement near
     1).  Accuracy: within 256 ulp of mpmath at 50 digits for l <= 5 and m in
-    [1e-12, 1e6].  Any whole l is a level; for l <= 0 the tail is 1."""
+    [1e-12, 1e6].  Any whole l is a level; for l <= 0 the tail is 1.  The
+    mean m must be finite and >= 0."""
     l = check_whole("level", l, None)
     m_arr = np.asarray(m, dtype=float)
-    if not np.all(m_arr >= 0.0):
-        raise ValidationError("poisson_tail requires m >= 0")
+    if not np.all((m_arr >= 0.0) & (m_arr < np.inf)):
+        raise ValidationError("poisson_tail requires finite m >= 0")
     scalar = m_arr.ndim == 0
     m_arr = np.atleast_1d(m_arr)
     if l <= 0:

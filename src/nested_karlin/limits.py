@@ -84,30 +84,21 @@ def _crossZ(l: int, n: int, delta: float) -> float:
     return total
 
 
-def _covX(l: int, delta: float) -> float:
-    """Cov(X_l(u), X_l(v)), depending on |delta| only:
-    ``e^{-|d|l}/l - (2l-1)! e^{-|d|l} / ((l!)^2 (1+e^{-|d|})^{2l})``.
-
-    At delta = 0 this is exactly ``b*_l``.
-    """
-    d = abs(delta)
-    e = math.exp(-d)
-    return math.exp(-d * l) / l - math.exp(
-        math.lgamma(2 * l) - 2 * math.lgamma(l + 1) - d * l - 2 * l * math.log1p(e)
-    )
-
-
 def _crossX(l1: int, l2: int, delta: float) -> float:
-    """E X_{l1}(u) X_{l2}(v) for l1 > l2 >= 1; with y = -delta = v - u,
+    """E X_{l1}(u) X_{l2}(v) for l1 >= l2 >= 1, and delta >= 0 at l1 = l2;
+    with y = -delta = v - u,
 
     ``e^{y*l2} [ C(l1,l2)/l1 * ((1-e^y)_+)^{l1-l2}
-                - C(l1+l2,l2)/(l1+l2) * (1+e^y)^{-(l1+l2)} ]``.
+                - C(l1+l2,l2)/(l1+l2) * (1+e^y)^{-(l1+l2)} ]``,
+
+    where the first term is 0 for y > 0 and (.)^0 = 1.  At l1 = l2 this is
+    Cov(X_l(u), X_l(v)) at |delta|, and at delta = 0 exactly ``b*_l``.
     """
     y = -delta
     pos = -math.expm1(y) if y < 0.0 else 0.0
     log1pey = math.log1p(math.exp(y)) if y < 50.0 else y
     t1 = 0.0
-    if pos > 0.0:
+    if y <= 0.0:  # also keeps exp(y * l2) from overflowing
         t1 = math.comb(l1, l2) / l1 * pos ** (l1 - l2) * math.exp(y * l2)
     t2 = (
         math.comb(l1 + l2, l2)
@@ -139,9 +130,7 @@ def closed_cov(kind: str, l1: int, l2: int, delta: float) -> float:
         if l1 <= l2:
             return _crossZ(l1, l2 - l1, d)
         return _crossZ(l2, l1 - l2, -d)
-    if l1 == l2:
-        return _covX(l1, d)
-    if l1 > l2:
+    if (l1, d) >= (l2, -d):  # l1 > l2, or l1 = l2 and delta >= 0
         return _crossX(l1, l2, d)
     return _crossX(l2, l1, -d)
 

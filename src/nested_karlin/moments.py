@@ -35,11 +35,15 @@ coordinate beyond the table's cut weigh at most j times its tail mass.  The
 cut takes half the budget, and the series remainder must fit in the other
 half, so the bound never exceeds ``prune``.
 
-``cov_K_cross_gen`` sums pairs (r1, r2) of a generation-i box and a
-generation-(j-i) suffix over the same plan, split at depth i: the active
-generation-j boxes r1 r2 directly, the inactive suffixes of each active r1
-by a series whose coefficients depend on r1, and the inactive r1 by a 1-D
-series over the generation-i power sums (see its docstring).
+Both covariances have one summand, ``_pair_cov``: a box r1 at time s and a
+box r1 r2 below it at time t, their ball counts split into independent
+Poisson counts.  ``cov_K_cross_level`` is its case p2 = 1, one box at two
+times, with the (level, time) pairs ordered once.  ``cov_K_cross_gen`` sums
+pairs (r1, r2) of a generation-i box and a generation-(j-i) suffix over the
+same plan, split at depth i: the active generation-j boxes r1 r2 directly,
+the inactive suffixes of each active r1 by a series whose coefficients
+depend on r1, and the inactive r1 by a 1-D series over the generation-i
+power sums (see its docstring).
 
 The four moments here are of the at-least counts K; an exact-count moment
 is their combination by K*(l) = K(l) - K(l+1) (``harness._star_terms``).
@@ -47,7 +51,6 @@ is their combination by K*(l) = K(l) - K(l+1) (``harness._star_terms``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -359,70 +362,50 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
     """Cov(K_s^(j)(l1), K_t^(j)(l2)) — level l1 observed at time s, level l2
     at time t; at l1 == l2 the same-level covariance over time.
 
-    Internally normalized to s <= t (the covariance is symmetric under
-    swapping the (level, time) pairs).  With s <= t and l1 >= l2 the events
-    nest; otherwise the joint lower tail is a short psi-convolution: i < l1
-    balls by time s and fewer than l2 - i more in (s, t].
+    The covariance is symmetric under swapping the (level, time) pairs, so
+    they are ordered once: s <= t, and at s = t also l1 >= l2.  A box of
+    weight c adds ``_pair_cov(c, c, l1, l2, s, t)``, the summand of
+    ``cov_K_cross_gen`` at p2 = 1: with A the balls by s and F those in
+    (s, t], P{A >= l1} P{A + F < l2} - sum_{l1 <= a < l2} P{A = a} P{F < l2 - a}.
+    The sum is empty for l1 >= l2, where the events nest.
     """
     l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
     _check_times(prune, s, t)
-    if s > t:
+    if (s, l2) > (t, l1):
         l1, l2, s, t = l2, l1, t, s
-
-    def summand(c):
-        low_t = poisson_low(l2, c * t)
-        if l1 >= l2:
-            return poisson_tail(l1, c * s) * low_t
-        early = psi_table(l1, c * s)
-        late = np.cumsum(psi_table(l2, c * (t - s)), axis=0)  # P{<= q} at q
-        joint = sum(early[i] * late[l2 - 1 - i] for i in range(l1))
-        return joint - early.sum(axis=0) * low_t
-
     rho, sigma = (s / t, (t - s) / t) if t else (0.0, 0.0)
-    low_t = _below_series(l2, 1.0)
-    if l1 >= l2:
-        series = _at_least_series(l1, rho) * low_t
-    else:
-        early = [_psi_series(i, rho) for i in range(l1)]
-        late = list(itertools.accumulate(_psi_series(q, sigma) for q in range(l2)))
-        joint = sum((early[i] * late[l2 - 1 - i] for i in range(1, l1)),
-                    early[0] * late[l2 - 1])
-        series = joint - sum(early[1:], early[0]) * low_t
-    return _box_sum(family, j, prune, min(s / l1, t / l2), t, summand, series)
-
-
-def _binomial_pmfs(size: int, p: np.ndarray) -> np.ndarray:
-    """pmf[m, k] = P{Bin(m, p) = k} for m, k < size, by Pascal's rule."""
-    pmf = np.zeros((size, size) + p.shape)
-    pmf[0, 0] = 1.0
-    for m in range(1, size):
-        pmf[m] = pmf[m - 1] * (1.0 - p)
-        pmf[m, 1:] += pmf[m - 1, :-1] * p
-    return pmf
+    series = _at_least_series(l1, rho) * _below_series(l2, 1.0)
+    for a in range(l1, l2):
+        series = series - _psi_series(a, rho) * _below_series(l2 - a, sigma)
+    return _box_sum(family, j, prune, min(s / l1, t / l2), t,
+                    lambda c: _pair_cov(c, c, l1, l2, s, t), series)
 
 
 def _pair_cov(p1, x, l, n, s, t) -> np.ndarray:
-    """Cov(1{r1 holds < l balls at s}, 1{r1 r2 holds < n at t}) for boxes r1
-    of weight p1 and r1 r2 of weight x = p1 p2, elementwise."""
-    pmf = _binomial_pmfs(l, x / p1)  # k of r1's m balls continue into r2
-    if t >= s:  # m < l balls in r1 at s; r2 then needs fewer than n - k fresh
-        held = psi_table(l, p1 * s)
-        fresh = np.cumsum(psi_table(n, x * (t - s)), axis=0)
-        joint = sum(fresh[n - 1 - k] * np.einsum("mr,mr->r", held, pmf[:, k])
-                    for k in range(min(l, n)))
-    else:  # k < l balls in r1 at t, and fewer than l - k more by s
-        held = psi_table(l, p1 * t) * np.cumsum(psi_table(l, p1 * (s - t)), axis=0)[::-1]
-        joint = np.einsum("kr,kr->r", held, pmf[:, :n].sum(axis=1))
-    return joint - poisson_low(l, p1 * s) * poisson_low(n, x * t)
+    """Cov(1{r1 holds >= l balls at s}, 1{r1 r2 holds >= n at t}) for boxes
+    r1 of weight p1 and r1 r2 of weight x = p1 p2 below it, elementwise
+    (p2 = 1 for one box at two times).  With lo = min(s, t), r1 holds A + B
+    balls at s and r1 r2 holds A + F at t, for independent Poisson counts
+    A, B, F of means x lo, p1 s - x lo and x (t - lo); so the covariance is
+    P{A+B >= l} P{A+F < n} - sum_{a<n} P{A = a} P{B >= l - a} P{F < n - a}."""
+    lo = min(s, t)
+    # fl(x lo) <= fl(p1 s), as p2 <= 1, lo <= s and rounding is monotone:
+    # every mean below is finite and >= 0
+    held = psi_table(n, x * lo)
+    fresh = np.cumsum(psi_table(n, x * (t - lo)), axis=0)  # P{F <= q} at q
+    rest = p1 * s - x * lo
+    joint = sum(held[a] * poisson_tail(l - a, rest) * fresh[n - 1 - a] for a in range(n))
+    return poisson_tail(l, p1 * s) * poisson_low(n, x * t) - joint
 
 
 def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentEstimate:
     """Cov(K_s^(i)(l), K_t^(j)(n)) across generations i < j.
 
     Thinning: a generation-i box r1 (weight p1) and a generation-(j-i) suffix
-    r2 (weight p2) contribute Cov(1{A+B < l}, 1{A+F < n}) for independent
-    Poisson counts A, B, F of means x lo, p1 s - x lo and x (t - lo), where
-    x = p1 p2, lo = min(s, t) and hi = max(s, t).  In z = x hi this is
+    r2 (weight p2) contribute ``_pair_cov``: Cov(1{A+B < l}, 1{A+F < n}) for
+    independent Poisson counts A, B, F of means x lo, p1 s - x lo and
+    x (t - lo), where x = p1 p2, lo = min(s, t) and hi = max(s, t).  In
+    z = x hi this is
     sum_{q<l} P{Poisson(p1 s) < l - q} G_q(z), with L_k(y) = P{Poisson(y) < k},
     rho = lo/hi, sigma = (t - lo)/hi, G_0 = L_n(sigma z) - L_n(t z / hi) and
     G_q = (rho z)^q sum_{k <= min(q, n-1)} (-1)^(q-k) L_{n-k}(sigma z) / (k! (q-k)!).

@@ -288,33 +288,33 @@ class TestReproducibility:
 _PINNED_DIGESTS = [
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=2, levels=3, replicas=200, seed=11),
-     "0a5d8574ce58dadb3238891a88671ae4362ef7241b2e50a7a521557a28a80c48"),
+     "952b5f3717c7a4e56bfac2eedccf96d953dcdb4a62ca938e264f870a30a31ac6"),
     (run_moment_check,
      ExperimentConfig(deterministic_n=300, generations=2, levels=2, replicas=200,
                       seed=12),
      "25e0c40a5290fff09dd29ea4d8ba631e1c0ac08c275cabd6635c9d7053300633"),
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=1, levels=2, replicas=200, seed=13),
-     "637ffd6c5f7cd00bf4bacd035b78455f51d89dfae39308ad829dea9717039d0f"),
+     "bac175f6853238805681f801e0f4bb3baaaa0d9415587e65161d48b7984406f9"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 0.5), generations=2, levels=2,
                       replicas=200, seed=14),
-     "5122dc0931d02424922789dea1cc94a5d8659c374358ebb459459e5c069ddf8c"),
+     "37a19f72c778cc64d46d9eae5384ffa8e9582caad6b1da6d2c3f5030d2b62d67"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=1, levels=2,
                       replicas=200, seed=15),
-     "86df2cebfa7c860bb1713cc5241134982d4bf2adadddd3603744c0556c25ae0e"),
+     "fc5a3a96143dfde85f967f625c47b8012b12f0493cb5b5f7b53e9defa8a632b3"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2, prune=1e-6),
-     "4dcb619f2b11f8ea9d29b6c753413a03be0658906f6a71e697aec0aa5104ed83"),
+     "97b0f6c3e0ed9b8d66cb2b02bd8b388263e04d05de80a1227b3ebb7d36b430e7"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 12.0, 14.0), generations=3, levels=2),
-     "2cfcb1b6343c4b5a3b9c3dde3091122d757681fd70c776e95d9693588b32b9b9"),
+     "a1bd935b608660a3a9c253eca9bb187a9b03075be2813edd02d3c1466c7a0350"),
     # geometric: every row an unflagged diagnostic, no endpoint verdicts
     (run_asymptotic_trend,
      ExperimentConfig(family_kind="geometric", p=0.5, T_grid=(10.0, 14.0),
                       generations=2, levels=2),
-     "8260b4a2c025bab6fe1456a3b364fd9fe54c7868d767c5342d699d3022574e44"),
+     "e8e4bbcd7961dfc36987b54b3c29a7e667d852d8fd0a2b49be693ded3a67bf5d"),
     # the default t-grid: 20 log-spaced times from 10 to 1e5
     (run_depoissonization_check,
      ExperimentConfig(generations=2, levels=2),

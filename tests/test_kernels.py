@@ -174,6 +174,11 @@ class TestPoissonTail:
             with pytest.raises(ValidationError):
                 poisson_tail(1, m)
 
+    def test_rejects_infinite_mean(self):
+        for l, m in ((1, math.inf), (2, [1.0, math.inf])):
+            with pytest.raises(ValidationError):
+                poisson_tail(l, m)
+
 
 class TestBinomialTail:
     def test_against_beta_oracle(self):

@@ -14,7 +14,6 @@ from nested_karlin.moments import (
     _BLOCK,
     _ETA,
     _ORDER,
-    _binomial_pmfs,
     cov_K_cross_gen,
     cov_K_cross_level,
     depoissonization_constant,
@@ -366,6 +365,31 @@ class TestCrossLevelCovariances:
         b = cov_K_cross_level(geo, 1, 1, 3, 12.0, 5.0)
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["weib", "geo", "fin3"])
+    @pytest.mark.parametrize("t", [7.0, 3000.0])
+    def test_equal_time_level_symmetry_is_exact(self, request, kind, t):
+        # at s = t the levels are ordered once, so both orders are one sum
+        fam = request.getfixturevalue(kind)
+        for j in (1, 2):
+            for l in (1, 2):
+                a = cov_K_cross_level(fam, j, l, l + 1, t, t)
+                b = cov_K_cross_level(fam, j, l + 1, l, t, t)
+                assert (a.value, a.error_bound) == (b.value, b.error_bound), (j, l)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.1, 0.35, 0.05, 0.3, 0.2]])
+    @pytest.mark.parametrize("s, t", [(0.5, 1.5), (40.0, 20.0), (7.0, 7.0)])
+    def test_thinning_oracle_at_unit_p2(self, probs, s, t):
+        # one box at two times is the cross-generation pair at p2 = 1: the
+        # scalar thinning term summed over every box of a finite family
+        fam = WeightFamily.finite(probs)
+        for j in (1, 2):
+            p = [math.prod(r) for r in itertools.product(fam.probs, repeat=j)]
+            for l1, l2 in itertools.product((1, 2, 3), repeat=2):
+                want = math.fsum(_pair_term(c, 1.0, l1, l2, s, t) for c in p)
+                est = cov_K_cross_level(fam, j, l1, l2, s, t)
+                tol = est.error_bound + 64 * np.finfo(float).eps * len(p)
+                assert abs(est.value - want) <= tol, (j, l1, l2)
+
 
 class TestCrossGeneration:
     def test_single_box_chain_coincides(self):
@@ -613,6 +637,16 @@ def _reference(family, j, prune, scale, summand):
     return math.fsum(float(np.sum(summand(c))) for c in chunks()), tail
 
 
+def _binomial_pmfs(size: int, p: np.ndarray) -> np.ndarray:
+    """pmf[m, k] = P{Bin(m, p) = k} for m, k < size, by Pascal's rule."""
+    pmf = np.zeros((size, size) + p.shape)
+    pmf[0, 0] = 1.0
+    for m in range(1, size):
+        pmf[m] = pmf[m - 1] * (1.0 - p)
+        pmf[m, 1:] += pmf[m - 1, :-1] * p
+    return pmf
+
+
 def _cross_gen_reference(family, i, j, l, n, s, t, prune):
     """cov_K_cross_gen as the tensor-product plan summed it: 2-D blocks of
     outer weights p1 (generation i, budget prune/2) by inner weights p2
@@ -644,8 +678,8 @@ def _cases(t):
     """(moment at t, its Markov scale, its rate, its summand) for the
     single-generation moments: level 2 where one level is read (for
     cov_K_cross_level at l1 = l2 = 2), and levels 1 and 3 across the times
-    s = t/3 and t in both orders (the convolution and the nested branch of
-    cov_K_cross_level)."""
+    s = t/3 and t in both orders (a nonempty Poisson-split sum in
+    cov_K_cross_level, and the nested product where it is empty)."""
     s, n = t / 3.0, int(t)
     return [
         (lambda f, j, **kw: mean_K(f, j, 2, t, **kw), t / 2, t,
