@@ -213,16 +213,20 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
     ``exact`` lists the run's exact values, each as its terms
     ``((coef, fn, args), ...)``; every distinct ``(fn, args)`` among them is
     computed once as ``fn(family, *args, prune=cfg.prune)``, and the
-    returned dict maps it to its MomentEstimate for ``_combine``.  Every
+    returned dict maps it to its MomentEstimate for ``_combine``.  The
+    (level, time) pairs of a ``cov_K_cross_level`` target are first put in
+    the order the function puts them in, so a covariance asked for in both
+    orders is computed once.  Every
     exact moment is a pure function of its arguments and replica r always
     draws from the stream keyed by (seed, r), so the results do not depend
     on the worker count.  A task receives the family, pickled by its spec,
     and its own arguments, never the config.  With one worker everything
     runs in this process, through the functions as listed.
     """
-    targets = list(dict.fromkeys((fn, args) for terms in exact for _, fn, args in terms))
     threads = check_whole("threads", cfg.threads, 1)
     payloads = [] if sim is None else _replica_payloads(cfg, family, sim, threads)
+    keys = {(fn, args): (fn, _ordered(fn, args)) for terms in exact for _, fn, args in terms}
+    targets = list(dict.fromkeys(keys.values()))
     if threads == 1:
         parts = [_replica_chunk(p) for p in payloads]
         values = [fn(family, *args, prune=cfg.prune) for fn, args in targets]
@@ -243,7 +247,18 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
                 pool.shutdown(cancel_futures=True)
                 raise
     V = np.concatenate(parts, axis=0) if parts else None
-    return dict(zip(targets, values)), V
+    results = dict(zip(targets, values))
+    return {key: results[target] for key, target in keys.items()}, V
+
+
+def _ordered(fn, args: tuple) -> tuple:
+    """``args`` of ``cov_K_cross_level`` with the (level, time) pairs in its
+    own order (s <= t, and l1 >= l2 at s = t), which gives the same value
+    bit for bit; the arguments of any other moment as they are."""
+    if fn is not cov_K_cross_level:
+        return args
+    j, l1, l2, s, t = args
+    return (j, l2, l1, t, s) if (s, l2) > (t, l1) else args
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from nested_karlin.harness import (
     run_depoissonization_check,
     run_moment_check,
 )
-from nested_karlin.moments import mean_K_binomial
+from nested_karlin.moments import cov_K_cross_level, mean_K_binomial
 
 
 @contextlib.contextmanager
@@ -95,6 +95,23 @@ class TestMomentCheck:
         report = run_moment_check(cfg)
         assert sorted(calls) == [(1, l, 3) for l in (1, 2, 3, 4)]
         assert len(report.cells) == 6
+
+    def test_equal_time_level_pairs_computed_once(self, monkeypatch):
+        # the K* variance asks for the levels (l, l + 1) and (l + 1, l) at
+        # s = t; both orders are one covariance, computed once, in the
+        # order cov_K_cross_level puts them in (l1 >= l2)
+        calls = []
+
+        def counted(family, *args, **kwargs):
+            calls.append(args)
+            return cov_K_cross_level(family, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "cov_K_cross_level", counted)
+        run_moment_check(ExperimentConfig(t=300.0, generations=1, levels=3,
+                                          replicas=100, seed=3))
+        pairs = {(l1, l2) for _, l1, l2, _, _ in calls}
+        assert len(calls) == len(pairs) == 10
+        assert all(l1 >= l2 for l1, l2 in pairs)
 
     def test_statistical_profile(self):
         cfg = ExperimentConfig(t=300.0, generations=2, levels=2, replicas=120, seed=17)
