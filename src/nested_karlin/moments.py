@@ -387,14 +387,20 @@ def _pair_cov(p1, x, l, n, s, t) -> np.ndarray:
     (p2 = 1 for one box at two times).  With lo = min(s, t), r1 holds A + B
     balls at s and r1 r2 holds A + F at t, for independent Poisson counts
     A, B, F of means x lo, p1 s - x lo and x (t - lo); so the covariance is
-    P{A+B >= l} P{A+F < n} - sum_{a<n} P{A = a} P{B >= l - a} P{F < n - a}."""
+    P{A+B >= l} P{A+F < n} - sum_{a<n} P{A = a} P{B >= l - a} P{F < n - a}.
+    Where B has mean 0 throughout (p2 = 1 and s <= t), P{B >= l - a} is
+    1{a >= l}: the sum runs over l <= a < n only, and is empty for l >= n."""
     lo = min(s, t)
     # fl(x lo) <= fl(p1 s), as p2 <= 1, lo <= s and rounding is monotone:
     # every mean below is finite and >= 0
-    held = psi_table(n, x * lo)
-    fresh = np.cumsum(psi_table(n, x * (t - lo)), axis=0)  # P{F <= q} at q
     rest = p1 * s - x * lo
-    joint = sum(held[a] * poisson_tail(l - a, rest) * fresh[n - 1 - a] for a in range(n))
+    first = 0 if np.any(rest) else l
+    joint = 0
+    if first < n:
+        held = psi_table(n, x * lo)
+        fresh = np.cumsum(psi_table(n, x * (t - lo)), axis=0)  # P{F <= q} at q
+        joint = sum(held[a] * poisson_tail(l - a, rest) * fresh[n - 1 - a]
+                    for a in range(first, n))
     return poisson_tail(l, p1 * s) * poisson_low(n, x * t) - joint
 
 
