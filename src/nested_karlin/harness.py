@@ -12,6 +12,7 @@ series, gap pairs) and the worker pool's exact moments are read off them;
 every exact value and certified bound in a row comes from ``_combine``,
 (sum coef * value, sum |coef| * error_bound) / scale over its terms.
 
+Replicas come from the box sampler, ``scheme.sample_counts``.
 Reproducibility: replica r of a run with master seed s draws from a
 dedicated counter-based stream keyed by (s, r), and replica-level results
 are assembled into a matrix ordered by r before any statistic is computed.
@@ -38,12 +39,15 @@ from .limits import closed_cov
 from .moments import (
     cov_K_cross_gen,
     cov_K_cross_level,
+    cross_level_order,
     depoissonization_constant,
     mean_K,
     mean_K_binomial,
 )
-# the single-replica simulators stay importable here for perfbench/trace_cli.py
-from .scheme import simulate_deterministic, simulate_poissonized, simulate_replicas  # noqa: F401
+from .scheme import sample_counts
+# the ball engine's single-replica entry points stay importable here for
+# perfbench/trace_cli.py
+from .scheme import simulate_deterministic, simulate_poissonized  # noqa: F401
 from .weights import WeightFamily
 
 __all__ = [
@@ -175,14 +179,10 @@ class ExperimentReport:
 
 
 def _replica_chunk(payload: tuple) -> np.ndarray:
-    """Worker: simulate a contiguous replica range, return the value matrix
-    (one row per replica: K then K*, flattened over (j, l, grid))."""
+    """Worker: the value matrix of a contiguous replica range from the box
+    sampler (one row per replica: K then K*, flattened over (j, l, grid))."""
     family, times, J, L, seed, n, r_lo, r_hi = payload
-    trajectories = simulate_replicas(family, times, J, L, seed, range(r_lo, r_hi), n=n)
-    return np.asarray(
-        [np.concatenate([traj.K.ravel(), traj.K_star.ravel()]) for traj in trajectories],
-        dtype=float,
-    )
+    return sample_counts(family, times, J, L, seed, range(r_lo, r_hi), n=n)
 
 
 def _whole(cfg: ExperimentConfig, **minimums) -> list:
@@ -253,12 +253,11 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
 
 def _ordered(fn, args: tuple) -> tuple:
     """``args`` of ``cov_K_cross_level`` with the (level, time) pairs in its
-    own order (s <= t, and l1 >= l2 at s = t), which gives the same value
-    bit for bit; the arguments of any other moment as they are."""
+    own order, which gives the same value bit for bit; the arguments of any
+    other moment as they are."""
     if fn is not cov_K_cross_level:
         return args
-    j, l1, l2, s, t = args
-    return (j, l2, l1, t, s) if (s, l2) > (t, l1) else args
+    return (args[0], *cross_level_order(*args[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,13 @@ class BoxPlan:
     ones (the root alone when split = j) and ``below[m-1, a]`` the power sums
     over the inactive generation-j descendants of ancestor a.
     ``power_sums[m-1]`` is S_m = sum of p^m over the table, and ``cut_bound``
-    bounds the boxes beyond the table's cut."""
+    bounds the boxes beyond the table's cut.  ``weights`` is the cut table in
+    descending order.  ``depths[d]`` is ``(live, count)`` at depth d < j: the
+    weights of the active depth-d prefixes (the root alone at d = 0, none
+    when even the root is below the threshold) and the number of active
+    children of each, its first ``count`` entries of ``weights``.  Children
+    are laid out parent after parent, so the active depth-(d+1) prefix i has
+    parent ``np.repeat(np.arange(live.size), count)[i]``."""
 
     boxes: int
     u: np.ndarray
@@ -246,14 +252,17 @@ class BoxPlan:
     below: np.ndarray
     power_sums: np.ndarray
     cut_bound: float
-    _last: tuple
+    weights: np.ndarray
+    depths: tuple
+    _owner: np.ndarray
 
     def blocks(self) -> Iterator[tuple]:
         """(weights, ancestor index) of the active boxes, depth-first, in
         blocks of at most ``_BLOCK``."""
-        live, count, owner, w = self._last
-        for parent, weights in _children(live, count, w):
-            yield weights, owner[parent]
+        if self.depths:  # none when the table is empty
+            live, count = self.depths[-1]
+            for parent, weights in _children(live, count, self.weights):
+                yield weights, self._owner[parent]
 
 
 def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
@@ -279,6 +288,7 @@ def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
     power_sums = np.zeros(_ORDER + 1)
     live, owner, count = np.ones(1), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     ancestors, below = live, np.zeros((_ORDER + 1, 1))
+    depths = []
     if w.size:
         anchor, rsum = _power_table(w)
         power_sums = w[0] ** _POWERS * rsum[:, 0]
@@ -297,6 +307,7 @@ def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
                     f"{boxes} active generation-{d + 1} boxes exceed the limit "
                     f"{_MAX_BOXES}; use a smaller rate or generation"
                 )
+            depths.append((live, count))
             rest = np.flatnonzero(count < w.size)
             for i in range(0, rest.size, _BLOCK):
                 sel = rest[i : i + _BLOCK]
@@ -314,8 +325,8 @@ def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
                 parts = list(_children(live, count, w))
                 live = np.concatenate([np.empty(0), *(c for _, c in parts)])
                 owner = np.concatenate([owner[:0], *(owner[p] for p, _ in parts)])
-    return BoxPlan(int(count.sum()), u, ancestors, below, power_sums, cut_bound,
-                   (live, count, owner, w))
+    return BoxPlan(int(count.sum()), u, ancestors, below, power_sums, cut_bound, w,
+                   tuple(depths), owner)
 
 
 def _certify(remainder: float, prune: float) -> float:
@@ -363,7 +374,8 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
     at time t; at l1 == l2 the same-level covariance over time.
 
     The covariance is symmetric under swapping the (level, time) pairs, so
-    they are ordered once: s <= t, and at s = t also l1 >= l2.  A box of
+    they are ordered once (``cross_level_order``): s <= t, and at s = t also
+    l1 >= l2.  A box of
     weight c adds ``_pair_cov(c, c, l1, l2, s, t)``, the summand of
     ``cov_K_cross_gen`` at p2 = 1: with A the balls by s and F those in
     (s, t], P{A >= l1} P{A + F < l2} - sum_{l1 <= a < l2} P{A = a} P{F < l2 - a}.
@@ -371,14 +383,20 @@ def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> Moment
     """
     l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
     _check_times(prune, s, t)
-    if (s, l2) > (t, l1):
-        l1, l2, s, t = l2, l1, t, s
+    l1, l2, s, t = cross_level_order(l1, l2, s, t)
     rho, sigma = (s / t, (t - s) / t) if t else (0.0, 0.0)
     series = _at_least_series(l1, rho) * _below_series(l2, 1.0)
     for a in range(l1, l2):
         series = series - _psi_series(a, rho) * _below_series(l2 - a, sigma)
     return _box_sum(family, j, prune, min(s / l1, t / l2), t,
                     lambda c: _pair_cov(c, c, l1, l2, s, t), series)
+
+
+def cross_level_order(l1, l2, s, t) -> tuple:
+    """``(l1, l2, s, t)`` with the (level, time) pairs of
+    ``cov_K_cross_level`` in the order it sums them: s <= t, and at s = t
+    also l1 >= l2.  Both orders give the same covariance."""
+    return (l2, l1, t, s) if (s, l2) > (t, l1) else (l1, l2, s, t)
 
 
 def _pair_cov(p1, x, l, n, s, t) -> np.ndarray:

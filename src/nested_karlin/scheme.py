@@ -1,14 +1,17 @@
-"""Simulation of the nested occupancy scheme.
+"""Simulation of the nested occupancy scheme: two engines with one law.
 
 Balls arrive one at a time (deterministic scheme) or as a unit-rate Poisson
 stream (Poissonized scheme).  Each ball independently draws an infinite path
 (ξ_1, ξ_2, ...) of i.i.d. indices from the weight family; its generation-j
 box is the prefix (ξ_1, ..., ξ_j).  We only ever materialize prefixes up to
 the requested maximum generation J, and only counts-of-counts up to level
-L+1 (the guard level makes K* at level L exact).
+L+1 (the guard level makes K* at level L exact).  Replica r draws from its
+own counter-based stream keyed by (seed, r), so a replica is the same
+however the replicas are grouped or spread over workers.
 
-Replica r draws from its own counter-based stream keyed by (seed, r): its
-ball counts per snapshot come first (Poisson increments, or the grid's
+The ball engine (``simulate_replicas`` and the single-replica functions,
+behind the ``simulate`` command) is the literal scheme.  Replica r's ball
+counts per snapshot come first (Poisson increments, or the grid's
 differences), then one draw of ``N * J`` uniforms for all its N balls, in
 the order ``rng.random((N, J))`` gives them.  Consecutive replicas are
 counted together, in passes of up to _PASS_BALLS balls whose draws share one
@@ -25,6 +28,27 @@ when more would not fit in the keys.  The keys take O(N * J) memory
 whatever the number of snapshots, and each replica's trajectory is, bit for
 bit, the one that drawing each snapshot's balls in turn gives, however the
 replicas are grouped into passes.
+
+The box sampler (``sample_counts``, behind ``verify``) draws the same law
+box by box, because the counts depend only on how many balls each box
+holds.  In the Poissonized scheme each generation-J box receives an
+independent Poisson process of rate p_r (Poisson colouring), and a
+generation-j count is the sum over the box's descendants.  The active
+boxes, p_r * t >= ``moments._ETA`` at the last time t, come from
+``moments.enumerate_boxes`` with each depth's prefixes.  A heavy active
+box (p_r * t >= _HEAVY) draws one Poisson increment per snapshot.  The
+other balls, of total mass the light active boxes plus every inactive box,
+arrive as one Poisson count per snapshot and are placed one by one: a ball
+picks a light box, or an exit (a live prefix q and its inactive children),
+with probability proportional to its mass, q times the weight of those
+children.  At an exit it draws the child proportionally to its weight and
+the generations below with ``table_search`` over the ball engine's table.
+In the fixed-n scheme one multinomial over the heavy boxes and the other
+balls replaces the Poisson draws.  Leaf counts summed up the tree give the
+active prefixes' counts, and the placed balls that left the tree are
+grouped into their inactive boxes.  Replica r draws its increments, then
+one uniform per placed ball, then J uniforms per ball that left the tree.
+The sampler returns the harness's value matrix, not trajectories.
 """
 
 from __future__ import annotations
@@ -35,10 +59,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_whole
-from .weights import WeightFamily
+from .moments import enumerate_boxes
+from .weights import _TABLE_TOL, WeightFamily, guide_table, guided_search
 
 __all__ = [
     "OccupancyTrajectory",
+    "sample_counts",
     "simulate_deterministic",
     "simulate_poissonized",
     "simulate_replicas",
@@ -46,6 +72,8 @@ __all__ = [
 
 _TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
 _PASS_BALLS = 2**15  # ball budget of one pass over consecutive replicas
+_PASS_CELLS = 2**16  # (box, snapshot) cells and placed balls of one box-sampler pass
+_HEAVY = 2.0  # leaves expecting this many balls by the last snapshot draw counts
 
 
 @dataclass
@@ -132,11 +160,15 @@ def _check_memory(N: float, J: int) -> None:
     """NumericalError when N balls over J generations would not fit in
     physical memory: the draws and indices take N * J words, the snapshots,
     codes and keys N each."""
-    need = 8 * N * (2 * J + 3)
+    _check_bytes(8 * N * (2 * J + 3), f"{N:.6g} balls over {J} generations")
+
+
+def _check_bytes(need: float, what: str) -> None:
+    """NumericalError when ``need`` bytes exceed physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise NumericalError(
-            f"{N:.6g} balls over {J} generations need about {need / 2**30:.3g} GiB, "
+            f"{what} need about {need / 2**30:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of physical memory"
         )
 
@@ -274,6 +306,36 @@ def _ball_counts(values: list, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _checked(grid, J: int, L: int, n) -> tuple:
+    """``(grid, J, L, kind)`` after the checks both engines make: the times
+    of the Poissonized scheme as floats, or, when ``n`` is given, the ball
+    counts of the fixed-n scheme as int64."""
+    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
+    if n is None:
+        grid, kind = np.asarray(list(grid), dtype=float), "poissonized"
+        if grid.size == 0:
+            raise ValidationError("times must be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise ValidationError(f"times must be finite, got {grid.tolist()}")
+        if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
+            raise ValidationError("times must be nondecreasing and nonnegative")
+    else:
+        n = int(_ball_counts([n], "ball count n")[0])
+        if n < 0:
+            raise ValidationError("ball count must be >= 0")
+        grid, kind = _ball_counts(list(grid), "time_grid"), "deterministic"
+        if grid.size == 0:
+            raise ValidationError("time_grid must be nonempty")
+        if np.any(np.diff(grid) < 0) or grid[0] < 0:
+            raise ValidationError("time_grid must be nondecreasing and nonnegative")
+        if grid[-1] > n:
+            raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
+    # the (expected) ball count, checked before numpy is asked for Poisson
+    # draws it cannot make (means above about 9.2e18)
+    _check_memory(float(grid[-1]), J)
+    return grid, J, L, kind
+
+
 def simulate_replicas(
     family: WeightFamily,
     grid,
@@ -289,30 +351,214 @@ def simulate_replicas(
     ``n`` is given, of the fixed-ball-count scheme at the ball counts
     ``grid``.  Replica r is the trajectory that ``simulate_poissonized`` or
     ``simulate_deterministic`` gives with ``replica=r``, bit for bit."""
-    J, L = check_whole("J", J, 1), check_whole("L", L, 1)
-    if n is None:
-        grid = np.asarray(list(grid), dtype=float)
-        if grid.size == 0:
-            raise ValidationError("times must be nonempty")
-        if not np.all(np.isfinite(grid)):
-            raise ValidationError(f"times must be finite, got {grid.tolist()}")
-        if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
-            raise ValidationError("times must be nondecreasing and nonnegative")
-        # the expected ball count, checked before numpy is asked for Poisson
-        # draws it cannot make (means above about 9.2e18)
-        _check_memory(float(grid[-1]), J)
-        return _run(family, grid, J, L, seed, replicas, "poissonized")
-    n = int(_ball_counts([n], "ball count n")[0])
-    if n < 0:
-        raise ValidationError("ball count must be >= 0")
-    grid = _ball_counts(list(grid), "time_grid")
-    if grid.size == 0:
-        raise ValidationError("time_grid must be nonempty")
-    if np.any(np.diff(grid) < 0) or grid[0] < 0:
-        raise ValidationError("time_grid must be nondecreasing and nonnegative")
-    if grid[-1] > n:
-        raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
-    return _run(family, grid, J, L, seed, replicas, "deterministic")
+    grid, J, L, kind = _checked(grid, J, L, n)
+    return _run(family, grid, J, L, seed, replicas, kind)
+
+
+@dataclass(frozen=True)
+class _Boxes:
+    """The active tree of the box sampler at one rate: the generation-J
+    boxes with weight >= ``moments._ETA / rate`` (``leaves``, depth-first)
+    and their active prefixes, ``offsets[d - 1]`` delimiting the children
+    of the depth-d ones among the depth-(d + 1) ones.
+
+    Every other box lies below an exit: a live prefix (the root included)
+    and its inactive children.  Exit e is prefix ``exit_node[e]`` of depth
+    ``exit_depth[e]``, whose children from entry ``exit_first[e]`` of the
+    descending weight table on are inactive; ``suffix[k]`` sums the table from
+    entry k on (``suffix[-1]`` = 0), so the exit's mass is its weight
+    times ``suffix[exit_first[e]]``.
+
+    The ``heavy`` leaves draw Poisson counts.  Balls in the ``light``
+    leaves and the exits, of total mass ``ball_mass`` > 0, are drawn one by
+    one: ``ball_cum`` accumulates the light leaves' masses, then the
+    exits', over ``ball_mass``, and ``ball_guide`` is its guide table."""
+
+    leaves: np.ndarray
+    heavy: np.ndarray
+    light: np.ndarray
+    ball_mass: float
+    ball_cum: np.ndarray
+    ball_guide: np.ndarray
+    offsets: tuple
+    suffix: np.ndarray
+    exit_depth: np.ndarray
+    exit_node: np.ndarray
+    exit_first: np.ndarray
+
+
+def _boxes(family: WeightFamily, J: int, rate: float) -> _Boxes:
+    """The active tree at ``rate`` (the largest time or ball count), from
+    ``enumerate_boxes`` with the table cut where ``cumulative_table`` cuts
+    it, at tail mass 2**-53."""
+    plan = enumerate_boxes(family, J, 2 * J * _TABLE_TOL, 1.0, rate)
+    depths = list(plan.depths)
+    if depths[0][0].size == 0:  # even the root is below the threshold
+        depths[0] = (np.ones(1), np.zeros(1, dtype=np.int64))
+    suffix = np.append(np.cumsum(plan.weights[::-1])[::-1], 0.0)
+    leaves = np.concatenate([np.empty(0), *(block for block, _ in plan.blocks())])
+    exits = np.concatenate([live * suffix[count] for live, count in depths])
+    light = leaves * rate < _HEAVY
+    if not exits.any():  # the leaves hold all the mass: keep some for balls
+        light[np.argmin(leaves)] = True
+    cum = np.cumsum(np.concatenate([leaves[light], exits]))
+    ball_cum = cum / cum[-1]
+    return _Boxes(
+        leaves=leaves,
+        heavy=np.flatnonzero(~light),
+        light=np.flatnonzero(light),
+        ball_mass=float(cum[-1]),
+        ball_cum=ball_cum,
+        # about 16 buckets per entry, so few draws miss the guide, and at
+        # most as many as the family's guide
+        ball_guide=guide_table(ball_cum, 1 << min((16 * ball_cum.size).bit_length(), 16)),
+        offsets=tuple(np.concatenate([[0], np.cumsum(count)]) for _, count in depths[1:]),
+        suffix=suffix,
+        exit_depth=np.concatenate([np.full(live.size, d) for d, (live, _) in enumerate(depths)]),
+        exit_node=np.concatenate([np.arange(live.size) for live, _ in depths]),
+        exit_first=np.concatenate([count for _, count in depths]),
+    )
+
+
+def _running(a: np.ndarray) -> np.ndarray:
+    """``a``, turned in place into its running sums along the snapshot axis
+    1, one vector add per snapshot (``cumsum`` along a short axis that is
+    not the last is many times slower)."""
+    for i in range(1, a.shape[1]):
+        a[:, i] += a[:, i - 1]
+    return a
+
+
+def _tally(family: WeightFamily, boxes: _Boxes, heavy: np.ndarray, balls: np.ndarray,
+           picks: np.ndarray, exits: np.ndarray, J: int, L: int) -> np.ndarray:
+    """K through the guard level, shape (R, J, L + 1, G), of the R replicas
+    of one pass of the box sampler.  ``heavy[r, i]`` holds replica r's new
+    balls per heavy leaf at snapshot i, and ``balls[r, i]`` its other new
+    balls.  ``picks`` holds one uniform per such ball, replica after
+    replica and snapshot after snapshot, and ``exits`` J uniforms per ball
+    that the pick sends to an exit, in the same order."""
+    R, G, _ = heavy.shape
+    M, light = boxes.leaves.size, boxes.light.size
+    cell = np.repeat(np.arange(R * G), balls.ravel())  # replica * G + snapshot
+    pick = guided_search(boxes.ball_cum, boxes.ball_guide, picks)
+    # a ball picks a light leaf or an exit with probability proportional to
+    # its mass; at an exit it draws a child proportionally to its weight
+    # among the exit's inactive children, and below that child its indices
+    # as the ball engine does
+    out = pick >= light
+    cell_out, e = cell[out], pick[out] - light
+    rep = cell_out // G
+    depth = boxes.exit_depth[e]
+    # the child is the last entry k with suffix[k] >= (1 - u) suffix[first],
+    # found on the suffix sums so that light tails keep their precision
+    tail = (exits[:, 0] - 1.0) * boxes.suffix[boxes.exit_first[e]]
+    child = np.searchsorted(-boxes.suffix, tail, side="right") - 1
+    path = np.column_stack([child, family.table_search(exits[:, 1:])])
+    levels = np.zeros((J, R * G * (L + 2)), dtype=np.int64)
+
+    def add(j, held, bins):
+        """Add boxes holding ``held`` balls (overwritten), in the (replica,
+        snapshot) bins starting at ``bins``, to generation j's counts of
+        counts, capped at level L + 1."""
+        np.minimum(held, L + 1, out=held)
+        held += bins
+        levels[j - 1] += np.bincount(held.ravel(), minlength=levels.shape[1])
+
+    # the inactive boxes of generation j hold the balls that left the tree
+    # above depth j, grouped by (replica, exit, path down to j)
+    ids = rep * boxes.exit_depth.size + e
+    base = max(boxes.suffix.size, len(family.cumulative_table()) + 1)
+    for j in range(1, J + 1):
+        below = depth < j
+        step = np.where(below, path[np.arange(e.size), np.maximum(j - 1 - depth, 0)], 0)
+        ids = np.unique(ids * base + step, return_inverse=True)[1].ravel()
+        if below.any():
+            owner = np.zeros(ids.max() + 1, dtype=np.int64)
+            owner[ids] = rep
+            new = np.bincount(ids[below] * G + cell_out[below] % G, minlength=owner.size * G)
+            add(j, _running(new.reshape(owner.size, G)),
+                  (owner[:, None] * G + np.arange(G)) * (L + 2))
+    # the active boxes, from the leaves up: a prefix holds its children's
+    # balls and those that left the tree at it
+    held = np.bincount(cell[~out] * M + boxes.light[pick[~out]],
+                       minlength=R * G * M).reshape(R, G, M)
+    held[:, :, boxes.heavy] = heavy
+    held = _running(held)
+    bins = (np.arange(R * G) * (L + 2)).reshape(R, G, 1)
+    for j in range(J, 0, -1):
+        if j > 1:
+            o = boxes.offsets[j - 2]
+            full = np.flatnonzero(o[1:] > o[:-1])
+            parent = np.zeros((R, G, o.size - 1), dtype=np.int64)
+            if full.size:
+                parent[:, :, full] = np.add.reduceat(held, o[full], axis=2)
+            at = depth == j - 1
+            left = np.bincount(cell_out[at] * parent.shape[2] + boxes.exit_node[e[at]],
+                               minlength=parent.size)
+            parent += _running(left.reshape(parent.shape))
+        add(j, held, bins)
+        if j > 1:
+            held = parent
+    # K(l) counts the boxes holding at least l balls
+    K = np.cumsum(levels.reshape(J, R, G, L + 2)[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+    return K.transpose(1, 0, 3, 2)
+
+
+def sample_counts(
+    family: WeightFamily,
+    grid,
+    J: int,
+    L: int,
+    seed: int,
+    replicas,
+    *,
+    n=None,
+) -> np.ndarray:
+    """The counts of the replicas listed in ``replicas``, one row each, in
+    that order: K, then K*, each flattened over (j, l, grid) as floats.
+
+    The arguments and the law are those of ``simulate_replicas``, but the
+    box sampler draws the counts box by box (see the module docstring).
+    Replica r draws from the stream keyed by (seed, r) alone, so its row
+    does not depend on the other replicas listed."""
+    grid, J, L, kind = _checked(grid, J, L, n)
+    replicas = list(replicas)
+    G = grid.size
+    out = np.zeros((len(replicas), 2 * J * L * G))
+    if not replicas or grid[-1] == 0:
+        return out
+    boxes = _boxes(family, J, float(grid[-1]))
+    H = boxes.heavy.size
+    masses = np.append(boxes.leaves[boxes.heavy], boxes.ball_mass)
+    # a pass of one replica holds a few words per leaf and snapshot
+    _check_bytes(8 * 8 * G * boxes.leaves.size, f"{boxes.leaves.size} boxes at {G} snapshots")
+    gaps = np.diff(grid, prepend=0)
+    if kind == "poissonized":
+        means = gaps[:, None] * masses
+    else:  # the last category is the remainder numpy's multinomial takes
+        masses /= masses.sum()
+    # a pick below the light leaves' share of the ball mass lands in them
+    share = boxes.ball_cum[boxes.light.size - 1] if boxes.light.size else 0.0
+    # a pass holds its replicas' leaf counts and their expected placed balls
+    per_pass = max(1, int(_PASS_CELLS // (G * boxes.leaves.size + boxes.ball_mass * grid[-1] + 1)))
+    heavy = np.empty((per_pass, G, H), dtype=np.int64)
+    balls = np.empty((per_pass, G), dtype=np.int64)
+    rng = None
+    for lo in range(0, len(replicas), per_pass):
+        batch = replicas[lo:lo + per_pass]
+        picks, exits = [], []
+        for i, r in enumerate(batch):
+            rng = _keyed_rng(seed, r, rng)
+            drawn = rng.poisson(means) if kind == "poissonized" else rng.multinomial(gaps, masses)
+            heavy[i], balls[i] = drawn[:, :H], drawn[:, H]
+            picks.append(rng.random(int(balls[i].sum())))
+            exits.append(rng.random((int(np.count_nonzero(picks[-1] >= share)), J)))
+        R = len(batch)
+        K = _tally(family, boxes, heavy[:R], balls[:R], np.concatenate(picks),
+                   np.concatenate(exits), J, L)
+        out[lo:lo + R] = np.concatenate(
+            [K[:, :, :L].reshape(R, -1), (K[:, :, :L] - K[:, :, 1:]).reshape(R, -1)], axis=1)
+    return out
 
 
 def simulate_deterministic(

@@ -80,6 +80,29 @@ def _first(pred, limit) -> int:
     return hi
 
 
+def guide_table(cum: np.ndarray, size: int) -> np.ndarray:
+    """The guide of the ascending table ``cum`` for ``guided_search``, with
+    ``size`` (a power of 2) buckets: bucket b answers the draws in
+    [b/size, (b+1)/size) with the count of entries <= b/size, or with -1
+    when an entry falls inside it."""
+    guide = np.searchsorted(cum, np.arange(size) / size, side="right")
+    guide[(cum[cum < 1.0] * size).astype(np.intp)] = -1
+    guide.setflags(write=False)
+    return guide
+
+
+def guided_search(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")`` for draws ``u`` in [0, 1)
+    through the guide of ``cum``: ``u * guide.size`` and its floor are
+    exact, and the draws in buckets that hold -1 fall back to the binary
+    search."""
+    out = guide.take((u * guide.size).astype(np.intp))
+    miss = np.flatnonzero(out < 0)
+    if miss.size:
+        out.reshape(-1)[miss] = np.searchsorted(cum, np.reshape(u, -1)[miss], side="right")
+    return out
+
+
 class WeightFamily:
     """A discrete weight sequence with counting function and tail bounds.
 
@@ -245,27 +268,11 @@ class WeightFamily:
 
     def table_search(self, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cumulative_table(), u, side="right")`` for draws
-        ``u`` in [0, 1), through a guide table (indexed search, Chen & Asau,
-        AIIE Trans. 6, 1974).
-
-        Bucket b holds the draws in [b/2**16, (b+1)/2**16); ``u * 2**16`` and
-        its floor are exact, so a bucket that no table entry falls inside
-        answers with the count of entries <= b/2**16.  Buckets that an entry
-        falls inside hold -1, and their draws fall back to the binary search.
-        """
+        ``u`` in [0, 1), through a guide table of 2**16 buckets (indexed
+        search, Chen & Asau, AIIE Trans. 6, 1974; see ``guide_table``)."""
         if self._guide is None:
-            cum = self.cumulative_table()
-            guide = np.searchsorted(cum, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
-            guide[(cum[cum < 1.0] * _GUIDE_SIZE).astype(np.intp)] = -1
-            guide.setflags(write=False)
-            self._guide = guide
-        out = self._guide.take((u * _GUIDE_SIZE).astype(np.intp))
-        miss = np.flatnonzero(out < 0)
-        if miss.size:
-            out.reshape(-1)[miss] = np.searchsorted(
-                self._cum, np.reshape(u, -1)[miss], side="right"
-            )
-        return out
+            self._guide = guide_table(self.cumulative_table(), _GUIDE_SIZE)
+        return guided_search(self._cum, self._guide, u)
 
     # -- diagnostics -------------------------------------------------------
 

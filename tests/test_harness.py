@@ -138,7 +138,7 @@ class TestMomentCheck:
         def never(*args, **kwargs):
             raise AssertionError("simulated before the worker count was checked")
 
-        monkeypatch.setattr(harness, "simulate_replicas", never)
+        monkeypatch.setattr(harness, "sample_counts", never)
         cfg = ExperimentConfig(threads=threads, replicas=100, t=50.0,
                                generations=1, levels=1)
         with pytest.raises(ValidationError):
@@ -147,7 +147,7 @@ class TestMomentCheck:
 
 # the functions through which a run does its work: simulation and every
 # name of the moments module that the harness binds
-_WORK = ("simulate_replicas", *(name for name in moments.__all__ if hasattr(harness, name)))
+_WORK = ("sample_counts", *(name for name in moments.__all__ if hasattr(harness, name)))
 
 
 @pytest.mark.parametrize("runner, name, value", [
@@ -305,22 +305,22 @@ class TestReproducibility:
 _PINNED_DIGESTS = [
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=2, levels=3, replicas=200, seed=11),
-     "952b5f3717c7a4e56bfac2eedccf96d953dcdb4a62ca938e264f870a30a31ac6"),
+     "a50de659c3776e8a7bc6935d91b76381179585284af0bde44f6515cbaad63b83"),
     (run_moment_check,
      ExperimentConfig(deterministic_n=300, generations=2, levels=2, replicas=200,
                       seed=12),
-     "25e0c40a5290fff09dd29ea4d8ba631e1c0ac08c275cabd6635c9d7053300633"),
+     "ed8e9e30d146b8e5b5888e7de44a867fb7704d2c830ebbcaa264000a86bd39cf"),
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=1, levels=2, replicas=200, seed=13),
-     "bac175f6853238805681f801e0f4bb3baaaa0d9415587e65161d48b7984406f9"),
+     "d6caccaad7a21972544080845fe5dc0c4dd2162c4d81d83f14a383fc36f066b1"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 0.5), generations=2, levels=2,
                       replicas=200, seed=14),
-     "37a19f72c778cc64d46d9eae5384ffa8e9582caad6b1da6d2c3f5030d2b62d67"),
+     "3303db6cc2922f78719478d38828f3c7d5fd9f2e209a85aaaf58a3c3c714c704"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=1, levels=2,
                       replicas=200, seed=15),
-     "fc5a3a96143dfde85f967f625c47b8012b12f0493cb5b5f7b53e9defa8a632b3"),
+     "bdbed57952c658eac29336f1fcb03718eb12ca66285b5a502a6a55793ddafe2f"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2, prune=1e-6),
      "97b0f6c3e0ed9b8d66cb2b02bd8b388263e04d05de80a1227b3ebb7d36b430e7"),

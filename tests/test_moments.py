@@ -113,6 +113,27 @@ class TestEnumeration:
                                            rel=1e-12, abs=0.0)
             assert plan.cut_bound == 0.0
 
+    @pytest.mark.parametrize("kind, J, rate", [("fin3", 2, 5.0), ("fin3", 2, 0.05),
+                                               ("geo", 3, 2.0**20), ("weib", 2, 3000.0)])
+    def test_depths_rebuild_the_active_tree(self, request, kind, J, rate):
+        # each depth's live prefixes and active-children counts give the
+        # next depth's prefixes, parent after parent, and the last depth's
+        # give the active boxes; a child is active iff q * w >= _ETA / rate
+        family = request.getfixturevalue(kind)
+        plan = enumerate_boxes(family, J, 1e-9, 1.0, rate)
+        w, theta = plan.weights, _ETA / rate
+        assert np.all(np.diff(w) <= 0) and len(plan.depths) == J
+        assert plan.depths[0][0].tolist() == ([1.0] if theta <= 1.0 else [])
+        nxt = [live for live, _ in plan.depths[1:]]
+        nxt.append(np.concatenate([np.empty(0), *(b for b, _ in plan.blocks())]))
+        for (live, count), children in zip(plan.depths, nxt):
+            first = np.concatenate([np.empty(0, dtype=np.int64),
+                                    *(np.arange(c) for c in count)])
+            assert np.array_equal(children, np.repeat(live, count) * w[first])
+            assert np.all(children >= theta)
+            edge = count < w.size
+            assert np.all(live[edge] * w[count[edge]] < theta)
+
     def test_blocks_cover_tensor_product(self, geo):
         # reference plan: per-depth thresholds 1e-9 / (2 * 10), / (4 * 10),
         # / (4 * 10) cut the geometric(0.5) tail 2^-K at K = 35, 36, 36

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nested_karlin.errors import ValidationError
-from nested_karlin.weights import WeightFamily
+from nested_karlin.weights import WeightFamily, guide_table, guided_search
 
 # Normalizer for alpha = 1/2, frozen from the construction-time sum
 # (brute partial sums of exp(-sqrt(k)) reproduce it below).
@@ -208,6 +208,25 @@ class TestCumulativeTable:
 
     def test_idempotent(self, weib):
         assert weib.cumulative_table() is weib.cumulative_table()
+
+
+class TestGuidedSearch:
+    @pytest.mark.parametrize("size", [1, 4, 64, 2**10])
+    def test_equals_searchsorted(self, size):
+        # a normalized table with entries on bucket edges, repeated entries
+        # (zero masses) and a last entry of exactly 1
+        rng = np.random.default_rng(size)
+        masses = np.concatenate([rng.random(40), [0.0, 0.0], 1.0 / np.arange(1, 9)])
+        cum = np.cumsum(masses)
+        cum = np.concatenate([cum / cum[-1], np.arange(1, size) / size])
+        cum.sort()
+        u = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+                            rng.random(1000), [0.0, 1.0 - 2.0**-53]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        guide = guide_table(cum, size)
+        assert guide.size == size
+        assert np.array_equal(guided_search(cum, guide, u),
+                              np.searchsorted(cum, u, side="right"))
 
 
 class TestDehaanProfile:
