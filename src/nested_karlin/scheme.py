@@ -12,22 +12,17 @@ however the replicas are grouped or spread over workers.
 The ball engine (``simulate_replicas`` and the single-replica functions,
 behind the ``simulate`` command) is the literal scheme.  Replica r's ball
 counts per snapshot come first (Poisson increments, or the grid's
-differences), then one draw of ``N * J`` uniforms for all its N balls, in
-the order ``rng.random((N, J))`` gives them.  Consecutive replicas are
-counted together, in passes of up to _PASS_BALLS balls whose draws share one
-buffer (a replica with more balls is a pass of its own).  A pass maps all
-its draws to indices with one search of the family's guide-table inverse
-CDF.  Per generation it packs each ball's box prefix (a base
-``len(table) + 2`` positional code) into one int64 key, together with the
-replica's place in the pass (the top bits) and the snapshot that brought
-the ball (the bottom bits).  One sort of the keys gives each box's count
-before and after every snapshot.  A box adds 1 to K(l) at the snapshot
-where its count crosses l, so two ``bincount``s over (replica, snapshot,
-level) and running sums give K over the grid.  A pass takes fewer replicas
-when more would not fit in the keys.  The keys take O(N * J) memory
-whatever the number of snapshots, and each replica's trajectory is, bit for
-bit, the one that drawing each snapshot's balls in turn gives, however the
-replicas are grouped into passes.
+differences), then ``rng.random((N, J))`` for its N balls.  A pass counts
+as many consecutive replicas as _PASS_BUDGET holds at the expected ball
+count (fewer if their keys would not fit in int64).  It maps their draws
+to indices with one search of the family's guide-table inverse CDF.  Per
+generation it packs each ball's box prefix (a base ``len(table) + 2``
+positional code) into one int64 key, with the replica's place in the
+pass on top and the snapshot that brought the ball at the bottom.  One
+sort of the keys gives each box's count before and after every snapshot.
+A box adds 1 to K(l) at the snapshot where its count crosses l, so two
+``bincount``s over (replica, snapshot, level) and running sums give K
+over the grid, bit for bit as drawing each snapshot's balls in turn does.
 
 The box sampler (``sample_counts``, behind ``verify``) draws the same law
 box by box, because the counts depend only on how many balls each box
@@ -71,8 +66,7 @@ __all__ = [
 ]
 
 _TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
-_PASS_BALLS = 2**15  # ball budget of one pass over consecutive replicas
-_PASS_CELLS = 2**16  # (box, snapshot) cells and placed balls of one box-sampler pass
+_PASS_BUDGET = 2**16  # expected balls (and the sampler's box cells) of one pass
 _HEAVY = 2.0  # leaves expecting this many balls by the last snapshot draw counts
 
 
@@ -174,23 +168,21 @@ def _check_bytes(need: float, what: str) -> None:
 
 
 def _count(family: WeightFamily, increments: np.ndarray, draws: np.ndarray,
-           work: np.ndarray, J: int, L: int, stride: int, snap_bits: int):
+           J: int, L: int, stride: int, snap_bits: int):
     """K through the guard level, shape (R, J, L + 1, G), and the excess,
     shape (R, J, G), of the R replicas of one pass.  Row r of ``increments``
-    holds replica r's ball count per snapshot, ``draws`` the uniforms of all
-    the pass's N balls, replica after replica, and ``work`` three rows of at
-    least N int64 scratch for the snapshots, codes and keys."""
+    holds replica r's ball count per snapshot, and ``draws`` the uniforms of
+    all the pass's N balls, replica after replica."""
     R, G = increments.shape
     N = len(draws)
-    snap, codes, keys = work[:, :N]
-    # The balls that replica r brings at snapshot i are draws[bounds[c]:
-    # bounds[c + 1]], c = r * G + i.  Each code starts as the replica's place
-    # in the pass, so a key reads (replica, box, snapshot) from the top bits
-    # down, and replica r's balls sort to bounds[r * G] <= p < bounds[r * G + G].
-    bounds = np.concatenate([[0], np.cumsum(increments)])
-    edges = bounds.tolist()
-    for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        snap[lo:hi], codes[lo:hi] = c % G, c // G
+    # Each code starts as the replica's place in the pass, so a key reads
+    # (replica, box, snapshot) from the top bits down, and replica r's balls
+    # sort to ends[r - 1] <= p < ends[r].
+    totals = increments.sum(axis=1)
+    ends = np.cumsum(totals)
+    snap = np.repeat(np.tile(np.arange(G), R), increments.ravel())
+    codes = np.repeat(np.arange(R), totals)
+    keys = np.empty(N, dtype=np.int64)
     idx = family.table_search(draws)
     K_full = np.empty((R, J, L + 1, G), dtype=np.int64)
     excess = np.empty((R, J, G), dtype=np.int64)
@@ -212,10 +204,7 @@ def _count(family: WeightFamily, increments: np.ndarray, draws: np.ndarray,
         # the group adds 1 to K(l) at its (replica, snapshot) cell for
         # old < l <= new: +1 at level old + 1 and -1 at level new + 1 (both
         # capped at L + 2), then summed over levels and snapshots
-        cell = at
-        if R > 1:
-            groups_before = np.searchsorted(first, bounds[::G])
-            cell = at + np.repeat(np.arange(0, R * G, G), groups_before[1:] - groups_before[:-1])
+        cell = at + G * np.searchsorted(ends, first, side="right")
         rows, size = cell * (L + 2), R * G * (L + 2)
         step = np.bincount(rows + np.minimum(old, L + 1), minlength=size)
         step -= np.bincount(rows + np.minimum(new, L + 1), minlength=size)
@@ -226,21 +215,13 @@ def _count(family: WeightFamily, increments: np.ndarray, draws: np.ndarray,
     return K_full, excess
 
 
-def _run(
-    family: WeightFamily,
-    grid: np.ndarray,
-    J: int,
-    L: int,
-    seed: int,
-    replicas,
-    kind: str,
-) -> list:
+def _run(family: WeightFamily, grid: np.ndarray, J: int, L: int, seed: int,
+         replicas, kind: str) -> list:
     """The engine: the trajectories of ``replicas``, in order.
 
-    Replica r's Poisson increments come first, then its uniforms, drawn
-    into the pass's buffer.  A pass is counted when the next replica would
-    take it over _PASS_BALLS balls or past the ``fit`` replicas whose keys
-    fit in int64; a replica above the budget is a pass of its own."""
+    A pass takes as many consecutive replicas as _PASS_BUDGET holds at the
+    expected ball count, and at most the ``fit`` whose keys fit in int64.
+    Each replica draws its Poisson increments, then its uniforms."""
     stride = len(family.cumulative_table()) + 2
     snap_bits = (len(grid) - 1).bit_length()
     fit = 2**63 // (stride**J << snap_bits)
@@ -249,14 +230,25 @@ def _run(
             f"cannot pack {J} generations of indices < {stride} and {len(grid)} "
             "snapshots into int64 keys"
         )
+    per_pass = max(1, min(fit, int(_PASS_BUDGET // (grid[-1] + 1))))
     gaps = np.diff(grid, prepend=0)
-    draws = np.empty((_PASS_BALLS, J))
-    work = np.empty((3, _PASS_BALLS), dtype=np.int64)
-    trajectories, held, used, rng = [], [], 0, None
-
-    def count(batch, uniforms, scratch):
-        increments = np.array([inc for _, inc in batch])
-        K_full, excess = _count(family, increments, uniforms, scratch, J, L, stride, snap_bits)
+    replicas = list(replicas)
+    trajectories, rng = [], None
+    for lo in range(0, len(replicas), per_pass):
+        batch = replicas[lo:lo + per_pass]
+        increments, draws = [], []
+        for r in batch:
+            rng = _keyed_rng(seed, r, rng)
+            inc = gaps if kind == "deterministic" else np.array(
+                [rng.poisson(gap) if gap > 0.0 else 0 for gap in gaps.tolist()], dtype=np.int64)
+            N = int(inc.sum())
+            _check_memory(N, J)
+            increments.append(inc)
+            draws.append(rng.random((N, J)))
+        increments = np.array(increments)
+        K_full, excess = _count(family, increments,
+                                draws[0] if len(draws) == 1 else np.concatenate(draws),
+                                J, L, stride, snap_bits)
         trajectories.extend(
             OccupancyTrajectory(
                 kind=kind,
@@ -268,31 +260,8 @@ def _run(
                 balls=np.cumsum(increments[i]),
                 replica=r,
             )
-            for i, (r, _) in enumerate(batch)
+            for i, r in enumerate(batch)
         )
-
-    for r in replicas:
-        rng = _keyed_rng(seed, r, rng)
-        if kind == "poissonized":
-            increments = np.array(
-                [rng.poisson(gap) if gap > 0.0 else 0 for gap in gaps.tolist()],
-                dtype=np.int64,
-            )
-        else:
-            increments = gaps
-        N = int(increments.sum())
-        _check_memory(N, J)
-        if held and (len(held) == fit or used + N > _PASS_BALLS):
-            count(held, draws[:used], work)
-            held, used = [], 0
-        if N > _PASS_BALLS:
-            count([(r, increments)], rng.random((N, J)), np.empty((3, N), dtype=np.int64))
-        else:
-            rng.random(out=draws[used:used + N])
-            held.append((r, increments))
-            used += N
-    if held:
-        count(held, draws[:used], work)
     return trajectories
 
 
@@ -312,26 +281,24 @@ def _checked(grid, J: int, L: int, n) -> tuple:
     counts of the fixed-n scheme as int64."""
     J, L = check_whole("J", J, 1), check_whole("L", L, 1)
     if n is None:
-        grid, kind = np.asarray(list(grid), dtype=float), "poissonized"
-        if grid.size == 0:
-            raise ValidationError("times must be nonempty")
+        grid, kind, what = np.asarray(list(grid), dtype=float), "poissonized", "times"
         if not np.all(np.isfinite(grid)):
             raise ValidationError(f"times must be finite, got {grid.tolist()}")
-        if np.any(np.diff(grid) < 0) or grid[0] < 0.0:
-            raise ValidationError("times must be nondecreasing and nonnegative")
     else:
         n = int(_ball_counts([n], "ball count n")[0])
         if n < 0:
             raise ValidationError("ball count must be >= 0")
-        grid, kind = _ball_counts(list(grid), "time_grid"), "deterministic"
-        if grid.size == 0:
-            raise ValidationError("time_grid must be nonempty")
-        if np.any(np.diff(grid) < 0) or grid[0] < 0:
-            raise ValidationError("time_grid must be nondecreasing and nonnegative")
-        if grid[-1] > n:
-            raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
+        grid, kind, what = _ball_counts(list(grid), "time_grid"), "deterministic", "time_grid"
+    if grid.size == 0:
+        raise ValidationError(f"{what} must be nonempty")
+    if np.any(np.diff(grid) < 0) or grid[0] < 0:
+        raise ValidationError(f"{what} must be nondecreasing and nonnegative")
+    if n is not None and grid[-1] > n:
+        raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
     # the (expected) ball count, checked before numpy is asked for Poisson
-    # draws it cannot make (means above about 9.2e18)
+    # draws it cannot make (means above about 9.2e18); for the box sampler
+    # it also keeps the t * 2**-53 balls expected past the shared table cut
+    # negligible (without it, mean K(1) at t = 1e19 falls short)
     _check_memory(float(grid[-1]), J)
     return grid, J, L, kind
 
@@ -540,7 +507,7 @@ def sample_counts(
     # a pick below the light leaves' share of the ball mass lands in them
     share = boxes.ball_cum[boxes.light.size - 1] if boxes.light.size else 0.0
     # a pass holds its replicas' leaf counts and their expected placed balls
-    per_pass = max(1, int(_PASS_CELLS // (G * boxes.leaves.size + boxes.ball_mass * grid[-1] + 1)))
+    per_pass = max(1, int(_PASS_BUDGET // (G * boxes.leaves.size + boxes.ball_mass * grid[-1] + 1)))
     heavy = np.empty((per_pass, G, H), dtype=np.int64)
     balls = np.empty((per_pass, G), dtype=np.int64)
     rng = None

@@ -155,7 +155,7 @@ def _grid(gaps, whole):
 )
 @settings(max_examples=60, deadline=None)
 def test_rows_keep_the_invariants_and_the_streams(kind, J, L, gaps, fixed, first, count,
-                                                  cells, seed):
+                                                  budget, seed):
     family, grid = FAMILIES[kind], _grid(gaps, fixed)
     n = grid[-1] + 1 if fixed else None
     replicas = range(first, first + count)
@@ -175,7 +175,7 @@ def test_rows_keep_the_invariants_and_the_streams(kind, J, L, gaps, fixed, first
                        sample_counts(family, grid, J, L, seed, range(cut, first + count), n=n)])
     assert_array_equal(split, rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheme, "_PASS_CELLS", cells)
+        mp.setattr(scheme, "_PASS_BUDGET", budget)
         assert_array_equal(sample_counts(family, grid, J, L, seed, replicas, n=n), rows)
 
 

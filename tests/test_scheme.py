@@ -211,6 +211,19 @@ def _assert_batch_matches_singles(family, grid, J, L, seed, replicas, n=None):
     return batch
 
 
+@pytest.fixture
+def pass_sizes(monkeypatch):
+    """The number of replicas of each pass the ball engine counts, in order."""
+    sizes, count = [], scheme._count
+
+    def spy(family, increments, *args):
+        sizes.append(len(increments))
+        return count(family, increments, *args)
+
+    monkeypatch.setattr(scheme, "_count", spy)
+    return sizes
+
+
 class TestBatchedPasses:
     """simulate_replicas counts consecutive replicas in one pass; each
     trajectory must be bit-equal to the replica simulated alone."""
@@ -222,14 +235,14 @@ class TestBatchedPasses:
         st.lists(st.sampled_from([0.0, 0.0, 0.5, 3.0, 20.0, 60.0]), min_size=1, max_size=5),
         st.integers(0, 50),
         st.integers(1, 7),
-        st.sampled_from([1, 5, 40, 150, 2**15]),
+        st.sampled_from([1, 5, 40, 150, 2**16]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
     def test_poissonized_batches_match_singles(self, kind, J, L, gaps, first, count,
                                                budget, seed):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "_PASS_BALLS", budget)
+            mp.setattr(scheme, "_PASS_BUDGET", budget)
             _assert_batch_matches_singles(
                 BATCH_FAMILIES[kind], np.cumsum(gaps).tolist(), J, L, seed,
                 range(first, first + count),
@@ -241,14 +254,14 @@ class TestBatchedPasses:
         st.integers(1, 4),
         st.lists(st.sampled_from([0, 0, 1, 4, 30]), min_size=1, max_size=5),
         st.integers(1, 6),
-        st.sampled_from([1, 7, 64, 2**15]),
+        st.sampled_from([1, 7, 64, 2**16]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_fixed_n_batches_match_singles(self, kind, J, L, steps, count, budget, seed):
         grid = np.cumsum(steps).tolist()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "_PASS_BALLS", budget)
+            mp.setattr(scheme, "_PASS_BUDGET", budget)
             _assert_batch_matches_singles(
                 BATCH_FAMILIES[kind], grid, J, L, seed, range(count), n=grid[-1] + 2
             )
@@ -271,26 +284,30 @@ class TestBatchedPasses:
         assert [traj.replica for traj in batch] == [7, 2, 30, 3]
         assert simulate_replicas(geo, [3.0], 2, 2, 9, []) == []
 
-    def test_runs_across_the_budget_boundary(self, fin3, monkeypatch):
-        # 10 balls each: a 25-ball budget takes two replicas a pass, and the
-        # 11-replica run ends on a pass of one
-        monkeypatch.setattr(scheme, "_PASS_BALLS", 25)
-        _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(11), n=10)
-        monkeypatch.setattr(scheme, "_PASS_BALLS", 20)  # exactly two a pass
-        _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(11), n=10)
-        monkeypatch.setattr(scheme, "_PASS_BALLS", 9)  # every replica above it
-        _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(5), n=10)
+    def test_runs_across_the_budget_boundary(self, fin3, monkeypatch, pass_sizes):
+        # 10 balls each, so a pass takes budget // 11 replicas: two from a
+        # budget of 22 up to 32, where the 11-replica run ends on a pass of
+        # one, and one below 22, also at a budget below one replica's balls.
+        # The single-replica calls that check the run add 11 passes of one.
+        for budget, sizes in ((32, [2] * 5 + [1]), (22, [2] * 5 + [1]),
+                              (21, [1] * 11), (9, [1] * 11)):
+            monkeypatch.setattr(scheme, "_PASS_BUDGET", budget)
+            pass_sizes.clear()
+            _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(11), n=10)
+            assert pass_sizes == sizes + [1] * 11
 
-    def test_replica_above_the_budget(self):
-        # Poisson counts around the real budget: some replicas take a pass
-        # of their own, the others share one
+    def test_replica_above_the_budget(self, pass_sizes):
+        # at the real budget, replicas expecting just under half of it run
+        # two a pass, whatever their Poisson counts, and a replica expecting
+        # all of it runs in a pass of its own
         weib = WeightFamily.weibull_like(0.5)
-        t = float(scheme._PASS_BALLS) - 40.0
-        batch = _assert_batch_matches_singles(weib, [t / 2, t], 1, 2, 4, range(6))
-        balls = [int(traj.balls[-1]) for traj in batch]
-        assert min(balls) <= scheme._PASS_BALLS < max(balls)
+        for t, sizes in ((scheme._PASS_BUDGET / 2 - 1.0, [2, 1]),
+                         (float(scheme._PASS_BUDGET), [1, 1, 1])):
+            pass_sizes.clear()
+            _assert_batch_matches_singles(weib, [t / 2, t], 1, 2, 4, range(3))
+            assert pass_sizes == sizes + [1] * 3
 
-    def test_pass_shrinks_when_replica_bits_do_not_fit(self):
+    def test_pass_shrinks_when_replica_bits_do_not_fit(self, pass_sizes):
         # base 128 = 2**7 codes: 8 generations and 64 snapshots take 62 of
         # the 63 key bits, so a pass holds two replicas; 9 generations and
         # one snapshot take all 63, so one.  One more snapshot (or one more
@@ -298,7 +315,10 @@ class TestBatchedPasses:
         family = WeightFamily.finite([1.0] * 126)
         grid = list(range(1, 65))
         _assert_batch_matches_singles(family, grid, 8, 1, 1, range(5), n=64)
+        assert pass_sizes == [2, 2, 1] + [1] * 5
+        pass_sizes.clear()
         _assert_batch_matches_singles(family, [40], 9, 2, 1, range(3), n=40)
+        assert pass_sizes == [1] * 6
         with pytest.raises(ValidationError):
             simulate_replicas(family, [20, 40], 9, 2, 1, range(3), n=40)
         with pytest.raises(ValidationError):
@@ -361,6 +381,21 @@ class TestMemoryGuard:
         from nested_karlin.cli import main
 
         assert main(["simulate", "--t", "1e20"]) == 2
+        captured = capsys.readouterr()
+        assert "numeric error:" in captured.err and not captured.out
+
+    def test_sampler_refuses_an_infeasible_time_before_any_draw(self, any_draw_fails):
+        # numpy's Poisson draw would raise a bare ValueError at this mean
+        weib = WeightFamily.weibull_like(0.5)
+        with pytest.raises(NumericalError):
+            scheme.sample_counts(weib, [1e20], 1, 1, 1, range(3))
+
+    def test_verify_exit_code_before_any_draw(self, any_draw_fails, capsys):
+        from nested_karlin.cli import main
+
+        args = ["verify", "moment", "--t", "1e20", "--replicas", "100",
+                "--generations", "1", "--levels", "1", "--threads", "1"]
+        assert main(args) == 2
         captured = capsys.readouterr()
         assert "numeric error:" in captured.err and not captured.out
 
