@@ -16,10 +16,12 @@ lines, so CSV output on stdout stays clean while runs remain auditable.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -110,13 +112,38 @@ def _emit(lines, out: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit_samples(draws, labels, out: str) -> None:
-    """The sample CSV, written one block of _SAMPLE_BLOCK samples at a time."""
+def _sample_text(block, labels, start: int) -> str:
+    """The CSV text of one block of samples numbered from ``start``."""
+    return "\n".join(draws_to_csv_rows(block, labels, start)) + "\n"
+
+
+def _emit_samples(draws, labels, out: str, threads: int) -> None:
+    """The sample CSV, written one block of _SAMPLE_BLOCK samples at a time,
+    in order.  With more than one worker the blocks are formatted on a pool
+    of ``threads`` processes (no more than there are blocks), at most
+    2 * threads blocks in flight, so the text held at once stays bounded
+    whatever --n is; with one, everything runs in this process."""
+    starts = range(0, draws.shape[0], _SAMPLE_BLOCK)
+    blocks = ((draws[start:start + _SAMPLE_BLOCK], labels, start) for start in starts)
+    threads = min(threads, len(starts))
     with _output(out) as fh:
         fh.write(sample_csv_header() + "\n")
-        for start in range(0, draws.shape[0], _SAMPLE_BLOCK):
-            block = draws[start:start + _SAMPLE_BLOCK]
-            fh.write("\n".join(draws_to_csv_rows(block, labels, start)) + "\n")
+        if threads == 1:
+            for block in blocks:
+                fh.write(_sample_text(*block))
+            return
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            try:
+                pending = collections.deque()
+                for block in blocks:
+                    if len(pending) == 2 * threads:
+                        fh.write(pending.popleft().result())
+                    pending.append(pool.submit(_sample_text, *block))
+                while pending:
+                    fh.write(pending.popleft().result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
 
 def _add_family_flags(p) -> None:
@@ -300,7 +327,7 @@ def _cmd_limits_table(ns) -> int:
 
 def _cmd_sample_limit(ns) -> int:
     grid = build_grid(ns.kind, _csv_floats(ns.u_grid), ns.levels)
-    _emit_samples(sample(grid, ns.n, ns.seed), grid.labels(), ns.out)
+    _emit_samples(sample(grid, ns.n, ns.seed), grid.labels(), ns.out, ns.threads)
     return 0
 
 
@@ -310,7 +337,7 @@ def _cmd_sample_whitenoise(ns) -> int:
         u, x_window=ns.x_window, x_step=ns.x_step, y_step=ns.y_step,
         n=ns.n, seed=ns.seed,
     )
-    _emit_samples(draws, [(1, float(x)) for x in u], ns.out)
+    _emit_samples(draws, [(1, float(x)) for x in u], ns.out, ns.threads)
     return 0
 
 

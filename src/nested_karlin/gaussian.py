@@ -23,7 +23,9 @@ quadrature oracle instead.
 
 Draws leave as CSV rows ``sample_id,level,u,value``: ``draws_to_csv_rows``
 formats one block of samples, numbering them from its ``start`` argument, so
-a writer can emit a large run block by block.
+a writer can emit a large run block by block, and can format the blocks in
+separate worker processes and write them in order, as the CLI's ``sample``
+commands do.
 """
 
 from __future__ import annotations
@@ -208,9 +210,10 @@ def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> "list[str]":
     the (level, u) labels; sample ids count from ``start``.
 
     Values print as ``repr`` of the float, so ``float(value)`` gives back
-    each draw exactly.  Writers pass one block at a time, as the CLI's
-    ``sample`` commands do, so the rows of a large run are never all held at
-    once.
+    each draw exactly.  Writers pass one block at a time, so the rows of a
+    large run are never all held at once.  The rows of a block depend on
+    nothing but its arguments: the CLI's ``sample`` commands format blocks
+    in pool workers, a few at a time, and write them in order.
     """
     start = check_whole("start", start, 0)
     if draws.ndim != 2 or draws.shape[1] != len(labels):

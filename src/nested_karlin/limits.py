@@ -225,14 +225,20 @@ def _e_xx(i: int, k: int, u: float, v: float) -> tuple[float, float]:
 
 
 def quadrature_cov(
-    kind: str, l1: int, l2: int, delta: float, *, max_level: int = _MAX_LEVEL
+    kind: str, l1: int, l2: int, delta: float, *, max_level: int = _MAX_LEVEL,
+    pieces: dict | None = None,
 ) -> float:
     """Independent numeric evaluation of :func:`closed_cov`, with the same
     arguments: E X_{l1}(u) X_{l2}(v) is one integral, and Z is assembled from
     Z_1/X_k pieces by bilinearity.
 
     The summed quadrature error estimates must stay below 1e-10, else
-    :class:`NumericalError` is raised.
+    :class:`NumericalError` is raised.  ``pieces``, when given, holds the
+    (value, error estimate) of each piece E X_i(delta) X_k(0) under
+    ``(i, k, delta)``: a piece found there is not integrated again, and one
+    integrated here is added, so calls sharing the dict integrate each piece
+    once and still sum and budget their pieces as a lone call would.  (A
+    delta of -0.0 shares the key of 0.0; their integrands are equal.)
     """
     l1, l2, d = _check_query(kind, l1, l2, delta)
     if max(l1, l2) > max_level:
@@ -250,8 +256,12 @@ def quadrature_cov(
         pairs = [(l1, l2)]
     total = 0.0
     err = 0.0
+    if pieces is None:
+        pieces = {}
     for i, k in pairs:
-        val, e = _e_xx(i, k, d, 0.0)
+        if (i, k, d) not in pieces:
+            pieces[i, k, d] = _e_xx(i, k, d, 0.0)
+        val, e = pieces[i, k, d]
         total += val
         err += e
     if err > _QUAD_BUDGET:
@@ -264,13 +274,15 @@ def quadrature_cov(
 
 def comparison_table(kinds, level_pairs, deltas):
     """Rows (kind, l1, l2, delta, closed_form, quadrature, abs_diff) for the
-    CLI `limits table` CSV."""
+    CLI `limits table` CSV.  The rows share one table of quadrature pieces,
+    so each distinct E X_i X_k integral is computed once across the table."""
     rows = []
+    pieces: dict = {}
     for kind in kinds:
         for l1, l2 in level_pairs:
             l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
             for d in map(float, deltas):
                 closed = closed_cov(kind, l1, l2, d)
-                quad = quadrature_cov(kind, l1, l2, d)
+                quad = quadrature_cov(kind, l1, l2, d, pieces=pieces)
                 rows.append((kind, l1, l2, d, closed, quad, abs(closed - quad)))
     return rows

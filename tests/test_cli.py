@@ -1,8 +1,10 @@
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -382,6 +384,7 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
     def test_out_and_stdout_match_one_piece(self, n, tmp_path, capsys, monkeypatch):
+        # one worker: calls made inside pool workers would not be recorded
         calls = []
 
         def recorded(draws, labels, start=0):
@@ -392,6 +395,7 @@ class TestSampleBlocks:
         draws_to_csv_rows = cli.draws_to_csv_rows
         monkeypatch.setattr(cli, "draws_to_csv_rows", recorded)
         for args, want, columns in self._cases(n):
+            args = args + ["--threads", "1"]
             out = tmp_path / "sample.csv"
             assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
             assert_same_text(out.read_text(), want)
@@ -405,6 +409,79 @@ class TestSampleBlocks:
                       for s in range(0, n, B)]
             assert calls == blocks + blocks
             calls.clear()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_same_bytes_at_any_worker_count(self, n, threads, tmp_path, capsys):
+        for args, want, _ in self._cases(n):
+            args = args + ["--threads", str(threads)]
+            out = tmp_path / "sample.csv"
+            assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
+            assert_same_text(out.read_text(), want)
+            stdout = sys.stdout
+            code, text, _ = run_cli(args, capsys)
+            assert code == 0
+            assert_same_text(text, want)
+            assert sys.stdout is stdout and not stdout.closed
+
+    def test_stdout_pipe_with_workers(self):
+        # the header is written before the workers fork, and a forked
+        # worker flushes its copy of sys.stdout as it exits: text still
+        # buffered at the fork would reach the pipe twice
+        import_root = Path(nested_karlin.__file__).resolve().parent.parent
+        n = 2 * B + 3
+        for args, want, _ in self._cases(n):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nested_karlin", *args, "--threads", "2"],
+                capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert_same_text(proc.stdout, want)
+
+    def test_blocks_in_flight_are_bounded(self, tmp_path, capsys, monkeypatch):
+        # the writer holds at most 2 * threads formatted blocks at once, and
+        # a run of one block starts no pool
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers, self.held, self.peak = max_workers, 0, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(pickle.loads(pickle.dumps(fn(*args))))
+                self.held += 1
+                self.peak = max(self.peak, self.held)
+                take = future.result
+
+                def result(timeout=None):
+                    self.held -= 1
+                    return take()
+
+                future.result = result
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        for n, threads, workers in ((1, 3, None), (9 * B, 2, 2), (2 * B + 3, 8, 3)):
+            pools.clear()
+            for args, want, _ in self._cases(n):
+                out = tmp_path / "sample.csv"
+                args = args + ["--threads", str(threads), "--out", str(out)]
+                assert run_cli(args, capsys)[0] == 0
+                assert_same_text(out.read_text(), want)
+            if workers is None:
+                assert pools == []
+            else:
+                assert [p.max_workers for p in pools] == [workers, workers]
+                assert all(0 < p.peak <= 2 * workers and p.held == 0 for p in pools)
 
 
 class TestConfigFile:

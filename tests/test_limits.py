@@ -192,6 +192,45 @@ class TestQuadratureOracle:
             comparison_table(["X"], [(2, 1)], [0.5])
 
 
+class TestSharedPieces:
+    """`comparison_table` integrates each E X_i X_k piece once across its
+    rows; each row's value and error budget stay those of a lone call."""
+
+    # the `limits table` deltas, and a signed zero
+    DELTAS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, -0.0]
+    PAIRS = [(l1, l2) for l1 in range(1, 5) for l2 in range(1, 5)]
+
+    def test_table_equals_per_row_quadrature(self):
+        rows = comparison_table(["Z", "X", "Y"], self.PAIRS, self.DELTAS)
+        assert len(rows) == 3 * len(self.PAIRS) * len(self.DELTAS)
+        for kind, l1, l2, d, closed, quad, diff in rows:
+            want = quadrature_cov(kind, l1, l2, d)
+            assert quad.hex() == want.hex(), (kind, l1, l2, d)
+            assert diff == abs(closed - quad)
+
+    def test_each_piece_integrated_once(self, monkeypatch):
+        from nested_karlin import limits
+
+        pieces, rows = [], []
+        e_xx, quad = limits._e_xx, limits.quadrature_cov
+
+        def counted_piece(i, k, u, v):
+            pieces.append((i, k, u, v))
+            return e_xx(i, k, u, v)
+
+        def counted_row(*args, **kwargs):
+            rows.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "_e_xx", counted_piece)
+        monkeypatch.setattr(limits, "quadrature_cov", counted_row)
+        comparison_table(["Z", "X"], self.PAIRS, self.DELTAS[:-1])
+        # every row still goes through quadrature_cov; 812 pieces without
+        # sharing, 161 distinct
+        assert len(rows) == 2 * 16 * 7
+        assert len(pieces) == len(set(pieces)) == 161
+
+
 class TestStructuralIdentities:
     def test_X_from_Z_bilinearity(self):
         # cov(X_a(u), X_b(v)) from the four Z-covariances, small panel
