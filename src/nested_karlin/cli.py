@@ -21,16 +21,17 @@ import contextlib
 import dataclasses
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_whole
 from .gaussian import (
+    SAMPLE_CSV_HEADER,
     build_grid,
     draws_to_csv_rows,
     sample,
-    sample_csv_header,
     sample_Z1_whitenoise,
 )
 from .harness import (
@@ -54,7 +55,7 @@ from .moments import (
     mean_K,
     mean_K_binomial,
 )
-from .scheme import OccupancyTrajectory, simulate_replicas
+from .scheme import TRAJECTORY_CSV_HEADER, simulate_replicas
 from .weights import WeightFamily
 
 MOMENTS_CSV_HEADER = "quantity,j,l,l2,s,t,value,error_bound,boxes"
@@ -127,7 +128,7 @@ def _emit_samples(draws, labels, out: str, threads: int) -> None:
     blocks = ((draws[start:start + _SAMPLE_BLOCK], labels, start) for start in starts)
     threads = min(threads, len(starts))
     with _output(out) as fh:
-        fh.write(sample_csv_header() + "\n")
+        fh.write(SAMPLE_CSV_HEADER + "\n")
         if threads == 1:
             for block in blocks:
                 fh.write(_sample_text(*block))
@@ -206,7 +207,7 @@ def _cmd_identities(ns) -> int:
             for n in range(max_n + 1):
                 lhs, rhs = convolution_identity(a, r, n, max_value=max_n)
                 if lhs != rhs:
-                    print(f"convolution identity FAILED at a={a} r={r} n={n}")
+                    _emit([f"convolution identity FAILED at a={a} r={r} n={n}"], ns.out)
                     return 2
                 cells += 1
     rng = np.random.default_rng(ns.seed)
@@ -220,10 +221,8 @@ def _cmd_identities(ns) -> int:
             worst = max(worst, abs(got - 1.0 / l) * l)
             checks += 1
     ok = worst <= 1e-12
-    print(
-        f"identities {'ok' if ok else 'FAILED'}: convolution_cells={cells} "
-        f"binomial_checks={checks} worst_rel={worst:.3e}"
-    )
+    _emit([f"identities {'ok' if ok else 'FAILED'}: convolution_cells={cells} "
+           f"binomial_checks={checks} worst_rel={worst:.3e}"], ns.out)
     return 0 if ok else 2
 
 
@@ -237,7 +236,7 @@ def _cmd_simulate(ns) -> int:
         ns.weight_family, grid, ns.generations, ns.levels, ns.seed,
         range(replicas), n=ns.deterministic_n or None,
     )
-    lines = [OccupancyTrajectory.csv_header()]
+    lines = [TRAJECTORY_CSV_HEADER]
     for traj in trajectories:
         lines.extend(traj.to_csv_rows())
     _emit(lines, ns.out)
@@ -308,8 +307,7 @@ def _cmd_moments_gap(ns) -> int:
 
 
 def _cmd_limits_cov(ns) -> int:
-    val = closed_cov(ns.kind, ns.l1, ns.l2, ns.delta)
-    print(repr(val))
+    _emit([repr(closed_cov(ns.kind, ns.l1, ns.l2, ns.delta))], ns.out)
     return 0
 
 
@@ -365,14 +363,16 @@ _VERIFY_RUNNERS = {
 
 
 def _cmd_verify(ns) -> int:
-    runner = _VERIFY_RUNNERS[ns.check]
-    report = runner(_experiment_config(ns))
-    flagged = report.flagged
+    config = _experiment_config(ns)
+    start = time.perf_counter()
+    report = _VERIFY_RUNNERS[ns.check](config)
+    runtime = time.perf_counter() - start
+    if ns.out:
+        report.write(ns.out)
     print(
         f"verify {ns.check}: passed={report.passed} "
-        f"cells={len(report.cells)} flagged={len(flagged)} "
-        f"pass_fraction={report.pass_fraction:.4f} "
-        f"runtime={report.runtime_seconds:.1f}s"
+        f"cells={len(report.cells)} flagged={len(report.flagged)} "
+        f"pass_fraction={report.pass_fraction:.4f} runtime={runtime:.1f}s"
     )
     if not ns.out:
         sys.stdout.write(report.to_csv())
@@ -501,26 +501,21 @@ def build_parser() -> _Parser:
     ver = subs.add_parser("verify", help="run a verification experiment")
     vsubs = ver.add_subparsers(dest="check", parser_class=_Parser)
     vsubs.required = True
-    for name in ("moment", "clt", "trend", "gap"):
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for name, own in (("moment", ("t", "deterministic_n")), ("clt", ("T", "u_grid")),
+                      ("trend", ("T_grid",)), ("gap", ("t_grid",))):
         vp = vsubs.add_parser(name)
         _add_family_flags(vp)
-        _add_common(vp, seed=2026)
-        vp.add_argument("--generations", type=int, default=2)
-        vp.add_argument("--levels", type=int, default=3)
-        vp.add_argument("--replicas", type=int, default=2000)
-        vp.add_argument("--prune", type=float, default=1e-9)
-        if name == "moment":
-            vp.add_argument("--t", type=float, default=3000.0)
-            vp.add_argument("--deterministic-n", dest="deterministic_n",
-                            type=int, default=0)
-        elif name == "clt":
-            vp.add_argument("--T", type=float, default=8.0)
-            vp.add_argument("--u-grid", dest="u_grid", default="0.0,0.5,1.0")
+        _add_common(vp, seed=ExperimentConfig.seed)
+        # each flag is the config field of its name, with the field's default
+        for key in ("generations", "levels", "replicas", "prune", *own):
+            flag, default = "--" + key.replace("_", "-"), defaults[key]
+            if isinstance(default, tuple):
+                vp.add_argument(flag, dest=key, default=",".join(map(repr, default)))
+            else:
+                vp.add_argument(flag, dest=key, type=type(default), default=default)
+        if name == "clt":
             vp.set_defaults(replicas=4000)
-        elif name == "trend":
-            vp.add_argument("--T-grid", dest="T_grid", default="10.0,15.0,20.0,25.0")
-        else:
-            vp.add_argument("--t-grid", dest="t_grid", default="")
         vp.set_defaults(func=_cmd_verify, check=name)
     return root
 

@@ -46,13 +46,14 @@ __all__ = [
     "whitenoise_mesh_covariance",
     "sample_Z1_whitenoise",
     "draws_to_csv_rows",
+    "SAMPLE_CSV_HEADER",
 ]
 
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-8
 _CELL_BUDGET = 10**8
 
-_SAMPLE_CSV_HEADER = "sample_id,level,u,value"
+SAMPLE_CSV_HEADER = "sample_id,level,u,value"
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,3 @@ def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> "list[str]":
     for sid, values in enumerate(draws.tolist(), start):
         rows.extend([f"{sid}{prefix}{v!r}" for prefix, v in zip(prefixes, values)])
     return rows
-
-
-def sample_csv_header() -> str:
-    return _SAMPLE_CSV_HEADER

@@ -10,7 +10,10 @@ in the trend experiment, whose assertion is about monotone approach rather
 than closeness.  Every runner declares its rows once (``_Cell`` specs, trend
 series, gap pairs) and the worker pool's exact moments are read off them;
 every exact value and certified bound in a row comes from ``_combine``,
-(sum coef * value, sum |coef| * error_bound) / scale over its terms.
+(sum coef * value, sum |coef| * error_bound) / scale over its terms.  A
+runner returns its report; ``report.write(path)`` writes the CSV and its
+manifest, and the ``verify`` command, whose flags are the config's fields,
+times the run.
 
 Replicas come from the box sampler, ``scheme.sample_counts``.
 Reproducibility: replica r of a run with master seed s draws from a
@@ -26,10 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,7 +89,6 @@ class ExperimentConfig:
     seed: int = 2026
     prune: float = 1e-9
     threads: int = 1
-    out: str = ""
 
     def family(self) -> WeightFamily:
         return WeightFamily.from_spec(
@@ -95,12 +96,12 @@ class ExperimentConfig:
         )
 
     def manifest(self) -> str:
-        """One ``name=value`` line per field but ``threads`` and ``out``, in
-        field order: strings as is, tuples as comma lists, numbers by repr."""
+        """One ``name=value`` line per field but ``threads``, in field order:
+        strings as is, tuples as comma lists, numbers by repr."""
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name not in ("threads", "out"):
+            if f.name != "threads":
                 text = v if isinstance(v, str) else (
                     ",".join(map(repr, v)) if isinstance(v, tuple) else repr(v))
                 lines.append(f"{f.name}={text}\n")
@@ -142,8 +143,7 @@ class ExperimentReport:
     experiment: str
     config: ExperimentConfig
     cells: list
-    runtime_seconds: float = 0.0
-    notes: dict = field(default_factory=dict)
+    pass_fraction_required: float = 1.0
 
     @property
     def flagged(self) -> list:
@@ -158,8 +158,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        threshold = self.notes.get("pass_fraction_required", 1.0)
-        return self.pass_fraction >= threshold
+        return self.pass_fraction >= self.pass_fraction_required
 
     def to_csv(self) -> str:
         lines = [REPORT_CSV_HEADER]
@@ -178,29 +177,24 @@ class ExperimentReport:
 # worker pool: replica chunks and exact targets
 
 
-def _replica_chunk(payload: tuple) -> np.ndarray:
-    """Worker: the value matrix of a contiguous replica range from the box
-    sampler (one row per replica: K then K*, flattened over (j, l, grid))."""
-    family, times, J, L, seed, n, r_lo, r_hi = payload
-    return sample_counts(family, times, J, L, seed, range(r_lo, r_hi), n=n)
-
-
 def _whole(cfg: ExperimentConfig, **minimums) -> list:
     """The named whole-number fields of ``cfg`` as ints, each checked against
     its minimum (None for none) before a run does any work."""
     return [check_whole(name, getattr(cfg, name), low) for name, low in minimums.items()]
 
 
-def _replica_payloads(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
-                      threads: int) -> list:
-    """The replica tasks ``(family, times, J, L, seed, n, lo, hi)`` of the
-    simulation ``sim = (times, J, L, n)``: contiguous ranges covering
+def _replica_tasks(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
+                   threads: int) -> list:
+    """The replica tasks of the simulation ``sim = (times, J, L, n)``, each
+    the positional arguments ``(family, times, J, L, seed, replicas)`` of
+    ``sample_counts`` (``n`` goes by keyword): contiguous ranges covering
     0..R-1 in order, one range in process, about four per worker otherwise."""
     R, seed = _whole(cfg, replicas=_MIN_STAT_REPLICAS, seed=None)
-    times, J, L, n = sim
+    times, J, L, _ = sim
     times = tuple(float(x) for x in times)
     chunk = R if threads == 1 else max(1, math.ceil(R / (4 * threads)))
-    return [(family, times, J, L, seed, n, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
+    return [(family, times, J, L, seed, range(lo, min(lo + chunk, R)))
+            for lo in range(0, R, chunk)]
 
 
 def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
@@ -224,11 +218,12 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
     runs in this process, through the functions as listed.
     """
     threads = check_whole("threads", cfg.threads, 1)
-    payloads = [] if sim is None else _replica_payloads(cfg, family, sim, threads)
+    tasks = [] if sim is None else _replica_tasks(cfg, family, sim, threads)
+    n = sim[3] if sim else None
     keys = {(fn, args): (fn, _ordered(fn, args)) for terms in exact for _, fn, args in terms}
     targets = list(dict.fromkeys(keys.values()))
     if threads == 1:
-        parts = [_replica_chunk(p) for p in payloads]
+        parts = [sample_counts(*task, n=n) for task in tasks]
         values = [fn(family, *args, prune=cfg.prune) for fn, args in targets]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -238,7 +233,7 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
                 # centering means first, then the terms of their rows in
                 # report order, generation and level ascending with the
                 # cross-generation rows last; cost grows along that order.
-                chunks = [pool.submit(_replica_chunk, p) for p in payloads]
+                chunks = [pool.submit(sample_counts, *task, n=n) for task in tasks]
                 futures = [pool.submit(fn, family, *args, prune=cfg.prune)
                            for fn, args in reversed(targets)][::-1]
                 parts = [f.result() for f in chunks]
@@ -383,23 +378,11 @@ def _check_finite(name: str, values) -> None:
         raise ValidationError(f"{name} must be finite, got {list(values)}")
 
 
-def _finish(experiment: str, config: ExperimentConfig, cells: list, start: float,
-            **notes) -> ExperimentReport:
-    """The report of a run begun at ``start``, written to ``config.out`` if
-    that is set."""
-    report = ExperimentReport(experiment, config, cells,
-                              runtime_seconds=time.perf_counter() - start, notes=notes)
-    if config.out:
-        report.write(config.out)
-    return report
-
-
 def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     """Empirical means/variances/covariances of K and K* at one time vs the
     exact finite-time values; a cell passes within 4 SE.  With
     ``deterministic_n`` set the fixed-n scheme is run and (only) means are
     compared against the binomial-scheme exact sums."""
-    start = time.perf_counter()
     _check_finite("t", [config.t])
     J, L, n = _whole(config, generations=1, levels=1, deterministic_n=0)
     family = config.family()
@@ -440,8 +423,8 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
                              cov_K_cross_gen, (1, 2))
     results, V = _run_pool(config, family, [c.terms for c in cells], ([t], J, L, n or None))
     X = V.reshape(len(V), 2, J, L, 1)
-    return _finish("moment_check", config, _evaluate("moment_check", cells, X, results),
-                   start, pass_fraction_required=0.95)
+    return ExperimentReport("moment_check", config,
+                            _evaluate("moment_check", cells, X, results), 0.95)
 
 
 def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
@@ -449,7 +432,6 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     empirical second moments vs exact finite-T covariances (flagged, 4 SE),
     the same entries vs the limit covariances (diagnostic, unflagged), and
     skewness/excess-kurtosis normality diagnostics (flagged, 4 SE bands)."""
-    start = time.perf_counter()
     _check_finite("T and u_grid", [config.T, *config.u_grid])
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
@@ -501,8 +483,8 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     mu = np.reshape([_combine(m, results)[0] for m in means], (J, L, G))
     N = V.reshape(len(V), 2, J, L, G)[:, 0] - mu
     N /= np.reshape(norms, (J, 1, 1))
-    return _finish("clt_check", config, _evaluate("clt_check", cells, N, results, T),
-                   start, pass_fraction_required=0.95)
+    return ExperimentReport("clt_check", config,
+                            _evaluate("clt_check", cells, N, results, T), 0.95)
 
 
 def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
@@ -514,7 +496,6 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     every row is emitted as an unflagged diagnostic, so the non-convergence
     stays visible without failing the run.
     """
-    start = time.perf_counter()
     _check_finite("T_grid", config.T_grid)
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
@@ -557,14 +538,13 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
             cells.append(CellResult("asymptotic_trend", f"{stem}:endpoint_decreasing",
                                     j, l, l2, None, None, T_grid[-1], devs[-1], 0.0,
                                     devs[0], "endpoint", devs[-1] < devs[0]))
-    return _finish("asymptotic_trend", config, cells, start)
+    return ExperimentReport("asymptotic_trend", config, cells)
 
 
 def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     """|E K_t - E 𝒦_⌊t⌋| against the uniform proof constant, per (j, l, t).
     The `se` column carries the certified enumeration error, which is added
     to the gap before comparison (conservative direction)."""
-    start = time.perf_counter()
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
     t_grid = [float(x) for x in config.t_grid] or list(np.logspace(1.0, 5.0, 20))
@@ -578,4 +558,4 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
         cells.append(CellResult("depoissonization_check", f"gap:j={j},l={l},t={t}",
                                 j, l, None, None, None, t, gap, err, bound,
                                 "uniform-bound", gap + err <= bound))
-    return _finish("depoissonization_check", config, cells, start)
+    return ExperimentReport("depoissonization_check", config, cells)

@@ -225,8 +225,7 @@ def _e_xx(i: int, k: int, u: float, v: float) -> tuple[float, float]:
 
 
 def quadrature_cov(
-    kind: str, l1: int, l2: int, delta: float, *, max_level: int = _MAX_LEVEL,
-    pieces: dict | None = None,
+    kind: str, l1: int, l2: int, delta: float, *, pieces: dict | None = None,
 ) -> float:
     """Independent numeric evaluation of :func:`closed_cov`, with the same
     arguments: E X_{l1}(u) X_{l2}(v) is one integral, and Z is assembled from
@@ -241,10 +240,8 @@ def quadrature_cov(
     delta of -0.0 shares the key of 0.0; their integrands are equal.)
     """
     l1, l2, d = _check_query(kind, l1, l2, delta)
-    if max(l1, l2) > max_level:
-        raise ValidationError(
-            f"levels up to {max(l1, l2)} exceed the configured max {max_level}"
-        )
+    if max(l1, l2) > _MAX_LEVEL:
+        raise ValidationError(f"levels up to {max(l1, l2)} exceed the max {_MAX_LEVEL}")
     if abs(d) > _WINDOW / 2.0:
         raise ValidationError("offset too large for the integration window")
     if kind == "Z":

@@ -63,9 +63,10 @@ __all__ = [
     "simulate_deterministic",
     "simulate_poissonized",
     "simulate_replicas",
+    "TRAJECTORY_CSV_HEADER",
 ]
 
-_TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
+TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
 _PASS_BUDGET = 2**16  # expected balls (and the sampler's box cells) of one pass
 _HEAVY = 2.0  # leaves expecting this many balls by the last snapshot draw counts
 
@@ -121,10 +122,6 @@ class OccupancyTrajectory:
                         f"{self.replica},{j + 1},{l + 1},{i},{time_txt},"
                         f"{self.K[j, l, i]},{self.K_star[j, l, i]},{self.balls[i]}"
                     )
-
-    @staticmethod
-    def csv_header() -> str:
-        return _TRAJECTORY_CSV_HEADER
 
 
 def _keyed_rng(seed: int, index: int, rng=None) -> np.random.Generator:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import math
 import os
 import pickle
@@ -13,6 +15,16 @@ import nested_karlin
 from nested_karlin import cli
 from nested_karlin.cli import main
 from nested_karlin.gaussian import build_grid, sample, sample_Z1_whitenoise
+from nested_karlin.harness import ExperimentConfig
+
+
+def _child_env(**extra) -> dict:
+    """The environment of a child Python: a minimal PATH, the import path of
+    the package under test (which works for PYTHONPATH=src and installs
+    alike), no bytecode written next to the sources, and ``extra``."""
+    import_root = Path(nested_karlin.__file__).resolve().parent.parent
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root),
+            "PYTHONDONTWRITEBYTECODE": "1", **extra}
 
 
 def run_cli(args, capsys):
@@ -342,6 +354,61 @@ class TestDeterminism:
         assert header == "experiment,cell_id,j,l,l2,u,v,T,empirical,se,target,target_kind,pass"
 
 
+# a small run of every subcommand
+_OUT_CASES = {
+    "weights table": ["--k-max", "3"],
+    "weights rho": [],
+    "weights profile": [],
+    "identities check": ["--max-l", "2", "--max-n", "3"],
+    "simulate": ["--t", "20", "--replicas", "2"],
+    "moments mean": [],
+    "moments cov": [],
+    "moments gap": [],
+    "limits cov": ["--kind", "Z", "--l1", "1", "--l2", "2"],
+    "limits table": ["--kinds", "Z", "--max-l", "1", "--deltas", "0"],
+    "sample limit": ["--n", "3", "--levels", "1"],
+    "sample whitenoise": ["--n", "2", "--x-step", "0.1", "--y-step", "0.1"],
+    "verify moment": ["--t", "150", "--replicas", "100", "--generations", "1", "--levels", "1"],
+    "verify clt": ["--T", "3", "--u-grid", "0", "--replicas", "100", "--generations", "1",
+                   "--levels", "1"],
+    "verify trend": ["--T-grid", "10,12", "--generations", "1", "--levels", "1",
+                     "--prune", "1e-6"],
+    "verify gap": ["--t-grid", "10,100", "--generations", "1", "--levels", "1"],
+}
+
+
+class TestOutFlag:
+    def test_cases_cover_every_subcommand(self):
+        def leaves(parser, head):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                return [head]
+            return [leaf for name, sub in subs[0].choices.items()
+                    for leaf in leaves(sub, f"{head} {name}".strip())]
+
+        assert sorted(leaves(cli.build_parser(), "")) == sorted(_OUT_CASES)
+
+    @pytest.mark.parametrize("command", sorted(_OUT_CASES))
+    def test_out_holds_what_stdout_would(self, command, tmp_path, capsys):
+        args = [*command.split(), *_OUT_CASES[command], "--threads", "1"]
+        path = tmp_path / "out.csv"
+        code, printed, _ = run_cli(args, capsys)
+        assert code == 0, printed
+        code, stdout, _ = run_cli([*args, "--out", str(path)], capsys)
+        assert code == 0, stdout
+        if not command.startswith("verify"):
+            assert stdout == "" and path.read_text() == printed
+            return
+        # the report goes to the file, with its manifest; stdout keeps only
+        # the summary line
+        csv = printed.split("\n", 1)[1]
+        assert stdout.startswith(f"{command}: passed=") and stdout.count("\n") == 1
+        assert path.read_text() == csv
+        manifest = (tmp_path / "out.csv.manifest").read_text().splitlines()
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "threads"]
+        assert [line.split("=", 1)[0] for line in manifest] == ["experiment", *fields]
+
+
 B = cli._SAMPLE_BLOCK
 
 
@@ -428,13 +495,11 @@ class TestSampleBlocks:
         # the header is written before the workers fork, and a forked
         # worker flushes its copy of sys.stdout as it exits: text still
         # buffered at the fork would reach the pipe twice
-        import_root = Path(nested_karlin.__file__).resolve().parent.parent
         n = 2 * B + 3
         for args, want, _ in self._cases(n):
             proc = subprocess.run(
                 [sys.executable, "-m", "nested_karlin", *args, "--threads", "2"],
-                capture_output=True, text=True,
-                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+                capture_output=True, text=True, env=_child_env(),
             )
             assert proc.returncode == 0, proc.stderr
             assert_same_text(proc.stdout, want)
@@ -513,19 +578,17 @@ class TestModuleEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "nested_karlin", "limits", "cov",
              "--kind", "Z", "--l1", "1", "--l2", "1", "--delta", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.6931471805599453"
 
     def test_cli_import_leaves_out_quadrature(self):
         # scipy.integrate is imported only when quadrature runs
-        import_root = Path(nested_karlin.__file__).resolve().parent.parent
         probe = ("import sys, nested_karlin.cli; "
                  "print('scipy.integrate' in sys.modules)")
         proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -533,12 +596,10 @@ class TestModuleEntryPoint:
     def test_cli_import_leaves_out_special_functions(self):
         # scipy.special is imported only where a special function runs, so
         # the sample and limits commands never load it
-        import_root = Path(nested_karlin.__file__).resolve().parent.parent
         probe = ("import sys, nested_karlin.cli; "
                  "print('scipy.special' in sys.modules)")
         proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -547,21 +608,17 @@ class TestModuleEntryPoint:
         # perfbench/trace_cli.py wraps names it reads off the package's modules
         # (harness.simulate_poissonized, cli.closed_cov, cli._VERIFY_RUNNERS,
         # ...); deleting one must fail here, not only in a traced bench run
-        import_root = Path(nested_karlin.__file__).resolve().parent.parent
         bench = Path(__file__).resolve().parent.parent / "perfbench"
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import trace_cli; "
                  "rec = trace_cli.Recorder(); trace_cli.install(rec); print(len(rec.names))")
         proc = subprocess.run(
             [sys.executable, "-c", probe, str(bench)], capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)},
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
 
     def test_threads_env_fallback(self):
-        # the child sees a minimal environment plus the import path of the
-        # package under test, which works for PYTHONPATH=src and installs alike
-        import_root = Path(nested_karlin.__file__).resolve().parent.parent
         # a small worker count that differs from the CPU-count fallback, so
         # the echo proves the environment variable was read
         threads = 3 if (os.cpu_count() or 1) == 2 else 2
@@ -570,11 +627,7 @@ class TestModuleEntryPoint:
              "--t", "120", "--replicas", "100", "--generations", "1",
              "--levels", "1", "--seed", "2"],
             capture_output=True, text=True,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": str(import_root),
-                "NESTED_KARLIN_THREADS": str(threads),
-            },
+            env=_child_env(NESTED_KARLIN_THREADS=str(threads)),
         )
         assert env_run.returncode == 0, env_run.stderr
         assert f"# threads={threads}\n" in env_run.stderr

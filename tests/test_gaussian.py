@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 
 from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.gaussian import (
+    SAMPLE_CSV_HEADER,
     build_grid,
     draws_to_csv_rows,
     sample,
-    sample_csv_header,
     sample_Z1_whitenoise,
     whitenoise_mesh_covariance,
 )
@@ -157,7 +157,7 @@ class TestFactorSampler:
         grid = build_grid("Z", [0.0, 1.0], 2)
         draws = sample(grid, 3, seed=1)
         rows = draws_to_csv_rows(draws, grid.labels())
-        assert sample_csv_header() == "sample_id,level,u,value"
+        assert SAMPLE_CSV_HEADER == "sample_id,level,u,value"
         assert len(rows) == 3 * grid.dim
         sid, level, u, value = rows[0].split(",")
         assert (sid, level, u) == ("0", "1", "0.0")

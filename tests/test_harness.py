@@ -118,7 +118,7 @@ class TestMomentCheck:
         report = run_moment_check(cfg)
         _assert_report_well_formed(report)
         assert report.pass_fraction >= 0.95
-        assert report.notes["pass_fraction_required"] == 0.95
+        assert report.pass_fraction_required == 0.95
 
     def test_smoke_profile_under_ten_seconds(self):
         cfg = ExperimentConfig(t=1000.0, generations=2, levels=3, replicas=100, seed=5)
@@ -270,7 +270,7 @@ class TestReproducibility:
             submitted.clear()
             runner(replace(cfg, threads=2))
             assert submitted, runner.__name__
-            chunks = [fn is harness._replica_chunk for fn, _, _ in submitted]
+            chunks = [fn is harness.sample_counts for fn, _, _ in submitted]
             # replica chunks first, then the exact targets
             assert chunks == sorted(chunks, reverse=True)
             for task in submitted:

@@ -145,9 +145,6 @@ class TestQuadratureOracle:
     def test_level_cap(self):
         with pytest.raises(ValidationError):
             quadrature_cov("Z", 7, 1, 0.0)
-        # explicit override lifts the cap
-        v = quadrature_cov("Z", 7, 7, 0.0, max_level=7)
-        assert v == pytest.approx(b_constants(7)[0], abs=5e-11)
 
     def test_offset_cap(self):
         with pytest.raises(ValidationError):

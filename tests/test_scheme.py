@@ -15,7 +15,7 @@ from nested_karlin.kernels import poisson_tail
 from nested_karlin.harness import _combine, _star_terms
 from nested_karlin.moments import mean_K
 from nested_karlin.scheme import (
-    OccupancyTrajectory,
+    TRAJECTORY_CSV_HEADER,
     simulate_deterministic,
     simulate_poissonized,
     simulate_replicas,
@@ -628,7 +628,7 @@ class TestInvariantsAndDeterminism:
         traj = simulate_deterministic(fin3, 3, 2, 2, [1, 3], seed=9)
         rows = list(traj.to_csv_rows())
         assert len(rows) == 2 * 2 * 2
-        assert OccupancyTrajectory.csv_header() == "replica,j,l,grid_index,time,K,K_star,balls"
+        assert TRAJECTORY_CSV_HEADER == "replica,j,l,grid_index,time,K,K_star,balls"
         first = rows[0].split(",")
         assert len(first) == 8
         assert first[4] == "1"  # integer time formatting for the ball-count scheme
