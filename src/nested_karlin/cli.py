@@ -103,9 +103,16 @@ def _echo_config(ns) -> None:
         print(f"# {key}={getattr(ns, key)}", file=sys.stderr)
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def _output(out: str):
     """The --out file opened for writing, or stdout (left open)."""
-    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    return _open_out(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(lines, out: str) -> None:
@@ -368,7 +375,10 @@ def _cmd_verify(ns) -> int:
     report = _VERIFY_RUNNERS[ns.check](config)
     runtime = time.perf_counter() - start
     if ns.out:
-        report.write(ns.out)
+        try:
+            report.write(ns.out)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {ns.out}: {exc.strerror}") from exc
     print(
         f"verify {ns.check}: passed={report.passed} "
         f"cells={len(report.cells)} flagged={len(report.flagged)} "
@@ -562,6 +572,10 @@ def main(argv=None) -> int:
         if hasattr(ns, "threads"):
             ns.threads = _threads(ns)  # resolve flag/env/cpu before echoing
         _echo_config(ns)
+        if getattr(ns, "out", None):
+            # refused before any work: appending creates the file and keeps
+            # what an existing one holds
+            _open_out(ns.out, "a").close()
         if hasattr(ns, "family"):
             ns.weight_family = WeightFamily.from_spec(
                 ns.family, alpha=ns.alpha, p=ns.p, probs=_csv_floats(ns.probs)

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, check_whole
 # psi, no longer called here, stays importable for perfbench/trace_cli.py
-from .kernels import binomial_tail, poisson_tail, psi, psi_table  # noqa: F401
+from .kernels import binomial_tail, poisson_low, poisson_tail, psi, psi_table  # noqa: F401
 from .weights import WeightFamily
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "cov_K_cross_level",
     "cov_K_cross_gen",
     "depoissonization_constant",
-    "poisson_low",
 ]
 
 # elements per block of box weights
@@ -110,12 +109,6 @@ class MomentEstimate:
 def _check_positive(name: str, x) -> None:
     if not (math.isfinite(x) and x > 0.0):
         raise ValidationError(f"{name} must be finite and > 0, got {x}")
-
-
-def poisson_low(l: int, m) -> np.ndarray:
-    """P{Poisson(m) < l} = sum_{i<l} psi_i(m), summed directly so it stays
-    accurate when it is tiny (the complement 1 - poisson_tail would not)."""
-    return np.minimum(psi_table(l, m).sum(axis=0), 1.0)
 
 
 def _check_times(prune: float, *times) -> None:

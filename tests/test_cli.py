@@ -408,6 +408,21 @@ class TestOutFlag:
         fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "threads"]
         assert [line.split("=", 1)[0] for line in manifest] == ["experiment", *fields]
 
+    @pytest.mark.parametrize("command", sorted(_OUT_CASES))
+    def test_out_to_missing_directory_is_refused_first(self, command, tmp_path, capsys,
+                                                       monkeypatch):
+        # an error line and exit 1, not a traceback, and before any work:
+        # nothing runs, so nothing reaches stdout
+        monkeypatch.setattr(cli, "_VERIFY_RUNNERS", {})
+        path = tmp_path / "missing" / "out.csv"
+        args = [*command.split(), *_OUT_CASES[command], "--threads", "1", "--out", str(path)]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 1
+        assert stdout == ""
+        want = f"error: cannot write --out {path}: No such file or directory"
+        assert err.splitlines()[-1] == want
+        assert not path.parent.exists()
+
 
 B = cli._SAMPLE_BLOCK
 
@@ -594,8 +609,7 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_out_special_functions(self):
-        # scipy.special is imported only where a special function runs, so
-        # the sample and limits commands never load it
+        # no module of the package imports scipy.special
         probe = ("import sys, nested_karlin.cli; "
                  "print('scipy.special' in sys.modules)")
         proc = subprocess.run(
@@ -603,6 +617,27 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_verify_and_weibull_families_load_no_scipy(self, tmp_path):
+        # the exact targets and the weibull-like normalizers need no scipy;
+        # only limits.quadrature_cov's oracle imports it
+        runs = [
+            "verify moment --t 150 --replicas 100 --generations 2 --levels 2",
+            "verify clt --T 3 --u-grid 0,1 --replicas 100 --generations 2 --levels 2",
+            "verify gap --t-grid 10,1000 --generations 2 --levels 2",
+            "verify trend --T-grid 10,12 --generations 2 --levels 2 --prune 1e-6",
+        ]
+        probe = ("import sys; from nested_karlin import cli, WeightFamily; "
+                 "codes = [cli.main(run.split()) for run in sys.argv[1:]]; "
+                 "[WeightFamily.weibull_like(a) for a in (0.3, 0.5, 0.9)]; "
+                 "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        args = [f"{run} --threads 1 --out {tmp_path / f'{i}.csv'}" for i, run in enumerate(runs)]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *args], capture_output=True, text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_bench_tracer_installs(self):
         # perfbench/trace_cli.py wraps names it reads off the package's modules

@@ -305,42 +305,42 @@ class TestReproducibility:
 _PINNED_DIGESTS = [
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=2, levels=3, replicas=200, seed=11),
-     "a50de659c3776e8a7bc6935d91b76381179585284af0bde44f6515cbaad63b83"),
+     "a09efe82efefe5216d1119a00dd709ba4c92f3a55ec5146317eb980bc8df99be"),
     (run_moment_check,
      ExperimentConfig(deterministic_n=300, generations=2, levels=2, replicas=200,
                       seed=12),
-     "ed8e9e30d146b8e5b5888e7de44a867fb7704d2c830ebbcaa264000a86bd39cf"),
+     "d49d7de20087e7dbcd6241832a5040c044bf2cad99a6367a4d57336911efbf40"),
     (run_moment_check,
      ExperimentConfig(t=300.0, generations=1, levels=2, replicas=200, seed=13),
-     "d6caccaad7a21972544080845fe5dc0c4dd2162c4d81d83f14a383fc36f066b1"),
+     "88193b125748f0fa15f1cc867e047726b032d3b10faf18497e1f1b19a39b92b8"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 0.5), generations=2, levels=2,
                       replicas=200, seed=14),
-     "3303db6cc2922f78719478d38828f3c7d5fd9f2e209a85aaaf58a3c3c714c704"),
+     "0bc46ce10afafa88d23ab4ffde8f3cdd209e9cd6410a2620fe9a3278c4ca10a3"),
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=1, levels=2,
                       replicas=200, seed=15),
-     "bdbed57952c658eac29336f1fcb03718eb12ca66285b5a502a6a55793ddafe2f"),
+     "dae41b5c53422644791ebf1799ff82c8eddc4ca33e8eecf6a042aec05595e8b5"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2, prune=1e-6),
-     "97b0f6c3e0ed9b8d66cb2b02bd8b388263e04d05de80a1227b3ebb7d36b430e7"),
+     "3fcbd80427f04632dc1adef512af40fcce693a8eee2f0094223442cc6a7efb01"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 12.0, 14.0), generations=3, levels=2),
-     "a1bd935b608660a3a9c253eca9bb187a9b03075be2813edd02d3c1466c7a0350"),
+     "c285e245e0dff6653ff24eeed3aa5af82a70d35109b83f9abacce5f538d783ac"),
     # geometric: every row an unflagged diagnostic, no endpoint verdicts
     (run_asymptotic_trend,
      ExperimentConfig(family_kind="geometric", p=0.5, T_grid=(10.0, 14.0),
                       generations=2, levels=2),
-     "e8e4bbcd7961dfc36987b54b3c29a7e667d852d8fd0a2b49be693ded3a67bf5d"),
+     "ee9a30f938b8e345ba771e7714653fc55988a4fe3e32afe989b4adf775e2d0b5"),
     # the default t-grid: 20 log-spaced times from 10 to 1e5
     (run_depoissonization_check,
      ExperimentConfig(generations=2, levels=2),
-     "7049ef3b1a1aee44c959fa7a1a60281c124bf26bd647976060b0eb88f6d8aa3e"),
+     "d049467b2374213b3fd1eb82b17730c511c7b018d87e13e4f1810fa491bd8edd"),
     # t = 0 and 0.5 both compare against the binomial sum at 0 balls
     (run_depoissonization_check,
      ExperimentConfig(family_kind="finite", probs=(0.5, 0.3, 0.2),
                       t_grid=(0.0, 0.5, 3.0, 10.0), generations=2, levels=2),
-     "c248c83267a9482f8dc7597fb411a9c36bfe4f3215294c3282e2011383955949"),
+     "a605c655744041286b59d7f3fab4d6657d0bdb08b8c46d54bb0b8128ed84ba2d"),
 ]
 
 

@@ -15,10 +15,12 @@ from nested_karlin.kernels import (
     binomial_identity_lhs,
     binomial_tail,
     convolution_identity,
+    poisson_low,
     poisson_tail,
     psi,
     psi_table,
 )
+from nested_karlin.weights import _weibull_integral_tail
 
 
 class TestPsi:
@@ -124,7 +126,7 @@ class TestPsiTable:
 class TestPoissonTail:
     def test_against_gamma_oracle(self):
         # P{Poisson(m) >= l} equals the regularized lower gamma at (l, m),
-        # here evaluated by mpmath (poisson_tail itself calls scipy's)
+        # here evaluated by mpmath
         for l in range(1, 12):
             for m in (1e-6, 0.01, 0.5, float(l), 5.0 * l, 300.0):
                 with mpmath.workdps(50):
@@ -133,7 +135,7 @@ class TestPoissonTail:
 
     def test_against_mpmath_50_digits(self):
         # regularized lower gamma at 50 digits on a log grid spanning the
-        # tiny-tail and the near-one regime; bound set from the dtype
+        # tiny-tail and the near-one regime; the documented (8 + 2 l) ulp
         m = np.logspace(-12.0, 6.0, 721)
         for l in range(1, 6):
             with mpmath.workdps(50):
@@ -142,7 +144,33 @@ class TestPoissonTail:
                     for x in m
                 ])
             rel = np.abs(poisson_tail(l, m) - want) / want
-            assert rel.max() <= 256 * np.finfo(float).eps, (l, m[rel.argmax()])
+            assert rel.max() <= (8 + 2 * l) * np.finfo(float).eps, (l, m[rel.argmax()])
+
+    def test_both_branches_against_mpmath(self):
+        # the complement 1 - poisson_low serves m >= l, the series m < l:
+        # both sides of the seam, the seam itself, the tiny tail and the
+        # rows past 700 that psi_table takes in log form
+        eps = np.finfo(float).eps
+        for l in range(1, 31):
+            m = np.concatenate([
+                l * (1.0 + np.array([-1e-9, 1e-9, -1e-3, 1e-3, -0.5, 0.5])),
+                [float(l), np.nextafter(float(l), 0.0), 1e-6, 0.1, 700.5, 745.5, 800.0]])
+            with mpmath.workdps(50):
+                want = np.array([
+                    float(mpmath.gammainc(l, 0, mpmath.mpf(float(x)), regularized=True))
+                    for x in m])
+            got = poisson_tail(l, m)
+            normal = want >= 1e-300
+            rel = np.abs(got - want)[normal] / want[normal]
+            assert rel.max() <= (8 + 2 * l) * eps, (l, m[normal][rel.argmax()])
+            assert np.all(got[~normal] <= 1e-300)
+
+    def test_complement_is_poisson_low(self):
+        # at m >= l the tail is one minus the lower sum, to the last bit
+        m = np.array([1.0, 2.5, 7.0, 40.0, 699.0, 701.0, 1e4])
+        for l in (1, 2, 5):
+            up = m >= l
+            assert np.array_equal(poisson_tail(l, m)[up], 1.0 - poisson_low(l, m)[up])
 
     def test_l0(self):
         assert poisson_tail(0, 5.0) == 1.0
@@ -193,8 +221,8 @@ class TestBinomialTail:
     def test_against_mpmath_100_digits(self):
         # 1 - sum_{k<l} C(n, k) p^k (1-p)^(n-k) at 100 digits, which keeps
         # 50 after the cancellation for every tail on this grid (>= 1e-45);
-        # scipy's betainc loses accuracy about linearly in n, so the bound
-        # is max(256, n) ulp
+        # 256 ulp at every n (scipy's betainc, which lost accuracy about
+        # linearly in n, needed max(256, n))
         eps = np.finfo(float).eps
         p = np.logspace(-9.0, -1e-9, 181)
         for n in (10, 1000, 100_000):
@@ -210,7 +238,27 @@ class TestBinomialTail:
                     ])
                 normal = want >= 1e-280
                 rel = np.abs(binomial_tail(n, p, l) - want)[normal] / want[normal]
-                assert rel.max() <= max(256, n) * eps, (n, l, p[normal][rel.argmax()])
+                assert rel.max() <= 256 * eps, (n, l, p[normal][rel.argmax()])
+
+    def test_both_branches_against_mpmath(self):
+        # the complement serves n p >= l and the series n p < l: both sides
+        # of the seam and the seam itself, within the documented
+        # 4 eps (8 + 2 l + l |log(n p)| + n p + lgamma(l + 1))
+        eps = np.finfo(float).eps
+        for n in (10, 1000, 100_000):
+            for l in (1, 2, 3, 5, 10):
+                p = l / n * (1.0 + np.array([-1e-9, 0.0, 1e-9, -1e-3, 1e-3, -0.5, 0.5]))
+                p = np.append(p[p <= 1.0], np.nextafter(l / n, 0.0))
+                with mpmath.workdps(100):
+                    want = np.array([
+                        float(1 - mpmath.fsum(
+                            mpmath.binomial(n, k) * mpmath.mpf(float(v)) ** k
+                            * (1 - mpmath.mpf(float(v))) ** (n - k)
+                            for k in range(l)))
+                        for v in p])
+                bound = 4 * eps * (8 + 2 * l + l * np.abs(np.log(n * p)) + n * p
+                                   + math.lgamma(l + 1))
+                assert np.all(np.abs(binomial_tail(n, p, l) - want) <= bound * want), (n, l)
 
     def test_endpoints(self):
         assert binomial_tail(5, 0.0, 1) == 0.0
@@ -223,9 +271,19 @@ class TestBinomialTail:
                 binomial_tail(10, p, 1)
 
     def test_huge_ball_count_is_numeric_error(self):
-        # scipy's betainc gives NaN beyond about 1e200 balls
+        # a ball count beyond the float range has no float pmf
         with pytest.raises(NumericalError):
-            binomial_tail(10**300, np.array([1e-300, 5e-301]), 2)
+            binomial_tail(10**400, np.array([1e-300, 5e-301]), 2)
+
+    def test_huge_ball_count(self):
+        # 1e300 balls are in range: the tail matches the reference sum
+        # 1 - sum_{k<2} C(n, k) p^k (1-p)^(n-k) (it was NaN from betainc)
+        n, p = 10**300, np.array([1e-300, 5e-301])
+        with mpmath.workdps(700):
+            want = [float(1 - mpmath.fsum(
+                mpmath.binomial(n, k) * mpmath.mpf(float(v)) ** k
+                * (1 - mpmath.mpf(float(v))) ** (n - k) for k in range(2))) for v in p]
+        assert_allclose(binomial_tail(n, p, 2), want, rtol=1e-12)
 
     def test_vectorized(self):
         p = np.array([0.0, 1e-9, 0.2, 0.9, 1.0])
@@ -238,6 +296,53 @@ class TestBinomialTail:
     def test_monotone_in_level(self, n, p):
         vals = [binomial_tail(n, p, l) for l in range(0, n + 2)]
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
+
+
+class TestWeibullIntegralTail:
+    """``_weibull_integral_tail(alpha, k)``, Gamma(1/alpha, k^alpha) / alpha,
+    bounds sum_{i>k} exp(-i^alpha) from above for the weibull-like tail."""
+
+    ALPHAS = (0.1, 0.3, 0.5, 0.9)
+    KS = [2**e * c for e in range(0, 48, 3) for c in (1, 3)] + [2**48]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_mpmath(self, alpha):
+        # the series (x < a + 1) and the continued fraction at the float
+        # x = k^alpha the function forms, within 32 ulp
+        for k in self.KS:
+            x = float(k) ** alpha
+            with mpmath.workdps(40):
+                want = float(mpmath.gammainc(1 / mpmath.mpf(alpha), x) / mpmath.mpf(alpha))
+            if want >= 1e-300:
+                got = _weibull_integral_tail(alpha, k)
+                assert abs(got - want) <= 32 * np.finfo(float).eps * want, (alpha, k)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_error_within_slack(self, alpha):
+        # the integral exceeds the sum by at least exp(-(k+1)^alpha) / 2 (the
+        # integrand is convex and decreasing); the value, k^alpha's rounding
+        # included, is nearer than that to the exact integral, so it stays
+        # an upper bound on the sum up to k = 2^48
+        for k in self.KS:
+            with mpmath.workdps(40):
+                a, x = 1 / mpmath.mpf(alpha), mpmath.mpf(k) ** mpmath.mpf(alpha)
+                exact = mpmath.gammainc(a, x) / mpmath.mpf(alpha)
+                slack = mpmath.exp(-(mpmath.mpf(k + 1) ** mpmath.mpf(alpha))) / 2
+                if exact >= 1e-300:
+                    assert abs(_weibull_integral_tail(alpha, k) - exact) < slack, (alpha, k)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bounds_the_sum(self, alpha):
+        # sum_{i>k} exp(-i^alpha) directly: the terms up to k + 2e5 summed
+        # exactly (fsum) plus the exact integral beyond as their upper bound
+        for k in (1, 2, 5, 30, 1000):
+            end = k + 200_000
+            head = math.fsum(np.exp(-(np.arange(k + 1, end + 1, dtype=float) ** alpha)))
+            with mpmath.workdps(40):
+                rest = float(mpmath.gammainc(1 / mpmath.mpf(alpha),
+                                             mpmath.mpf(end) ** mpmath.mpf(alpha))
+                             / mpmath.mpf(alpha))
+            assert head + rest <= _weibull_integral_tail(alpha, k), (alpha, k)
 
 
 class TestConstants:
