@@ -5,15 +5,15 @@ the nested scheme.  Three kinds are built in:
 
 * ``weibull_like(alpha)``: ``p_k = C_alpha * exp(-k**alpha)``, ``0 < alpha < 1``.
   The normalizer ``C_alpha`` is computed once at construction by summing
-  ``exp(-k**alpha)`` until the integral tail estimate drops below 1e-15 and
-  inverting the partial sum.  (Consequence: partial sums of ``p_k`` can
-  exceed 1 by at most ~1e-15; no canonical closed form exists.)  Index of
-  regular variation ``beta = 1/alpha - 1``, slowly varying part the constant
-  ``1/alpha``.  The tail estimate, also behind ``tail_mass_bound``, is the
-  integral Gamma(1/alpha, k**alpha) / alpha.  The upper incomplete gamma
-  function is evaluated here in plain floats: by its series below
-  x = a + 1 and by a continued fraction above (``_upper_gamma``), with an
-  error well inside the bound's slack (``_weibull_integral_tail``).
+  ``exp(-k**alpha)`` until the tail bound drops below 1e-15 and inverting
+  the partial sum.  (Consequence: partial sums of ``p_k`` can exceed 1 by at
+  most ~1e-15; no canonical closed form exists.)  Index of regular
+  variation ``beta = 1/alpha - 1``, slowly varying part the constant
+  ``1/alpha``.  The tail bound, also behind ``tail_mass_bound``, is the
+  closed form k e^-x / (alpha x + alpha - 1) at x = k**alpha, an upper
+  bound on the integral Gamma(1/alpha, x) / alpha
+  (``_weibull_integral_tail``).  An alpha whose normalizer needs more than
+  ``_MAX_TABLE`` weights (alpha below about 0.243) is refused.
 * ``geometric(p)``: ``p_k = (1-p) * p**(k-1)``.  Its counting function grows
   like ``log t / log(1/p)`` — the auxiliary function is constant rather than
   unbounded, which is exactly why normalized counts for this family do not
@@ -25,7 +25,8 @@ the nested scheme.  Three kinds are built in:
 Families are immutable after construction (internal lookup tables are lazy
 but idempotent).  A family pickles as the spec it was built from, never its
 tables, so it is cheap to send to a worker process.  Every index question
-(the counting function, the tail cuts) is answered by one search, ``_first``.
+(the counting function, the tail cuts) is answered by one search, ``_first``,
+and no tail cut is longer than ``_MAX_TABLE`` weights.
 """
 
 from __future__ import annotations
@@ -36,98 +37,75 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_whole
 
 __all__ = ["WeightFamily"]
 
 _TABLE_TOL = 2.0**-53
+# the longest weight table a family forms (64 MiB of weights)
+_MAX_TABLE = 2**23
 _GUIDE_SIZE = 2**16  # buckets of the inverse-CDF guide table
 
 
 @functools.lru_cache(maxsize=None)
 def _weibull_normalizer(alpha: float) -> float:
     """C_alpha with 1/C_alpha = sum_{k<=K} exp(-k**alpha), K the first cut
-    with the integral tail beyond it below 1e-15."""
-    K = _first(lambda k: _weibull_integral_tail(alpha, k) <= 1e-15, 2**40)
+    with the tail bound beyond it below 1e-15.  Raises ValidationError,
+    before any table is formed, when K exceeds ``_MAX_TABLE``."""
+    K = _first(lambda k: _weibull_integral_tail(alpha, k) <= 1e-15, 2**48)
+    if K is None or K > _MAX_TABLE:
+        size = "more than 2**48" if K is None else str(K)
+        raise ValidationError(
+            f"weibull-like alpha={alpha} needs a normalizer table of {size} "
+            f"weights; the limit is {_MAX_TABLE}, use a larger alpha"
+        )
     ks = np.arange(1, K + 1, dtype=float)
     return 1.0 / float(np.sum(np.exp(-(ks**alpha))))
 
 
-@functools.lru_cache(maxsize=4096)
 def _weibull_integral_tail(alpha: float, k: int) -> float:
-    """integral_k^infty exp(-x**alpha) dx = Gamma(1/alpha, k**alpha) / alpha,
-    an upper bound for sum_{i>k} exp(-i**alpha).  Cached: every tail search
-    visits the same doubling points.
+    """An upper bound on sum_{i>k} exp(-i**alpha): with a = 1/alpha and
+    x = k**alpha, k e^-x / (alpha x + alpha - 1) where alpha x > 1 - alpha
+    (that is, x > a - 1), capped by Gamma(a + 1) everywhere.
 
-    Rounding cannot break the bound.  The integrand is convex and
-    decreasing, so the integral exceeds the sum by at least
-    exp(-(k+1)**alpha) / 2, about alpha / (2 k^(1-alpha)) of the value.  The
-    value is within about (x/2 + 32) ulp of the exact integral, x = k**alpha
-    (the rounding of x, then ``_upper_gamma``).  For alpha >= 0.1 and every
-    k up to 2^48, the largest a tail search visits, the error stays below
-    the slack, by a factor 1.6 at least (alpha = 0.1 near k = 2^48; tested
-    against mpmath)."""
-    if k <= 0:
-        # crude but valid: full integral plus the k=0 step
-        return math.gamma(1.0 / alpha) / alpha + 1.0
-    return _upper_gamma(1.0 / alpha, float(k) ** alpha) / alpha
+    The integrand is convex and decreasing, so the sum is at most the
+    integral from k, Gamma(a, x) / alpha, less the slack
+    exp(-(k+1)**alpha) / 2.  The integral is at most Gamma(a) / alpha =
+    Gamma(a + 1).  Where x > a - 1: for s >= x, ln(s/x) <= (s - x)/x, so
+    s^(a-1) <= x^(a-1) e^((a-1)(s-x)/x), and integrating from x gives
+    Gamma(a, x) <= x^a e^-x / (x - a + 1), where x^a = k.  The bound does
+    not increase with k and is within a factor 1 + (a-1)/(x-a+1) of the
+    integral.
 
-
-def _upper_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) = integral_x^infty s^(a-1) e^-s ds for a > 0, x > 0,
-    within 32 ulp (tested against mpmath for a in [1, 10]).
-
-    Below x = a + 1 it is Gamma(a) minus the series
-    gamma(a, x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)) of positive
-    terms; there Gamma(a, x) is at least Gamma(a) / e^2 (for a >= 1), so
-    the difference loses at most three bits.  Above, it is x^a e^-x times the
-    continued fraction
-    1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / (x + 5 - a - ...)))
-    by the modified Lentz method (Numerical Recipes, 2nd ed., section 6.2).
-    Both run until a term moves the result by less than 2^-54 of it.
-    x^a e^-x is a product of correctly rounded factors (the log form only
-    where x^a would overflow): its exponent would carry an error of a few
-    ulp of x."""
-    if a * math.log(x) < 700.0:
-        # exp(-x / 2) stays normal up to x = 1400; beyond, both vanish
-        scale = x**a * math.exp(-x / 2.0) * math.exp(-x / 2.0)
-    else:
-        scale = math.exp(a * math.log(x) - x)
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        b = a
-        while term > total * 2.0**-54:
-            b += 1.0
-            term *= x / b
-            total += term
-        return math.gamma(a) - scale * total
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    h, i = d, 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        h *= d * c
-        if abs(d * c - 1.0) < 2.0**-54:
-            return scale * h
+    Rounding cannot break the bound.  Gamma(a + 1) exceeds the integral by
+    at least the integral over [0, 1], 1/e, far above its few ulp of error.
+    The closed form is within about (x/2 + 8) ulp of its exact value: the
+    rounding of x, which e^-x turns into x/2 ulp, and a few roundings more
+    (e^-x is formed as e^(-x/2) e^(-x/2), so it stays normal wherever the
+    product does).  The exact closed form exceeds the sum by the slack,
+    about alpha / (2 k^(1-alpha)) of the integral, plus its own excess over
+    the integral.  For alpha >= 0.1 and every k up to 2^48, the largest a
+    tail search visits, the two together exceed that error by a factor 6 at
+    least (at alpha = 0.4, k = 2^48; near alpha = 0.1, k = 2^48 the slack
+    alone falls short, and the excess, about 1%, covers it; tested against
+    mpmath).  Gamma(a + 1) overflows beyond a = 171; the bound is then inf."""
+    x = float(k) ** alpha
+    whole = math.gamma(1.0 / alpha + 1.0) if alpha > 1.0 / 171.0 else math.inf
+    if alpha * x > 1.0 - alpha:
+        return min(whole, k * math.exp(-x / 2.0) * math.exp(-x / 2.0) / (alpha * x + alpha - 1.0))
+    return whole
 
 
-def _first(pred, limit) -> int:
+def _first(pred, limit) -> int | None:
     """Smallest k >= 0 with ``pred(k)``, for a ``pred`` that stays true once
-    it turns true: k = 0 first, then doubling and bisection.  Raises
-    ValidationError when it is still false past ``limit``."""
+    it turns true: k = 0 first, then doubling and bisection.  None when it
+    is still false past ``limit``."""
     if pred(0):
         return 0
     lo, hi = 0, 1
     while not pred(hi):
         if hi >= limit:
-            raise ValidationError("tail threshold unreachably small")
+            return None
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -269,7 +247,7 @@ class WeightFamily:
         """Read-only view of [p_1, ..., p_K]; grown and cached on demand."""
         K = check_whole("prefix length K", K, 0)
         if K > self._w.size:
-            grow = max(K, 2 * self._w.size, 64)
+            grow = max(K, min(2 * self._w.size, _MAX_TABLE), 64)
             w = np.atleast_1d(self.weight(np.arange(1, grow + 1)))
             w.setflags(write=False)
             self._w = w
@@ -289,11 +267,12 @@ class WeightFamily:
     def tail_mass_bound(self, K: int) -> float:
         """Upper bound on sum_{k>K} p_k, nonincreasing in K.
 
-        Exact for geometric (p**K) and finite families (suffix sum); the
-        weibull-like bound is the integral comparison
-        ``C_alpha * integral_K^infty exp(-x**alpha) dx``.
+        Exact for geometric (p**K) and finite families (suffix sum); for the
+        weibull-like family ``C_alpha`` times the closed-form bound on
+        sum_{i>K} exp(-i**alpha) of ``_weibull_integral_tail``.
         """
-        K = check_whole("tail_mass_bound K", K, 0)
+        # beyond 2^64 every bound is 0.0, and K need not fit in a float
+        K = min(check_whole("tail_mass_bound K", K, 0), 2**64)
         if K == 0:
             return 1.0
         if self.kind == "geometric":
@@ -303,14 +282,22 @@ class WeightFamily:
         return min(1.0, self.normalizer * _weibull_integral_tail(self.alpha, K))
 
     def tail_index(self, threshold: float) -> int:
-        """Smallest K >= 0 with tail_mass_bound(K) <= threshold."""
+        """Smallest K >= 0 with tail_mass_bound(K) <= threshold: the length
+        of the weight table that cuts the tail there.  Raises NumericalError,
+        before any table is formed, when that is more than ``_MAX_TABLE``."""
         if not threshold >= 0.0:
             raise ValidationError(f"tail threshold must be >= 0, got {threshold}")
         if threshold <= 0.0 and self.kind != "finite":
             raise ValidationError(
                 "infinite families cannot reach tail mass 0; threshold must be > 0"
             )
-        return _first(lambda K: self.tail_mass_bound(K) <= threshold, 2**48)
+        K = _first(lambda K: self.tail_mass_bound(K) <= threshold, _MAX_TABLE)
+        if K is None:
+            raise NumericalError(
+                f"tail mass {threshold:.3g} of {self!r} needs a table of more than "
+                f"{_MAX_TABLE} weights; use a larger budget or a smaller time"
+            )
+        return K
 
     def cumulative_table(self) -> np.ndarray:
         """Cumulative sums of p_k out to mass >= 1 - 2**-53 (inverse-CDF table)."""

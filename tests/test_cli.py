@@ -104,6 +104,16 @@ class TestExitCodes:
         assert code == 2
         assert "numeric error:" in err
 
+    def test_weight_table_beyond_limit(self, capsys):
+        # alpha = 0.2 needs 3.8e8 weights to normalize: a validation error;
+        # prune 1e-100 at alpha = 0.3 a plan table of 9.5e7: a numeric error.
+        # Both are refused before any table is formed.
+        for flags, want, line in ((["--alpha", "0.2"], 1, "error: weibull-like alpha=0.2"),
+                                  (["--alpha", "0.3", "--prune", "1e-100"], 2, "numeric error:")):
+            code, _, err = run_cli(["verify", "moment", *flags, "--threads", "1"], capsys)
+            assert code == want
+            assert line in err
+
     def test_geometric_trend_is_vacuous_pass(self, capsys):
         # geometric rows are diagnostic-only: nothing flagged -> exit 0
         code, out, _ = run_cli(

@@ -1,0 +1,107 @@
+"""The public contract under hostile input.  Every call to a family
+constructor, a tail function or an exact moment either raises
+ValidationError or NumericalError, or returns a finite value; a moment's
+certified error_bound lies in [0, prune]."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nested_karlin.errors import NumericalError, ValidationError
+from nested_karlin.moments import cov_K_cross_gen, cov_K_cross_level, mean_K, mean_K_binomial
+from nested_karlin.weights import _MAX_TABLE, WeightFamily
+
+NAN, INF = math.nan, math.inf
+REFUSED = (ValidationError, NumericalError)
+
+
+
+def _mostly(valid, *hostile):
+    """``valid`` three draws in four, else one of the ``hostile`` values, so
+    that a call with several arguments still often gets past validation."""
+    return st.integers(0, 3).flatmap(lambda c: valid if c < 3 else st.sampled_from(hostile))
+
+
+ALPHAS = st.sampled_from([NAN, INF, -INF, 0.0, 1.0, 0.2, 0.15, 1e-300, 0.3, 0.5, 0.9])
+TIMES = _mostly(st.floats(0.0, 1e6), NAN, INF, -INF, -1.0, 0.0, 5e-324)
+PRUNES = _mostly(st.floats(1e-300, 1e300), NAN, INF, 0.0, -1e-9)
+LEVELS = _mostly(st.integers(1, 4), -1, 0, 1.5, NAN)
+GENERATIONS = _mostly(st.sampled_from([1, 2]), 0, 1.5)
+BALLS = _mostly(st.integers(0, 10**6), NAN, -1.0, 1.5)
+
+# the moments run over these; the tails also over weibull(0.3), whose long
+# tables meet the size limit
+MOMENT_FAMILIES = [
+    WeightFamily.weibull_like(0.5),
+    WeightFamily.weibull_like(0.9),
+    WeightFamily.geometric(0.5),
+    WeightFamily.finite([0.1, 0.35, 0.05, 0.3, 0.2]),
+]
+TAIL_FAMILIES = MOMENT_FAMILIES + [WeightFamily.weibull_like(0.3)]
+
+
+def _refused_or(call):
+    """``call()``, or None when it raises one of the package's errors."""
+    try:
+        return call()
+    except REFUSED:
+        return None
+
+
+def _check_estimate(call, prune):
+    est = _refused_or(call)
+    if est is not None:
+        assert math.isfinite(est.value)
+        assert 0.0 <= est.error_bound <= prune
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=ALPHAS, p=ALPHAS, probs=st.lists(ALPHAS | st.floats(0.0, 1.0), max_size=4))
+def test_families(alpha, p, probs):
+    for build in (lambda: WeightFamily.weibull_like(alpha), lambda: WeightFamily.geometric(p),
+                  lambda: WeightFamily.finite(probs)):
+        fam = _refused_or(build)
+        if fam is not None:
+            assert 0.0 < fam.normalizer < math.inf
+            assert math.isfinite(float(fam.weight(1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(fam=st.sampled_from(TAIL_FAMILIES),
+       K=st.sampled_from([-1, 1.5, NAN, INF, 10**400]) | st.integers(0, 2**70),
+       threshold=st.sampled_from([NAN, INF, -1.0, 0.0, 5e-324]) | st.floats(0.0, 1.0))
+def test_tails(fam, K, threshold):
+    bound = _refused_or(lambda: fam.tail_mass_bound(K))
+    if bound is not None:
+        assert 0.0 <= bound <= 1.0
+    cut = _refused_or(lambda: fam.tail_index(threshold))
+    if cut is not None:
+        assert 0 <= cut <= _MAX_TABLE
+        assert fam.tail_mass_bound(cut) <= threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=st.sampled_from(MOMENT_FAMILIES), j=GENERATIONS, i=GENERATIONS, l=LEVELS,
+       n=LEVELS, s=TIMES, t=TIMES, balls=BALLS, prune=PRUNES)
+def test_moments(fam, j, i, l, n, s, t, balls, prune):
+    _check_estimate(lambda: mean_K(fam, j, l, t, prune=prune), prune)
+    _check_estimate(lambda: mean_K_binomial(fam, j, l, balls, prune=prune), prune)
+    _check_estimate(lambda: cov_K_cross_level(fam, j, l, n, s, t, prune=prune), prune)
+    _check_estimate(lambda: cov_K_cross_gen(fam, i, j, l, n, s, t, prune=prune), prune)
+
+
+@pytest.mark.parametrize("alpha", [0.24, 0.2, 0.15, 0.1])
+def test_small_alpha_is_refused_before_any_table(alpha):
+    # the normalizer of weibull(0.2) alone would sum 3.8e8 weights
+    with pytest.raises(ValidationError, match=f"alpha={alpha}.*limit is {_MAX_TABLE}"):
+        WeightFamily.weibull_like(alpha)
+
+
+def test_long_plan_table_is_refused_before_any_table():
+    # a cut at 95 million weights: 726 MiB of weights, then 17 rows of power sums
+    fam = WeightFamily.weibull_like(0.3)
+    with pytest.raises(NumericalError, match=f"more than {_MAX_TABLE} weights"):
+        mean_K(fam, 1, 1, 100.0, prune=1e-100)
+    assert fam._w.size == 0  # no weight was formed

@@ -320,13 +320,13 @@ _PINNED_DIGESTS = [
     (run_clt_check,
      ExperimentConfig(T=5.0, u_grid=(0.0, 1.0), generations=1, levels=2,
                       replicas=200, seed=15),
-     "dae41b5c53422644791ebf1799ff82c8eddc4ca33e8eecf6a042aec05595e8b5"),
+     "992fb580867657dad3dc27b4db59b508d61ea1e3756dd8eecf360c9a3eb0e180"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 15.0), generations=2, levels=2, prune=1e-6),
-     "3fcbd80427f04632dc1adef512af40fcce693a8eee2f0094223442cc6a7efb01"),
+     "689c5df7d20cd5185c1e479eba02dba01e93f1c5e8f06edd6bf6abfa1e69b453"),
     (run_asymptotic_trend,
      ExperimentConfig(T_grid=(10.0, 12.0, 14.0), generations=3, levels=2),
-     "c285e245e0dff6653ff24eeed3aa5af82a70d35109b83f9abacce5f538d783ac"),
+     "4d8345deef0070beed66d3f37ecd9487bd9aefed2088f7f4d6df89fce0dad4c6"),
     # geometric: every row an unflagged diagnostic, no endpoint verdicts
     (run_asymptotic_trend,
      ExperimentConfig(family_kind="geometric", p=0.5, T_grid=(10.0, 14.0),
@@ -335,7 +335,7 @@ _PINNED_DIGESTS = [
     # the default t-grid: 20 log-spaced times from 10 to 1e5
     (run_depoissonization_check,
      ExperimentConfig(generations=2, levels=2),
-     "d049467b2374213b3fd1eb82b17730c511c7b018d87e13e4f1810fa491bd8edd"),
+     "a1b4074d904c3244700c1844154dedfdad90d25f3ab7dfd181bd1c356fc22362"),
     # t = 0 and 0.5 both compare against the binomial sum at 0 balls
     (run_depoissonization_check,
      ExperimentConfig(family_kind="finite", probs=(0.5, 0.3, 0.2),
