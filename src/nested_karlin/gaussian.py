@@ -105,6 +105,8 @@ def _u_array(u_grid) -> np.ndarray:
         raise ValidationError("u_grid must be nonempty")
     if not np.all(np.isfinite(u)):
         raise ValidationError(f"u_grid must be finite, got {u.tolist()}")
+    if not math.isfinite(float(u.max()) - float(u.min())):
+        raise ValidationError(f"u_grid must have a finite spread, got {u.tolist()}")
     return u
 
 
@@ -145,16 +147,18 @@ def sample(grid: LimitCovarianceGrid, n: int, seed: int) -> np.ndarray:
 def _column_profile(u_grid: np.ndarray, A: float, x_step: float, y_step: float):
     """Cell-center evaluations per x-column: q[u, column] and the count
     N[u, column] of y-centers lying at or below q."""
-    mx = int(round(2.0 * A / x_step))
-    my = int(round(1.0 / y_step))
+    # rounded as floats, which may be inf, so the budget is checked first
+    mx, my = round(2.0 * A / x_step, 0), round(1.0 / y_step, 0)
     if mx < 1 or my < 1:
         raise ValidationError("x_step/y_step too coarse for the window")
     if mx * my > _CELL_BUDGET:
         raise NumericalError(
-            f"white-noise mesh has {mx * my} cells (> {_CELL_BUDGET} budget)"
+            f"white-noise mesh has {mx * my:.3g} cells (> {_CELL_BUDGET} budget)"
         )
+    mx, my = int(mx), int(my)
     xc = -A + (np.arange(mx) + 0.5) * x_step
-    q = np.exp(-np.exp(-(xc[None, :] - u_grid[:, None])))
+    with np.errstate(over="ignore"):  # q is 0 where e^{u - x} overflows
+        q = np.exp(-np.exp(-(xc[None, :] - u_grid[:, None])))
     n_below = np.clip(np.floor(q / y_step + 0.5), 0, my).astype(np.int64)
     return q, n_below, mx, my
 

@@ -171,6 +171,9 @@ class WeightFamily:
             # could move their last bits
             probs = tuple(arr.tolist())
             total = float(arr.sum())
+            if not 0.0 < 1.0 / total < math.inf:
+                raise ValidationError(f"finite family weights sum to {total}, "
+                                      "which has no finite nonzero reciprocal")
             self.normalizer = 1.0 / total
             self.probs = arr / total
             self._suffix = np.concatenate(

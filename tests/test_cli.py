@@ -98,6 +98,24 @@ class TestExitCodes:
         assert code == 2
         assert "numeric error:" in err
 
+    def test_whitenoise_mesh_beyond_float_range(self, capsys):
+        # a mesh whose cell count overflows a float is refused by the budget
+        # check, with the count printed short
+        for flags, count in ((["--x-window", "1e308"], "inf"), (["--y-step", "1e-320"], "inf"),
+                             (["--x-step", "1e-300"], "6e+303")):
+            code, _, err = run_cli(
+                ["sample", "whitenoise", "--u-grid", "0,1", "--n", "2", *flags], capsys)
+            assert code == 2
+            assert f"numeric error: white-noise mesh has {count} cells" in err
+
+    def test_u_grid_spread_beyond_float_range(self, capsys):
+        # u[a] - u[b] would overflow: refused before any difference is taken
+        for action in ("limit", "whitenoise"):
+            code, _, err = run_cli(["sample", action, "--u-grid=-1e308,1e308"], capsys)
+            assert code == 1
+            assert "error: u_grid must have a finite spread" in err
+            assert "Warning" not in err
+
     def test_oversized_enumeration_is_numeric_error(self, capsys):
         # 3.8e10 active generation-2 boxes: refused before any is formed
         code, _, err = run_cli(["moments", "mean", "--j", "2", "--t", "1e300"], capsys)
@@ -608,15 +626,22 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.6931471805599453"
 
-    def test_cli_import_leaves_out_quadrature(self):
-        # scipy.integrate is imported only when quadrature runs
-        probe = ("import sys, nested_karlin.cli; "
-                 "print('scipy.integrate' in sys.modules)")
+    def test_limits_commands_load_no_scipy(self, tmp_path):
+        # the quadrature oracle integrates with numpy alone
+        runs = [
+            f"limits table --max-l 2 --out {tmp_path / 'table.csv'}",
+            f"limits cov --kind X --l1 2 --l2 1 --delta 0.5 --out {tmp_path / 'cov.csv'}",
+        ]
+        probe = ("import sys; from nested_karlin import cli; "
+                 "codes = [cli.main(run.split()) for run in sys.argv[1:]]; "
+                 "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(),
+            [sys.executable, "-c", probe, *runs], capture_output=True, text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+        assert len((tmp_path / "table.csv").read_text().splitlines()) == 1 + 2 * 4 * 7
 
     def test_cli_import_leaves_out_special_functions(self):
         # no module of the package imports scipy.special
@@ -629,8 +654,7 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "False"
 
     def test_verify_and_weibull_families_load_no_scipy(self, tmp_path):
-        # the exact targets and the weibull-like normalizers need no scipy;
-        # only limits.quadrature_cov's oracle imports it
+        # the exact targets and the weibull-like normalizers need no scipy
         runs = [
             "verify moment --t 150 --replicas 100 --generations 2 --levels 2",
             "verify clt --T 3 --u-grid 0,1 --replicas 100 --generations 2 --levels 2",

@@ -1,15 +1,21 @@
 """The public contract under hostile input.  Every call to a family
-constructor, a tail function or an exact moment either raises
-ValidationError or NumericalError, or returns a finite value; a moment's
-certified error_bound lies in [0, prune]."""
+constructor, a tail function, an exact moment, a limit covariance or a
+Gaussian sampler either raises ValidationError or NumericalError, or
+returns finite values; a moment's certified error_bound lies in [0, prune],
+and the quadrature oracle agrees with the closed form wherever it answers."""
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nested_karlin.errors import NumericalError, ValidationError
+from nested_karlin.gaussian import (
+    build_grid, sample, sample_Z1_whitenoise, whitenoise_mesh_covariance,
+)
+from nested_karlin.limits import closed_cov, quadrature_cov
 from nested_karlin.moments import cov_K_cross_gen, cov_K_cross_level, mean_K, mean_K_binomial
 from nested_karlin.weights import _MAX_TABLE, WeightFamily
 
@@ -30,6 +36,19 @@ PRUNES = _mostly(st.floats(1e-300, 1e300), NAN, INF, 0.0, -1e-9)
 LEVELS = _mostly(st.integers(1, 4), -1, 0, 1.5, NAN)
 GENERATIONS = _mostly(st.sampled_from([1, 2]), 0, 1.5)
 BALLS = _mostly(st.integers(0, 10**6), NAN, -1.0, 1.5)
+KINDS = st.sampled_from(["Z", "X", "Y", "Q"])
+DELTAS = _mostly(st.floats(-25.0, 25.0), NAN, INF, -INF, 1e308, -1e308)
+# 7 is past the quadrature oracle's level cap
+ORACLE_LEVELS = _mostly(st.integers(1, 7), -1, 0, 1.5, NAN)
+GRID_LEVELS = ORACLE_LEVELS
+# closed forms are O(l^2) sums
+CLOSED_LEVELS = _mostly(st.integers(1, 50), -1, 0, 1.5, NAN)
+U_GRIDS = _mostly(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4).map(sorted),
+                  [], [1.0, 0.0], [0.5, 0.5], [1e308], [-1e308, 0.0], [0.0, 1e308],
+                  [-1e308, 1e308])
+WINDOWS = st.sampled_from([NAN, 29.0, 30.0, 1e308]) | st.floats(30.0, 40.0)
+STEPS = _mostly(st.floats(1e-3, 1.0), 0.0, 1e-320, 1e-300)
+SAMPLES = _mostly(st.integers(1, 50), -1, 0, 1.5, NAN)
 
 # the moments run over these; the tails also over weibull(0.3), whose long
 # tables meet the size limit
@@ -59,6 +78,7 @@ def _check_estimate(call, prune):
 
 @settings(max_examples=60, deadline=None)
 @given(alpha=ALPHAS, p=ALPHAS, probs=st.lists(ALPHAS | st.floats(0.0, 1.0), max_size=4))
+@example(alpha=0.5, p=0.5, probs=[5e-324])  # 1 / sum overflows
 def test_families(alpha, p, probs):
     for build in (lambda: WeightFamily.weibull_like(alpha), lambda: WeightFamily.geometric(p),
                   lambda: WeightFamily.finite(probs)):
@@ -90,6 +110,50 @@ def test_moments(fam, j, i, l, n, s, t, balls, prune):
     _check_estimate(lambda: mean_K_binomial(fam, j, l, balls, prune=prune), prune)
     _check_estimate(lambda: cov_K_cross_level(fam, j, l, n, s, t, prune=prune), prune)
     _check_estimate(lambda: cov_K_cross_gen(fam, i, j, l, n, s, t, prune=prune), prune)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=KINDS, l1=CLOSED_LEVELS, l2=CLOSED_LEVELS, delta=DELTAS)
+@example(kind="X", l1=3, l2=2, delta=-1e308)  # delta * l overflows
+def test_closed_cov(kind, l1, l2, delta):
+    value = _refused_or(lambda: closed_cov(kind, l1, l2, delta))
+    if value is not None:
+        assert math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=KINDS, l1=ORACLE_LEVELS, l2=ORACLE_LEVELS, delta=DELTAS)
+@example(kind="X", l1=2, l2=1, delta=5e-324)  # e^-delta rounds to 1
+def test_quadrature_cov(kind, l1, l2, delta):
+    value = _refused_or(lambda: quadrature_cov(kind, l1, l2, delta))
+    if value is not None:
+        assert abs(value - closed_cov(kind, l1, l2, delta)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=KINDS, u=U_GRIDS, L=GRID_LEVELS, n=SAMPLES)
+@example(kind="Z", u=[-1e308, 1e308], L=2, n=1)  # u[a] - u[b] overflows
+def test_limit_sampler(kind, u, L, n):
+    grid = _refused_or(lambda: build_grid(kind, u, L))
+    if grid is not None:
+        assert np.all(np.isfinite(grid.matrix)) and np.all(np.isfinite(grid.cholesky))
+        draws = _refused_or(lambda: sample(grid, n, seed=3))
+        if draws is not None:
+            assert draws.shape == (n, grid.dim) and np.all(np.isfinite(draws))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=U_GRIDS, A=WINDOWS, x_step=STEPS, y_step=STEPS, n=SAMPLES)
+# cell counts past the float range
+@example(u=[0.0, 1.0], A=1e308, x_step=0.01, y_step=0.01, n=2)
+@example(u=[0.0, 1.0], A=30.0, x_step=0.01, y_step=1e-320, n=2)
+def test_whitenoise_sampler(u, A, x_step, y_step, n):
+    cov = _refused_or(lambda: whitenoise_mesh_covariance(u, A, x_step, y_step))
+    if cov is not None:
+        assert np.all(np.isfinite(cov))
+    draws = _refused_or(lambda: sample_Z1_whitenoise(u, A, x_step, y_step, n=n, seed=3))
+    if draws is not None:
+        assert draws.shape == (n, len(u)) and np.all(np.isfinite(draws))
 
 
 @pytest.mark.parametrize("alpha", [0.24, 0.2, 0.15, 0.1])

@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -172,21 +171,97 @@ class TestQuadratureOracle:
         assert row[1:3] == (2, 1) and all(type(l) is int for l in row[1:3])
         assert row == comparison_table(["Z"], [(2, 1)], [0.0])[0]
 
-    def test_integration_warning_is_numerical_error(self, monkeypatch):
-        # a quadrature that warns (no convergence, roundoff) must not pass
-        # its number on
-        from scipy import integrate
+    def test_unconverged_piece_is_numerical_error(self, monkeypatch):
+        # a piece the rule cannot resolve within its rounds must not pass its
+        # number on: a step never meets the panel tolerance, and with one
+        # round no smooth piece does either
+        from nested_karlin import limits
 
-        def warning_quad(fn, a, b, **kwargs):
-            warnings.warn("maximum number of subdivisions reached",
-                          integrate.IntegrationWarning)
-            return 0.0, 0.0
-
-        monkeypatch.setattr(integrate, "quad", warning_quad)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            limits._quad_piece(lambda x: (x > 0.3).astype(float))
+        monkeypatch.setattr(limits, "_MAX_ROUNDS", 1)
         with pytest.raises(NumericalError, match="failed to converge"):
             quadrature_cov("Z", 1, 1, 0.0)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="failed to converge"):
             comparison_table(["X"], [(2, 1)], [0.5])
+
+    def test_summed_estimate_over_budget(self, monkeypatch):
+        # each piece reports 0.6 of the budget: one piece passes, and the
+        # four pieces of E Z_2 Z_2 together exceed it
+        from nested_karlin import limits
+
+        piece = limits._quad_piece
+        monkeypatch.setattr(limits, "_quad_piece",
+                            lambda f: (piece(f)[0], 0.6 * limits._QUAD_BUDGET))
+        assert quadrature_cov("Z", 1, 1, 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        with pytest.raises(NumericalError, match="exceeds budget"):
+            quadrature_cov("Z", 2, 2, 0.0)
+        with pytest.raises(NumericalError, match="exceeds budget"):
+            comparison_table(["Z"], [(1, 1), (2, 2)], [0.0])
+
+
+class TestQuadratureRule:
+    """Every integrand shape of the oracle against mpmath.quad at 30 digits,
+    over the same window."""
+
+    # E X_l1(delta) X_l2(0), l1 >= l2 >= 0 (X_0 = -Z_1): Z_1 Z_1, same
+    # levels, and cross levels, which have one form for delta > 0 and one
+    # for delta <= 0
+    CASES = [(l, l, d) for l in range(5) for d in (0.0, 0.5, 2.0)] + [
+        (l1, l2, d) for l1, l2 in ((1, 0), (2, 1), (3, 0), (4, 1), (4, 3))
+        for d in (-2.0, -0.5, 0.0, 0.5, 2.0)
+    ]
+
+    @staticmethod
+    def _terms(l1, l2, delta):
+        """x -> the two terms of the white-noise integrand, as written in the
+        comment above limits._log_psi, in mpmath with u = delta and v = 0."""
+        import mpmath as mp
+
+        u, v = mp.mpf(delta), mp.mpf(0)
+
+        def q(x, c):
+            return mp.exp(-mp.exp(c - x))
+
+        def psi(l, x, c):
+            return mp.exp(-l * (x - c)) * q(x, c) / mp.factorial(l)
+
+        if l1 == 0:
+            return lambda x: (min(q(x, u), q(x, v)), q(x, u) * q(x, v))
+        if l1 == l2:
+            lo, hi = min(u, v), max(u, v)
+            return lambda x: (q(x, hi) * mp.exp(-l1 * (x - lo)) / mp.factorial(l1),
+                              psi(l1, x, lo) * psi(l1, x, hi))
+        n = l1 - l2
+        if u > v:
+            c = (mp.exp(u) - mp.exp(v)) ** n / (mp.factorial(n) * mp.factorial(l2))
+            return lambda x: (c * q(x, u) * mp.exp(-x * n + (v - x) * l2),
+                              psi(l1, x, u) * psi(l2, x, v))
+        return lambda x: (0, psi(l1, x, u) * psi(l2, x, v))
+
+    def test_rule_against_mpmath(self):
+        import mpmath as mp
+
+        from nested_karlin.limits import _WINDOW, _e_xx
+
+        panels = mp.linspace(-_WINDOW, _WINDOW, 17)
+        for l1, l2, d in self.CASES:
+            terms = self._terms(l1, l2, d)
+            with mp.workdps(30):
+                exact = mp.quad(lambda x: mp.fsub(*terms(x)), panels,
+                                method="gauss-legendre")
+            # rounding in the integrand scales with its terms, not with
+            # their difference
+            with mp.workdps(15):
+                size = float(mp.quad(lambda x: sum(map(abs, terms(x))), panels,
+                                     method="gauss-legendre"))
+            value, estimate = _e_xx(l1, l2, d)
+            err = float(abs(mp.mpf(value) - exact))
+            rounding = 8 * 2.0**-52 * size
+            assert estimate <= 1e-13, (l1, l2, d)
+            assert err <= estimate + rounding, (l1, l2, d, err, estimate)
+            # and the estimate is conservative: G21 is exact to rounding
+            assert err <= rounding, (l1, l2, d, err, estimate)
 
 
 class TestSharedPieces:
@@ -211,9 +286,9 @@ class TestSharedPieces:
         pieces, rows = [], []
         e_xx, quad = limits._e_xx, limits.quadrature_cov
 
-        def counted_piece(i, k, u, v):
-            pieces.append((i, k, u, v))
-            return e_xx(i, k, u, v)
+        def counted_piece(i, k, delta):
+            pieces.append((i, k, delta))
+            return e_xx(i, k, delta)
 
         def counted_row(*args, **kwargs):
             rows.append(args)
