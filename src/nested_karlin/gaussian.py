@@ -173,6 +173,11 @@ def whitenoise_mesh_covariance(u_grid, A: float = 30.0, x_step: float = 0.01, y_
     u = _u_array(u_grid)
     if not (math.isfinite(A) and A >= 30.0):
         raise ValidationError(f"x window must be finite and at least 30, got {A}")
+    # the integrand of Z_1(u) lives near x = u, so u must stay well inside
+    # [-A, A]: at A = 30 the variance at u = 29 is 0.41, not log 2
+    if np.any(np.abs(u) > A / 2.0):
+        raise ValidationError(f"u_grid must lie within half the x window, |u| <= {A / 2.0}, "
+                              f"got {u.tolist()}")
     if not all(math.isfinite(h) and h > 0.0 for h in (x_step, y_step)):
         raise ValidationError(f"mesh steps must be finite and > 0, got {x_step} {y_step}")
     q, nb, mx, my = _column_profile(u, A, x_step, y_step)

@@ -10,19 +10,17 @@ own counter-based stream keyed by (seed, r), so a replica is the same
 however the replicas are grouped or spread over workers.
 
 The ball engine (``simulate_replicas`` and the single-replica functions,
-behind the ``simulate`` command) is the literal scheme.  Replica r's ball
-counts per snapshot come first (Poisson increments, or the grid's
-differences), then ``rng.random((N, J))`` for its N balls.  A pass counts
-as many consecutive replicas as _PASS_BUDGET holds at the expected ball
-count (fewer if their keys would not fit in int64).  It maps their draws
-to indices with one search of the family's guide-table inverse CDF.  Per
-generation it packs each ball's box prefix (a base ``len(table) + 2``
-positional code) into one int64 key, with the replica's place in the
-pass on top and the snapshot that brought the ball at the bottom.  One
-sort of the keys gives each box's count before and after every snapshot.
-A box adds 1 to K(l) at the snapshot where its count crosses l, so two
-``bincount``s over (replica, snapshot, level) and running sums give K
-over the grid, bit for bit as drawing each snapshot's balls in turn does.
+behind the ``simulate`` command) is the literal scheme, run one replica at
+a time.  Replica r's ball counts per snapshot come first (Poisson
+increments, or the grid's differences), then ``rng.random((N, J))`` for
+its N balls, which one search of the family's guide-table inverse CDF
+turns into indices.  Per generation each ball's box is relabelled
+0, 1, ... by ``np.unique`` of its parent's label times the table length
+plus one, plus its own index, so labels stay below N.  The balls arrive in
+snapshot order, so a snapshot's counts come from a ``bincount`` of the
+labels of the balls so far, and K through the guard level and the excess
+from a histogram of those counts capped at L + 1.  A replica holds its N·J
+draws and indices, N labels and at most N counts.
 
 The box sampler (``sample_counts``, behind ``verify``) draws the same law
 box by box, because the counts depend only on how many balls each box
@@ -67,7 +65,7 @@ __all__ = [
 ]
 
 TRAJECTORY_CSV_HEADER = "replica,j,l,grid_index,time,K,K_star,balls"
-_PASS_BUDGET = 2**16  # expected balls (and the sampler's box cells) of one pass
+_PASS_BUDGET = 2**16  # box cells and expected placed balls of one box-sampler pass
 _HEAVY = 2.0  # leaves expecting this many balls by the last snapshot draw counts
 
 
@@ -139,18 +137,10 @@ def _keyed_rng(seed: int, index: int, rng=None) -> np.random.Generator:
     return rng
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """True where a run of equal values starts in the sorted ``a``."""
-    mark = np.empty(len(a), dtype=bool)
-    mark[:1] = True
-    np.not_equal(a[1:], a[:-1], out=mark[1:])
-    return mark
-
-
 def _check_memory(N: float, J: int) -> None:
     """NumericalError when N balls over J generations would not fit in
-    physical memory: the draws and indices take N * J words, the snapshots,
-    codes and keys N each."""
+    physical memory: the draws and indices take N * J words, the labels,
+    the counts and the relabelling's keys N each."""
     _check_bytes(8 * N * (2 * J + 3), f"{N:.6g} balls over {J} generations")
 
 
@@ -162,104 +152,6 @@ def _check_bytes(need: float, what: str) -> None:
             f"{what} need about {need / 2**30:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of physical memory"
         )
-
-
-def _count(family: WeightFamily, increments: np.ndarray, draws: np.ndarray,
-           J: int, L: int, stride: int, snap_bits: int):
-    """K through the guard level, shape (R, J, L + 1, G), and the excess,
-    shape (R, J, G), of the R replicas of one pass.  Row r of ``increments``
-    holds replica r's ball count per snapshot, and ``draws`` the uniforms of
-    all the pass's N balls, replica after replica."""
-    R, G = increments.shape
-    N = len(draws)
-    # Each code starts as the replica's place in the pass, so a key reads
-    # (replica, box, snapshot) from the top bits down, and replica r's balls
-    # sort to ends[r - 1] <= p < ends[r].
-    totals = increments.sum(axis=1)
-    ends = np.cumsum(totals)
-    snap = np.repeat(np.tile(np.arange(G), R), increments.ravel())
-    codes = np.repeat(np.arange(R), totals)
-    keys = np.empty(N, dtype=np.int64)
-    idx = family.table_search(draws)
-    K_full = np.empty((R, J, L + 1, G), dtype=np.int64)
-    excess = np.empty((R, J, G), dtype=np.int64)
-    for g in range(J):
-        codes *= stride
-        codes += idx[:, g]
-        np.left_shift(codes, snap_bits, out=keys)
-        keys |= snap
-        keys.sort()
-        # A box's balls form one run of the sorted keys, cut into one group
-        # per snapshot that adds to it.  Positions within the run give the
-        # box's count before (old) and after (new) each group's arrivals.
-        first = np.flatnonzero(_run_starts(keys))
-        group = keys[first]
-        box, at = group >> snap_bits, group & (2**snap_bits - 1)
-        origin = np.maximum.accumulate(np.where(_run_starts(box), first, 0))
-        old = first - origin
-        new = np.concatenate((first[1:], [N])) - origin
-        # the group adds 1 to K(l) at its (replica, snapshot) cell for
-        # old < l <= new: +1 at level old + 1 and -1 at level new + 1 (both
-        # capped at L + 2), then summed over levels and snapshots
-        cell = at + G * np.searchsorted(ends, first, side="right")
-        rows, size = cell * (L + 2), R * G * (L + 2)
-        step = np.bincount(rows + np.minimum(old, L + 1), minlength=size)
-        step -= np.bincount(rows + np.minimum(new, L + 1), minlength=size)
-        K = step.reshape(R, G, L + 2).cumsum(axis=2).cumsum(axis=1)
-        K_full[:, g] = K[:, :, : L + 1].transpose(0, 2, 1)
-        moved = np.where(new > L, new, 0) - np.where(old > L, old, 0)
-        excess[:, g] = np.bincount(cell, weights=moved, minlength=R * G).reshape(R, G).cumsum(axis=1)
-    return K_full, excess
-
-
-def _run(family: WeightFamily, grid: np.ndarray, J: int, L: int, seed: int,
-         replicas, kind: str) -> list:
-    """The engine: the trajectories of ``replicas``, in order.
-
-    A pass takes as many consecutive replicas as _PASS_BUDGET holds at the
-    expected ball count, and at most the ``fit`` whose keys fit in int64.
-    Each replica draws its Poisson increments, then its uniforms."""
-    stride = len(family.cumulative_table()) + 2
-    snap_bits = (len(grid) - 1).bit_length()
-    fit = 2**63 // (stride**J << snap_bits)
-    if fit == 0:
-        raise ValidationError(
-            f"cannot pack {J} generations of indices < {stride} and {len(grid)} "
-            "snapshots into int64 keys"
-        )
-    per_pass = max(1, min(fit, int(_PASS_BUDGET // (grid[-1] + 1))))
-    gaps = np.diff(grid, prepend=0)
-    replicas = list(replicas)
-    trajectories, rng = [], None
-    for lo in range(0, len(replicas), per_pass):
-        batch = replicas[lo:lo + per_pass]
-        increments, draws = [], []
-        for r in batch:
-            rng = _keyed_rng(seed, r, rng)
-            inc = gaps if kind == "deterministic" else np.array(
-                [rng.poisson(gap) if gap > 0.0 else 0 for gap in gaps.tolist()], dtype=np.int64)
-            N = int(inc.sum())
-            _check_memory(N, J)
-            increments.append(inc)
-            draws.append(rng.random((N, J)))
-        increments = np.array(increments)
-        K_full, excess = _count(family, increments,
-                                draws[0] if len(draws) == 1 else np.concatenate(draws),
-                                J, L, stride, snap_bits)
-        trajectories.extend(
-            OccupancyTrajectory(
-                kind=kind,
-                grid=grid,
-                K=K_full[i, :, :L, :].copy(),
-                K_star=K_full[i, :, :L, :] - K_full[i, :, 1:, :],
-                guard=K_full[i, :, L, :].copy(),
-                excess=excess[i],
-                balls=np.cumsum(increments[i]),
-                replica=r,
-            )
-            for i, r in enumerate(batch)
-        )
-    return trajectories
 
 
 def _ball_counts(values: list, what: str) -> np.ndarray:
@@ -314,9 +206,38 @@ def simulate_replicas(
     in that order: of the Poissonized scheme at the times ``grid``, or, when
     ``n`` is given, of the fixed-ball-count scheme at the ball counts
     ``grid``.  Replica r is the trajectory that ``simulate_poissonized`` or
-    ``simulate_deterministic`` gives with ``replica=r``, bit for bit."""
+    ``simulate_deterministic`` gives with ``replica=r``, bit for bit: the
+    replicas run one at a time (see the module docstring)."""
     grid, J, L, kind = _checked(grid, J, L, n)
-    return _run(family, grid, J, L, seed, replicas, kind)
+    stride = len(family.cumulative_table()) + 1
+    gaps = np.diff(grid, prepend=0)
+    trajectories, rng = [], None
+    for r in replicas:
+        rng = _keyed_rng(seed, r, rng)
+        inc = gaps if kind == "deterministic" else np.array(
+            [rng.poisson(gap) if gap > 0.0 else 0 for gap in gaps.tolist()], dtype=np.int64)
+        balls = np.cumsum(inc)
+        N = int(balls[-1])
+        _check_memory(N, J)
+        idx = family.table_search(rng.random((N, J)))
+        K = np.empty((J, L + 1, len(grid)), dtype=np.int64)
+        excess = np.empty((J, len(grid)), dtype=np.int64)
+        box = np.zeros(N, dtype=np.int64)
+        for g in range(J):
+            # relabel each ball's generation-(g + 1) box 0, 1, ...
+            box = np.unique(box * stride + idx[:, g], return_inverse=True)[1]
+            for i, m in enumerate(balls.tolist()):
+                # the balls arrive in snapshot order: the first m are those
+                # of snapshots 0..i
+                counts = np.bincount(box[:m])
+                held = np.bincount(np.minimum(counts, L + 1), minlength=L + 2)
+                K[g, :, i] = np.cumsum(held[::-1])[::-1][1:]
+                excess[g, i] = counts[counts > L].sum()
+        trajectories.append(OccupancyTrajectory(
+            kind=kind, grid=grid, K=K[:, :L].copy(), K_star=K[:, :L] - K[:, 1:],
+            guard=K[:, L].copy(), excess=excess, balls=balls, replica=r,
+        ))
+    return trajectories
 
 
 @dataclass(frozen=True)

@@ -139,37 +139,45 @@ def guided_search(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarr
     return out
 
 
+def _open_unit(what: str, value) -> float:
+    """``value`` as a float in (0, 1); ValidationError otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not 0.0 < x < 1.0:
+        raise ValidationError(f"{what} in (0,1), got {value}")
+    return x
+
+
 class WeightFamily:
     """A discrete weight sequence with counting function and tail bounds.
 
-    Use the classmethod constructors; the raw ``__init__`` is internal.
+    ``WeightFamily(kind, alpha=..., p=..., probs=...)`` converts and
+    checks the parameter of ``kind`` and ignores the others; the classmethod
+    constructors name it.
     """
 
     def __init__(self, kind, alpha=None, p=None, probs=None):
-        self.kind = kind
-        self.alpha = alpha
-        self.p = p
+        self.kind, self.alpha, self.p, self.probs = kind, None, None, None
+        self.normalizer, self.beta = 1.0, 0.0
         if kind == "weibull":
-            if not (alpha is not None and 0.0 < alpha < 1.0):
-                raise ValidationError(f"weibull-like needs alpha in (0,1), got {alpha}")
-            self.normalizer = _weibull_normalizer(float(alpha))
-            self.beta = 1.0 / alpha - 1.0
-            self.probs = None
+            self.alpha = _open_unit("weibull-like needs alpha", alpha)
+            self.normalizer = _weibull_normalizer(self.alpha)
+            self.beta = 1.0 / self.alpha - 1.0
+            self._spec = (kind, self.alpha)
         elif kind == "geometric":
-            if not (p is not None and 0.0 < p < 1.0):
-                raise ValidationError(f"geometric needs p in (0,1), got {p}")
-            self.normalizer = 1.0
-            self.beta = 0.0
-            self.probs = None
+            self.p = _open_unit("geometric needs p", p)
+            self._spec = (kind, None, self.p)
         elif kind == "finite":
-            arr = np.asarray(probs, dtype=float)
+            try:
+                arr = np.array(list(probs), dtype=float)
+            except (TypeError, ValueError):
+                arr = np.empty(0)
             if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0.0)):
                 raise ValidationError(
                     f"finite family needs a nonempty list of finite positive weights, got {probs}"
                 )
-            # the weights as given: normalizing the normalized ones again
-            # could move their last bits
-            probs = tuple(arr.tolist())
             total = float(arr.sum())
             if not 0.0 < 1.0 / total < math.inf:
                 raise ValidationError(f"finite family weights sum to {total}, "
@@ -179,10 +187,11 @@ class WeightFamily:
             self._suffix = np.concatenate(
                 [np.cumsum(self.probs[::-1])[::-1][1:], [0.0]]
             )
-            self.beta = 0.0
+            # the weights as given: normalizing the normalized ones again
+            # could move their last bits
+            self._spec = (kind, None, None, tuple(arr.tolist()))
         else:
             raise ValidationError(f"unknown family kind {kind!r}")
-        self._spec = (kind, alpha, p, probs)
         self._cum = None
         self._guide = None
         self._w = np.empty(0)
@@ -195,27 +204,21 @@ class WeightFamily:
 
     @classmethod
     def weibull_like(cls, alpha: float) -> "WeightFamily":
-        return cls("weibull", alpha=float(alpha))
+        return cls("weibull", alpha=alpha)
 
     @classmethod
     def geometric(cls, p: float) -> "WeightFamily":
-        return cls("geometric", p=float(p))
+        return cls("geometric", p=p)
 
     @classmethod
     def finite(cls, probs: Iterable[float]) -> "WeightFamily":
-        return cls("finite", probs=list(probs))
+        return cls("finite", probs=probs)
 
     @classmethod
     def from_spec(cls, kind: str, *, alpha=None, p=None, probs=()) -> "WeightFamily":
         """The family a spec names, as the CLI flags and ExperimentConfig
         give it; only the parameter of ``kind`` is read."""
-        if kind == "weibull":
-            return cls.weibull_like(alpha)
-        if kind == "geometric":
-            return cls.geometric(p)
-        if kind == "finite":
-            return cls.finite(probs)
-        raise ValidationError(f"unknown family kind {kind!r}")
+        return cls(kind, alpha=alpha, p=p, probs=probs)
 
     def __repr__(self):
         if self.kind == "weibull":

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import math
 import os
 import pickle
@@ -72,6 +73,13 @@ class TestSpecInvocations:
         # effective configuration is echoed to stderr
         assert "# seed=1" in err
 
+    def test_simulate_any_generation_count(self, capsys):
+        # six generations of weibull(0.5) indices (1655 table entries) are
+        # more box prefixes than an int64 holds
+        code, out, err = run_cli(["simulate", "--generations", "6"], capsys)
+        assert code == 0, err
+        assert {line.split(",")[1] for line in out.strip().split("\n")[1:]} == set("123456")
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -115,6 +123,11 @@ class TestExitCodes:
             assert code == 1
             assert "error: u_grid must have a finite spread" in err
             assert "Warning" not in err
+
+    def test_whitenoise_offset_outside_the_window(self, capsys):
+        code, out, err = run_cli(["sample", "whitenoise", "--u-grid", "0,100", "--n", "2"], capsys)
+        assert code == 1
+        assert "error: u_grid must lie within half the x window" in err and not out
 
     def test_oversized_enumeration_is_numeric_error(self, capsys):
         # 3.8e10 active generation-2 boxes: refused before any is formed
@@ -359,6 +372,20 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--family", "weibull", "--alpha", "0.5", "--times", "50,200,3000",
+          "--generations", "3", "--levels", "3", "--replicas", "200", "--seed", "9"],
+         "c5ea9a4cb3bc22f02c685ec9c61504a5bf469f84ccda73435a831ec0bd48d4eb"),
+        (["--deterministic-n", "500", "--times", "100,500", "--generations", "2",
+          "--replicas", "100"],
+         "ddd1452af52b2785709b0cc052a368b6ad7a081ff6e57954a72d4028b2cf85d6"),
+    ], ids=["poissonized", "fixed-n"])
+    def test_simulate_stdout_pinned(self, args, digest, capsys):
+        # the ball engine's trajectories, byte for byte, for a fixed seed
+        code, out, _ = run_cli(["simulate", *args, "--threads", "1"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_verify_moment_stdout_csv(self, capsys):
         args = [

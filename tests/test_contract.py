@@ -147,10 +147,12 @@ def test_limit_sampler(kind, u, L, n):
 # cell counts past the float range
 @example(u=[0.0, 1.0], A=1e308, x_step=0.01, y_step=0.01, n=2)
 @example(u=[0.0, 1.0], A=30.0, x_step=0.01, y_step=1e-320, n=2)
+# an offset outside the window, where the mesh misses the integrand
+@example(u=[0.0, 100.0], A=30.0, x_step=0.01, y_step=0.01, n=2)
 def test_whitenoise_sampler(u, A, x_step, y_step, n):
     cov = _refused_or(lambda: whitenoise_mesh_covariance(u, A, x_step, y_step))
     if cov is not None:
-        assert np.all(np.isfinite(cov))
+        assert np.all(np.isfinite(cov)) and np.all(np.abs(u) <= A / 2)
     draws = _refused_or(lambda: sample_Z1_whitenoise(u, A, x_step, y_step, n=n, seed=3))
     if draws is not None:
         assert draws.shape == (n, len(u)) and np.all(np.isfinite(draws))

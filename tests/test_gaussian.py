@@ -249,6 +249,20 @@ class TestWhiteNoise:
         with pytest.raises(ValidationError):
             whitenoise_mesh_covariance([0.0], A=10.0)
 
+    @pytest.mark.parametrize("u_grid, A", [([100.0], 30.0), ([0.0, -15.5], 30.0),
+                                           ([20.0], 39.9), ([1e308], 30.0)])
+    def test_offset_outside_half_window_rejected(self, u_grid, A):
+        # near the window's edge the mesh misses most of the integrand: at
+        # A = 30 the variance is 0.41 at u = 29 and 0 at u = 100, not log 2
+        with pytest.raises(ValidationError, match="half the x window"):
+            whitenoise_mesh_covariance(u_grid, A=A)
+        with pytest.raises(ValidationError, match="half the x window"):
+            sample_Z1_whitenoise(u_grid, x_window=A, n=3)
+
+    def test_offset_at_half_window_accepted(self):
+        cov = whitenoise_mesh_covariance([-15.0, 0.0, 15.0], A=30.0)
+        assert np.diag(cov) == pytest.approx(cov[1, 1], abs=1e-12)
+
     def test_cell_budget_guard(self):
         with pytest.raises(NumericalError):
             whitenoise_mesh_covariance([0.0], A=30.0, x_step=1e-4, y_step=1e-5)

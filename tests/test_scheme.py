@@ -156,31 +156,34 @@ class TestExactAgainstDictCounter:
 
 
 class TestKeyPacking:
+    """Box prefixes are relabelled per generation, so prefixes too deep to
+    code in an int64 (with the snapshot beside them) are counted exactly."""
+
     def test_guard_at_int64_boundary(self):
         # 126 boxes plus the overflow index give base 128 = 2**7 codes:
         # 9 generations fill 63 bits exactly, and so do 8 generations
-        # with 128 snapshots (7 snapshot bits)
+        # with 128 snapshots (7 snapshot bits); one more snapshot or one
+        # more generation would not fit
         family = WeightFamily.finite([1.0] * 126)
-        traj = simulate_deterministic(family, 300, 9, 2, [300], seed=1)
-        _assert_matches_reference(
-            traj, _reference_counts(family, [300], 9, 2, _philox(1, 0))
-        )
-        grid = list(range(128))
-        simulate_deterministic(family, 127, 8, 1, grid, seed=1).validate()
-        with pytest.raises(ValidationError):
-            simulate_deterministic(family, 300, 9, 2, [100, 300], seed=1)
-        with pytest.raises(ValidationError):
-            simulate_deterministic(family, 128, 8, 1, grid + [128], seed=1)
-        with pytest.raises(ValidationError):
-            simulate_poissonized(family, [1.0], 10, 1, seed=1)
+        for grid, J, L in (([300], 9, 2), ([100, 300], 9, 2), (list(range(129)), 8, 1)):
+            traj = simulate_deterministic(family, grid[-1], J, L, grid, seed=1)
+            _assert_matches_reference(
+                traj, _reference_counts(family, np.diff(grid, prepend=0), J, L, _philox(1, 0))
+            )
+        traj = simulate_poissonized(family, [1.0], 10, 1, seed=1)
+        rng = _philox(1, 0)
+        _assert_matches_reference(traj, _reference_counts(family, [rng.poisson(1.0)], 10, 1, rng))
 
     def test_guard_counts_snapshot_bits(self):
-        # base 3: 2 * 3**39 < 2**63 < 4 * 3**39
+        # base 3: 2 * 3**39 < 2**63 < 4 * 3**39, so two snapshot bits
+        # would not fit beside 39 generations
         solo = WeightFamily.finite([1.0])
-        traj = simulate_deterministic(solo, 4, 39, 2, [1, 4], seed=2)
-        assert traj.K[38, :, 1].tolist() == [1, 1]
-        with pytest.raises(ValidationError):
-            simulate_deterministic(solo, 4, 39, 2, [1, 2, 4], seed=2)
+        for grid in ([1, 4], [1, 2, 4]):
+            traj = simulate_deterministic(solo, 4, 39, 2, grid, seed=2)
+            assert traj.K[38, :, -1].tolist() == [1, 1]
+            _assert_matches_reference(
+                traj, _reference_counts(solo, np.diff(grid, prepend=0), 39, 2, _philox(2, 0))
+            )
 
 
 BATCH_FAMILIES = {
@@ -211,22 +214,9 @@ def _assert_batch_matches_singles(family, grid, J, L, seed, replicas, n=None):
     return batch
 
 
-@pytest.fixture
-def pass_sizes(monkeypatch):
-    """The number of replicas of each pass the ball engine counts, in order."""
-    sizes, count = [], scheme._count
-
-    def spy(family, increments, *args):
-        sizes.append(len(increments))
-        return count(family, increments, *args)
-
-    monkeypatch.setattr(scheme, "_count", spy)
-    return sizes
-
-
 class TestBatchedPasses:
-    """simulate_replicas counts consecutive replicas in one pass; each
-    trajectory must be bit-equal to the replica simulated alone."""
+    """simulate_replicas runs a list of replicas; each trajectory must be
+    bit-equal to the replica simulated alone."""
 
     @given(
         st.sampled_from(sorted(BATCH_FAMILIES)),
@@ -235,18 +225,14 @@ class TestBatchedPasses:
         st.lists(st.sampled_from([0.0, 0.0, 0.5, 3.0, 20.0, 60.0]), min_size=1, max_size=5),
         st.integers(0, 50),
         st.integers(1, 7),
-        st.sampled_from([1, 5, 40, 150, 2**16]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_poissonized_batches_match_singles(self, kind, J, L, gaps, first, count,
-                                               budget, seed):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "_PASS_BUDGET", budget)
-            _assert_batch_matches_singles(
-                BATCH_FAMILIES[kind], np.cumsum(gaps).tolist(), J, L, seed,
-                range(first, first + count),
-            )
+    def test_poissonized_batches_match_singles(self, kind, J, L, gaps, first, count, seed):
+        _assert_batch_matches_singles(
+            BATCH_FAMILIES[kind], np.cumsum(gaps).tolist(), J, L, seed,
+            range(first, first + count),
+        )
 
     @given(
         st.sampled_from(sorted(BATCH_FAMILIES)),
@@ -254,17 +240,14 @@ class TestBatchedPasses:
         st.integers(1, 4),
         st.lists(st.sampled_from([0, 0, 1, 4, 30]), min_size=1, max_size=5),
         st.integers(1, 6),
-        st.sampled_from([1, 7, 64, 2**16]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_fixed_n_batches_match_singles(self, kind, J, L, steps, count, budget, seed):
+    def test_fixed_n_batches_match_singles(self, kind, J, L, steps, count, seed):
         grid = np.cumsum(steps).tolist()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "_PASS_BUDGET", budget)
-            _assert_batch_matches_singles(
-                BATCH_FAMILIES[kind], grid, J, L, seed, range(count), n=grid[-1] + 2
-            )
+        _assert_batch_matches_singles(
+            BATCH_FAMILIES[kind], grid, J, L, seed, range(count), n=grid[-1] + 2
+        )
 
     def test_repeated_and_zero_times(self, geo, fin3):
         _assert_batch_matches_singles(geo, [0.0, 0.0, 4.0, 4.0, 9.0], 2, 3, 5, range(12))
@@ -272,7 +255,7 @@ class TestBatchedPasses:
 
     def test_replicas_without_balls(self, geo):
         # at t = 0 every replica is empty; at t = 0.3 most are, and the
-        # empty ones sit between replicas with balls in the same pass
+        # empty ones sit between replicas with balls
         batch = _assert_batch_matches_singles(geo, [0.0], 2, 2, 3, range(5))
         assert all(traj.balls.tolist() == [0] and not traj.K.any() for traj in batch)
         batch = _assert_batch_matches_singles(geo, [0.1, 0.3], 2, 2, 3, range(40))
@@ -283,46 +266,6 @@ class TestBatchedPasses:
         batch = _assert_batch_matches_singles(geo, [3.0, 7.0], 2, 2, 9, [7, 2, 30, 3])
         assert [traj.replica for traj in batch] == [7, 2, 30, 3]
         assert simulate_replicas(geo, [3.0], 2, 2, 9, []) == []
-
-    def test_runs_across_the_budget_boundary(self, fin3, monkeypatch, pass_sizes):
-        # 10 balls each, so a pass takes budget // 11 replicas: two from a
-        # budget of 22 up to 32, where the 11-replica run ends on a pass of
-        # one, and one below 22, also at a budget below one replica's balls.
-        # The single-replica calls that check the run add 11 passes of one.
-        for budget, sizes in ((32, [2] * 5 + [1]), (22, [2] * 5 + [1]),
-                              (21, [1] * 11), (9, [1] * 11)):
-            monkeypatch.setattr(scheme, "_PASS_BUDGET", budget)
-            pass_sizes.clear()
-            _assert_batch_matches_singles(fin3, [4, 10], 2, 3, 1, range(11), n=10)
-            assert pass_sizes == sizes + [1] * 11
-
-    def test_replica_above_the_budget(self, pass_sizes):
-        # at the real budget, replicas expecting just under half of it run
-        # two a pass, whatever their Poisson counts, and a replica expecting
-        # all of it runs in a pass of its own
-        weib = WeightFamily.weibull_like(0.5)
-        for t, sizes in ((scheme._PASS_BUDGET / 2 - 1.0, [2, 1]),
-                         (float(scheme._PASS_BUDGET), [1, 1, 1])):
-            pass_sizes.clear()
-            _assert_batch_matches_singles(weib, [t / 2, t], 1, 2, 4, range(3))
-            assert pass_sizes == sizes + [1] * 3
-
-    def test_pass_shrinks_when_replica_bits_do_not_fit(self, pass_sizes):
-        # base 128 = 2**7 codes: 8 generations and 64 snapshots take 62 of
-        # the 63 key bits, so a pass holds two replicas; 9 generations and
-        # one snapshot take all 63, so one.  One more snapshot (or one more
-        # generation) does not fit even a single replica.
-        family = WeightFamily.finite([1.0] * 126)
-        grid = list(range(1, 65))
-        _assert_batch_matches_singles(family, grid, 8, 1, 1, range(5), n=64)
-        assert pass_sizes == [2, 2, 1] + [1] * 5
-        pass_sizes.clear()
-        _assert_batch_matches_singles(family, [40], 9, 2, 1, range(3), n=40)
-        assert pass_sizes == [1] * 6
-        with pytest.raises(ValidationError):
-            simulate_replicas(family, [20, 40], 9, 2, 1, range(3), n=40)
-        with pytest.raises(ValidationError):
-            simulate_replicas(family, [1.0], 10, 1, 1, range(3))
 
     def test_validation_matches_the_single_replica_functions(self, geo):
         for grid in ([], [2.0, 1.0], [-1.0], [float("nan")]):

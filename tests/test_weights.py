@@ -327,6 +327,9 @@ class TestConstructors:
             ("finite", {"probs": ()}),
             ("weibull", {"alpha": math.nan}),
             ("geometric", {"p": math.nan}),
+            ("weibull", {"alpha": None}),
+            ("geometric", {"p": "x"}),
+            ("finite", {"probs": None}),
         ):
             with pytest.raises(ValidationError):
                 WeightFamily.from_spec(kind, **kwargs)
