@@ -50,7 +50,6 @@ from .limits import closed_cov, comparison_table
 from .moments import (
     MomentEstimate,
     cov_K_cross_gen,
-    cov_K_cross_level,
     depoissonization_constant,
     mean_K,
     mean_K_binomial,
@@ -235,13 +234,11 @@ def _cmd_identities(ns) -> int:
 
 def _cmd_simulate(ns) -> int:
     replicas = check_whole("replicas", ns.replicas, 1)
-    if ns.deterministic_n:
-        grid = _csv_floats(ns.times) if ns.times else [ns.deterministic_n]
-    else:
-        grid = _csv_floats(ns.times) if ns.times else [float(ns.t)]
+    n = ns.deterministic_n
+    grid = _csv_floats(ns.times) if ns.times else [float(ns.t) if n is None else n]
     trajectories = simulate_replicas(
         ns.weight_family, grid, ns.generations, ns.levels, ns.seed,
-        range(replicas), n=ns.deterministic_n or None,
+        range(replicas), n=n,
     )
     lines = [TRAJECTORY_CSV_HEADER]
     for traj in trajectories:
@@ -290,9 +287,9 @@ def _cmd_moments_cov(ns) -> int:
     j, l, l2, t = ns.j, ns.l, ns.l2, ns.t
     s = ns.s if ns.s is not None else t
     quantity, l2, terms = {
-        "same": ("cov_K_same", None, _exact(cov_K_cross_level, j, l, l, s, t)),
-        "star": ("cov_K_star_same", None, _star_terms(cov_K_cross_level, (j,), (l, l), (s, t))),
-        "levels": ("cov_K_cross_level", l2, _exact(cov_K_cross_level, j, l, l2, s, t)),
+        "same": ("cov_K_same", None, _exact(cov_K_cross_gen, j, j, l, l, s, t)),
+        "star": ("cov_K_star_same", None, _star_terms(cov_K_cross_gen, (j, j), (l, l), (s, t))),
+        "levels": ("cov_K_cross_level", l2, _exact(cov_K_cross_gen, j, j, l, l2, s, t)),
         "gens": (f"cov_K_cross_gen_{ns.gen_i}_{j}", l2,
                  _exact(cov_K_cross_gen, ns.gen_i, j, l, l2, s, t)),
     }[ns.which]
@@ -429,8 +426,9 @@ def build_parser() -> _Parser:
     _add_family_flags(sim); _add_common(sim, seed=1)
     sim.add_argument("--t", type=float, default=100.0, help="single Poissonized time")
     sim.add_argument("--times", default="", help="snapshot grid (comma-separated)")
-    sim.add_argument("--deterministic-n", type=int, default=0,
-                     help="run the fixed-ball-count scheme with n balls")
+    sim.add_argument("--deterministic-n", type=int, default=None,
+                     help="run the fixed-ball-count scheme with n balls (0 allowed); "
+                          "without it the Poissonized scheme runs")
     sim.add_argument("--generations", type=int, default=2)
     sim.add_argument("--levels", type=int, default=3)
     sim.add_argument("--replicas", type=int, default=1)
@@ -456,7 +454,8 @@ def build_parser() -> _Parser:
     mc.add_argument("--which", choices=("same", "star", "levels", "gens"),
                     default="same")
     mc.add_argument("--j", type=int, default=1)
-    mc.add_argument("--gen-i", type=int, default=1, help="outer generation for --which gens")
+    mc.add_argument("--gen-i", type=int, default=1,
+                    help="outer generation for --which gens, 1 <= gen-i <= j")
     mc.add_argument("--l", type=int, default=1)
     mc.add_argument("--l2", type=int, default=2)
     mc.add_argument("--s", type=float, default=None)

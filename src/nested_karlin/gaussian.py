@@ -129,7 +129,6 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
             val = closed_cov(kind, la, lb, ua - ub)
             mat[a, b] = val
             mat[b, a] = val
-    mat = 0.5 * (mat + mat.T)
     chol, jitter = _factor_with_jitter(mat)
     return LimitCovarianceGrid(
         kind=kind, u_grid=u, levels=L, matrix=mat,

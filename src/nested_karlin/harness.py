@@ -40,7 +40,6 @@ from .kernels import b_constants
 from .limits import closed_cov
 from .moments import (
     cov_K_cross_gen,
-    cov_K_cross_level,
     cross_level_order,
     depoissonization_constant,
     mean_K,
@@ -208,8 +207,8 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
     ``((coef, fn, args), ...)``; every distinct ``(fn, args)`` among them is
     computed once as ``fn(family, *args, prune=cfg.prune)``, and the
     returned dict maps it to its MomentEstimate for ``_combine``.  The
-    (level, time) pairs of a ``cov_K_cross_level`` target are first put in
-    the order the function puts them in, so a covariance asked for in both
+    (level, time) pairs of a one-generation covariance are first put in the
+    order ``cov_K_cross_gen`` puts them in, so a covariance asked for in both
     orders is computed once.  Every
     exact moment is a pure function of its arguments and replica r always
     draws from the stream keyed by (seed, r), so the results do not depend
@@ -247,12 +246,12 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
 
 
 def _ordered(fn, args: tuple) -> tuple:
-    """``args`` of ``cov_K_cross_level`` with the (level, time) pairs in its
-    own order, which gives the same value bit for bit; the arguments of any
-    other moment as they are."""
-    if fn is not cov_K_cross_level:
+    """``args`` of ``cov_K_cross_gen`` at i = j with the (level, time) pairs
+    in its own order, which gives the same value bit for bit; the arguments
+    of any other moment as they are."""
+    if fn is not cov_K_cross_gen or args[0] != args[1]:
         return args
-    return (args[0], *cross_level_order(*args[1:]))
+    return (*args[:2], *cross_level_order(*args[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +394,19 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
         for l in ls:
             stats = [("mean", _mean_se, 1, _exact(fn, j, l, x), _star_terms(fn, (j,), (l,), (x,)))]
             if not n:  # a variance reads its column twice: _cov_se(x, x)
-                stats.append(("var", _cov_se, 2, _exact(cov_K_cross_level, j, l, l, t, t),
-                              _star_terms(cov_K_cross_level, (j,), (l, l), (t, t))))
+                stats.append(("var", _cov_se, 2, _exact(cov_K_cross_gen, j, j, l, l, t, t),
+                              _star_terms(cov_K_cross_gen, (j, j), (l, l), (t, t))))
             for stat_name, stat, reads, k_terms, star_terms in stats:
                 for p, name, terms in ((0, "K", k_terms), (1, "K_star", star_terms)):
                     cells.append(_Cell(f"{stat_name}_{name}:j={j},l={l}", j, l, None, t, t,
                                        stat, ((p, j - 1, l - 1, 0),) * reads, terms))
 
-    def cov_pair(kind, tag, i, j, l1, l2, fn, head):
+    def cov_pair(kind, tag, i, j, l1, l2):
         """Cov(K_i(l1), K_j(l2)) and the same for K*, with exact value
-        ``fn(family, *head, l1, l2, t, t)``."""
-        for p, name, terms in ((0, "K", _exact(fn, *head, l1, l2, t, t)),
-                               (1, "K_star", _star_terms(fn, head, (l1, l2), (t, t)))):
+        ``cov_K_cross_gen(family, i, j, l1, l2, t, t)``."""
+        for p, name, terms in ((0, "K", _exact(cov_K_cross_gen, i, j, l1, l2, t, t)),
+                               (1, "K_star", _star_terms(cov_K_cross_gen, (i, j), (l1, l2),
+                                                         (t, t)))):
             cells.append(_Cell(f"cov_{name}_{kind}:{tag}", i, l1, l2, t, t, _cov_se,
                                ((p, i - 1, l1 - 1, 0), (p, j - 1, l2 - 1, 0)), terms))
 
@@ -414,13 +414,11 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
         for j in js:
             for l1 in ls:
                 for l2 in range(l1 + 1, L + 1):
-                    cov_pair("levels", f"j={j},l={l1},l2={l2}", j, j, l1, l2,
-                             cov_K_cross_level, (j,))
+                    cov_pair("levels", f"j={j},l={l1},l2={l2}", j, j, l1, l2)
         if J >= 2:
             for l1 in ls:
                 for l2 in ls:
-                    cov_pair("gens", f"l={l1},l2={l2}", 1, 2, l1, l2,
-                             cov_K_cross_gen, (1, 2))
+                    cov_pair("gens", f"l={l1},l2={l2}", 1, 2, l1, l2)
     results, V = _run_pool(config, family, [c.terms for c in cells], ([t], J, L, n or None))
     X = V.reshape(len(V), 2, J, L, 1)
     return ExperimentReport("moment_check", config,
@@ -454,7 +452,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                     cells.append(_Cell(
                         f"cov:j={j},l={l},u={ua},v={ub}", j, l, None, ua, ub, _cov_se,
                         ((j - 1, l - 1, ga), (j - 1, l - 1, gb)),
-                        _exact(cov_K_cross_level, j, l, l, times[ga], times[gb]), nj2,
+                        _exact(cov_K_cross_gen, j, j, l, l, times[ga], times[gb]), nj2,
                         limit=closed_cov("Z", l, l, ua - ub)))
             for ga, ua in enumerate(u_grid):
                 for name, stat in (("skewness", _skew_se), ("excess_kurtosis", _kurt_se)):
@@ -466,7 +464,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
                     cells.append(_Cell(
                         f"cov_levels:j={j},l={l1},l2={l2},u={ua}", j, l1, l2, ua, ua,
                         _cov_se, ((j - 1, l1 - 1, ga), (j - 1, l2 - 1, ga)),
-                        _exact(cov_K_cross_level, j, l1, l2, times[ga], times[ga]), nj2,
+                        _exact(cov_K_cross_gen, j, j, l1, l2, times[ga], times[ga]), nj2,
                         limit=closed_cov("Z", l1, l2, 0.0)))
     if J >= 2:
         for l1 in ls:
@@ -509,7 +507,7 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     # (stem, j, l, l2, limit, [(terms, scale) per horizon]); the value at a
     # horizon is _combine(terms, ..., scale)
     series = [(f"var_ratio:j=1,l={l}", 1, l, None, b_constants(l)[0],
-               [(_exact(cov_K_cross_level, 1, l, l, t, t), c * f)
+               [(_exact(cov_K_cross_gen, 1, 1, l, l, t, t), c * f)
                 for t, (c, f) in zip(ts, cf[1])])
               for l in ls]
     series += [(f"mean_star_ratio:j={j},l={l}", j, l, None, 1.0,

@@ -35,17 +35,18 @@ coordinate beyond the table's cut weigh at most j times its tail mass.  The
 cut takes half the budget, and the series remainder must fit in the other
 half, so the bound never exceeds ``prune``.
 
-Both covariances have one summand, ``_pair_cov``: a box r1 at time s and a
-box r1 r2 below it at time t, their ball counts split into independent
-Poisson counts.  ``cov_K_cross_level`` is its case p2 = 1, one box at two
-times, with the (level, time) pairs ordered once.  ``cov_K_cross_gen`` sums
-pairs (r1, r2) of a generation-i box and a generation-(j-i) suffix over the
-same plan, split at depth i: the active generation-j boxes r1 r2 directly,
-the inactive suffixes of each active r1 by a series whose coefficients
-depend on r1, and the inactive r1 by a 1-D series over the generation-i
-power sums (see its docstring).
+One covariance, ``cov_K_cross_gen``, covers the whole count matrix: any
+generations 1 <= i <= j, levels and times.  Its summand, ``_pair_cov``, is a
+box r1 at time s and a box r1 r2 below it at time t, their ball counts split
+into independent Poisson counts.  It sums the pairs (r1, r2) of a
+generation-i box and a generation-(j-i) suffix over one plan, split at
+depth i: the active generation-j boxes r1 r2 directly, the inactive
+suffixes of each active r1 by a series whose coefficients depend on r1, and
+the inactive r1 by a 1-D series over the generation-i power sums (see its
+docstring).  At i = j the suffix is empty (p2 = 1, one box at two times),
+so is the middle term, and the (level, time) pairs are ordered once.
 
-The four moments here are of the at-least counts K; an exact-count moment
+The three moments here are of the at-least counts K; an exact-count moment
 is their combination by K*(l) = K(l) - K(l+1) (``harness._star_terms``).
 """
 
@@ -68,7 +69,6 @@ __all__ = [
     "enumerate_boxes",
     "mean_K",
     "mean_K_binomial",
-    "cov_K_cross_level",
     "cov_K_cross_gen",
     "depoissonization_constant",
 ]
@@ -161,15 +161,6 @@ def _signed(coef: np.ndarray, whole: float, alternating: bool = True) -> _Series
 _ONE = _signed(np.eye(1, _SIZE)[0], 1.0, False)
 
 
-def _psi_series(i: int, rho: float) -> _Series:
-    """psi_i(rho x) = (rho x)^i e^(-rho x) / i! for 0 <= rho <= 1; its
-    majorant at 1 is rho^i e^rho / i! <= e^rho."""
-    m = np.arange(max(_SIZE - i, 0))
-    coef = np.zeros(_SIZE)
-    coef[i:] = (-1.0) ** m * rho ** (m + i) / (math.factorial(i) * _FACTORIAL[m])
-    return _signed(coef, math.exp(rho))
-
-
 def _at_least_series(l: int, rho: float) -> _Series:
     """P{Poisson(rho x) >= l} = sum_{m>=l} (-1)^(m-l) C(m-1, l-1) (rho x)^m / m!;
     its majorant at 1 is at most sum_m 2^(m-1) rho^m / m! <= (e^(2 rho) - 1) / 2."""
@@ -228,8 +219,8 @@ class BoxPlan:
     """The ``boxes`` active boxes (p_r * rate >= _ETA) stream from ``blocks()``.
     ``u[m-1]`` sums x^m, x = p * rate, m = 1 .. _ORDER+1, over the inactive
     depth-``split`` prefixes.  ``ancestors`` holds the weights of the active
-    ones (the root alone when split = j) and ``below[m-1, a]`` the power sums
-    over the inactive generation-j descendants of ancestor a.
+    ones (none when split = j) and ``below[m-1, a]`` the power sums over the
+    inactive generation-j descendants of ancestor a.
     ``power_sums[m-1]`` is S_m = sum of p^m over the table, and ``cut_bound``
     bounds the boxes beyond the table's cut.  ``weights`` is the cut table in
     descending order.  ``depths[d]`` is ``(live, count)`` at depth d < j: the
@@ -247,15 +238,17 @@ class BoxPlan:
     cut_bound: float
     weights: np.ndarray
     depths: tuple
-    _owner: np.ndarray
+    _owner: np.ndarray | None  # None when split = j
 
     def blocks(self) -> Iterator[tuple]:
-        """(weights, ancestor index) of the active boxes, depth-first, in
-        blocks of at most ``_BLOCK``."""
+        """(weights, ancestor weights) of the active boxes, depth-first, in
+        blocks of at most ``_BLOCK``; at split = j each box is its own
+        depth-``split`` ancestor."""
         if self.depths:  # none when the table is empty
             live, count = self.depths[-1]
             for parent, weights in _children(live, count, self.weights):
-                yield weights, self._owner[parent]
+                yield weights, (weights if self._owner is None
+                                else self.ancestors[self._owner[parent]])
 
 
 def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
@@ -280,7 +273,7 @@ def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
     u = np.zeros(_ORDER + 1)
     power_sums = np.zeros(_ORDER + 1)
     live, owner, count = np.ones(1), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    ancestors, below = live, np.zeros((_ORDER + 1, 1))
+    ancestors, below = live[:0], np.zeros((_ORDER + 1, 0))
     depths = []
     if w.size:
         anchor, rsum = _power_table(w)
@@ -319,7 +312,7 @@ def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
                 live = np.concatenate([np.empty(0), *(c for _, c in parts)])
                 owner = np.concatenate([owner[:0], *(owner[p] for p, _ in parts)])
     return BoxPlan(int(count.sum()), u, ancestors, below, power_sums, cut_bound, w,
-                   tuple(depths), owner)
+                   tuple(depths), owner if split < j else None)
 
 
 def _certify(remainder: float, prune: float) -> float:
@@ -362,33 +355,10 @@ def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
                     _binomial_series(n, l))
 
 
-def cov_K_cross_level(family, j, l1, l2, s, t, *, prune: float = 1e-9) -> MomentEstimate:
-    """Cov(K_s^(j)(l1), K_t^(j)(l2)) — level l1 observed at time s, level l2
-    at time t; at l1 == l2 the same-level covariance over time.
-
-    The covariance is symmetric under swapping the (level, time) pairs, so
-    they are ordered once (``cross_level_order``): s <= t, and at s = t also
-    l1 >= l2.  A box of
-    weight c adds ``_pair_cov(c, c, l1, l2, s, t)``, the summand of
-    ``cov_K_cross_gen`` at p2 = 1: with A the balls by s and F those in
-    (s, t], P{A >= l1} P{A + F < l2} - sum_{l1 <= a < l2} P{A = a} P{F < l2 - a}.
-    The sum is empty for l1 >= l2, where the events nest.
-    """
-    l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
-    _check_times(prune, s, t)
-    l1, l2, s, t = cross_level_order(l1, l2, s, t)
-    rho, sigma = (s / t, (t - s) / t) if t else (0.0, 0.0)
-    series = _at_least_series(l1, rho) * _below_series(l2, 1.0)
-    for a in range(l1, l2):
-        series = series - _psi_series(a, rho) * _below_series(l2 - a, sigma)
-    return _box_sum(family, j, prune, min(s / l1, t / l2), t,
-                    lambda c: _pair_cov(c, c, l1, l2, s, t), series)
-
-
 def cross_level_order(l1, l2, s, t) -> tuple:
-    """``(l1, l2, s, t)`` with the (level, time) pairs of
-    ``cov_K_cross_level`` in the order it sums them: s <= t, and at s = t
-    also l1 >= l2.  Both orders give the same covariance."""
+    """``(l1, l2, s, t)`` with the (level, time) pairs of a one-generation
+    covariance in the order ``cov_K_cross_gen`` sums them at i = j: s <= t,
+    and at s = t also l1 >= l2.  Both orders give the same covariance."""
     return (l2, l1, t, s) if (s, l2) > (t, l1) else (l1, l2, s, t)
 
 
@@ -416,7 +386,7 @@ def _pair_cov(p1, x, l, n, s, t) -> np.ndarray:
 
 
 def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentEstimate:
-    """Cov(K_s^(i)(l), K_t^(j)(n)) across generations i < j.
+    """Cov(K_s^(i)(l), K_t^(j)(n)) for generations i <= j.
 
     Thinning: a generation-i box r1 (weight p1) and a generation-(j-i) suffix
     r2 (weight p2) contribute ``_pair_cov``: Cov(1{A+B < l}, 1{A+F < n}) for
@@ -432,12 +402,20 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
     z^m = y^m p2^m sums to y^m S_m^(j-i), a 1-D series in y certified by its
     majorant at p2 = 1 since S_m <= 1.  ``boxes_enumerated`` counts the
     pairs summed directly, those with z >= _ETA.
+
+    At i = j the suffix is empty (p2 = 1): each box meets itself at two
+    times, and every inactive box is in the 1-D series.  The covariance is
+    then symmetric under swapping the (level, time) pairs, so they are
+    ordered once (``cross_level_order``) and either order gives the same
+    value bit for bit.
     """
     i, j = check_whole("i", i, 1), check_whole("j", j, 1)
-    if not i < j:
-        raise ValidationError(f"need 1 <= i < j, got i={i}, j={j}")
+    if i > j:
+        raise ValidationError(f"need 1 <= i <= j, got i={i}, j={j}")
     l, n = check_whole("l", l, 1), check_whole("n", n, 1)
     _check_times(prune, s, t)
+    if i == j:
+        l, n, s, t = cross_level_order(l, n, s, t)
     lo, hi = min(s, t), max(s, t)
     # the pair term is at most P{A >= 1} <= x lo and P{A + F >= n} <= x t / n;
     # a zero scale (a zero time, or t / n underflowing) means an empty sum
@@ -454,8 +432,8 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
             terms.append(_signed(c * np.eye(1, _SIZE, q)[0], abs(c), False)
                          * _below_series(n - k, sigma))
         series.append(sum(terms[1:], terms[0]))
-    sums = [float(np.sum(_pair_cov(plan.ancestors[owner], block, l, n, s, t)))
-            for block, owner in plan.blocks()]
+    sums = [float(np.sum(_pair_cov(ancestor, block, l, n, s, t)))
+            for block, ancestor in plan.blocks()]
     # inactive suffixes of the active r1, weighted by P{Poisson(p1 s) < l - q}
     weights = np.minimum(np.cumsum(psi_table(l, plan.ancestors * s), axis=0)[::-1], 1.0)
     coef = np.array([g.coef[1 : _ORDER + 1] for g in series])  # [q, a-1]

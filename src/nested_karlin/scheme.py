@@ -14,13 +14,14 @@ behind the ``simulate`` command) is the literal scheme, run one replica at
 a time.  Replica r's ball counts per snapshot come first (Poisson
 increments, or the grid's differences), then ``rng.random((N, J))`` for
 its N balls, which one search of the family's guide-table inverse CDF
-turns into indices.  Per generation each ball's box is relabelled
-0, 1, ... by ``np.unique`` of its parent's label times the table length
-plus one, plus its own index, so labels stay below N.  The balls arrive in
-snapshot order, so a snapshot's counts come from a ``bincount`` of the
-labels of the balls so far, and K through the guard level and the excess
-from a histogram of those counts capped at L + 1.  A replica holds its N·J
-draws and indices, N labels and at most N counts.
+turns into indices.  Per generation a sort of the balls by their parent's
+label times the table length plus one, plus their own index, groups each
+box's balls and relabels the boxes 0, 1, ..., so labels stay below N; a
+second sort puts each box's snapshots in order.  A box reaches level k at
+the snapshot of its k-th ball, so one ``bincount`` of (rank in its box,
+capped at L + 2; snapshot), summed along the snapshots, gives K through the
+guard level and the excess at every snapshot.  A replica holds its N·J
+draws and indices and a few length-N arrays per generation.
 
 The box sampler (``sample_counts``, behind ``verify``) draws the same law
 box by box, because the counts depend only on how many balls each box
@@ -209,6 +210,7 @@ def simulate_replicas(
     ``simulate_deterministic`` gives with ``replica=r``, bit for bit: the
     replicas run one at a time (see the module docstring)."""
     grid, J, L, kind = _checked(grid, J, L, n)
+    G = len(grid)
     stride = len(family.cumulative_table()) + 1
     gaps = np.diff(grid, prepend=0)
     trajectories, rng = [], None
@@ -219,20 +221,31 @@ def simulate_replicas(
         balls = np.cumsum(inc)
         N = int(balls[-1])
         _check_memory(N, J)
+        if N * G >= 2**63:  # the (box, snapshot) keys below are < N * G
+            raise NumericalError(f"{N} balls over {G} snapshots overflow int64 keys")
         idx = family.table_search(rng.random((N, J)))
-        K = np.empty((J, L + 1, len(grid)), dtype=np.int64)
-        excess = np.empty((J, len(grid)), dtype=np.int64)
+        K = np.empty((J, L + 1, G), dtype=np.int64)
+        excess = np.empty((J, G), dtype=np.int64)
         box = np.zeros(N, dtype=np.int64)
+        snap = np.repeat(np.arange(G), inc)  # the balls arrive in snapshot order
         for g in range(J):
-            # relabel each ball's generation-(g + 1) box 0, 1, ...
-            box = np.unique(box * stride + idx[:, g], return_inverse=True)[1]
-            for i, m in enumerate(balls.tolist()):
-                # the balls arrive in snapshot order: the first m are those
-                # of snapshots 0..i
-                counts = np.bincount(box[:m])
-                held = np.bincount(np.minimum(counts, L + 1), minlength=L + 2)
-                K[g, :, i] = np.cumsum(held[::-1])[::-1][1:]
-                excess[g, i] = counts[counts > L].sum()
+            # sort the balls by generation-(g + 1) box, relabel the boxes
+            # 0, 1, ... in that order, and sort each box's snapshots
+            key = box * stride + idx[:, g]
+            order = np.argsort(key)
+            first = np.diff(key[order], prepend=-1) != 0
+            label = np.cumsum(first) - 1
+            box[order] = label
+            when = np.sort(label * G + snap[order]) % G
+            # from the snapshot of its k-th ball on, a box holds >= k balls:
+            # held[k, i] counts the boxes holding >= k balls at snapshot i for
+            # 1 <= k <= L + 1, and held[L + 2, i] the balls past the (L + 1)-th
+            # of their box
+            rank = np.minimum(np.arange(1, N + 1) - np.flatnonzero(first)[label], L + 2)
+            held = _running(np.bincount(rank * G + when,
+                                        minlength=(L + 3) * G).reshape(L + 3, G))
+            K[g] = held[1 : L + 2]
+            excess[g] = held[L + 2] + (L + 1) * held[L + 1]
         trajectories.append(OccupancyTrajectory(
             kind=kind, grid=grid, K=K[:, :L].copy(), K_star=K[:, :L] - K[:, 1:],
             guard=K[:, L].copy(), excess=excess, balls=balls, replica=r,

@@ -80,6 +80,16 @@ class TestSpecInvocations:
         assert code == 0, err
         assert {line.split(",")[1] for line in out.strip().split("\n")[1:]} == set("123456")
 
+    def test_simulate_zero_balls_is_the_fixed_n_scheme(self, capsys):
+        # --deterministic-n 0 asks for the fixed-n scheme with no balls, whose
+        # time column holds ball counts; without the flag the Poissonized
+        # scheme runs and prints times as floats
+        for flags, time in ((["--deterministic-n", "0"], "0"), ([], "0.0")):
+            code, out, err = run_cli(["simulate", *flags, "--times", "0",
+                                      "--generations", "1", "--levels", "1"], capsys)
+            assert code == 0, err
+            assert out.strip().split("\n")[1:] == [f"0,1,1,0,{time},0,0,0"]
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):

@@ -19,7 +19,7 @@ from nested_karlin.harness import (
     run_depoissonization_check,
     run_moment_check,
 )
-from nested_karlin.moments import cov_K_cross_level, mean_K_binomial
+from nested_karlin.moments import cov_K_cross_gen, mean_K_binomial
 
 
 @contextlib.contextmanager
@@ -99,17 +99,17 @@ class TestMomentCheck:
     def test_equal_time_level_pairs_computed_once(self, monkeypatch):
         # the K* variance asks for the levels (l, l + 1) and (l + 1, l) at
         # s = t; both orders are one covariance, computed once, in the
-        # order cov_K_cross_level puts them in (l1 >= l2)
+        # order cov_K_cross_gen puts them in at i = j (l1 >= l2)
         calls = []
 
         def counted(family, *args, **kwargs):
             calls.append(args)
-            return cov_K_cross_level(family, *args, **kwargs)
+            return cov_K_cross_gen(family, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "cov_K_cross_level", counted)
+        monkeypatch.setattr(harness, "cov_K_cross_gen", counted)
         run_moment_check(ExperimentConfig(t=300.0, generations=1, levels=3,
                                           replicas=100, seed=3))
-        pairs = {(l1, l2) for _, l1, l2, _, _ in calls}
+        pairs = {(l1, l2) for _, _, l1, l2, _, _ in calls}
         assert len(calls) == len(pairs) == 10
         assert all(l1 >= l2 for l1, l2 in pairs)
 

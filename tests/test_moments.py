@@ -15,7 +15,6 @@ from nested_karlin.moments import (
     _ETA,
     _ORDER,
     cov_K_cross_gen,
-    cov_K_cross_level,
     depoissonization_constant,
     enumerate_boxes,
     mean_K,
@@ -182,7 +181,7 @@ class TestEnumeration:
             lambda x: mean_K(geo, 1, x, 10.0),
             lambda x: mean_K(geo, x, 1, 10.0),
             lambda x: mean_K_binomial(geo, 1, 1, x),
-            lambda x: cov_K_cross_level(geo, 1, 1, x, 2.0, 3.0),
+            lambda x: cov_K_cross_gen(geo, 1, 1, 1, x, 2.0, 3.0),
             lambda x: cov_K_cross_gen(geo, 1, x, 1, 1, 2.0, 3.0),
             lambda x: cov_K_cross_gen(geo, x, 3, 1, 1, 2.0, 3.0),
             lambda x: cov_K_cross_gen(geo, 1, 2, 1, x, 2.0, 3.0),
@@ -215,8 +214,8 @@ class TestEnumeration:
         calls = (
             lambda x: mean_K(geo, 1, 1, x),
             lambda x: mean_K_binomial(geo, 1, 1, x),
-            lambda x: cov_K_cross_level(geo, 1, 1, 1, x, 2.0),
-            lambda x: cov_K_cross_level(geo, 1, 1, 2, x, 2.0),
+            lambda x: cov_K_cross_gen(geo, 1, 1, 1, 1, x, 2.0),
+            lambda x: cov_K_cross_gen(geo, 1, 1, 1, 2, x, 2.0),
             lambda x: cov_K_cross_gen(geo, 1, 2, 1, 1, 2.0, x),
         )
         for call in calls:
@@ -290,7 +289,7 @@ class TestSameLevelCovariances:
         t, l = 6.0, 1
         a = np.array([poisson_tail(l, p * t) for p in fin3.probs])
         want = float(np.sum(a * (1.0 - a)))
-        est = cov_K_cross_level(fin3, 1, l, l, t, t)
+        est = cov_K_cross_gen(fin3, 1, 1, l, l, t, t)
         assert est.value == pytest.approx(want, rel=1e-13)
 
     def test_two_box_closed_form(self):
@@ -300,31 +299,31 @@ class TestSameLevelCovariances:
         want = sum(
             math.exp(-p * t) * (1.0 - math.exp(-p * s)) for p in fam.probs
         )
-        est = cov_K_cross_level(fam, 1, 1, 1, s, t)
+        est = cov_K_cross_gen(fam, 1, 1, 1, 1, s, t)
         assert est.value == pytest.approx(want, rel=1e-13)
 
     def test_symmetric_in_times(self, geo):
-        a = cov_K_cross_level(geo, 1, 2, 2, 11.0, 29.0)
-        b = cov_K_cross_level(geo, 1, 2, 2, 29.0, 11.0)
+        a = cov_K_cross_gen(geo, 1, 1, 2, 2, 11.0, 29.0)
+        b = cov_K_cross_gen(geo, 1, 1, 2, 2, 29.0, 11.0)
         assert a.value == b.value
 
     def test_variance_nonnegative(self, geo, weib):
         for fam in (geo, weib):
             for t in (2.0, 50.0):
-                assert cov_K_cross_level(fam, 1, 1, 1, t, t).value >= 0.0
+                assert cov_K_cross_gen(fam, 1, 1, 1, 1, t, t).value >= 0.0
 
     def test_star_equal_times(self, fin3):
         t, l = 6.0, 2
         a = np.array([float(psi(l, p * t)) for p in fin3.probs])
         want = float(np.sum(a * (1.0 - a)))
-        est = _star(fin3, cov_K_cross_level, (1,), (l, l), (t, t))
+        est = _star(fin3, cov_K_cross_gen, (1, 1), (l, l), (t, t))
         assert est == pytest.approx(want, rel=1e-13)
 
     def test_star_single_box_substitution(self):
         solo = WeightFamily.finite([1.0])
         s, t = 1.5, 4.0
         want = s * math.exp(-t) - float(psi(1, s)) * float(psi(1, t))
-        est = _star(solo, cov_K_cross_level, (1,), (1, 1), (s, t))
+        est = _star(solo, cov_K_cross_gen, (1, 1), (1, 1), (s, t))
         assert est == pytest.approx(want, rel=1e-13)
 
     def test_mc_oracle_three_boxes(self, fin3):
@@ -335,7 +334,7 @@ class TestSameLevelCovariances:
         early = rng.poisson(p[None, :] * s, size=(replicas, 3))
         late = early + rng.poisson(p[None, :] * (t - s), size=(replicas, 3))
         emp, se = _mc_cov((early >= l).sum(axis=1), (late >= l).sum(axis=1))
-        exact = cov_K_cross_level(fin3, 1, l, l, s, t)
+        exact = cov_K_cross_gen(fin3, 1, 1, l, l, s, t)
         assert abs(emp - exact.value) <= 4.0 * se
 
     def test_star_mc_oracle_three_boxes(self, fin3):
@@ -345,7 +344,7 @@ class TestSameLevelCovariances:
         early = rng.poisson(p[None, :] * s, size=(replicas, 3))
         late = early + rng.poisson(p[None, :] * (t - s), size=(replicas, 3))
         emp, se = _mc_cov((early == l).sum(axis=1), (late == l).sum(axis=1))
-        exact = _star(fin3, cov_K_cross_level, (1,), (l, l), (s, t))
+        exact = _star(fin3, cov_K_cross_gen, (1, 1), (l, l), (s, t))
         assert abs(emp - exact) <= 4.0 * se
 
 
@@ -354,7 +353,7 @@ class TestCrossLevelCovariances:
         # at l1 == l2 the events nest: per box P{pi_s >= 2} P{pi_t < 2}
         p = geo.weight(np.arange(1, 200))
         for s, t in ((7.0, 7.0), (4.0, 19.0)):
-            a = cov_K_cross_level(geo, 1, 2, 2, s, t)
+            a = cov_K_cross_gen(geo, 1, 1, 2, 2, s, t)
             want = float(np.sum(poisson_tail(2, p * s) * np.exp(-p * t) * (1.0 + p * t)))
             assert a.value == pytest.approx(want, abs=1e-12)
 
@@ -365,7 +364,7 @@ class TestCrossLevelCovariances:
         want = float(poisson_tail(2, s)) - float(poisson_tail(2, s)) * float(
             poisson_tail(1, t)
         )
-        est = cov_K_cross_level(solo, 1, 2, 1, s, t)
+        est = cov_K_cross_gen(solo, 1, 1, 2, 1, s, t)
         assert est.value == pytest.approx(want, rel=1e-13)
 
     def test_mc_oracle_both_orders(self, fin3):
@@ -376,13 +375,13 @@ class TestCrossLevelCovariances:
         late = early + rng.poisson(p[None, :] * (t - s), size=(replicas, 3))
         for l1, l2 in ((2, 1), (1, 2), (1, 3)):
             emp, se = _mc_cov((early >= l1).sum(axis=1), (late >= l2).sum(axis=1))
-            exact = cov_K_cross_level(fin3, 1, l1, l2, s, t)
+            exact = cov_K_cross_gen(fin3, 1, 1, l1, l2, s, t)
             assert abs(emp - exact.value) <= 4.0 * se, (l1, l2)
 
     def test_times_attached_to_levels(self, geo):
         # l1 rides s, l2 rides t: swapping both must agree, swapping one must not
-        a = cov_K_cross_level(geo, 1, 3, 1, 5.0, 12.0)
-        b = cov_K_cross_level(geo, 1, 1, 3, 12.0, 5.0)
+        a = cov_K_cross_gen(geo, 1, 1, 3, 1, 5.0, 12.0)
+        b = cov_K_cross_gen(geo, 1, 1, 1, 3, 12.0, 5.0)
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["weib", "geo", "fin3"])
@@ -392,8 +391,8 @@ class TestCrossLevelCovariances:
         fam = request.getfixturevalue(kind)
         for j in (1, 2):
             for l in (1, 2):
-                a = cov_K_cross_level(fam, j, l, l + 1, t, t)
-                b = cov_K_cross_level(fam, j, l + 1, l, t, t)
+                a = cov_K_cross_gen(fam, j, j, l, l + 1, t, t)
+                b = cov_K_cross_gen(fam, j, j, l + 1, l, t, t)
                 assert (a.value, a.error_bound) == (b.value, b.error_bound), (j, l)
 
     @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.1, 0.35, 0.05, 0.3, 0.2]])
@@ -406,7 +405,7 @@ class TestCrossLevelCovariances:
             p = [math.prod(r) for r in itertools.product(fam.probs, repeat=j)]
             for l1, l2 in itertools.product((1, 2, 3), repeat=2):
                 want = math.fsum(_pair_term(c, 1.0, l1, l2, s, t) for c in p)
-                est = cov_K_cross_level(fam, j, l1, l2, s, t)
+                est = cov_K_cross_gen(fam, j, j, l1, l2, s, t)
                 tol = est.error_bound + 64 * np.finfo(float).eps * len(p)
                 assert abs(est.value - want) <= tol, (j, l1, l2)
 
@@ -503,10 +502,11 @@ class TestCrossGeneration:
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_generation_order_validated(self, fin3):
-        with pytest.raises(ValidationError):
-            cov_K_cross_gen(fin3, 2, 2, 1, 1, 1.0, 1.0)
-        with pytest.raises(ValidationError):
-            cov_K_cross_gen(fin3, 2, 1, 1, 1, 1.0, 1.0)
+        # 1 <= i <= j: i = j is one generation at two times, i > j is refused
+        for i, j in ((2, 1), (3, 2), (0, 1)):
+            with pytest.raises(ValidationError):
+                cov_K_cross_gen(fin3, i, j, 1, 1, 1.0, 1.0)
+        assert cov_K_cross_gen(fin3, 2, 2, 1, 1, 1.0, 1.0).value > 0.0
 
     def test_underflowing_scale_is_an_empty_sum(self, weib):
         # t / n underflows to 0 for the smallest subnormal t: |Cov| <= t / n
@@ -607,15 +607,12 @@ class TestCertification:
 
     def test_halving_honesty_covariances(self, geo, weib):
         for fam in (geo, weib):
-            for fn, args in (
-                (cov_K_cross_level, (1, 1, 1, 9.0, 30.0)),
-                (cov_K_cross_level, (1, 2, 1, 9.0, 30.0)),
-            ):
-                coarse = fn(fam, *args, prune=1e-4)
-                fine = fn(fam, *args, prune=1e-8)
+            for args in ((1, 1, 1, 1, 9.0, 30.0), (1, 1, 2, 1, 9.0, 30.0)):
+                coarse = cov_K_cross_gen(fam, *args, prune=1e-4)
+                fine = cov_K_cross_gen(fam, *args, prune=1e-8)
                 assert abs(coarse.value - fine.value) <= (
                     coarse.error_bound + fine.error_bound
-                ), (fam.kind, fn.__name__)
+                ), (fam.kind, args)
         coarse = cov_K_cross_gen(geo, 1, 2, 1, 1, 9.0, 30.0, prune=1e-4)
         fine = cov_K_cross_gen(geo, 1, 2, 1, 1, 9.0, 30.0, prune=1e-8)
         assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
@@ -697,21 +694,21 @@ def _cross_gen_reference(family, i, j, l, n, s, t, prune):
 def _cases(t):
     """(moment at t, its Markov scale, its rate, its summand) for the
     single-generation moments: level 2 where one level is read (for
-    cov_K_cross_level at l1 = l2 = 2), and levels 1 and 3 across the times
-    s = t/3 and t in both orders (a nonempty Poisson-split sum in
-    cov_K_cross_level, and the nested product where it is empty)."""
+    cov_K_cross_gen at i = j and l = n = 2), and levels 1 and 3 across the
+    times s = t/3 and t in both orders (a nonempty Poisson-split sum in the
+    pair term at p2 = 1, and the nested product where it is empty)."""
     s, n = t / 3.0, int(t)
     return [
         (lambda f, j, **kw: mean_K(f, j, 2, t, **kw), t / 2, t,
          lambda c: poisson_tail(2, c * t)),
         (lambda f, j, **kw: mean_K_binomial(f, j, 2, n, **kw), n / 2, n,
          lambda c: binomial_tail(n, c, 2)),
-        (lambda f, j, **kw: cov_K_cross_level(f, j, 2, 2, s, t, **kw), s / 2, t,
+        (lambda f, j, **kw: cov_K_cross_gen(f, j, j, 2, 2, s, t, **kw), s / 2, t,
          lambda c: poisson_tail(2, c * s) * poisson_low(2, c * t)),
         # empty at s and fewer than 3 balls in (s, t], minus the product
-        (lambda f, j, **kw: cov_K_cross_level(f, j, 1, 3, s, t, **kw), t / 3, t,
+        (lambda f, j, **kw: cov_K_cross_gen(f, j, j, 1, 3, s, t, **kw), t / 3, t,
          lambda c: np.exp(-c * s) * (poisson_low(3, c * (t - s)) - poisson_low(3, c * t))),
-        (lambda f, j, **kw: cov_K_cross_level(f, j, 1, 3, t, s, **kw), s / 3, t,
+        (lambda f, j, **kw: cov_K_cross_gen(f, j, j, 1, 3, t, s, **kw), s / 3, t,
          lambda c: poisson_tail(3, c * s) * np.exp(-c * t)),
     ]
 
@@ -791,9 +788,9 @@ class TestActiveSetEngine:
         est = [
             lambda: mean_K(fam, j, l, t, prune=prune),
             lambda: mean_K_binomial(fam, j, l, int(t), prune=prune),
-            lambda: cov_K_cross_level(fam, j, l, l, s, t, prune=prune),
-            lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, s, t, prune=prune),
-            lambda: cov_K_cross_level(fam, j, l, 4 - l + 1, t, s, prune=prune),
+            lambda: cov_K_cross_gen(fam, j, j, l, l, s, t, prune=prune),
+            lambda: cov_K_cross_gen(fam, j, j, l, 4 - l + 1, s, t, prune=prune),
+            lambda: cov_K_cross_gen(fam, j, j, l, 4 - l + 1, t, s, prune=prune),
             lambda: cov_K_cross_gen(fam, *gens, l, 4 - l + 1, s, t, prune=prune),
             lambda: cov_K_cross_gen(fam, *gens, l, 4 - l + 1, t, s, prune=prune),
         ][which]()

@@ -22,7 +22,7 @@ from scipy import stats
 from nested_karlin import scheme
 from nested_karlin.errors import ValidationError
 from nested_karlin.harness import _combine, _cov_se, _mean_se, _star_terms
-from nested_karlin.moments import cov_K_cross_gen, cov_K_cross_level, mean_K, mean_K_binomial
+from nested_karlin.moments import cov_K_cross_gen, mean_K, mean_K_binomial
 from nested_karlin.scheme import sample_counts, simulate_replicas
 from nested_karlin.weights import WeightFamily
 
@@ -88,11 +88,11 @@ def _moment_cells(family, grid, J, L, n):
     pairs = list(itertools.product(range(1, L + 1), range(G)))
     for j in range(1, J + 1):
         for (l1, g1), (l2, g2) in itertools.combinations_with_replacement(pairs, 2):
-            terms = ((1.0, cov_K_cross_level, (j, l1, l2, grid[g1], grid[g2])),)
+            terms = ((1.0, cov_K_cross_gen, (j, j, l1, l2, grid[g1], grid[g2])),)
             cells.append((f"cov K j={j} ({l1},{g1}) ({l2},{g2})", _cov_se,
                           [idx(0, j, l1, g1), idx(0, j, l2, g2)], terms))
         for l, g in pairs:
-            terms = _star_terms(cov_K_cross_level, (j,), (l, l), (grid[g], grid[g]))
+            terms = _star_terms(cov_K_cross_gen, (j, j), (l, l), (grid[g], grid[g]))
             cells.append((f"var K* j={j} l={l} g={g}", _cov_se,
                           [idx(1, j, l, g)] * 2, terms))
     for i, j in itertools.combinations(range(1, J + 1), 2):
