@@ -73,7 +73,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _csv_floats(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _threads(ns) -> int:
@@ -521,8 +524,9 @@ def build_parser() -> _Parser:
             flag, default = "--" + key.replace("_", "-"), defaults[key]
             if isinstance(default, tuple):
                 vp.add_argument(flag, dest=key, default=",".join(map(repr, default)))
-            else:
-                vp.add_argument(flag, dest=key, type=type(default), default=default)
+            else:  # the one field whose default is None takes ball counts
+                vp.add_argument(flag, dest=key, default=default,
+                                type=int if default is None else type(default))
         if name == "clt":
             vp.set_defaults(replicas=4000)
         vp.set_defaults(func=_cmd_verify, check=name)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 from .limits import closed_cov
 from .scheme import _keyed_rng
 
@@ -100,11 +100,9 @@ def _factor_with_jitter(mat: np.ndarray) -> tuple:
 
 def _u_array(u_grid) -> np.ndarray:
     """``u_grid`` as a float array, checked nonempty and finite."""
-    u = np.asarray(list(u_grid), dtype=float)
+    u = check_real("u_grid", list(u_grid), array=True)
     if u.size == 0:
         raise ValidationError("u_grid must be nonempty")
-    if not np.all(np.isfinite(u)):
-        raise ValidationError(f"u_grid must be finite, got {u.tolist()}")
     if not math.isfinite(float(u.max()) - float(u.min())):
         raise ValidationError(f"u_grid must have a finite spread, got {u.tolist()}")
     return u
@@ -170,15 +168,14 @@ def whitenoise_mesh_covariance(u_grid, A: float = 30.0, x_step: float = 0.01, y_
     grid^2) with no mesh materialized.
     """
     u = _u_array(u_grid)
-    if not (math.isfinite(A) and A >= 30.0):
-        raise ValidationError(f"x window must be finite and at least 30, got {A}")
+    A = check_real("x window", A, 30.0)
     # the integrand of Z_1(u) lives near x = u, so u must stay well inside
     # [-A, A]: at A = 30 the variance at u = 29 is 0.41, not log 2
     if np.any(np.abs(u) > A / 2.0):
         raise ValidationError(f"u_grid must lie within half the x window, |u| <= {A / 2.0}, "
                               f"got {u.tolist()}")
-    if not all(math.isfinite(h) and h > 0.0 for h in (x_step, y_step)):
-        raise ValidationError(f"mesh steps must be finite and > 0, got {x_step} {y_step}")
+    x_step, y_step = (check_real(name, h, 0.0, strict=True)
+                      for name, h in (("x_step", x_step), ("y_step", y_step)))
     q, nb, mx, my = _column_profile(u, A, x_step, y_step)
     m = u.size
     cov = np.empty((m, m))
@@ -207,10 +204,9 @@ def sample_Z1_whitenoise(
     (see module docstring), including the discretization bias.
     """
     n = check_whole("sample count", n, 1)
-    u = np.asarray(list(u_grid), dtype=float)
-    cov = whitenoise_mesh_covariance(u, A=x_window, x_step=x_step, y_step=y_step)
+    cov = whitenoise_mesh_covariance(u_grid, A=x_window, x_step=x_step, y_step=y_step)
     chol, _ = _factor_with_jitter(cov)
-    z = _keyed_rng(seed, 1).standard_normal((n, u.size))
+    z = _keyed_rng(seed, 1).standard_normal((n, len(cov)))
     return z @ chol.T
 
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, check_whole
+from .errors import ValidationError, check_real, check_whole
 from .kernels import b_constants
 from .limits import closed_cov
 from .moments import (
@@ -65,6 +65,8 @@ __all__ = [
 REPORT_CSV_HEADER = "experiment,cell_id,j,l,l2,u,v,T,empirical,se,target,target_kind,pass"
 
 _MIN_STAT_REPLICAS = 100
+# the largest T with e^T a float
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ExperimentConfig:
     p: float = 0.5
     probs: tuple = ()
     t: float = 3000.0
-    deterministic_n: int = 0  # when > 0, moment check runs the fixed-n scheme
+    deterministic_n: int | None = None  # when set, moment check runs the fixed-n scheme
     T: float = 8.0
     T_grid: tuple = (10.0, 15.0, 20.0, 25.0)
     t_grid: tuple = ()
@@ -336,7 +338,7 @@ def _star_terms(fn, head: tuple, levels: tuple, tail: tuple) -> tuple:
 
 def _gap_terms(j: int, l: int, t: float) -> tuple:
     """The terms of the depoissonization gap E K_t^(j)(l) - E 𝒦_⌊t⌋^(j)(l)."""
-    _check_finite("t", [t])
+    t = check_real("t", t)
     return ((1, mean_K, (j, l, t)), (-1, mean_K_binomial, (j, l, int(math.floor(t)))))
 
 
@@ -372,28 +374,26 @@ def _evaluate(experiment: str, cells: list, X: np.ndarray, results: dict, T=None
 # experiments
 
 
-def _check_finite(name: str, values) -> None:
-    if not all(math.isfinite(x) for x in values):
-        raise ValidationError(f"{name} must be finite, got {list(values)}")
-
-
 def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
     """Empirical means/variances/covariances of K and K* at one time vs the
     exact finite-time values; a cell passes within 4 SE.  With
     ``deterministic_n`` set the fixed-n scheme is run and (only) means are
     compared against the binomial-scheme exact sums."""
-    _check_finite("t", [config.t])
-    J, L, n = _whole(config, generations=1, levels=1, deterministic_n=0)
+    t = check_real("t", config.t)
+    J, L = _whole(config, generations=1, levels=1)
+    n = config.deterministic_n
+    if n is not None:
+        n = check_whole("deterministic_n", n, 0)
+        t = float(n)
     family = config.family()
-    t = float(n) if n else float(config.t)
-    fn, x = (mean_K_binomial, n) if n else (mean_K, t)
+    fn, x = (mean_K, t) if n is None else (mean_K_binomial, n)
     js, ls = range(1, J + 1), range(1, L + 1)
     cells: list = []
     # value-array columns: (0 for K or 1 for K*, j - 1, l - 1, 0)
     for j in js:
         for l in ls:
             stats = [("mean", _mean_se, 1, _exact(fn, j, l, x), _star_terms(fn, (j,), (l,), (x,)))]
-            if not n:  # a variance reads its column twice: _cov_se(x, x)
+            if n is None:  # a variance reads its column twice: _cov_se(x, x)
                 stats.append(("var", _cov_se, 2, _exact(cov_K_cross_gen, j, j, l, l, t, t),
                               _star_terms(cov_K_cross_gen, (j, j), (l, l), (t, t))))
             for stat_name, stat, reads, k_terms, star_terms in stats:
@@ -410,7 +410,7 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
             cells.append(_Cell(f"cov_{name}_{kind}:{tag}", i, l1, l2, t, t, _cov_se,
                                ((p, i - 1, l1 - 1, 0), (p, j - 1, l2 - 1, 0)), terms))
 
-    if not n:
+    if n is None:
         for j in js:
             for l1 in ls:
                 for l2 in range(l1 + 1, L + 1):
@@ -419,7 +419,7 @@ def run_moment_check(config: ExperimentConfig) -> ExperimentReport:
             for l1 in ls:
                 for l2 in ls:
                     cov_pair("gens", f"l={l1},l2={l2}", 1, 2, l1, l2)
-    results, V = _run_pool(config, family, [c.terms for c in cells], ([t], J, L, n or None))
+    results, V = _run_pool(config, family, [c.terms for c in cells], ([t], J, L, n))
     X = V.reshape(len(V), 2, J, L, 1)
     return ExperimentReport("moment_check", config,
                             _evaluate("moment_check", cells, X, results), 0.95)
@@ -430,11 +430,12 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     empirical second moments vs exact finite-T covariances (flagged, 4 SE),
     the same entries vs the limit covariances (diagnostic, unflagged), and
     skewness/excess-kurtosis normality diagnostics (flagged, 4 SE bands)."""
-    _check_finite("T and u_grid", [config.T, *config.u_grid])
+    T = check_real("T", config.T)
+    u_grid = check_real("u_grid", config.u_grid, array=True).tolist()
+    # e^(T + u) must be a float
+    check_real("T + u_grid", [T + u for u in u_grid], high=_LOG_MAX, array=True)
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    T = float(config.T)
-    u_grid = [float(u) for u in config.u_grid]
     times = [math.exp(T + u) for u in u_grid]
     if sorted(times) != times:
         raise ValidationError("u_grid must be nondecreasing")
@@ -494,10 +495,10 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     every row is emitted as an unflagged diagnostic, so the non-convergence
     stays visible without failing the run.
     """
-    _check_finite("T_grid", config.T_grid)
+    # e^T must be a float
+    T_grid = check_real("T_grid", config.T_grid, high=_LOG_MAX, array=True).tolist()
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    T_grid = [float(T) for T in config.T_grid]
     if len(T_grid) < 2 or any(a >= b for a, b in zip(T_grid, T_grid[1:])):
         raise ValidationError("T_grid must be strictly increasing with >= 2 points")
     js, ls = range(1, J + 1), range(1, L + 1)
@@ -545,7 +546,8 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     to the gap before comparison (conservative direction)."""
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    t_grid = [float(x) for x in config.t_grid] or list(np.logspace(1.0, 5.0, 20))
+    t_grid = (check_real("t_grid", config.t_grid, array=True).tolist()
+              or list(np.logspace(1.0, 5.0, 20)))
     gaps = [(j, l, t, _gap_terms(j, l, t))
             for j in range(1, J + 1) for l in range(1, L + 1) for t in t_grid]
     results, _ = _run_pool(config, family, [terms for *_, terms in gaps])

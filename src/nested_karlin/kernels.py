@@ -23,7 +23,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 
 __all__ = [
     "psi",
@@ -56,7 +56,7 @@ def psi(l: int, x) -> Union[float, np.ndarray]:
     digits; 463 ulp at most on x in [1e-12, 700], l <= 20).
     """
     l = check_whole("level", l, 0)
-    arr = _finite_nonnegative("psi", x)
+    arr = check_real("x", x, 0.0, array=True)
     if l == 0:
         out = np.exp(-arr)
     else:
@@ -88,15 +88,6 @@ def _psi_rows(n: int, flat: np.ndarray) -> Iterator[np.ndarray]:
         yield row
 
 
-def _finite_nonnegative(name: str, x) -> np.ndarray:
-    """``x`` as a float array, refused unless finite and >= 0 (a NaN fails
-    both comparisons)."""
-    arr = np.asarray(x, dtype=float)
-    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < np.inf):
-        raise ValidationError(f"{name} requires finite x >= 0")
-    return arr
-
-
 def psi_table(n: int, x) -> np.ndarray:
     """Rows ``psi_0(x), ..., psi_{n-1}(x)``, shape ``(n,) + x.shape``.
 
@@ -109,7 +100,7 @@ def psi_table(n: int, x) -> np.ndarray:
     digits, 5.7 ulp at most over rows < 21), beyond that ``psi``'s bound.
     """
     n = check_whole("level count", n, 0)
-    arr = _finite_nonnegative("psi_table", x)
+    arr = check_real("x", x, 0.0, array=True)
     out = np.empty((n, arr.size))
     for i, row in enumerate(_psi_rows(n, arr.reshape(-1))):
         out[i] = row
@@ -132,7 +123,7 @@ def poisson_low(l: int, m) -> Union[float, np.ndarray]:
     Within ``(4 + 2 l)`` ulp for m <= 700 (each row's bound, and the terms
     are positive); clipped to 1."""
     l = check_whole("level", l, 0)
-    arr = _finite_nonnegative("poisson_low", m)
+    arr = check_real("m", m, 0.0, array=True)
     out = np.minimum(_low_sum(l, arr.reshape(-1))[0], 1.0).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -180,7 +171,7 @@ def poisson_tail(l: int, m) -> Union[float, np.ndarray]:
     within a few hundred of m.
     """
     l = check_whole("level", l, None)
-    arr = _finite_nonnegative("poisson_tail", m)
+    arr = check_real("m", m, 0.0, array=True)
     if l <= 0:
         out = np.ones(arr.shape)
     else:
@@ -216,9 +207,7 @@ def binomial_tail(n: int, p, l: int) -> Union[float, np.ndarray]:
     """
     n = check_whole("ball count", n, 0)
     l = check_whole("level", l, None)
-    p_arr = np.asarray(p, dtype=float)
-    if not (p_arr.min(initial=0.0) >= 0.0 and p_arr.max(initial=0.0) <= 1.0):
-        raise ValidationError("binomial_tail requires 0 <= p <= 1")
+    p_arr = check_real("p", p, 0.0, 1.0, array=True)
     if l <= 0:
         out = np.ones(p_arr.shape)
     elif l > n:
@@ -306,8 +295,7 @@ def binomial_identity_lhs(l: int, a: float, b: float) -> float:
     by the power of two of max(a, b), an exact step, so nothing overflows.
     """
     l = check_whole("level", l, 1)
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ValidationError(f"binomial_identity_lhs requires finite a, b > 0, got {a}, {b}")
+    a, b = check_real("a", a, 0.0, strict=True), check_real("b", b, 0.0, strict=True)
     e = math.frexp(max(a, b))[1]
     a, b = math.ldexp(a, -e), math.ldexp(b, -e)
     u, v = a / (a + b), b / (a + b)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 from .kernels import b_constants
 
 __all__ = ["closed_cov", "quadrature_cov", "comparison_table"]
@@ -48,9 +48,7 @@ def _check_query(kind: str, l1: int, l2: int, delta: float) -> tuple:
     """Validated (l1, l2, delta); Y ignores delta, so it reads as 0."""
     if kind not in ("Z", "X", "Y"):
         raise ValidationError(f"unknown kind {kind!r} (expected 'Z', 'X' or 'Y')")
-    d = float(delta)
-    if not math.isfinite(d):
-        raise ValidationError(f"delta must be finite, got {delta}")
+    d = check_real("delta", delta)
     # every covariance has underflowed to 0 long before |delta| = _FAR;
     # clamping there keeps products such as delta * l finite
     d = max(-_FAR, min(d, _FAR))

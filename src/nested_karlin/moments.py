@@ -20,8 +20,8 @@ threshold on x_r = p_r * rate, where the rate is the summand's largest time
   reverse cumulative power sum sum_{k>K} p_k^m of the table and S_m =
   R_m(0).  The table's power sums are stored in blocks scaled by an anchor
   weight, so every power is formed as a product (rate q p)^m <= _ETA^m
-  times a sum of ratios <= 1; nothing overflows or underflows for rates
-  up to 1e300.
+  times a sum of ratios <= 1; nothing overflows or underflows for any
+  finite rate, up to the largest float.
 
 The certified ``error_bound`` adds two terms.  The series remainder: for
 the single alternating tails (the Poisson and the binomial tail, whose
@@ -52,13 +52,14 @@ is their combination by K*(l) = K(l) - K(l+1) (``harness._star_terms``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 # psi, no longer called here, stays importable for perfbench/trace_cli.py
 from .kernels import binomial_tail, poisson_low, poisson_tail, psi, psi_table  # noqa: F401
 from .weights import WeightFamily
@@ -106,18 +107,6 @@ class MomentEstimate:
         )
 
 
-def _check_positive(name: str, x) -> None:
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValidationError(f"{name} must be finite and > 0, got {x}")
-
-
-def _check_times(prune: float, *times) -> None:
-    _check_positive("prune budget", prune)
-    for x in times:
-        if not (math.isfinite(x) and x >= 0.0):
-            raise ValidationError(f"times must be finite and >= 0, got {x}")
-
-
 @dataclass(frozen=True)
 class _Series:
     """Taylor coefficients of a summand in x = p * rate up to x^(_SIZE-1):
@@ -161,12 +150,20 @@ def _signed(coef: np.ndarray, whole: float, alternating: bool = True) -> _Series
 _ONE = _signed(np.eye(1, _SIZE)[0], 1.0, False)
 
 
+@functools.lru_cache(maxsize=None)
+def _at_least_signs(l: int) -> np.ndarray:
+    """(-1)^(m-l) C(m-1, l-1) for m = l .. _SIZE-1, read-only: it is cached."""
+    out = np.array([(-1.0) ** (m - l) * math.comb(m - 1, l - 1) for m in range(l, _SIZE)])
+    out.setflags(write=False)
+    return out
+
+
 def _at_least_series(l: int, rho: float) -> _Series:
     """P{Poisson(rho x) >= l} = sum_{m>=l} (-1)^(m-l) C(m-1, l-1) (rho x)^m / m!;
     its majorant at 1 is at most sum_m 2^(m-1) rho^m / m! <= (e^(2 rho) - 1) / 2."""
     m = np.arange(l, _SIZE)
     coef = np.zeros(_SIZE)
-    coef[l:] = [(-1.0) ** (k - l) * math.comb(k - 1, l - 1) for k in m]
+    coef[l:] = _at_least_signs(l)
     coef[l:] *= rho**m / _FACTORIAL[l:]
     return _signed(coef, math.expm1(2.0 * rho) / 2.0)
 
@@ -260,12 +257,12 @@ def enumerate_boxes(family: WeightFamily, j: int, prune: float, scale: float,
     more than ``_MAX_BOXES`` active prefixes, before forming them."""
     j = check_whole("generation", j, 1)
     split = j if split is None else min(check_whole("split depth", split, 1), j)
-    _check_positive("prune budget", prune)
-    _check_positive("scale", scale)
-    _check_positive("rate", rate)
+    prune, scale, rate = (check_real(name, x, 0.0, strict=True)
+                          for name, x in (("prune", prune), ("scale", scale), ("rate", rate)))
     # the boxes with a coordinate beyond the cut weigh at most
-    # tail * sum_{d<j} mass^d, and each unit of weight costs at most scale
-    cut = family.tail_index(prune / (2.0 * j * scale))
+    # tail * sum_{d<j} mass^d, and each unit of weight costs at most scale;
+    # dividing by scale last keeps the threshold nonzero up to the float range
+    cut = family.tail_index(prune / (2.0 * j) / scale)
     table = family.weight_prefix(cut)
     mass = math.fsum(table)
     cut_bound = scale * family.tail_mass_bound(cut) * sum(mass**d for d in range(j))
@@ -339,7 +336,7 @@ def _box_sum(family, j, prune, scale, rate, summand, series) -> MomentEstimate:
 def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
     """E K_t^(j)(l) = sum_r P{Poisson(p_r t) >= l} (Poissonized scheme)."""
     l = check_whole("l", l, 1)
-    _check_times(prune, t)
+    prune, t = check_real("prune", prune, 0.0, strict=True), check_real("t", t, 0.0)
     return _box_sum(family, j, prune, t / l, t, lambda c: poisson_tail(l, c * t),
                     _at_least_series(l, 1.0))
 
@@ -347,7 +344,7 @@ def mean_K(family, j, l, t, *, prune: float = 1e-9) -> MomentEstimate:
 def mean_K_binomial(family, j, l, n, *, prune: float = 1e-9) -> MomentEstimate:
     """E 𝒦_n^(j)(l) for the deterministic scheme: sum_r P{Bin(n, p_r) >= l}."""
     l = check_whole("l", l, 1)
-    _check_times(prune)
+    prune = check_real("prune", prune, 0.0, strict=True)
     n = check_whole("ball count n", n, 0)
     if n < l:
         return MomentEstimate(0.0, 0.0, 0)
@@ -413,7 +410,8 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
     if i > j:
         raise ValidationError(f"need 1 <= i <= j, got i={i}, j={j}")
     l, n = check_whole("l", l, 1), check_whole("n", n, 1)
-    _check_times(prune, s, t)
+    prune = check_real("prune", prune, 0.0, strict=True)
+    s, t = check_real("s", s, 0.0), check_real("t", t, 0.0)
     if i == j:
         l, n, s, t = cross_level_order(l, n, s, t)
     lo, hi = min(s, t), max(s, t)

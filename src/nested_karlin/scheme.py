@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 from .moments import enumerate_boxes
 from .weights import _TABLE_TOL, WeightFamily, guide_table, guided_search
 
@@ -171,9 +171,7 @@ def _checked(grid, J: int, L: int, n) -> tuple:
     counts of the fixed-n scheme as int64."""
     J, L = check_whole("J", J, 1), check_whole("L", L, 1)
     if n is None:
-        grid, kind, what = np.asarray(list(grid), dtype=float), "poissonized", "times"
-        if not np.all(np.isfinite(grid)):
-            raise ValidationError(f"times must be finite, got {grid.tolist()}")
+        grid, kind, what = check_real("times", list(grid), array=True), "poissonized", "times"
     else:
         n = int(_ball_counts([n], "ball count n")[0])
         if n < 0:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 
 __all__ = ["WeightFamily"]
 
@@ -139,17 +139,6 @@ def guided_search(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarr
     return out
 
 
-def _open_unit(what: str, value) -> float:
-    """``value`` as a float in (0, 1); ValidationError otherwise."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not 0.0 < x < 1.0:
-        raise ValidationError(f"{what} in (0,1), got {value}")
-    return x
-
-
 class WeightFamily:
     """A discrete weight sequence with counting function and tail bounds.
 
@@ -162,22 +151,18 @@ class WeightFamily:
         self.kind, self.alpha, self.p, self.probs = kind, None, None, None
         self.normalizer, self.beta = 1.0, 0.0
         if kind == "weibull":
-            self.alpha = _open_unit("weibull-like needs alpha", alpha)
+            self.alpha = check_real("weibull-like alpha", alpha, 0.0, 1.0, strict=True)
             self.normalizer = _weibull_normalizer(self.alpha)
             self.beta = 1.0 / self.alpha - 1.0
             self._spec = (kind, self.alpha)
         elif kind == "geometric":
-            self.p = _open_unit("geometric needs p", p)
+            self.p = check_real("geometric p", p, 0.0, 1.0, strict=True)
             self._spec = (kind, None, self.p)
         elif kind == "finite":
-            try:
-                arr = np.array(list(probs), dtype=float)
-            except (TypeError, ValueError):
-                arr = np.empty(0)
-            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0.0)):
-                raise ValidationError(
-                    f"finite family needs a nonempty list of finite positive weights, got {probs}"
-                )
+            arr = check_real("finite family weights", list(probs) if np.iterable(probs) else probs,
+                             0.0, strict=True, array=True)
+            if arr.ndim != 1 or arr.size == 0:
+                raise ValidationError(f"finite family needs a nonempty list of weights, got {probs}")
             total = float(arr.sum())
             if not 0.0 < 1.0 / total < math.inf:
                 raise ValidationError(f"finite family weights sum to {total}, "
@@ -263,9 +248,7 @@ class WeightFamily:
         """Counting function rho(t) = #{k : p_k >= 1/t}: a count over the
         weights of a finite family, otherwise the first k with p_{k+1} < 1/t
         (the weights decrease)."""
-        if not (math.isfinite(t) and t > 0.0):
-            raise ValidationError(f"rho needs a finite t > 0, got {t}")
-        thr = 1.0 / t
+        thr = 1.0 / check_real("t", t, 0.0, strict=True)
         if self.kind == "finite":
             return int(np.count_nonzero(self.probs >= thr))
         return _first(lambda k: self.weight(k + 1) < thr, math.inf)
@@ -291,8 +274,7 @@ class WeightFamily:
         """Smallest K >= 0 with tail_mass_bound(K) <= threshold: the length
         of the weight table that cuts the tail there.  Raises NumericalError,
         before any table is formed, when that is more than ``_MAX_TABLE``."""
-        if not threshold >= 0.0:
-            raise ValidationError(f"tail threshold must be >= 0, got {threshold}")
+        threshold = check_real("tail threshold", threshold, 0.0, math.inf)
         if threshold <= 0.0 and self.kind != "finite":
             raise ValidationError(
                 "infinite families cannot reach tail mass 0; threshold must be > 0"
@@ -332,8 +314,7 @@ class WeightFamily:
         and ``f_j(T) = T^(j beta + j - 1) ell(T)^j``: the variance of the
         generation-j counts at time e^T grows like ``c_j f_j(T)``."""
         j = check_whole("generation", j, 1)
-        if not 1.0 < T < math.inf:
-            raise ValidationError(f"normalizations need a finite T > 1, got {T}")
+        T = check_real("T", T, 1.0, strict=True)
         c = math.gamma(self.beta + 1.0) ** j / math.gamma(j * (self.beta + 1.0))
         return c, T ** (j * self.beta + j - 1.0) * self.ell_at(T) ** j
 
@@ -357,13 +338,11 @@ class WeightFamily:
         """
         rows = []
         for t in ts:
-            if t <= 1.0:
-                raise ValidationError("profile requires t > 1")
+            t = check_real("profile t", t, 1.0, strict=True)
             logt = math.log(t)
             denom = logt**self.beta * self.ell_at(logt)
             for lam in lambdas:
-                if lam <= 0.0:
-                    raise ValidationError("profile requires lambda > 0")
+                lam = check_real("profile lambda", lam, 0.0, strict=True)
                 ratio = (self.rho(lam * t) - self.rho(t)) / denom
-                rows.append((float(lam), float(t), float(ratio)))
+                rows.append((lam, t, float(ratio)))
         return rows

@@ -90,6 +90,16 @@ class TestSpecInvocations:
             assert code == 0, err
             assert out.strip().split("\n")[1:] == [f"0,1,1,0,{time},0,0,0"]
 
+    def test_verify_moment_zero_balls_is_the_fixed_n_scheme(self, capsys):
+        # as for simulate: only the fixed-n scheme's mean rows, at t = n = 0
+        code, out, err = run_cli(["verify", "moment", "--deterministic-n", "0", "--t", "50",
+                                  "--replicas", "100", "--generations", "1", "--levels", "1",
+                                  "--threads", "1"], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert [row[1].split(":")[0] for row in rows] == ["mean_K", "mean_K_star"]
+        assert {row[5] for row in rows} == {"0.0"}
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -240,6 +250,24 @@ class TestExitCodes:
         )
         assert code == 0
         assert "# threads=1\n" in err
+
+    @pytest.mark.parametrize("flags", [["clt", "--T", "800"], ["clt", "--u-grid", "0,800"],
+                                       ["trend", "--T-grid", "10,800"]])
+    def test_times_past_the_float_range(self, flags, capsys):
+        # e^(T + u) or e^T would overflow: an input error before any work
+        code, out, err = run_cli(["verify", *flags, "--threads", "1"], capsys)
+        assert code == 1
+        lines = [line for line in err.splitlines() if not line.startswith("#")]
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "<= 709.78" in lines[0]
+        assert not out
+
+    @pytest.mark.parametrize("args", [["verify", "clt", "--u-grid", "0,abc"],
+                                      ["sample", "limit", "--u-grid", "0;1"],
+                                      ["weights", "table", "--family", "finite", "--probs", "x"]])
+    def test_comma_list_of_non_numbers(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert "error: expected a comma list of numbers" in err and not out
 
     def test_non_finite_limit_grid_is_validation_error(self, capsys):
         code, out, err = run_cli(

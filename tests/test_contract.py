@@ -1,8 +1,9 @@
 """The public contract under hostile input.  Every call to a family
-constructor, a tail function, an exact moment, a limit covariance or a
-Gaussian sampler either raises ValidationError or NumericalError, or
-returns finite values; a moment's certified error_bound lies in [0, prune],
-and the quadrature oracle agrees with the closed form wherever it answers."""
+constructor, a tail function, an exact moment, a limit covariance, a
+Gaussian sampler or an experiment runner either raises ValidationError or
+NumericalError, or returns finite values; a moment's certified error_bound
+lies in [0, prune], and the quadrature oracle agrees with the closed form
+wherever it answers."""
 
 import math
 
@@ -14,6 +15,10 @@ from hypothesis import strategies as st
 from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.gaussian import (
     build_grid, sample, sample_Z1_whitenoise, whitenoise_mesh_covariance,
+)
+from nested_karlin.harness import (
+    ExperimentConfig, run_asymptotic_trend, run_clt_check, run_depoissonization_check,
+    run_moment_check,
 )
 from nested_karlin.limits import closed_cov, quadrature_cov
 from nested_karlin.moments import cov_K_cross_gen, mean_K, mean_K_binomial
@@ -156,6 +161,49 @@ def test_whitenoise_sampler(u, A, x_step, y_step, n):
     draws = _refused_or(lambda: sample_Z1_whitenoise(u, A, x_step, y_step, n=n, seed=3))
     if draws is not None:
         assert draws.shape == (n, len(u)) and np.all(np.isfinite(draws))
+
+
+# the real fields of ExperimentConfig: finite values three draws in four,
+# else NaN, an infinity, a value past the float range of e^x, or None
+HOSTILE = (NAN, INF, -INF, 800.0, 1e308, -1e308, None)
+RUNNER_FIELDS = dict(
+    family_kind=st.sampled_from(["weibull", "geometric"]),
+    t=_mostly(st.floats(0.0, 1e3), *HOSTILE),
+    T=_mostly(st.floats(1.5, 5.0), *HOSTILE),
+    u_grid=_mostly(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(sorted),
+                   *((x,) for x in HOSTILE)),
+    T_grid=_mostly(st.tuples(st.floats(2.0, 10.0), st.floats(11.0, 20.0)),
+                   *((10.0, x) for x in HOSTILE)),
+    t_grid=_mostly(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=2),
+                   *((x,) for x in HOSTILE)),
+    prune=_mostly(st.floats(1e-12, 1e-3), *HOSTILE),
+    alpha=_mostly(st.sampled_from([0.5, 0.7]), *HOSTILE),
+    p=_mostly(st.sampled_from([0.3, 0.5]), *HOSTILE),
+)
+RUNNER_DEFAULTS = dict(family_kind="weibull", t=50.0, T=3.0, u_grid=(0.0, 0.5),
+                       T_grid=(10.0, 12.0), t_grid=(10.0,), prune=1e-9, alpha=0.5, p=0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RUNNER_FIELDS)
+# e^(T + u) and e^T past the float range
+@example(**{**RUNNER_DEFAULTS, "T": 800.0})
+@example(**{**RUNNER_DEFAULTS, "u_grid": (0.0, 800.0)})
+@example(**{**RUNNER_DEFAULTS, "T_grid": (10.0, 800.0)})
+# exact moments at times next to the largest float
+@example(**{**RUNNER_DEFAULTS, "t": 1e308, "t_grid": (1e308,), "T_grid": (10.0, 709.5)})
+# a scalar parameter given as a list
+@example(**{**RUNNER_DEFAULTS, "alpha": [0.5]})
+@example(**{**RUNNER_DEFAULTS, "family_kind": "geometric", "p": [0.5]})
+def test_runners(**config):
+    config = ExperimentConfig(**config, generations=1, levels=1, replicas=100, threads=1)
+    for runner in (run_moment_check, run_clt_check, run_asymptotic_trend,
+                   run_depoissonization_check):
+        report = _refused_or(lambda: runner(config))
+        if report is not None:
+            for cell in report.cells:
+                for value in (cell.u, cell.v, cell.T, cell.empirical, cell.se, cell.target):
+                    assert value is None or math.isfinite(value), (runner, cell)
 
 
 @pytest.mark.parametrize("alpha", [0.24, 0.2, 0.15, 0.1])

@@ -96,6 +96,17 @@ class TestMomentCheck:
         assert sorted(calls) == [(1, l, 3) for l in (1, 2, 3, 4)]
         assert len(report.cells) == 6
 
+    def test_zero_balls_is_the_fixed_n_scheme(self):
+        # deterministic_n=0 throws no balls; None (the default) runs the
+        # Poissonized scheme, whose report alone has variance cells
+        cfg = ExperimentConfig(t=50.0, deterministic_n=0, generations=1, levels=1,
+                               replicas=100)
+        report = run_moment_check(cfg)
+        assert {c.cell_id.split(":")[0] for c in report.cells} == {"mean_K", "mean_K_star"}
+        assert all(c.empirical == c.target == 0.0 and c.u == 0.0 for c in report.cells)
+        poissonized = run_moment_check(replace(cfg, deterministic_n=None))
+        assert any(c.cell_id.startswith("var_K") for c in poissonized.cells)
+
     def test_equal_time_level_pairs_computed_once(self, monkeypatch):
         # the K* variance asks for the levels (l, l + 1) and (l + 1, l) at
         # s = t; both orders are one covariance, computed once, in the
@@ -161,9 +172,13 @@ _WORK = ("sample_counts", *(name for name in moments.__all__ if hasattr(harness,
     (run_clt_check, "levels", 2.7),
     (run_clt_check, "replicas", 150.5),
     (run_clt_check, "seed", 1.5),
+    # e^(T + u) and e^T beyond the float range
+    (run_clt_check, "T", 800.0),
+    (run_clt_check, "u_grid", (0.0, 800.0)),
     (run_asymptotic_trend, "generations", 1.5),
     (run_asymptotic_trend, "levels", 2.7),
     (run_asymptotic_trend, "generations", 0),
+    (run_asymptotic_trend, "T_grid", (10.0, 800.0)),
     (run_depoissonization_check, "generations", 1.5),
     (run_depoissonization_check, "levels", 2.7),
     (run_depoissonization_check, "levels", 0),

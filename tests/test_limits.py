@@ -109,7 +109,7 @@ class TestConventions:
 
     def test_levels_must_be_whole(self):
         for fn in (closed_cov, quadrature_cov):
-            for bad in (math.nan, math.inf, -math.inf, 1.5):
+            for bad in (math.nan, math.inf, -math.inf, 1.5, None):
                 with pytest.raises(ValidationError):
                     fn("Z", bad, 1, 0.0)
                 with pytest.raises(ValidationError):
@@ -119,7 +119,8 @@ class TestConventions:
     def test_non_finite_offset(self):
         for fn in (closed_cov, quadrature_cov):
             for kind in ("Z", "X", "Y"):
-                for d in (math.nan, math.inf, -math.inf):
+                # a non-number, or a list for the one offset, the same way
+                for d in (math.nan, math.inf, -math.inf, None, "x", [0.5]):
                     with pytest.raises(ValidationError):
                         fn(kind, 1, 2, d)
 

@@ -201,7 +201,9 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             mean_K(geo, 1, 1, -1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # a non-number, or a list for a single number, is refused the same way
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x", [1.0],
+                                     np.array([1.0])])
     def test_rejects_non_finite(self, geo, bad):
         with pytest.raises(ValidationError):
             enumerate_boxes(geo, 1, bad, 1.0, 1.0)
@@ -763,6 +765,15 @@ class TestActiveSetEngine:
             value, bound = _reference(weib, 1, 1e-9, scale, summand)
             assert est.error_bound <= 1e-9, i
             assert abs(est.value - value) <= est.error_bound + bound, i
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_means_up_to_the_float_range(self, weib, l):
+        # at alpha = 1/2 the j = 1 mean is a quadratic in T = log t with
+        # leading coefficient 1, so steps of 9 up to t = e^709.7, next to the
+        # largest float, have second difference 2 * 9^2 = 162
+        est = [mean_K(weib, 1, l, math.exp(T)) for T in (691.7, 700.7, 709.7)]
+        assert all(e.error_bound <= 5e-10 for e in est)
+        assert est[0].value - 2.0 * est[1].value + est[2].value == pytest.approx(162.0, abs=1e-7)
 
     @given(
         st.sampled_from(["weib", "weib3", "geo", "geo9", "fin"]),

@@ -132,7 +132,7 @@ class TestRho:
 
     def test_non_finite_t(self, weib, geo, fin):
         for fam in (weib, geo, fin):
-            for t in (math.nan, math.inf):
+            for t in (math.nan, math.inf, None, "x", [10.0]):
                 with pytest.raises(ValidationError):
                     fam.rho(t)
 
@@ -330,6 +330,9 @@ class TestConstructors:
             ("weibull", {"alpha": None}),
             ("geometric", {"p": "x"}),
             ("finite", {"probs": None}),
+            # a list for the one parameter
+            ("weibull", {"alpha": [0.5]}),
+            ("geometric", {"p": [0.5]}),
         ):
             with pytest.raises(ValidationError):
                 WeightFamily.from_spec(kind, **kwargs)
@@ -359,7 +362,8 @@ class TestNormalization:
         assert f == pytest.approx(T ** (j - 1) * (T / math.log(2.0)) ** j, rel=1e-14)
 
     @pytest.mark.parametrize("j, T", [(1, 1.0), (1, 0.5), (1, -3.0), (1, math.nan),
-                                      (1, math.inf), (0, 8.0), (1.5, 8.0)])
+                                      (1, math.inf), (0, 8.0), (1.5, 8.0), (1, None),
+                                      (1, [8.0]), (None, 8.0)])
     def test_bad_arguments_rejected(self, weib, j, T):
         with pytest.raises(ValidationError):
             weib.normalization(j, T)
