@@ -60,7 +60,7 @@ from .weights import WeightFamily
 MOMENTS_CSV_HEADER = "quantity,j,l,l2,s,t,value,error_bound,boxes"
 # samples per block of `sample` CSV rows: the text held at once stays bounded
 # whatever --n is
-_SAMPLE_BLOCK = 4096
+_SAMPLE_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,11 +122,6 @@ def _emit(lines, out: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sample_text(block, labels, start: int) -> str:
-    """The CSV text of one block of samples numbered from ``start``."""
-    return "\n".join(draws_to_csv_rows(block, labels, start)) + "\n"
-
-
 def _emit_samples(draws, labels, out: str, threads: int) -> None:
     """The sample CSV, written one block of _SAMPLE_BLOCK samples at a time,
     in order.  With more than one worker the blocks are formatted on a pool
@@ -140,7 +135,7 @@ def _emit_samples(draws, labels, out: str, threads: int) -> None:
         fh.write(SAMPLE_CSV_HEADER + "\n")
         if threads == 1:
             for block in blocks:
-                fh.write(_sample_text(*block))
+                fh.write(draws_to_csv_rows(*block))
             return
         with ProcessPoolExecutor(max_workers=threads) as pool:
             try:
@@ -148,7 +143,7 @@ def _emit_samples(draws, labels, out: str, threads: int) -> None:
                 for block in blocks:
                     if len(pending) == 2 * threads:
                         fh.write(pending.popleft().result())
-                    pending.append(pool.submit(_sample_text, *block))
+                    pending.append(pool.submit(draws_to_csv_rows, *block))
                 while pending:
                     fh.write(pending.popleft().result())
             except BaseException:

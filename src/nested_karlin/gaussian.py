@@ -21,11 +21,15 @@ with y -> G_l; cross levels at u != v and X_l over u need the pair
 (G_l, G_m - G_l), a 3-D mesh.  Their covariances are checked against the
 quadrature oracle instead.
 
+Both samplers hold their draws once: the standard normals are drawn into one
+matrix, which is refused first if it would not fit in physical memory, and
+the covariance factor is applied to it in place, one block of rows at a time.
+
 Draws leave as CSV rows ``sample_id,level,u,value``: ``draws_to_csv_rows``
-formats one block of samples, numbering them from its ``start`` argument, so
-a writer can emit a large run block by block, and can format the blocks in
-separate worker processes and write them in order, as the CLI's ``sample``
-commands do.
+formats one block of samples as text, numbering them from its ``start``
+argument, so a writer can emit a large run block by block, and can format
+the blocks in separate worker processes and write them in order, as the
+CLI's ``sample`` commands do.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, check_real, check_whole
 from .limits import closed_cov
-from .scheme import _keyed_rng
+from .scheme import _check_bytes, _keyed_rng
 
 __all__ = [
     "LimitCovarianceGrid",
@@ -52,6 +56,9 @@ __all__ = [
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-8
 _CELL_BUDGET = 10**8
+# the fewest rows of a block product of the draws with the factor, the one
+# copy made beside the draws themselves
+_FACTOR_ROWS = 1024
 
 SAMPLE_CSV_HEADER = "sample_id,level,u,value"
 
@@ -136,9 +143,23 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
 
 def sample(grid: LimitCovarianceGrid, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the grid vector; rows are samples."""
+    return _correlated_draws(grid.cholesky, n, seed, 0)
+
+
+def _correlated_draws(chol: np.ndarray, n: int, seed: int, stream: int) -> np.ndarray:
+    """n rows z @ chol.T from the standard normals of ``(seed, stream)``,
+    factored in place one block of rows at a time, so the draws are held
+    once; refused before drawing when they would not fit in memory."""
     n = check_whole("sample count", n, 1)
-    z = _keyed_rng(seed, 0).standard_normal((n, grid.dim))
-    return z @ grid.cholesky.T
+    dim = chol.shape[0]
+    _check_bytes(8.0 * n * dim, f"{n} samples of {dim} values")
+    z = _keyed_rng(seed, stream).standard_normal((n, dim))
+    # blocks of _FACTOR_ROWS to 2 * _FACTOR_ROWS - 1 rows: a one-row block
+    # would go through BLAS's vector kernel, whose rounding differs from the
+    # whole product's
+    for block in np.array_split(z, max(1, n // _FACTOR_ROWS)):
+        block[...] = block @ chol.T
+    return z
 
 
 def _column_profile(u_grid: np.ndarray, A: float, x_step: float, y_step: float):
@@ -206,26 +227,26 @@ def sample_Z1_whitenoise(
     n = check_whole("sample count", n, 1)
     cov = whitenoise_mesh_covariance(u_grid, A=x_window, x_step=x_step, y_step=y_step)
     chol, _ = _factor_with_jitter(cov)
-    z = _keyed_rng(seed, 1).standard_normal((n, len(cov)))
-    return z @ chol.T
+    return _correlated_draws(chol, n, seed, 1)
 
 
-def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> "list[str]":
-    """Rows `sample_id,level,u,value` for a block of draws whose columns carry
-    the (level, u) labels; sample ids count from ``start``.
+def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> str:
+    """The CSV text, rows `sample_id,level,u,value` each ending in a newline,
+    of a block of draws whose columns carry the (level, u) labels; sample
+    ids count from ``start``.
 
-    Values print as ``repr`` of the float, so ``float(value)`` gives back
-    each draw exactly.  Writers pass one block at a time, so the rows of a
-    large run are never all held at once.  The rows of a block depend on
-    nothing but its arguments: the CLI's ``sample`` commands format blocks
-    in pool workers, a few at a time, and write them in order.
+    One ``%r`` template per block, from the labels, is filled once per
+    sample, so values print as ``repr`` of the float and ``float(value)``
+    gives back each draw exactly.  Writers pass one block at a time, so the
+    text of a large run is never all held at once.  The text of a block
+    depends on nothing but its arguments: the CLI's ``sample`` commands
+    format blocks in pool workers, a few at a time, and write them in order.
     """
     start = check_whole("start", start, 0)
     if draws.ndim != 2 or draws.shape[1] != len(labels):
         raise ValidationError(
             f"draws of shape {draws.shape} do not match {len(labels)} labels")
-    prefixes = [f",{level},{float(u)!r}," for level, u in labels]
-    rows = []
-    for sid, values in enumerate(draws.tolist(), start):
-        rows.extend([f"{sid}{prefix}{v!r}" for prefix, v in zip(prefixes, values)])
-    return rows
+    # the sample id is joined in before each label: "" id ,l,u,%r\n id ...
+    template = [""] + [f",{level},{float(u)!r},%r\n" for level, u in labels]
+    return "".join([str(sid).join(template) % tuple(values)
+                    for sid, values in enumerate(draws.tolist(), start)])

@@ -184,6 +184,15 @@ def _whole(cfg: ExperimentConfig, **minimums) -> list:
     return [check_whole(name, getattr(cfg, name), low) for name, low in minimums.items()]
 
 
+def _grid(cfg: ExperimentConfig, name: str, high=None) -> list:
+    """The grid field ``name`` of ``cfg`` as a list of floats, each finite
+    and at most ``high``; a grid that is not a flat list is refused."""
+    grid = check_real(name, getattr(cfg, name), high=high, array=True)
+    if grid.ndim != 1:
+        raise ValidationError(f"{name} must be a flat list of numbers, got {getattr(cfg, name)!r}")
+    return grid.tolist()
+
+
 def _replica_tasks(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
                    threads: int) -> list:
     """The replica tasks of the simulation ``sim = (times, J, L, n)``, each
@@ -431,7 +440,7 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     the same entries vs the limit covariances (diagnostic, unflagged), and
     skewness/excess-kurtosis normality diagnostics (flagged, 4 SE bands)."""
     T = check_real("T", config.T)
-    u_grid = check_real("u_grid", config.u_grid, array=True).tolist()
+    u_grid = _grid(config, "u_grid")
     # e^(T + u) must be a float
     check_real("T + u_grid", [T + u for u in u_grid], high=_LOG_MAX, array=True)
     J, L = _whole(config, generations=1, levels=1)
@@ -496,7 +505,7 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     stays visible without failing the run.
     """
     # e^T must be a float
-    T_grid = check_real("T_grid", config.T_grid, high=_LOG_MAX, array=True).tolist()
+    T_grid = _grid(config, "T_grid", high=_LOG_MAX)
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
     if len(T_grid) < 2 or any(a >= b for a, b in zip(T_grid, T_grid[1:])):
@@ -546,7 +555,7 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     to the gap before comparison (conservative direction)."""
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    t_grid = (check_real("t_grid", config.t_grid, array=True).tolist()
+    t_grid = (_grid(config, "t_grid")
               or list(np.logspace(1.0, 5.0, 20)))
     gaps = [(j, l, t, _gap_terms(j, l, t))
             for j in range(1, J + 1) for l in range(1, L + 1) for t in t_grid]

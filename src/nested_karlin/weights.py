@@ -324,7 +324,7 @@ class WeightFamily:
         if self.kind == "weibull":
             return 1.0 / self.alpha
         if self.kind == "geometric":
-            return y / math.log(1.0 / self.p)
+            return y / -math.log(self.p)
         return 1.0
 
     def dehaan_profile(

@@ -126,6 +126,18 @@ class TestExitCodes:
         assert code == 2
         assert "numeric error:" in err
 
+    @pytest.mark.parametrize("args", [
+        ["limit", "--kind", "Z", "--levels", "3", "--u-grid", "0,0.5"],
+        ["whitenoise", "--u-grid", "0,0.5"],
+    ], ids=["limit", "whitenoise"])
+    def test_sample_count_past_memory(self, args, capsys):
+        # 8 n dim bytes are refused before any draw is made
+        code, out, err = run_cli(["sample", *args, "--n", str(10**12), "--threads", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("numeric error: 1000000000000 samples of ")
+
     def test_whitenoise_mesh_beyond_float_range(self, capsys):
         # a mesh whose cell count overflows a float is refused by the budget
         # check, with the count printed short
@@ -540,6 +552,11 @@ def assert_same_text(got: str, want: str) -> None:
                     f"({len(a)} vs {len(b)} lines)")
 
 
+# one sample, and runs that end one short of a block, on a block's end, one
+# past it, and three past it after eight blocks
+SAMPLE_COUNTS = [1, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 3]
+
+
 class TestSampleBlocks:
     """`sample` writes its CSV one block of B samples at a time; the bytes
     must equal the CSV formatted in one piece."""
@@ -557,15 +574,15 @@ class TestSampleBlocks:
               "--seed", "11"], noise, 2),
         ]
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
     def test_out_and_stdout_match_one_piece(self, n, tmp_path, capsys, monkeypatch):
         # one worker: calls made inside pool workers would not be recorded
         calls = []
 
         def recorded(draws, labels, start=0):
-            rows = draws_to_csv_rows(draws, labels, start)
-            calls.append((len(draws), start, type(rows), len(rows)))
-            return rows
+            text = draws_to_csv_rows(draws, labels, start)
+            calls.append((len(draws), start, type(text), len(text.splitlines())))
+            return text
 
         draws_to_csv_rows = cli.draws_to_csv_rows
         monkeypatch.setattr(cli, "draws_to_csv_rows", recorded)
@@ -579,14 +596,14 @@ class TestSampleBlocks:
             assert code == 0
             assert_same_text(text, want)
             assert sys.stdout is stdout and not stdout.closed
-            # one call per block, each returning its block's rows as a list
-            blocks = [(min(B, n - s), s, list, columns * min(B, n - s))
+            # one call per block, each returning its block's rows as text
+            blocks = [(min(B, n - s), s, str, columns * min(B, n - s))
                       for s in range(0, n, B)]
             assert calls == blocks + blocks
             calls.clear()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
     def test_same_bytes_at_any_worker_count(self, n, threads, tmp_path, capsys):
         for args, want, _ in self._cases(n):
             args = args + ["--threads", str(threads)]
@@ -598,6 +615,22 @@ class TestSampleBlocks:
             assert code == 0
             assert_same_text(text, want)
             assert sys.stdout is stdout and not stdout.closed
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("args, digest", [
+        (["limit", "--kind", "Z", "--levels", "3", "--u-grid", "0.0,0.25,0.5,0.75,1.0",
+          "--n", "100000"],
+         "d602072b4171b13a6d74ca37590a419aeca374d0826b7a7ef4295e25629b7fc1"),
+        (["whitenoise", "--u-grid", "0.0,0.5,1.0", "--x-window", "30", "--x-step", "0.01",
+          "--y-step", "0.01", "--n", "20000"],
+         "28730a1fdaacdc4429ac775b31c4b78666f66a29f6930b4a28d8e3ecd123b7ea"),
+    ], ids=["limit", "whitenoise"])
+    def test_stdout_pinned(self, args, digest, threads, capsys):
+        # the bench's sample runs, byte for byte, at seed 1
+        code, out, _ = run_cli(["sample", *args, "--seed", "1", "--threads", str(threads)],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stdout_pipe_with_workers(self):
         # the header is written before the workers fork, and a forked

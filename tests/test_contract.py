@@ -195,6 +195,13 @@ RUNNER_DEFAULTS = dict(family_kind="weibull", t=50.0, T=3.0, u_grid=(0.0, 0.5),
 # a scalar parameter given as a list
 @example(**{**RUNNER_DEFAULTS, "alpha": [0.5]})
 @example(**{**RUNNER_DEFAULTS, "family_kind": "geometric", "p": [0.5]})
+# 1/p overflows below about 5.6e-309
+@example(**{**RUNNER_DEFAULTS, "family_kind": "geometric", "p": 5e-324, "u_grid": (0.0,)})
+# grids that are not flat lists
+@example(**{**RUNNER_DEFAULTS, "u_grid": 0.5})
+@example(**{**RUNNER_DEFAULTS, "u_grid": ((0.5,),)})
+@example(**{**RUNNER_DEFAULTS, "T_grid": ((10.0,), (12.0,))})
+@example(**{**RUNNER_DEFAULTS, "t_grid": ((10.0,), (12.0,))})
 def test_runners(**config):
     config = ExperimentConfig(**config, generations=1, levels=1, replicas=100, threads=1)
     for runner in (run_moment_check, run_clt_check, run_asymptotic_trend,
@@ -204,6 +211,18 @@ def test_runners(**config):
             for cell in report.cells:
                 for value in (cell.u, cell.v, cell.T, cell.empirical, cell.se, cell.target):
                     assert value is None or math.isfinite(value), (runner, cell)
+
+
+@pytest.mark.parametrize("runner, field", [
+    (run_clt_check, "u_grid"), (run_asymptotic_trend, "T_grid"),
+    (run_depoissonization_check, "t_grid"),
+])
+@pytest.mark.parametrize("grid", [0.5, ((0.5,),), ((10.0,), (12.0,))])
+def test_grids_must_be_flat(runner, field, grid):
+    config = ExperimentConfig(**{**RUNNER_DEFAULTS, field: grid}, generations=1, levels=1,
+                              replicas=100, threads=1)
+    with pytest.raises(ValidationError, match=f"^{field} must be a flat list"):
+        runner(config)
 
 
 @pytest.mark.parametrize("alpha", [0.24, 0.2, 0.15, 0.1])

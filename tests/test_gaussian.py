@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.gaussian import (
+    _FACTOR_ROWS as B,
     SAMPLE_CSV_HEADER,
     build_grid,
     draws_to_csv_rows,
@@ -18,6 +20,7 @@ from nested_karlin.gaussian import (
 )
 from nested_karlin.kernels import b_constants
 from nested_karlin.limits import closed_cov
+from nested_karlin.scheme import _keyed_rng
 
 
 def csv_rows_reference(draws, labels):
@@ -156,8 +159,10 @@ class TestFactorSampler:
     def test_csv_rows(self):
         grid = build_grid("Z", [0.0, 1.0], 2)
         draws = sample(grid, 3, seed=1)
-        rows = draws_to_csv_rows(draws, grid.labels())
+        text = draws_to_csv_rows(draws, grid.labels())
         assert SAMPLE_CSV_HEADER == "sample_id,level,u,value"
+        assert text.endswith("\n")
+        rows = text.splitlines()
         assert len(rows) == 3 * grid.dim
         sid, level, u, value = rows[0].split(",")
         assert (sid, level, u) == ("0", "1", "0.0")
@@ -168,11 +173,11 @@ class TestFactorSampler:
         draws = sample(grid, 7, seed=2)
         labels = grid.labels()
         whole = draws_to_csv_rows(draws, labels)
-        assert whole == csv_rows_reference(draws, labels)
+        assert whole.splitlines() == csv_rows_reference(draws, labels)
         blocks = draws_to_csv_rows(draws[:3], labels) + draws_to_csv_rows(
             draws[3:], labels, start=3)
         assert blocks == whole
-        assert draws_to_csv_rows(draws[:0], labels, start=5) == []
+        assert draws_to_csv_rows(draws[:0], labels, start=5) == ""
 
     def test_csv_rows_reject_bad_blocks(self):
         labels = [(1, 0.0), (1, 1.0)]
@@ -193,7 +198,7 @@ class TestFactorSampler:
         # float(value) gives back every draw bit for bit (the sign of -0.0
         # and subnormals included), and the ids and labels read back
         labels = [(c + 1, 0.25 * c) for c in range(draws.shape[1])]
-        rows = draws_to_csv_rows(draws, labels, start)
+        rows = draws_to_csv_rows(draws, labels, start).splitlines()
         assert len(rows) == draws.size
         back = np.empty_like(draws)
         for k, row in enumerate(rows):
@@ -202,6 +207,31 @@ class TestFactorSampler:
             assert (int(sid), int(level), float(u)) == (start + i, *labels[c])
             back[i, c] = float(value)
         assert back.tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("draw", [
+        lambda n: sample(build_grid("Z", [0.0, 0.25, 0.5, 0.75, 1.0], 3), n, 1),
+        lambda n: sample_Z1_whitenoise([0.0, 0.5, 1.0], n=n, seed=1),
+    ], ids=["limit", "whitenoise"])
+    def test_draws_are_held_once(self, draw):
+        # the factor is applied in place, one block of rows at a time: the
+        # peak allocation is the draws plus a block, not two copies; the
+        # first call's lazy imports are made before tracing
+        draw(2)
+        tracemalloc.start()
+        try:
+            draws = draw(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * draws.nbytes
+
+    def test_blockwise_factor_matches_the_whole_product(self):
+        # every block has at least two rows, so no product goes through the
+        # one-row kernel, whose rounding differs
+        grid = build_grid("Z", [0.0, 0.5, 1.0], 2)
+        for n in (1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B - 1):
+            whole = _keyed_rng(4, 0).standard_normal((n, grid.dim)) @ grid.cholesky.T
+            assert sample(grid, n, 4).tobytes() == whole.tobytes(), n
 
 
 class TestWhiteNoise:
