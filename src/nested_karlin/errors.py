@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the one check of whole-number
-arguments (generations, levels, ball counts) and the one check of real
-arguments (times, budgets, family parameters, grids).
+"""Exception types shared across the package and the three checks of user
+arguments: ``check_whole`` for whole numbers (generations, levels, ball
+counts), ``check_real`` for real numbers (times, budgets, family parameters)
+and ``check_grid`` for lists of them (times, offsets, ball counts, weights).
 
 The CLI maps these onto exit codes: validation failures exit 1, numeric /
 budget failures exit 2, failed verification runs exit 3.
@@ -69,3 +70,27 @@ def check_real(name: str, value, low=None, high=None, *, strict=False, array=Fal
         rules += [f"{op} {b}" for op, b in zip(ops, (low, high)) if b not in (None, math.inf)]
         raise ValidationError(f"{name} must be {' and '.join(rules)}, got {value!r}")
     return x
+
+
+def check_grid(name: str, values, low=None, high=None, *, strict=False, whole=False, size=1,
+               order=None) -> np.ndarray:
+    """``values``, a flat list of at least ``size`` numbers, each bounded as
+    by ``check_real`` (and whole and below 2**62 when ``whole``), in
+    ``order`` ("nondecreasing" or "strictly increasing") if one is given, as
+    a float array, or int64 when ``whole``; else ``ValidationError``."""
+    try:
+        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+        if arr.ndim != 1 or arr.dtype.kind not in "biufO":
+            raise TypeError
+        x = arr.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a flat list of numbers, got {values!r}") from None
+    a, b = x[:-1], x[1:]  # compared, not subtracted: a difference may overflow
+    if x.size < size or order and np.any(b <= a if order == "strictly increasing" else b < a):
+        raise ValidationError(f"{name} must be {order or 'a list'} with >= {size} "
+                              f"point{'s' * (size > 1)}, got {values!r}")
+    # checked as a list, so that a refusal shows the values and not an array
+    check_real(name, x.tolist(), low, high, strict=strict, array=True)
+    if whole and not np.all((x == np.floor(x)) & (np.abs(x) < 2.0**62)):
+        raise ValidationError(f"{name} must be whole numbers below 2**62, got {values!r}")
+    return (arr if arr.dtype.kind in "iu" else x).astype(np.int64) if whole else x

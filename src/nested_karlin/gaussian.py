@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_real, check_whole
+from .errors import NumericalError, ValidationError, check_grid, check_real, check_whole
 from .limits import closed_cov
 from .scheme import _check_bytes, _keyed_rng
 
@@ -105,11 +105,9 @@ def _factor_with_jitter(mat: np.ndarray) -> tuple:
     )
 
 
-def _u_array(u_grid) -> np.ndarray:
-    """``u_grid`` as a float array, checked nonempty and finite."""
-    u = check_real("u_grid", list(u_grid), array=True)
-    if u.size == 0:
-        raise ValidationError("u_grid must be nonempty")
+def _u_array(u_grid, order=None) -> np.ndarray:
+    """``u_grid`` as ``check_grid`` gives it, of a finite spread u.max() - u.min()."""
+    u = check_grid("u_grid", u_grid, order=order)
     if not math.isfinite(float(u.max()) - float(u.min())):
         raise ValidationError(f"u_grid must have a finite spread, got {u.tolist()}")
     return u
@@ -120,10 +118,8 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
     if kind not in ("Z", "X"):
         raise ValidationError(f"kind must be 'Z' or 'X', got {kind!r}")
     L = check_whole("L", L, 1)
-    u = _u_array(u_grid)
     # a duplicated point is allowed: the factorization jitters it
-    if np.any(np.diff(u) < 0):
-        raise ValidationError("u_grid must be nondecreasing")
+    u = _u_array(u_grid, "nondecreasing")
     m = u.size
     dim = L * m
     mat = np.empty((dim, dim))
@@ -154,12 +150,13 @@ def _correlated_draws(chol: np.ndarray, n: int, seed: int, stream: int) -> np.nd
     dim = chol.shape[0]
     _check_bytes(8.0 * n * dim, f"{n} samples of {dim} values")
     z = _keyed_rng(seed, stream).standard_normal((n, dim))
-    # blocks of _FACTOR_ROWS to 2 * _FACTOR_ROWS - 1 rows: a one-row block
-    # would go through BLAS's vector kernel, whose rounding differs from the
-    # whole product's
+    # blocks of _FACTOR_ROWS to 2 * _FACTOR_ROWS - 1 rows, and one draw as two rows:
+    # a one-row product goes through BLAS's vector kernel, which rounds differently
+    if n == 1:
+        z = np.repeat(z, 2, axis=0)
     for block in np.array_split(z, max(1, n // _FACTOR_ROWS)):
         block[...] = block @ chol.T
-    return z
+    return z[:n]
 
 
 def _column_profile(u_grid: np.ndarray, A: float, x_step: float, y_step: float):
@@ -243,10 +240,14 @@ def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> str:
     format blocks in pool workers, a few at a time, and write them in order.
     """
     start = check_whole("start", start, 0)
-    if draws.ndim != 2 or draws.shape[1] != len(labels):
-        raise ValidationError(
-            f"draws of shape {draws.shape} do not match {len(labels)} labels")
-    # the sample id is joined in before each label: "" id ,l,u,%r\n id ...
-    template = [""] + [f",{level},{float(u)!r},%r\n" for level, u in labels]
+    try:
+        # the sample id is joined in before each label: "" id ,l,u,%r\n id ...
+        template = [""] + [f",{check_whole('level', level, 1)},{float(u)!r},%r\n"
+                           for level, u in labels]
+    except (TypeError, ValueError):  # ValueError includes check_whole's refusal
+        raise ValidationError(f"labels must be (level, u) pairs, got {labels!r}") from None
+    if not (isinstance(draws, np.ndarray) and draws.shape[1:] == (len(template) - 1,)):
+        raise ValidationError(f"draws must be an array of {len(template) - 1} columns, "
+                              f"one per label, got {draws!r}")
     return "".join([str(sid).join(template) % tuple(values)
                     for sid, values in enumerate(draws.tolist(), start)])

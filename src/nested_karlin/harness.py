@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, check_real, check_whole
+from .errors import check_grid, check_real, check_whole
 from .kernels import b_constants
 from .limits import closed_cov
 from .moments import (
@@ -182,15 +182,6 @@ def _whole(cfg: ExperimentConfig, **minimums) -> list:
     """The named whole-number fields of ``cfg`` as ints, each checked against
     its minimum (None for none) before a run does any work."""
     return [check_whole(name, getattr(cfg, name), low) for name, low in minimums.items()]
-
-
-def _grid(cfg: ExperimentConfig, name: str, high=None) -> list:
-    """The grid field ``name`` of ``cfg`` as a list of floats, each finite
-    and at most ``high``; a grid that is not a flat list is refused."""
-    grid = check_real(name, getattr(cfg, name), high=high, array=True)
-    if grid.ndim != 1:
-        raise ValidationError(f"{name} must be a flat list of numbers, got {getattr(cfg, name)!r}")
-    return grid.tolist()
 
 
 def _replica_tasks(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
@@ -440,14 +431,12 @@ def run_clt_check(config: ExperimentConfig) -> ExperimentReport:
     the same entries vs the limit covariances (diagnostic, unflagged), and
     skewness/excess-kurtosis normality diagnostics (flagged, 4 SE bands)."""
     T = check_real("T", config.T)
-    u_grid = _grid(config, "u_grid")
+    u_grid = check_grid("u_grid", config.u_grid, order="nondecreasing").tolist()
     # e^(T + u) must be a float
     check_real("T + u_grid", [T + u for u in u_grid], high=_LOG_MAX, array=True)
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
     times = [math.exp(T + u) for u in u_grid]
-    if sorted(times) != times:
-        raise ValidationError("u_grid must be nondecreasing")
     G = len(u_grid)
     js, ls = range(1, J + 1), range(1, L + 1)
     norms = [math.sqrt(c * f) for c, f in (family.normalization(j, T) for j in js)]
@@ -505,11 +494,10 @@ def run_asymptotic_trend(config: ExperimentConfig) -> ExperimentReport:
     stays visible without failing the run.
     """
     # e^T must be a float
-    T_grid = _grid(config, "T_grid", high=_LOG_MAX)
+    T_grid = check_grid("T_grid", config.T_grid, high=_LOG_MAX, size=2,
+                        order="strictly increasing").tolist()
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    if len(T_grid) < 2 or any(a >= b for a, b in zip(T_grid, T_grid[1:])):
-        raise ValidationError("T_grid must be strictly increasing with >= 2 points")
     js, ls = range(1, J + 1), range(1, L + 1)
     ts = [math.exp(T) for T in T_grid]
     # (c_j, f_j(T)) per horizon, for each generation j
@@ -555,7 +543,7 @@ def run_depoissonization_check(config: ExperimentConfig) -> ExperimentReport:
     to the gap before comparison (conservative direction)."""
     J, L = _whole(config, generations=1, levels=1)
     family = config.family()
-    t_grid = (_grid(config, "t_grid")
+    t_grid = (check_grid("t_grid", config.t_grid, size=0).tolist()
               or list(np.logspace(1.0, 5.0, 20)))
     gaps = [(j, l, t, _gap_terms(j, l, t))
             for j in range(1, J + 1) for l in range(1, L + 1) for t in t_grid]

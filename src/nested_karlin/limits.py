@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_real, check_whole
+from .errors import NumericalError, ValidationError, check_grid, check_real, check_whole
 from .kernels import b_constants
 
 __all__ = ["closed_cov", "quadrature_cov", "comparison_table"]
@@ -276,12 +276,18 @@ def comparison_table(kinds, level_pairs, deltas):
     """Rows (kind, l1, l2, delta, closed_form, quadrature, abs_diff) for the
     CLI `limits table` CSV.  The rows share one table of quadrature pieces,
     so each distinct E X_i X_k integral is computed once across the table."""
+    if not np.iterable(kinds):
+        raise ValidationError(f"kinds must be a list of kinds, got {kinds!r}")
+    try:
+        pairs = [(check_whole("l1", l1, 1), check_whole("l2", l2, 1)) for l1, l2 in level_pairs]
+    except (TypeError, ValueError):  # ValueError includes check_whole's refusal
+        raise ValidationError(f"level_pairs must be pairs of levels >= 1, got {level_pairs!r}") from None
+    deltas = check_grid("deltas", deltas, size=0).tolist()
     rows = []
     pieces: dict = {}
     for kind in kinds:
-        for l1, l2 in level_pairs:
-            l1, l2 = check_whole("l1", l1, 1), check_whole("l2", l2, 1)
-            for d in map(float, deltas):
+        for l1, l2 in pairs:
+            for d in deltas:
                 closed = closed_cov(kind, l1, l2, d)
                 quad = quadrature_cov(kind, l1, l2, d, pieces=pieces)
                 rows.append((kind, l1, l2, d, closed, quad, abs(closed - quad)))

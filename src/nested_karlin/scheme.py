@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_real, check_whole
+from .errors import NumericalError, ValidationError, check_grid, check_whole
 from .moments import enumerate_boxes
 from .weights import _TABLE_TOL, WeightFamily, guide_table, guided_search
 
@@ -155,40 +155,25 @@ def _check_bytes(need: float, what: str) -> None:
         )
 
 
-def _ball_counts(values: list, what: str) -> np.ndarray:
-    """``values`` as int64; each must be a finite whole number."""
-    arr = np.asarray(values)
-    if arr.dtype.kind != "i":
-        arr = arr.astype(float)
-        if not np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (abs(arr) < 2.0**62)):
-            raise ValidationError(f"{what} must be finite and whole, got {arr.tolist()}")
-    return arr.astype(np.int64)
-
-
-def _checked(grid, J: int, L: int, n) -> tuple:
-    """``(grid, J, L, kind)`` after the checks both engines make: the times
-    of the Poissonized scheme as floats, or, when ``n`` is given, the ball
-    counts of the fixed-n scheme as int64."""
+def _checked(grid, J: int, L: int, n, replicas) -> tuple:
+    """``(grid, J, L, kind, replicas)`` after the checks both engines make:
+    the times of the Poissonized scheme as floats, or, when ``n`` is given,
+    the ball counts of the fixed-n scheme as int64; ``_keyed_rng`` checks
+    each replica index."""
     J, L = check_whole("J", J, 1), check_whole("L", L, 1)
-    if n is None:
-        grid, kind, what = check_real("times", list(grid), array=True), "poissonized", "times"
-    else:
-        n = int(_ball_counts([n], "ball count n")[0])
-        if n < 0:
-            raise ValidationError("ball count must be >= 0")
-        grid, kind, what = _ball_counts(list(grid), "time_grid"), "deterministic", "time_grid"
-    if grid.size == 0:
-        raise ValidationError(f"{what} must be nonempty")
-    if np.any(np.diff(grid) < 0) or grid[0] < 0:
-        raise ValidationError(f"{what} must be nondecreasing and nonnegative")
-    if n is not None and grid[-1] > n:
+    whole = n is not None
+    grid = check_grid("time_grid" if whole else "times", grid, 0.0, whole=whole,
+                      order="nondecreasing")
+    if whole and grid[-1] > check_whole("ball count n", n, 0):
         raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
     # the (expected) ball count, checked before numpy is asked for Poisson
     # draws it cannot make (means above about 9.2e18); for the box sampler
     # it also keeps the t * 2**-53 balls expected past the shared table cut
     # negligible (without it, mean K(1) at t = 1e19 falls short)
     _check_memory(float(grid[-1]), J)
-    return grid, J, L, kind
+    if not np.iterable(replicas):
+        raise ValidationError(f"replicas must be a list of replica indices, got {replicas!r}")
+    return grid, J, L, "deterministic" if whole else "poissonized", list(replicas)
 
 
 def simulate_replicas(
@@ -207,7 +192,7 @@ def simulate_replicas(
     ``grid``.  Replica r is the trajectory that ``simulate_poissonized`` or
     ``simulate_deterministic`` gives with ``replica=r``, bit for bit: the
     replicas run one at a time (see the module docstring)."""
-    grid, J, L, kind = _checked(grid, J, L, n)
+    grid, J, L, kind, replicas = _checked(grid, J, L, n, replicas)
     G = len(grid)
     stride = len(family.cumulative_table()) + 1
     gaps = np.diff(grid, prepend=0)
@@ -417,8 +402,7 @@ def sample_counts(
     box sampler draws the counts box by box (see the module docstring).
     Replica r draws from the stream keyed by (seed, r) alone, so its row
     does not depend on the other replicas listed."""
-    grid, J, L, kind = _checked(grid, J, L, n)
-    replicas = list(replicas)
+    grid, J, L, kind, replicas = _checked(grid, J, L, n, replicas)
     G = grid.size
     out = np.zeros((len(replicas), 2 * J * L * G))
     if not replicas or grid[-1] == 0:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_real, check_whole
+from .errors import NumericalError, ValidationError, check_grid, check_real, check_whole
 
 __all__ = ["WeightFamily"]
 
@@ -159,10 +159,7 @@ class WeightFamily:
             self.p = check_real("geometric p", p, 0.0, 1.0, strict=True)
             self._spec = (kind, None, self.p)
         elif kind == "finite":
-            arr = check_real("finite family weights", list(probs) if np.iterable(probs) else probs,
-                             0.0, strict=True, array=True)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValidationError(f"finite family needs a nonempty list of weights, got {probs}")
+            arr = check_grid("finite family weights", probs, 0.0, strict=True)
             total = float(arr.sum())
             if not 0.0 < 1.0 / total < math.inf:
                 raise ValidationError(f"finite family weights sum to {total}, "
@@ -336,13 +333,12 @@ class WeightFamily:
         the geometric family's constant auxiliary function makes it decay to
         0 instead.  Diagnostic only — no verdict is computed.
         """
+        lambdas = check_grid("lambdas", lambdas, 0.0, strict=True, size=0).tolist()
         rows = []
-        for t in ts:
-            t = check_real("profile t", t, 1.0, strict=True)
+        for t in check_grid("ts", ts, 1.0, strict=True, size=0).tolist():
             logt = math.log(t)
             denom = logt**self.beta * self.ell_at(logt)
             for lam in lambdas:
-                lam = check_real("profile lambda", lam, 0.0, strict=True)
                 ratio = (self.rho(lam * t) - self.rho(t)) / denom
                 rows.append((lam, t, float(ratio)))
         return rows

@@ -306,6 +306,13 @@ class TestExitCodes:
             .startswith("error:")
         assert not out
 
+    def test_empty_u_grid_is_named(self, capsys):
+        code, out, err = run_cli(["verify", "clt", "--u-grid", "", "--replicas", "100",
+                                  "--generations", "1", "--levels", "1"], capsys)
+        assert code == 1 and not out
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: u_grid must"), err
+
     def test_trend_needs_an_increasing_grid(self, capsys):
         for grid in ("10,10", "", "15,10"):
             code, out, err = run_cli(["verify", "trend", "--T-grid", grid], capsys)

@@ -1,9 +1,9 @@
 """The public contract under hostile input.  Every call to a family
 constructor, a tail function, an exact moment, a limit covariance, a
-Gaussian sampler or an experiment runner either raises ValidationError or
-NumericalError, or returns finite values; a moment's certified error_bound
-lies in [0, prune], and the quadrature oracle agrees with the closed form
-wherever it answers."""
+Gaussian sampler, a simulator, a table or an experiment runner either
+raises ValidationError or NumericalError, or returns finite values; a
+moment's certified error_bound lies in [0, prune], and the quadrature
+oracle agrees with the closed form wherever it answers."""
 
 import math
 
@@ -14,19 +14,23 @@ from hypothesis import strategies as st
 
 from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.gaussian import (
-    build_grid, sample, sample_Z1_whitenoise, whitenoise_mesh_covariance,
+    build_grid, draws_to_csv_rows, sample, sample_Z1_whitenoise, whitenoise_mesh_covariance,
 )
 from nested_karlin.harness import (
     ExperimentConfig, run_asymptotic_trend, run_clt_check, run_depoissonization_check,
     run_moment_check,
 )
-from nested_karlin.limits import closed_cov, quadrature_cov
+from nested_karlin.limits import closed_cov, comparison_table, quadrature_cov
 from nested_karlin.moments import cov_K_cross_gen, mean_K, mean_K_binomial
+from nested_karlin.scheme import (
+    sample_counts, simulate_deterministic, simulate_poissonized, simulate_replicas,
+)
 from nested_karlin.weights import _MAX_TABLE, WeightFamily
 
 NAN, INF = math.nan, math.inf
 REFUSED = (ValidationError, NumericalError)
-
+# what a list argument may be given instead of a flat list of numbers
+NOT_LISTS = (0.5, None, "x", [[0.0, 1.0]])
 
 
 def _mostly(valid, *hostile):
@@ -49,8 +53,8 @@ GRID_LEVELS = ORACLE_LEVELS
 # closed forms are O(l^2) sums
 CLOSED_LEVELS = _mostly(st.integers(1, 50), -1, 0, 1.5, NAN)
 U_GRIDS = _mostly(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4).map(sorted),
-                  [], [1.0, 0.0], [0.5, 0.5], [1e308], [-1e308, 0.0], [0.0, 1e308],
-                  [-1e308, 1e308])
+                  [], [1.0, 0.0], [0.5, -0.5, 1.0], [0.5, 0.5], [1e308], [-1e308, 0.0],
+                  [0.0, 1e308], [-1e308, 1e308], *NOT_LISTS)
 WINDOWS = st.sampled_from([NAN, 29.0, 30.0, 1e308]) | st.floats(30.0, 40.0)
 STEPS = _mostly(st.floats(1e-3, 1.0), 0.0, 1e-320, 1e-300)
 SAMPLES = _mostly(st.integers(1, 50), -1, 0, 1.5, NAN)
@@ -138,6 +142,8 @@ def test_quadrature_cov(kind, l1, l2, delta):
 @settings(max_examples=60, deadline=None)
 @given(kind=KINDS, u=U_GRIDS, L=GRID_LEVELS, n=SAMPLES)
 @example(kind="Z", u=[-1e308, 1e308], L=2, n=1)  # u[a] - u[b] overflows
+@example(kind="Z", u=0.5, L=2, n=1)
+@example(kind="Z", u=[[0.0, 1.0]], L=2, n=1)
 def test_limit_sampler(kind, u, L, n):
     grid = _refused_or(lambda: build_grid(kind, u, L))
     if grid is not None:
@@ -154,6 +160,8 @@ def test_limit_sampler(kind, u, L, n):
 @example(u=[0.0, 1.0], A=30.0, x_step=0.01, y_step=1e-320, n=2)
 # an offset outside the window, where the mesh misses the integrand
 @example(u=[0.0, 100.0], A=30.0, x_step=0.01, y_step=0.01, n=2)
+@example(u=0.5, A=30.0, x_step=0.01, y_step=0.01, n=2)
+@example(u=[[0.0, 1.0]], A=30.0, x_step=0.01, y_step=0.01, n=2)
 def test_whitenoise_sampler(u, A, x_step, y_step, n):
     cov = _refused_or(lambda: whitenoise_mesh_covariance(u, A, x_step, y_step))
     if cov is not None:
@@ -161,6 +169,80 @@ def test_whitenoise_sampler(u, A, x_step, y_step, n):
     draws = _refused_or(lambda: sample_Z1_whitenoise(u, A, x_step, y_step, n=n, seed=3))
     if draws is not None:
         assert draws.shape == (n, len(u)) and np.all(np.isfinite(draws))
+
+
+GEO = WeightFamily.geometric(0.5)
+TIME_GRIDS = _mostly(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3).map(sorted),
+                     [], [3.0, 1.0], [-1.0], [NAN], [1.0, INF], [1e300], *NOT_LISTS)
+BALL_GRIDS = _mostly(st.lists(st.integers(0, 50), min_size=1, max_size=3).map(sorted),
+                     [], [3, 1], [-1], [1.5], [NAN], [2**70], *NOT_LISTS)
+BALL_TOTALS = _mostly(st.integers(50, 100), None, -1, 1.5, NAN, 10)
+REPLICAS = _mostly(st.sampled_from([range(2), [5, -1], []]), None, 1.5, [1.5], [None], "x")
+
+
+@settings(max_examples=40, deadline=None)
+@given(times=TIME_GRIDS, balls=BALL_GRIDS, n=BALL_TOTALS, replicas=REPLICAS)
+@example(times=0.5, balls=[5], n=50, replicas=range(2))
+@example(times=None, balls=None, n=50, replicas=range(2))
+@example(times=[[1.0, 2.0]], balls=[[1, 2]], n=50, replicas=range(2))
+@example(times=[1.0], balls=[1], n=50, replicas=None)
+def test_simulators(times, balls, n, replicas):
+    for call in (lambda: sample_counts(GEO, times, 1, 2, 3, replicas),
+                 lambda: sample_counts(GEO, balls, 1, 2, 3, replicas, n=n)):
+        rows = _refused_or(call)
+        if rows is not None:
+            assert np.all(np.isfinite(rows))
+    for call in (lambda: simulate_replicas(GEO, times, 1, 2, 3, replicas),
+                 lambda: simulate_replicas(GEO, balls, 1, 2, 3, replicas, n=n),
+                 lambda: [simulate_poissonized(GEO, times, 1, 2, 3)],
+                 lambda: [simulate_deterministic(GEO, n, 1, 2, balls, 3)]):
+        for traj in _refused_or(call) or []:
+            assert np.all(np.isfinite(traj.grid)) and np.all(traj.K >= 0)
+
+
+LISTS = _mostly(st.lists(st.floats(0.5, 4.0), max_size=2), [], [NAN], [-1.0], [0.0], [INF],
+                *NOT_LISTS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lambdas=LISTS, ts=_mostly(st.lists(st.floats(1.5, 1e6), max_size=2), [], [1.0], [NAN],
+                                 [INF], *NOT_LISTS))
+@example(lambdas=[2.0], ts=100.0)
+@example(lambdas=None, ts=[100.0])
+def test_dehaan_profile(lambdas, ts):
+    rows = _refused_or(lambda: GEO.dehaan_profile(lambdas, ts))
+    if rows is not None:
+        assert all(math.isfinite(x) for row in rows for x in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=_mostly(st.sampled_from([["Z"], ["X", "Y"], []]), None, ["Q"], 1.0),
+       pairs=_mostly(st.sampled_from([[(1, 1)], [(2, 1)], []]), None, [1], [(1, 1, 1)],
+                     [(0, 1)], [(1.5, 1)]),
+       deltas=_mostly(st.lists(st.floats(-2.0, 2.0), max_size=2), NAN, [NAN], [1e308],
+                      ["x"], *NOT_LISTS))
+@example(kinds=None, pairs=[(1, 1)], deltas=[0.0])
+@example(kinds=["Z"], pairs=[1], deltas=[0.0])
+@example(kinds=["Z"], pairs=[(1, 1)], deltas=None)
+@example(kinds=["Z"], pairs=[(1, 1)], deltas=["x"])
+def test_comparison_table(kinds, pairs, deltas):
+    rows = _refused_or(lambda: comparison_table(kinds, pairs, deltas))
+    if rows is not None:
+        assert all(math.isfinite(x) for row in rows for x in row[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(draws=_mostly(st.sampled_from([np.zeros((2, 2)), np.ones((0, 2))]),
+                     None, [[0.0, 1.0]], np.zeros(2), np.zeros((1, 3)), np.zeros((1, 2), int)),
+       labels=_mostly(st.just([(1, 0.0), (2, 0.5)]), None, [(1, 0.0)], [1, 2], [(0, 0.0)] * 2,
+                      [(1, "x")] * 2, [("%", 0.0)] * 2),
+       start=_mostly(st.integers(0, 10), -1, 1.5, None))
+@example(draws=[[0.0]], labels=[(1, 0.0)], start=0)
+@example(draws=np.zeros((1, 1)), labels=None, start=0)
+def test_draws_to_csv_rows(draws, labels, start):
+    text = _refused_or(lambda: draws_to_csv_rows(draws, labels, start))
+    if text is not None:
+        assert all(math.isfinite(float(row.split(",")[3])) for row in text.splitlines())
 
 
 # the real fields of ExperimentConfig: finite values three draws in four,
@@ -223,6 +305,34 @@ def test_grids_must_be_flat(runner, field, grid):
                               replicas=100, threads=1)
     with pytest.raises(ValidationError, match=f"^{field} must be a flat list"):
         runner(config)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("times", lambda: sample_counts(GEO, 0.5, 1, 1, 0, range(2))),
+    ("time_grid", lambda: sample_counts(GEO, None, 1, 1, 0, range(2), n=5)),
+    ("times", lambda: simulate_replicas(GEO, [[1.0, 2.0]], 1, 1, 0, range(2))),
+    ("times", lambda: simulate_poissonized(GEO, 5.0, 1, 1, 0)),
+    ("time_grid", lambda: simulate_deterministic(GEO, 5, 1, 1, [[1, 2]], 0)),
+    ("replicas", lambda: sample_counts(GEO, [1.0], 1, 1, 0, None)),
+    ("replicas", lambda: simulate_replicas(GEO, [1.0], 1, 1, 0, None)),
+    ("u_grid", lambda: build_grid("Z", 0.5, 2)),
+    ("u_grid", lambda: build_grid("Z", [[0.0, 1.0]], 2)),
+    ("u_grid", lambda: whitenoise_mesh_covariance(0.5)),
+    ("u_grid", lambda: whitenoise_mesh_covariance([[0.0, 1.0]])),
+    ("u_grid", lambda: sample_Z1_whitenoise(None)),
+    ("ts", lambda: GEO.dehaan_profile([2.0], 100.0)),
+    ("lambdas", lambda: GEO.dehaan_profile(None, [100.0])),
+    ("kinds", lambda: comparison_table(None, [(1, 1)], [0.0])),
+    ("level_pairs", lambda: comparison_table(["Z"], [1], [0.0])),
+    ("deltas", lambda: comparison_table(["Z"], [(1, 1)], None)),
+    ("deltas", lambda: comparison_table(["Z"], [(1, 1)], ["x"])),
+    ("draws", lambda: draws_to_csv_rows([[0.0]], [(1, 0.0)])),
+    ("labels", lambda: draws_to_csv_rows(np.zeros((1, 1)), None)),
+    ("finite family weights", lambda: WeightFamily.finite([[0.5, 0.5]])),
+])
+def test_list_arguments_are_named(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must"):
+        call()
 
 
 @pytest.mark.parametrize("alpha", [0.24, 0.2, 0.15, 0.1])

@@ -227,11 +227,25 @@ class TestFactorSampler:
 
     def test_blockwise_factor_matches_the_whole_product(self):
         # every block has at least two rows, so no product goes through the
-        # one-row kernel, whose rounding differs
+        # one-row kernel, whose rounding differs; one draw is the first row
+        # of a two-row product
         grid = build_grid("Z", [0.0, 0.5, 1.0], 2)
         for n in (1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B - 1):
-            whole = _keyed_rng(4, 0).standard_normal((n, grid.dim)) @ grid.cholesky.T
+            z = _keyed_rng(4, 0).standard_normal((max(n, 2), grid.dim))
+            whole = (z @ grid.cholesky.T)[:n]
             assert sample(grid, n, 4).tobytes() == whole.tobytes(), n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_draw_is_the_first_row_of_more(self, seed):
+        # a one-row product would go through BLAS's vector kernel and differ
+        # from the first row of n = 2 in the last bits of 5 to 9 of 15 values
+        grid = build_grid("Z", [0.0, 0.25, 0.5, 0.75, 1.0], 3)
+        for draw in (lambda n: sample(grid, n, seed),
+                     lambda n: sample_Z1_whitenoise([0.0, 0.5, 1.0], n=n, seed=seed)):
+            first = draw(1)
+            assert first.shape[0] == 1
+            for n in (2, 3000):
+                assert first[0].tobytes() == draw(n)[0].tobytes(), n
 
 
 class TestWhiteNoise:
