@@ -28,12 +28,16 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, check_whole
 from .gaussian import (
+    _FACTOR_ROWS,
     SAMPLE_CSV_HEADER,
     build_grid,
     draws_to_csv_rows,
-    sample,
-    sample_Z1_whitenoise,
+    sample_blocks,
+    whitenoise_blocks,
 )
+# the whole-array samplers, no longer called here, stay importable for
+# perfbench/trace_cli.py
+from .gaussian import sample, sample_Z1_whitenoise  # noqa: F401
 from .harness import (
     ExperimentConfig,
     _combine,
@@ -58,9 +62,6 @@ from .scheme import TRAJECTORY_CSV_HEADER, simulate_replicas
 from .weights import WeightFamily
 
 MOMENTS_CSV_HEADER = "quantity,j,l,l2,s,t,value,error_bound,boxes"
-# samples per block of `sample` CSV rows: the text held at once stays bounded
-# whatever --n is
-_SAMPLE_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,28 +123,29 @@ def _emit(lines, out: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit_samples(draws, labels, out: str, threads: int) -> None:
-    """The sample CSV, written one block of _SAMPLE_BLOCK samples at a time,
-    in order.  With more than one worker the blocks are formatted on a pool
+def _emit_samples(blocks, n: int, labels, out: str, threads: int) -> None:
+    """The sample CSV of n samples from ``blocks``, an iterator of blocks of
+    _FACTOR_ROWS draws, each formatted and written, in order, as soon as it
+    is drawn.  With more than one worker the blocks are formatted on a pool
     of ``threads`` processes (no more than there are blocks), at most
-    2 * threads blocks in flight, so the text held at once stays bounded
-    whatever --n is; with one, everything runs in this process."""
-    starts = range(0, draws.shape[0], _SAMPLE_BLOCK)
-    blocks = ((draws[start:start + _SAMPLE_BLOCK], labels, start) for start in starts)
+    2 * threads blocks in flight; with one, everything runs in this
+    process.  Either way the draws and text held at once stay bounded
+    whatever --n is."""
+    starts = range(0, n, _FACTOR_ROWS)
     threads = min(threads, len(starts))
     with _output(out) as fh:
         fh.write(SAMPLE_CSV_HEADER + "\n")
         if threads == 1:
-            for block in blocks:
-                fh.write(draws_to_csv_rows(*block))
+            for start, block in zip(starts, blocks):
+                fh.write(draws_to_csv_rows(block, labels, start))
             return
         with ProcessPoolExecutor(max_workers=threads) as pool:
             try:
                 pending = collections.deque()
-                for block in blocks:
+                for start, block in zip(starts, blocks):
                     if len(pending) == 2 * threads:
                         fh.write(pending.popleft().result())
-                    pending.append(pool.submit(draws_to_csv_rows, *block))
+                    pending.append(pool.submit(draws_to_csv_rows, block, labels, start))
                 while pending:
                     fh.write(pending.popleft().result())
             except BaseException:
@@ -327,17 +329,15 @@ def _cmd_limits_table(ns) -> int:
 
 def _cmd_sample_limit(ns) -> int:
     grid = build_grid(ns.kind, _csv_floats(ns.u_grid), ns.levels)
-    _emit_samples(sample(grid, ns.n, ns.seed), grid.labels(), ns.out, ns.threads)
+    blocks = sample_blocks(grid, ns.n, ns.seed)
+    _emit_samples(blocks, ns.n, grid.labels(), ns.out, ns.threads)
     return 0
 
 
 def _cmd_sample_whitenoise(ns) -> int:
     u = _csv_floats(ns.u_grid)
-    draws = sample_Z1_whitenoise(
-        u, x_window=ns.x_window, x_step=ns.x_step, y_step=ns.y_step,
-        n=ns.n, seed=ns.seed,
-    )
-    _emit_samples(draws, [(1, float(x)) for x in u], ns.out, ns.threads)
+    blocks = whitenoise_blocks(u, ns.x_window, ns.x_step, ns.y_step, ns.n, ns.seed)
+    _emit_samples(blocks, ns.n, [(1, float(x)) for x in u], ns.out, ns.threads)
     return 0
 
 

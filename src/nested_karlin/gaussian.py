@@ -21,9 +21,14 @@ with y -> G_l; cross levels at u != v and X_l over u need the pair
 (G_l, G_m - G_l), a 3-D mesh.  Their covariances are checked against the
 quadrature oracle instead.
 
-Both samplers hold their draws once: the standard normals are drawn into one
-matrix, which is refused first if it would not fit in physical memory, and
-the covariance factor is applied to it in place, one block of rows at a time.
+Both samplers draw in blocks of _FACTOR_ROWS samples: a block takes its
+standard normals in order from the sampler's ``(seed, stream)`` generator
+and is multiplied by the covariance factor.  ``sample_blocks`` and
+``whitenoise_blocks`` yield the blocks one at a time, each drawn when it is
+asked for, so a run of any length holds one block of draws;
+``sample`` and ``sample_Z1_whitenoise`` gather the same blocks into one
+array.  A count whose draws would not fit in physical memory is refused
+before any draw.
 
 Draws leave as CSV rows ``sample_id,level,u,value``: ``draws_to_csv_rows``
 formats one block of samples as text, numbering them from its ``start``
@@ -47,8 +52,10 @@ __all__ = [
     "LimitCovarianceGrid",
     "build_grid",
     "sample",
+    "sample_blocks",
     "whitenoise_mesh_covariance",
     "sample_Z1_whitenoise",
+    "whitenoise_blocks",
     "draws_to_csv_rows",
     "SAMPLE_CSV_HEADER",
 ]
@@ -56,8 +63,7 @@ __all__ = [
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-8
 _CELL_BUDGET = 10**8
-# the fewest rows of a block product of the draws with the factor, the one
-# copy made beside the draws themselves
+# samples per block of draws, and per block of `sample` CSV rows
 _FACTOR_ROWS = 1024
 
 SAMPLE_CSV_HEADER = "sample_id,level,u,value"
@@ -139,24 +145,43 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
 
 def sample(grid: LimitCovarianceGrid, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the grid vector; rows are samples."""
-    return _correlated_draws(grid.cholesky, n, seed, 0)
-
-
-def _correlated_draws(chol: np.ndarray, n: int, seed: int, stream: int) -> np.ndarray:
-    """n rows z @ chol.T from the standard normals of ``(seed, stream)``,
-    factored in place one block of rows at a time, so the draws are held
-    once; refused before drawing when they would not fit in memory."""
     n = check_whole("sample count", n, 1)
+    return _held(sample_blocks(grid, n, seed), n)
+
+
+def sample_blocks(grid: LimitCovarianceGrid, n: int, seed: int):
+    """The rows of ``sample(grid, n, seed)`` as blocks of _FACTOR_ROWS rows."""
+    return _draw_blocks(grid.cholesky, check_whole("sample count", n, 1), seed, 0)
+
+
+def _draw_blocks(chol: np.ndarray, n: int, seed: int, stream: int):
+    """The rows z @ chol.T for n rows z of standard normals, taken in order
+    from the ``(seed, stream)`` generator: an iterator of blocks of
+    _FACTOR_ROWS rows, the last one shorter when n is not a multiple, each
+    drawn when it is asked for.  A count n whose draws would not fit in
+    memory is refused here, before any draw."""
     dim = chol.shape[0]
     _check_bytes(8.0 * n * dim, f"{n} samples of {dim} values")
-    z = _keyed_rng(seed, stream).standard_normal((n, dim))
-    # blocks of _FACTOR_ROWS to 2 * _FACTOR_ROWS - 1 rows, and one draw as two rows:
-    # a one-row product goes through BLAS's vector kernel, which rounds differently
-    if n == 1:
-        z = np.repeat(z, 2, axis=0)
-    for block in np.array_split(z, max(1, n // _FACTOR_ROWS)):
-        block[...] = block @ chol.T
-    return z[:n]
+    rng = _keyed_rng(seed, stream)
+
+    def blocks():
+        for start in range(0, n, _FACTOR_ROWS):
+            z = rng.standard_normal((min(_FACTOR_ROWS, n - start), dim))
+            # a one-row product goes through BLAS's vector kernel, which rounds
+            # differently: one row is factored as the first of two equal rows
+            yield ((np.repeat(z, 2, axis=0) if len(z) == 1 else z) @ chol.T)[:len(z)]
+
+    return blocks()
+
+
+def _held(blocks, n: int) -> np.ndarray:
+    """The n rows of ``blocks`` in one array, so the draws are held once,
+    beside one block."""
+    for start, block in zip(range(0, n, _FACTOR_ROWS), blocks):
+        if start == 0:
+            draws = np.empty((n, block.shape[1]))
+        draws[start:start + len(block)] = block
+    return draws
 
 
 def _column_profile(u_grid: np.ndarray, A: float, x_step: float, y_step: float):
@@ -222,9 +247,16 @@ def sample_Z1_whitenoise(
     (see module docstring), including the discretization bias.
     """
     n = check_whole("sample count", n, 1)
+    return _held(whitenoise_blocks(u_grid, x_window, x_step, y_step, n, seed), n)
+
+
+def whitenoise_blocks(u_grid, x_window: float, x_step: float, y_step: float, n: int, seed: int):
+    """The rows of ``sample_Z1_whitenoise`` with the same arguments, as
+    blocks of _FACTOR_ROWS rows."""
+    n = check_whole("sample count", n, 1)
     cov = whitenoise_mesh_covariance(u_grid, A=x_window, x_step=x_step, y_step=y_step)
     chol, _ = _factor_with_jitter(cov)
-    return _correlated_draws(chol, n, seed, 1)
+    return _draw_blocks(chol, n, seed, 1)
 
 
 def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> str:

@@ -276,13 +276,16 @@ def comparison_table(kinds, level_pairs, deltas):
     """Rows (kind, l1, l2, delta, closed_form, quadrature, abs_diff) for the
     CLI `limits table` CSV.  The rows share one table of quadrature pieces,
     so each distinct E X_i X_k integral is computed once across the table."""
-    if not np.iterable(kinds):
-        raise ValidationError(f"kinds must be a list of kinds, got {kinds!r}")
+    if not np.iterable(kinds) or not (kinds := list(kinds)):
+        raise ValidationError(f"kinds must be a non-empty list of kinds, got {kinds!r}")
     try:
         pairs = [(check_whole("l1", l1, 1), check_whole("l2", l2, 1)) for l1, l2 in level_pairs]
     except (TypeError, ValueError):  # ValueError includes check_whole's refusal
-        raise ValidationError(f"level_pairs must be pairs of levels >= 1, got {level_pairs!r}") from None
-    deltas = check_grid("deltas", deltas, size=0).tolist()
+        pairs = []
+    if not pairs:
+        raise ValidationError(f"level_pairs must be a non-empty list of pairs of levels >= 1, "
+                              f"got {level_pairs!r}")
+    deltas = check_grid("deltas", deltas).tolist()
     rows = []
     pieces: dict = {}
     for kind in kinds:

@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -332,6 +333,14 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and not out
 
+    @pytest.mark.parametrize("flag, name", [
+        (["--kinds", ","], "kinds"), (["--kinds", ""], "kinds"), (["--deltas", ""], "deltas"),
+    ])
+    def test_an_empty_table_is_rejected(self, flag, name, capsys):
+        code, out, err = run_cli(["limits", "table", *flag], capsys)
+        assert code == 1 and not out
+        assert err.splitlines()[-1].startswith(f"error: {name} must"), err
+
     def test_smallest_identity_check_runs(self, capsys):
         code, out, _ = run_cli(["identities", "check", "--max-l", "1", "--max-n", "0"], capsys)
         assert code == 0
@@ -536,7 +545,7 @@ class TestOutFlag:
         assert not path.parent.exists()
 
 
-B = cli._SAMPLE_BLOCK
+B = cli._FACTOR_ROWS
 
 
 def sample_csv_reference(draws, labels) -> str:
@@ -638,6 +647,25 @@ class TestSampleBlocks:
                                capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
+        # each block goes from the generator to the file before the next is
+        # drawn: the peak is a few blocks of draws and text at any --n, where
+        # the draws alone would take 24 MB at n = 200 000; the first run's
+        # lazy imports are made before tracing
+        args = ["sample", "limit", "--kind", "Z", "--levels", "3",
+                "--u-grid", "0.0,0.25,0.5,0.75,1.0", "--seed", "1", "--threads", "1",
+                "--out", str(tmp_path / "sample.csv")]
+        assert run_cli(args + ["--n", "2"], capsys)[0] == 0
+        peaks = []
+        for n in (20000, 200000):
+            tracemalloc.start()
+            try:
+                assert main(args + ["--n", str(n)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2**20 and peaks[1] < peaks[0] + 2**20, peaks
 
     def test_stdout_pipe_with_workers(self):
         # the header is written before the workers fork, and a forked

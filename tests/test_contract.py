@@ -335,6 +335,17 @@ def test_list_arguments_are_named(name, call):
         call()
 
 
+@pytest.mark.parametrize("name, args", [
+    ("kinds", ([], [(1, 1)], [0.0])),
+    ("level_pairs", (["Z"], [], [0.0])),
+    ("deltas", (["Z"], [(1, 1)], [])),
+])
+def test_an_empty_table_is_refused(name, args):
+    # a table of no rows checks nothing
+    with pytest.raises(ValidationError, match=f"^{name} must"):
+        comparison_table(*args)
+
+
 @pytest.mark.parametrize("alpha", [0.24, 0.2, 0.15, 0.1])
 def test_small_alpha_is_refused_before_any_table(alpha):
     # the normalizer of weibull(0.2) alone would sum 3.8e8 weights

@@ -248,6 +248,21 @@ class TestFactorSampler:
                 assert first[0].tobytes() == draw(n)[0].tobytes(), n
 
 
+    @pytest.mark.parametrize("draw", [
+        lambda n: sample(build_grid("X", [0.0, 1.0], 2), n, 11),
+        lambda n: sample_Z1_whitenoise([0.0, 1.0], n=n, seed=11),
+    ], ids=["limit", "whitenoise"])
+    def test_a_short_run_is_the_start_of_a_longer_one(self, draw):
+        # the rows of a block of at least two rows do not depend on its size,
+        # so a run's draws do not depend on where it ends: the sample CLI's
+        # counts, and B + 1, whose last block has one row
+        counts = [1, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 3]
+        runs = {n: draw(n) for n in counts}
+        for m in counts:
+            for n in counts[counts.index(m):]:
+                assert runs[m].tobytes() == runs[n][:m].tobytes(), (m, n)
+
+
 class TestWhiteNoise:
     def test_mesh_l2_norm_matches_variance(self):
         # deterministic Riemann check: the diagonal of the mesh covariance is
