@@ -16,13 +16,11 @@ lines, so CSV output on stdout stays clean while runs remain auditable.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -43,6 +41,8 @@ from .harness import (
     _combine,
     _exact,
     _gap_terms,
+    _in_order,
+    _run_pool,
     _star_terms,
     run_asymptotic_trend,
     run_clt_check,
@@ -126,31 +126,16 @@ def _emit(lines, out: str) -> None:
 def _emit_samples(blocks, n: int, labels, out: str, threads: int) -> None:
     """The sample CSV of n samples from ``blocks``, an iterator of blocks of
     _FACTOR_ROWS draws, each formatted and written, in order, as soon as it
-    is drawn.  With more than one worker the blocks are formatted on a pool
-    of ``threads`` processes (no more than there are blocks), at most
-    2 * threads blocks in flight; with one, everything runs in this
-    process.  Either way the draws and text held at once stay bounded
-    whatever --n is."""
+    is drawn.  ``_in_order`` formats at most 2 * threads blocks at once, on
+    no more workers than blocks (in this process with one), and
+    ``writelines`` drops each block's text once it is written, so the draws
+    and text held stay bounded whatever --n is."""
     starts = range(0, n, _FACTOR_ROWS)
-    threads = min(threads, len(starts))
+    calls = ((draws_to_csv_rows, (block, labels, start), {})
+             for start, block in zip(starts, blocks))
     with _output(out) as fh:
         fh.write(SAMPLE_CSV_HEADER + "\n")
-        if threads == 1:
-            for start, block in zip(starts, blocks):
-                fh.write(draws_to_csv_rows(block, labels, start))
-            return
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            try:
-                pending = collections.deque()
-                for start, block in zip(starts, blocks):
-                    if len(pending) == 2 * threads:
-                        fh.write(pending.popleft().result())
-                    pending.append(pool.submit(draws_to_csv_rows, block, labels, start))
-                while pending:
-                    fh.write(pending.popleft().result())
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        fh.writelines(_in_order(calls, threads, min(2 * threads, len(starts))))
 
 
 def _add_family_flags(p) -> None:
@@ -260,10 +245,9 @@ def _moment_row(quantity, j, l, l2, s, t, est) -> str:
 
 def _estimate(ns, terms) -> MomentEstimate:
     """The exact linear combination ``terms`` ``((coef, fn, args), ...)``:
-    each distinct moment computed once at --prune and read through
-    ``_combine``, with the boxes of all of them."""
-    results = {(fn, args): fn(ns.weight_family, *args, prune=ns.prune)
-               for _, fn, args in terms}
+    each distinct moment computed once at --prune in this process by
+    ``_run_pool``, read through ``_combine``, with the boxes of all of them."""
+    results, _ = _run_pool(ExperimentConfig(prune=ns.prune), ns.weight_family, [terms])
     value, error = _combine(terms, results)
     return MomentEstimate(value, error, sum(e.boxes_enumerated for e in results.values()))
 

@@ -19,13 +19,15 @@ Replicas come from the box sampler, ``scheme.sample_counts``.
 Reproducibility: replica r of a run with master seed s draws from a
 dedicated counter-based stream keyed by (s, r), and replica-level results
 are assembled into a matrix ordered by r before any statistic is computed.
-Worker processes compute disjoint replica ranges and exact targets, each a
-pure function of its arguments, so reports are byte-identical for a fixed
-(config, seed) regardless of the worker count.
+The worker processes of ``_in_order``, the one pool, which also formats
+``sample``'s CSV blocks, compute disjoint replica ranges and exact targets,
+each a pure function of its arguments, so reports are byte-identical for a
+fixed (config, seed) regardless of the worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import sys
@@ -198,12 +200,36 @@ def _replica_tasks(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
             for lo in range(0, R, chunk)]
 
 
+def _in_order(calls, threads: int, ahead: int):
+    """Yield ``fn(*args, **kwargs)`` for each ``(fn, args, kwargs)`` of
+    ``calls``, in order, on ``min(threads, ahead)`` worker processes (in
+    this process when that is one), with at most ``ahead`` calls taken and
+    not yet yielded.  Any exception, closing the generator included,
+    cancels the calls not yet started and is re-raised."""
+    workers = min(threads, ahead)
+    if workers <= 1:
+        yield from (fn(*args, **kwargs) for fn, args, kwargs in calls)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            pending = collections.deque()
+            for fn, args, kwargs in calls:
+                pending.append(pool.submit(fn, *args, **kwargs))
+                if len(pending) == ahead:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
     """Compute a run's exact moments and, when the simulation ``sim = (times,
-    J, L, n)`` is given, its replica value matrix (replicas, 2*J*L*G), on one
-    pool of ``cfg.threads`` workers: J generations and L levels at ``times``,
-    of the fixed-n scheme when ``n`` is set and the Poissonized one when it
-    is None.
+    J, L, n)`` is given, its replica value matrix (replicas, 2*J*L*G), on
+    ``_in_order`` with ``cfg.threads`` workers, no more than there are
+    tasks: J generations and L levels at ``times``, of the fixed-n scheme
+    when ``n`` is set and the Poissonized one when it is None.
 
     ``exact`` lists the run's exact values, each as its terms
     ``((coef, fn, args), ...)``; every distinct ``(fn, args)`` among them is
@@ -215,35 +241,24 @@ def _run_pool(cfg: ExperimentConfig, family: WeightFamily, exact, sim=None):
     exact moment is a pure function of its arguments and replica r always
     draws from the stream keyed by (seed, r), so the results do not depend
     on the worker count.  A task receives the family, pickled by its spec,
-    and its own arguments, never the config.  With one worker everything
-    runs in this process, through the functions as listed.
+    and its own arguments, never the config.  Every task is submitted at
+    once, and with one worker runs in this process in submission order.
     """
     threads = check_whole("threads", cfg.threads, 1)
     tasks = [] if sim is None else _replica_tasks(cfg, family, sim, threads)
     n = sim[3] if sim else None
     keys = {(fn, args): (fn, _ordered(fn, args)) for terms in exact for _, fn, args in terms}
     targets = list(dict.fromkeys(keys.values()))
-    if threads == 1:
-        parts = [sample_counts(*task, n=n) for task in tasks]
-        values = [fn(family, *args, prune=cfg.prune) for fn, args in targets]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            try:
-                # Longest first, so the last tasks are short: the replica
-                # chunks, then the targets backwards.  The runners list any
-                # centering means first, then the terms of their rows in
-                # report order, generation and level ascending with the
-                # cross-generation rows last; cost grows along that order.
-                chunks = [pool.submit(sample_counts, *task, n=n) for task in tasks]
-                futures = [pool.submit(fn, family, *args, prune=cfg.prune)
-                           for fn, args in reversed(targets)][::-1]
-                parts = [f.result() for f in chunks]
-                values = [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    V = np.concatenate(parts, axis=0) if parts else None
-    results = dict(zip(targets, values))
+    # Longest first, so the last tasks are short: the replica chunks, then
+    # the targets backwards.  The runners list any centering means first,
+    # then the terms of their rows in report order, generation and level
+    # ascending with the cross-generation rows last; cost grows along that
+    # order.
+    calls = [(sample_counts, task, {"n": n}) for task in tasks]
+    calls += [(fn, (family, *args), {"prune": cfg.prune}) for fn, args in reversed(targets)]
+    done = list(_in_order(calls, threads, len(calls)))
+    V = np.concatenate(done[:len(tasks)], axis=0) if tasks else None
+    results = dict(zip(targets, reversed(done[len(tasks):])))
     return {key: results[target] for key, target in keys.items()}, V
 
 

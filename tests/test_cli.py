@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import nested_karlin
-from nested_karlin import cli
+from nested_karlin import cli, harness
 from nested_karlin.cli import main
 from nested_karlin.gaussian import build_grid, sample, sample_Z1_whitenoise
 from nested_karlin.harness import ExperimentConfig
@@ -398,6 +398,13 @@ class TestStarRows:
                               (-1.0, ["--which", "levels", "--l", "1", "--l2", "2"]),
                               (-1.0, ["--which", "levels", "--l", "2", "--l2", "1"]),
                               (1.0, ["--which", "same", "--l", "2"]))]),
+        # at s = t the level pairs (1, 2) and (2, 1) are one covariance
+        (["cov", "--which", "star", "--j", "1", "--l", "1", "--t", "100"],
+         [(sign, ["cov", "--j", "1", "--t", "100", *which])
+          for sign, which in ((1.0, ["--which", "same", "--l", "1"]),
+                              (-1.0, ["--which", "levels", "--l", "1", "--l2", "2"]),
+                              (-1.0, ["--which", "levels", "--l", "2", "--l2", "1"]),
+                              (1.0, ["--which", "same", "--l", "2"]))]),
     ])
     def test_row_sums_its_terms(self, star, parts, capsys):
         got = _moment_fields(star, capsys)
@@ -406,6 +413,23 @@ class TestStarRows:
         assert float(got[6]) == math.fsum(coef * float(r[6]) for coef, r in terms)
         assert float(got[7]) == math.fsum(abs(coef) * float(r[7]) for coef, r in terms)
         assert int(got[8]) == sum(int(r[8]) for _, r in terms)
+
+    def test_star_cov_computes_each_covariance_once(self, capsys, monkeypatch):
+        # at s = t, K*(1) needs Cov(K(1), K(2)) twice, as (1, 2) and (2, 1);
+        # _run_pool tells a covariance by harness's name for it
+        calls = []
+
+        def counted(family, *args, prune):
+            calls.append(args)
+            return cov_K_cross_gen(family, *args, prune=prune)
+
+        cov_K_cross_gen = cli.cov_K_cross_gen
+        monkeypatch.setattr(cli, "cov_K_cross_gen", counted)
+        monkeypatch.setattr(harness, "cov_K_cross_gen", counted)
+        _moment_fields(["cov", "--which", "star", "--j", "1", "--l", "1", "--t", "100"],
+                       capsys)
+        assert sorted(calls) == [(1, 1, 1, 1, 100.0, 100.0), (1, 1, 2, 1, 100.0, 100.0),
+                                 (1, 1, 2, 2, 100.0, 100.0)]
 
 
 class TestLimitsConsistency:
@@ -710,7 +734,7 @@ class TestSampleBlocks:
                 future.result = result
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         for n, threads, workers in ((1, 3, None), (9 * B, 2, 2), (2 * B + 3, 8, 3)):
             pools.clear()
             for args, want, _ in self._cases(n):

@@ -1,16 +1,18 @@
 import contextlib
 import hashlib
+import itertools
 import math
+import multiprocessing
 import pickle
 import signal
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 from nested_karlin import harness, moments
-from nested_karlin.errors import ValidationError
+from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -19,7 +21,7 @@ from nested_karlin.harness import (
     run_depoissonization_check,
     run_moment_check,
 )
-from nested_karlin.moments import cov_K_cross_gen, mean_K_binomial
+from nested_karlin.moments import cov_K_cross_gen, mean_K, mean_K_binomial
 
 
 @contextlib.contextmanager
@@ -301,6 +303,25 @@ class TestReproducibility:
             run_depoissonization_check(cfg)
         assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
 
+    def test_no_more_workers_than_tasks(self, monkeypatch):
+        # 6 exact targets at 8 threads, 2 at 4; a single task runs here
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        with _deadline(60):
+            run_asymptotic_trend(ExperimentConfig(T_grid=(10.0, 12.0), generations=1,
+                                                  levels=1, prune=1e-6, threads=8))
+            run_depoissonization_check(ExperimentConfig(t_grid=(10.0,), generations=1,
+                                                        levels=1, threads=4))
+            cfg = ExperimentConfig(threads=4)
+            harness._run_pool(cfg, cfg.family(), [harness._exact(mean_K, 1, 1, 100.0)])
+        assert pools == [6, 2]
+
     def test_write_emits_manifest(self, tmp_path):
         cfg = ExperimentConfig(t=150.0, replicas=100, seed=3)
         report = run_moment_check(cfg)
@@ -313,6 +334,59 @@ class TestReproducibility:
         # manifests must be reproducible verbatim (no timestamps)
         report.write(str(out))
         assert (out.parent / "report.csv.manifest").read_text() == manifest
+
+
+def _touch_after(path, seconds):
+    """Sleep ``seconds``, then create the file ``path``: a task that leaves
+    a mark when it runs."""
+    time.sleep(seconds)
+    open(path, "x").close()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+class TestInOrder:
+    """``harness._in_order``, the one worker pool (in this process at one
+    worker)."""
+
+    def test_results_in_order_from_lazy_calls(self, threads):
+        taken = []
+
+        def calls():
+            for i in range(20):
+                taken.append(i)
+                yield int, (str(i),), {"base": 16}
+
+        with _deadline(60):
+            stream = harness._in_order(calls(), threads, 3)
+            assert next(stream) == 0 and len(taken) <= 3
+            assert list(stream) == [int(str(i), 16) for i in range(1, 20)]
+
+    def test_worker_error_cancels_pending_calls(self, threads, tmp_path):
+        marks = [(_touch_after, (str(tmp_path / str(i)), 0.05), {}) for i in range(40)]
+        with _deadline(60), pytest.raises(ValueError) as info:
+            list(harness._in_order([(int, ("x",), {}), *marks], threads, 41))
+        remote = type(info.value.__cause__).__name__ == "_RemoteTraceback"
+        assert remote == (threads > 1)
+        # the calls already running finish; the rest never start
+        assert len(list(tmp_path.iterdir())) < 10
+
+    def test_error_from_the_calls_propagates(self, threads):
+        def calls():
+            yield int, ("7",), {}
+            raise NumericalError("refused")
+
+        with _deadline(60), pytest.raises(NumericalError, match="refused"):
+            list(harness._in_order(calls(), threads, 2))
+        assert multiprocessing.active_children() == []
+
+    def test_close_mid_stream_leaves_no_workers(self, threads):
+        calls = ((int, (str(i),), {}) for i in itertools.count())
+        with _deadline(60):
+            stream = harness._in_order(calls, threads, 4)
+            assert next(stream) == 0
+            assert len(multiprocessing.active_children()) == (0 if threads == 1 else threads)
+            stream.close()
+        assert multiprocessing.active_children() == []
 
 
 # sha256 of to_csv(), one worker; a change that moves any digit of a
