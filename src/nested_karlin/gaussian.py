@@ -27,18 +27,26 @@ and is multiplied by the covariance factor.  ``sample_blocks`` and
 ``whitenoise_blocks`` yield the blocks one at a time, each drawn when it is
 asked for, so a run of any length holds one block of draws;
 ``sample`` and ``sample_Z1_whitenoise`` gather the same blocks into one
-array.  A count whose draws would not fit in physical memory is refused
+array, and refuse a count whose draws would not fit in physical memory
 before any draw.
 
 Draws leave as CSV rows ``sample_id,level,u,value``: ``draws_to_csv_rows``
 formats one block of samples as text, numbering them from its ``start``
 argument, so a writer can emit a large run block by block, and can format
 the blocks in separate worker processes and write them in order, as the
-CLI's ``sample`` commands do.
+CLI's ``sample`` commands do.  Each value prints as its float's ``repr``,
+from one of two writers: ``repr`` itself, or, when orjson can be imported,
+``orjson.dumps``, whose shortest round-trip texts are ``repr``'s for
+finite values with 1e-4 <= |x| < 1e16; a value outside that range keeps
+``repr``.  orjson is imported at the first block, never with the package,
+and is used only if it writes a fixed probe of values as ``repr`` does, so
+the bytes are the same with it and without it, and a version that writes
+otherwise is not used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,8 +153,7 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
 
 def sample(grid: LimitCovarianceGrid, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the grid vector; rows are samples."""
-    n = check_whole("sample count", n, 1)
-    return _held(sample_blocks(grid, n, seed), n)
+    return _held(grid.cholesky, check_whole("sample count", n, 1), seed, 0)
 
 
 def sample_blocks(grid: LimitCovarianceGrid, n: int, seed: int):
@@ -158,10 +165,8 @@ def _draw_blocks(chol: np.ndarray, n: int, seed: int, stream: int):
     """The rows z @ chol.T for n rows z of standard normals, taken in order
     from the ``(seed, stream)`` generator: an iterator of blocks of
     _FACTOR_ROWS rows, the last one shorter when n is not a multiple, each
-    drawn when it is asked for.  A count n whose draws would not fit in
-    memory is refused here, before any draw."""
+    drawn when it is asked for, so any n streams in the memory of a block."""
     dim = chol.shape[0]
-    _check_bytes(8.0 * n * dim, f"{n} samples of {dim} values")
     rng = _keyed_rng(seed, stream)
 
     def blocks():
@@ -174,12 +179,14 @@ def _draw_blocks(chol: np.ndarray, n: int, seed: int, stream: int):
     return blocks()
 
 
-def _held(blocks, n: int) -> np.ndarray:
-    """The n rows of ``blocks`` in one array, so the draws are held once,
-    beside one block."""
-    for start, block in zip(range(0, n, _FACTOR_ROWS), blocks):
-        if start == 0:
-            draws = np.empty((n, block.shape[1]))
+def _held(chol: np.ndarray, n: int, seed: int, stream: int) -> np.ndarray:
+    """The n rows of ``_draw_blocks(chol, n, seed, stream)`` in one array, so
+    the draws are held once, beside one block.  A count n whose draws would
+    not fit in memory is refused here, before any draw."""
+    dim = chol.shape[0]
+    _check_bytes(8.0 * n * dim, f"{n} samples of {dim} values")
+    draws = np.empty((n, dim))
+    for start, block in zip(range(0, n, _FACTOR_ROWS), _draw_blocks(chol, n, seed, stream)):
         draws[start:start + len(block)] = block
     return draws
 
@@ -247,16 +254,20 @@ def sample_Z1_whitenoise(
     (see module docstring), including the discretization bias.
     """
     n = check_whole("sample count", n, 1)
-    return _held(whitenoise_blocks(u_grid, x_window, x_step, y_step, n, seed), n)
+    return _held(_whitenoise_factor(u_grid, x_window, x_step, y_step), n, seed, 1)
 
 
 def whitenoise_blocks(u_grid, x_window: float, x_step: float, y_step: float, n: int, seed: int):
     """The rows of ``sample_Z1_whitenoise`` with the same arguments, as
     blocks of _FACTOR_ROWS rows."""
     n = check_whole("sample count", n, 1)
+    return _draw_blocks(_whitenoise_factor(u_grid, x_window, x_step, y_step), n, seed, 1)
+
+
+def _whitenoise_factor(u_grid, x_window, x_step, y_step) -> np.ndarray:
+    """The Cholesky factor of ``whitenoise_mesh_covariance``."""
     cov = whitenoise_mesh_covariance(u_grid, A=x_window, x_step=x_step, y_step=y_step)
-    chol, _ = _factor_with_jitter(cov)
-    return _draw_blocks(chol, n, seed, 1)
+    return _factor_with_jitter(cov)[0]
 
 
 def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> str:
@@ -264,22 +275,89 @@ def draws_to_csv_rows(draws: np.ndarray, labels, start: int = 0) -> str:
     of a block of draws whose columns carry the (level, u) labels; sample
     ids count from ``start``.
 
-    One ``%r`` template per block, from the labels, is filled once per
-    sample, so values print as ``repr`` of the float and ``float(value)``
-    gives back each draw exactly.  Writers pass one block at a time, so the
-    text of a large run is never all held at once.  The text of a block
-    depends on nothing but its arguments: the CLI's ``sample`` commands
-    format blocks in pool workers, a few at a time, and write them in order.
+    Each run of _CSV_ROWS samples is one format, from the labels, filled
+    once with the run's values, so each prints as ``repr`` of the float and
+    ``float(value)`` gives back each draw exactly.  The values' texts come
+    from ``%r``, or, for a float64 block when orjson is installed and
+    writes ``_orjson``'s probe as ``repr`` does, from ``_shortest_texts``
+    through ``%s``: orjson's texts for values with 1e-4 <= |x| < 1e16 and
+    ``repr``'s for the rest, the same bytes about 3 times faster.  Writers
+    pass one block at a time, so the text of a large run is never all held
+    at once.  The text of a block depends on nothing but its arguments: the
+    CLI's ``sample`` commands format blocks in pool workers, a few at a
+    time, and write them in order.
     """
     start = check_whole("start", start, 0)
     try:
-        # the sample id is joined in before each label: "" id ,l,u,%r\n id ...
-        template = [""] + [f",{check_whole('level', level, 1)},{float(u)!r},%r\n"
-                           for level, u in labels]
+        heads = [f",{check_whole('level', level, 1)},{float(u)!r}," for level, u in labels]
     except (TypeError, ValueError):  # ValueError includes check_whole's refusal
         raise ValidationError(f"labels must be (level, u) pairs, got {labels!r}") from None
-    if not (isinstance(draws, np.ndarray) and draws.shape[1:] == (len(template) - 1,)):
-        raise ValidationError(f"draws must be an array of {len(template) - 1} columns, "
+    if not (isinstance(draws, np.ndarray) and draws.shape[1:] == (len(heads),)):
+        raise ValidationError(f"draws must be an array of {len(heads)} columns, "
                               f"one per label, got {draws!r}")
-    return "".join([str(sid).join(template) % tuple(values)
-                    for sid, values in enumerate(draws.tolist(), start)])
+    return "".join([_fill(heads, draws[lo:lo + _CSV_ROWS], start + lo)
+                    for lo in range(0, len(draws), _CSV_ROWS)])
+
+
+# samples per format: the value texts of this many are held at once (a
+# whole block's would double the writer's peak memory, for no gain in speed)
+_CSV_ROWS = 128
+
+
+def _fill(heads, draws: np.ndarray, start: int) -> str:
+    """The CSV rows of ``draws``, sample ids counting from ``start``, from
+    one format with a slot per value, each label's ``head`` followed by one."""
+    flat = draws.ravel()
+    texts = _shortest_texts(flat)
+    # the sample id is joined in before each head: "" id ,l,u,%r\n id ...
+    template = [""] + [head + ("%r\n" if texts is None else "%s\n") for head in heads]
+    return ("".join([str(sid).join(template) for sid in range(start, start + len(draws))])
+            % tuple(flat.tolist() if texts is None else texts))
+
+
+# orjson writes a finite float x with 1e-4 <= |x| < 1e16 as repr does, the
+# shortest text that reads back as x; outside that range its notation
+# differs (0.0000610 for 6.1e-05, 4.2e16 for 4.2e+16, null for nan)
+_SHORTEST_LOW, _SHORTEST_HIGH = 1e-4, 1e16
+
+
+def _shortest_texts(flat: np.ndarray):
+    """The texts of a flat float64 array's values as ``repr`` writes them,
+    from one ``orjson.dumps`` of the array, with ``repr`` itself for each
+    value outside [1e-4, 1e16) or not finite; None when the array is
+    empty or not float64, or ``_orjson`` gives no writer."""
+    orjson = _orjson() if flat.dtype == np.float64 and flat.size else None
+    if orjson is None:
+        return None
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(flat)
+    for i in np.flatnonzero(~((a >= _SHORTEST_LOW) & (a < _SHORTEST_HIGH))).tolist():
+        texts[i] = repr(float(flat[i]))
+    return texts
+
+
+@functools.cache
+def _orjson():
+    """The orjson module, imported at the first call, if it writes a fixed
+    probe of values in [1e-4, 1e16) as ``repr`` does, text for text; else
+    None, and the process keeps to ``repr``, so a version of orjson whose
+    notation differs from ``repr``'s is never used."""
+    try:
+        import orjson
+    except ImportError:
+        return None
+    # powers of 2 and 10 and a step either side, thirds of them, and 512
+    # random bit patterns over the range, of both signs
+    edges = np.array([10.0**k for k in range(-4, 16)] + [2.0**k for k in range(-13, 54)])
+    range_bits = np.array([_SHORTEST_LOW, _SHORTEST_HIGH]).view(np.int64)
+    bits = np.random.default_rng(0).integers(*range_bits, 512)
+    probe = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            edges / 3.0, bits.view(np.float64)])
+    probe = probe[(probe >= _SHORTEST_LOW) & (probe < _SHORTEST_HIGH)]
+    probe = np.concatenate([probe, -probe])
+    want = "[" + ",".join(map(repr, probe.tolist())) + "]"
+    try:
+        ok = orjson.dumps(probe, option=orjson.OPT_SERIALIZE_NUMPY).decode() == want
+    except (AttributeError, TypeError, ValueError):  # no numpy option, or refused
+        ok = False
+    return orjson if ok else None

@@ -162,8 +162,7 @@ def _checked(grid, J: int, L: int, n, replicas) -> tuple:
     each replica index."""
     J, L = check_whole("J", J, 1), check_whole("L", L, 1)
     whole = n is not None
-    grid = check_grid("time_grid" if whole else "times", grid, 0.0, whole=whole,
-                      order="nondecreasing")
+    grid = check_grid("times", grid, 0.0, whole=whole, order="nondecreasing")
     if whole and grid[-1] > check_whole("ball count n", n, 0):
         raise ValidationError(f"grid point {grid[-1]} exceeds ball count n={n}")
     # the (expected) ball count, checked before numpy is asked for Poisson
@@ -446,14 +445,14 @@ def simulate_deterministic(
     n: int,
     J: int,
     L: int,
-    time_grid,
+    times,
     seed: int,
     *,
     replica: int = 0,
 ) -> OccupancyTrajectory:
     """Fixed-ball-count scheme: snapshots at the integer ball counts in
-    ``time_grid`` (nondecreasing, max <= n)."""
-    return simulate_replicas(family, time_grid, J, L, seed, [replica], n=n)[0]
+    ``times`` (nondecreasing, max <= n)."""
+    return simulate_replicas(family, times, J, L, seed, [replica], n=n)[0]
 
 
 def simulate_poissonized(

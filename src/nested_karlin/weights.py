@@ -325,7 +325,7 @@ class WeightFamily:
         return 1.0
 
     def dehaan_profile(
-        self, lambdas: Sequence[float], ts: Sequence[float]
+        self, lambdas: Sequence[float], times: Sequence[float]
     ) -> list[tuple[float, float, float]]:
         """Rows (lambda, t, (rho(lambda*t) - rho(t)) / ((log t)^beta * ell(log t))).
 
@@ -335,7 +335,7 @@ class WeightFamily:
         """
         lambdas = check_grid("lambdas", lambdas, 0.0, strict=True, size=0).tolist()
         rows = []
-        for t in check_grid("ts", ts, 1.0, strict=True, size=0).tolist():
+        for t in check_grid("times", times, 1.0, strict=True, size=0).tolist():
             logt = math.log(t)
             denom = logt**self.beta * self.ell_at(logt)
             for lam in lambdas:

@@ -8,14 +8,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 import nested_karlin
-from nested_karlin import cli, harness
+from nested_karlin import cli, gaussian, harness
 from nested_karlin.cli import main
+from nested_karlin.errors import NumericalError
 from nested_karlin.gaussian import build_grid, sample, sample_Z1_whitenoise
 from nested_karlin.harness import ExperimentConfig
 
@@ -127,17 +129,27 @@ class TestExitCodes:
         assert code == 2
         assert "numeric error:" in err
 
-    @pytest.mark.parametrize("args", [
-        ["limit", "--kind", "Z", "--levels", "3", "--u-grid", "0,0.5"],
-        ["whitenoise", "--u-grid", "0,0.5"],
+    @pytest.mark.parametrize("draw", [
+        lambda n: sample(build_grid("Z", [0.0, 0.5], 3), n, 1),
+        lambda n: sample_Z1_whitenoise([0.0, 0.5], n=n, seed=1),
     ], ids=["limit", "whitenoise"])
-    def test_sample_count_past_memory(self, args, capsys):
-        # 8 n dim bytes are refused before any draw is made
-        code, out, err = run_cli(["sample", *args, "--n", str(10**12), "--threads", "1"],
-                                 capsys)
-        assert code == 2
+    def test_sample_count_past_memory(self, draw, monkeypatch):
+        # the CLI streams any --n; the samplers that hold all the draws
+        # refuse 8 n dim bytes past memory before any draw
+        monkeypatch.setattr(gaussian, "_draw_blocks", None)
+        with pytest.raises(NumericalError) as refused:
+            draw(10**12)
+        assert str(refused.value).startswith("1000000000000 samples of ")
+
+    @pytest.mark.parametrize("args", [
+        ["weights", "profile", "--times", "0.5"],
+        ["simulate", "--deterministic-n", "5", "--times", "1,2.5"],
+    ], ids=["weights", "simulate"])
+    def test_times_errors_name_the_flag(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
         assert out == ""
-        assert err.splitlines()[-1].startswith("numeric error: 1000000000000 samples of ")
+        assert err.splitlines()[-1].startswith("error: times must be ")
 
     def test_whitenoise_mesh_beyond_float_range(self, capsys):
         # a mesh whose cell count overflows a float is refused by the budget
@@ -592,6 +604,16 @@ def assert_same_text(got: str, want: str) -> None:
                     f"({len(a)} vs {len(b)} lines)")
 
 
+# the bench's two sample runs and the sha256 of their stdout at seed 1
+SAMPLE_DIGESTS = [
+    (["limit", "--kind", "Z", "--levels", "3", "--u-grid", "0.0,0.25,0.5,0.75,1.0",
+      "--n", "100000"],
+     "d602072b4171b13a6d74ca37590a419aeca374d0826b7a7ef4295e25629b7fc1"),
+    (["whitenoise", "--u-grid", "0.0,0.5,1.0", "--x-window", "30", "--x-step", "0.01",
+      "--y-step", "0.01", "--n", "20000"],
+     "28730a1fdaacdc4429ac775b31c4b78666f66a29f6930b4a28d8e3ecd123b7ea"),
+]
+
 # one sample, and runs that end one short of a block, on a block's end, one
 # past it, and three past it after eight blocks
 SAMPLE_COUNTS = [1, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 3]
@@ -657,20 +679,31 @@ class TestSampleBlocks:
             assert sys.stdout is stdout and not stdout.closed
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("args, digest", [
-        (["limit", "--kind", "Z", "--levels", "3", "--u-grid", "0.0,0.25,0.5,0.75,1.0",
-          "--n", "100000"],
-         "d602072b4171b13a6d74ca37590a419aeca374d0826b7a7ef4295e25629b7fc1"),
-        (["whitenoise", "--u-grid", "0.0,0.5,1.0", "--x-window", "30", "--x-step", "0.01",
-          "--y-step", "0.01", "--n", "20000"],
-         "28730a1fdaacdc4429ac775b31c4b78666f66a29f6930b4a28d8e3ecd123b7ea"),
-    ], ids=["limit", "whitenoise"])
+    @pytest.mark.parametrize("args, digest", SAMPLE_DIGESTS, ids=["limit", "whitenoise"])
     def test_stdout_pinned(self, args, digest, threads, capsys):
         # the bench's sample runs, byte for byte, at seed 1
         code, out, _ = run_cli(["sample", *args, "--seed", "1", "--threads", str(threads)],
                                capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("args, digest", SAMPLE_DIGESTS, ids=["limit", "whitenoise"])
+    @pytest.mark.parametrize("writer", ["hidden", "seventeen_digits"])
+    def test_stdout_pinned_without_orjson(self, writer, args, digest, threads, capsys,
+                                          orjson_as):
+        # the same bytes with no orjson, and with one whose writer fails the
+        # probe (17 significant digits are not repr's text), in the workers too
+        def dumps(value, option=0):
+            return ("[" + ",".join("%.17g" % v for v in value.tolist()) + "]").encode()
+
+        orjson_as(None if writer == "hidden" else
+                  types.SimpleNamespace(dumps=dumps, OPT_SERIALIZE_NUMPY=0))
+        code, out, _ = run_cli(["sample", *args, "--seed", "1", "--threads", str(threads)],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert gaussian._orjson() is None
 
     def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
         # each block goes from the generator to the file before the next is
@@ -799,6 +832,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
         assert len((tmp_path / "table.csv").read_text().splitlines()) == 1 + 2 * 4 * 7
+
+    def test_import_leaves_out_orjson(self):
+        # the sample CSV writer imports orjson at its first call, so the
+        # package's import time does not carry it
+        probe = "import sys, nested_karlin, nested_karlin.cli; print('orjson' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_out_special_functions(self):
         # no module of the package imports scipy.special

@@ -309,10 +309,11 @@ def test_grids_must_be_flat(runner, field, grid):
 
 @pytest.mark.parametrize("name, call", [
     ("times", lambda: sample_counts(GEO, 0.5, 1, 1, 0, range(2))),
-    ("time_grid", lambda: sample_counts(GEO, None, 1, 1, 0, range(2), n=5)),
     ("times", lambda: simulate_replicas(GEO, [[1.0, 2.0]], 1, 1, 0, range(2))),
     ("times", lambda: simulate_poissonized(GEO, 5.0, 1, 1, 0)),
-    ("time_grid", lambda: simulate_deterministic(GEO, 5, 1, 1, [[1, 2]], 0)),
+    ("times", lambda: sample_counts(GEO, None, 1, 1, 0, range(2), n=5)),
+    ("times", lambda: simulate_deterministic(GEO, 5, 1, 1, [[1, 2]], 0)),
+    ("times", lambda: GEO.dehaan_profile([2.0], 100.0)),
     ("replicas", lambda: sample_counts(GEO, [1.0], 1, 1, 0, None)),
     ("replicas", lambda: simulate_replicas(GEO, [1.0], 1, 1, 0, None)),
     ("u_grid", lambda: build_grid("Z", 0.5, 2)),
@@ -320,7 +321,6 @@ def test_grids_must_be_flat(runner, field, grid):
     ("u_grid", lambda: whitenoise_mesh_covariance(0.5)),
     ("u_grid", lambda: whitenoise_mesh_covariance([[0.0, 1.0]])),
     ("u_grid", lambda: sample_Z1_whitenoise(None)),
-    ("ts", lambda: GEO.dehaan_profile([2.0], 100.0)),
     ("lambdas", lambda: GEO.dehaan_profile(None, [100.0])),
     ("kinds", lambda: comparison_table(None, [(1, 1)], [0.0])),
     ("level_pairs", lambda: comparison_table(["Z"], [1], [0.0])),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from nested_karlin import gaussian
 from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.gaussian import (
     _FACTOR_ROWS as B,
@@ -15,7 +17,9 @@ from nested_karlin.gaussian import (
     build_grid,
     draws_to_csv_rows,
     sample,
+    sample_blocks,
     sample_Z1_whitenoise,
+    whitenoise_blocks,
     whitenoise_mesh_covariance,
 )
 from nested_karlin.kernels import b_constants
@@ -262,6 +266,18 @@ class TestFactorSampler:
             for n in counts[counts.index(m):]:
                 assert runs[m].tobytes() == runs[n][:m].tobytes(), (m, n)
 
+    @pytest.mark.parametrize("blocks, draw", [
+        (lambda n: sample_blocks(build_grid("Z", [0.0, 0.5], 3), n, 1),
+         lambda n: sample(build_grid("Z", [0.0, 0.5], 3), n, 1)),
+        (lambda n: whitenoise_blocks([0.0, 0.5], 30.0, 0.01, 0.01, n, 1),
+         lambda n: sample_Z1_whitenoise([0.0, 0.5], n=n, seed=1)),
+    ], ids=["limit", "whitenoise"])
+    def test_blocks_stream_past_memory(self, blocks, draw):
+        # the block iterators hold one block whatever n is: the first block
+        # of 10**12 samples, 44.7 TiB of draws, comes out as the first B
+        # samples of any run; gathering them all is refused (see test_cli)
+        assert next(blocks(10**12)).tobytes() == draw(B).tobytes()
+
 
 class TestWhiteNoise:
     def test_mesh_l2_norm_matches_variance(self):
@@ -347,3 +363,86 @@ class TestWhiteNoise:
         window = {"x_window" if k == "A" else k: v for k, v in mesh.items()}
         with pytest.raises(ValidationError):
             sample_Z1_whitenoise(u_grid, n=2, seed=0, **window)
+
+
+# the edges of orjson's agreement with repr, and values past them
+SPECIALS = [0.0, -0.0, 5e-324, 9.999999999999999e-05, 1e16, 1e300, math.nan, math.inf]
+
+
+def spread_bits(low, high, size, seed):
+    """``size`` floats of bit patterns drawn uniformly between those of the
+    positive floats ``low`` and ``high``, each of either sign."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([low, high]).view(np.int64)
+    x = rng.integers(lo, hi, size=size).view(np.float64)
+    return np.where(rng.random(size) < 0.5, -x, x)
+
+
+def same_as_repr_values(seed):
+    """About 10**6 float64 values in [1e-4, 1e16), of both signs, where
+    shortest round-trip writers differ if anywhere: random bit patterns, a
+    step either side of powers of 2 and of 10, integers and short decimals."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([10.0**k for k in range(-4, 17)] + [2.0**k for k in range(-14, 54)])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    whole = np.concatenate([np.arange(1.0, 10**5), rng.integers(1, 10**16, 10**5).astype(float)])
+    digits = rng.integers(1, 16, 3 * 10**5)
+    decimals = rng.integers(1, 10**6, 3 * 10**5) / 10.0**digits
+    x = np.concatenate([spread_bits(1e-4, 1e16, 5 * 10**5, seed), near, -near,
+                        whole, -whole, decimals])
+    return x[(np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)]
+
+
+class TestCsvWriters:
+    """With orjson installed, ``draws_to_csv_rows`` takes float64 values'
+    texts from ``orjson.dumps``; the text must be the ``repr`` path's, byte
+    for byte."""
+
+    @pytest.fixture
+    def orjson(self):
+        orjson = pytest.importorskip("orjson")
+        assert gaussian._orjson() is orjson  # the installed one passes the probe
+        return orjson
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_texts_are_repr(self, orjson, seed):
+        x = same_as_repr_values(seed)
+        assert x.size > 10**6 - 10**4
+        texts = gaussian._shortest_texts(x)
+        assert texts == list(map(repr, x.tolist()))
+
+    def test_block_text_is_the_repr_writers(self, orjson, orjson_as):
+        # a block of values from every group, and one with a value past the
+        # range in each row, which stays on repr
+        x = np.random.default_rng(2).permutation(same_as_repr_values(2))[:B * 16].reshape(B, 16)
+        mixed = x[:len(SPECIALS) * 4].copy()
+        mixed[np.arange(len(mixed)), np.arange(len(mixed)) % 16] = SPECIALS * 4
+        mixed[-1] = SPECIALS * 2  # and a row of nothing else
+        labels = [(c + 1, 0.5 * c) for c in range(16)]
+        fast = [draws_to_csv_rows(block, labels, 7) for block in (x, mixed)]
+        orjson_as(None)
+        assert gaussian._orjson() is None
+        assert fast == [draws_to_csv_rows(block, labels, 7) for block in (x, mixed)]
+        rows = fast[1].splitlines()
+        values = [rows[17 * i].split(",")[3] for i in range(len(SPECIALS))]
+        assert values == ["0.0", "-0.0", "5e-324", "9.999999999999999e-05", "1e+16",
+                          "1e+300", "nan", "inf"]
+
+    def test_only_float64_blocks_use_orjson(self, orjson, orjson_as):
+        calls = []
+
+        def dumps(value, option=0):
+            calls.append(value.dtype)
+            return orjson.dumps(value, option=option)
+
+        orjson_as(types.SimpleNamespace(dumps=dumps,
+                                        OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
+        assert gaussian._orjson() is not None  # the probe's call
+        calls.clear()
+        labels = [(1, 0.0), (2, 1.0)]
+        for block, want in ((np.array([[3, -4]]), "3,-4"),
+                            (np.array([[0.1, 1.5]], np.float32), "0.10000000149011612,1.5"),
+                            (np.array([[0.1, 1.5]]), "0.1,1.5")):
+            rows = draws_to_csv_rows(block, labels).splitlines()
+            assert ",".join(row.split(",")[3] for row in rows) == want
+        assert calls == [np.float64]
