@@ -73,11 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _csv_floats(text: str) -> list:
+def _csv_floats(text: str) -> tuple:
+    """The argparse type of every comma-list flag: argparse prints a refusal
+    as ``error: argument --FLAG: ...`` and exits 1 through ``_Parser``."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise ValidationError(f"expected a comma list of numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _threads(ns) -> int:
@@ -144,15 +147,20 @@ def _add_family_flags(p) -> None:
     p.add_argument("--alpha", type=float, default=0.5,
                    help="weibull-like exponent in (0,1)")
     p.add_argument("--p", type=float, default=0.5, help="geometric parameter")
-    p.add_argument("--probs", default="", help="finite family probabilities p1,p2,...")
+    p.add_argument("--probs", type=_csv_floats, default="",
+                   help="finite family probabilities p1,p2,...")
 
 
-def _add_common(p, *, seed=0) -> None:
+def _add_common(p, *, seed=None, threads=False) -> None:
+    """--config and --out, and --seed (when given its default) and --threads
+    for the subcommands that read them."""
     p.add_argument("--config", default="", help="key=value config file (flags override)")
-    p.add_argument("--seed", type=int, default=seed)
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default="", help="output CSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker count (default: NESTED_KARLIN_THREADS or CPU count)")
+    if threads:
+        p.add_argument("--threads", type=int, default=0,
+                       help="worker count (default: NESTED_KARLIN_THREADS or CPU count)")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ def _cmd_weights_table(ns) -> int:
 def _cmd_weights_rho(ns) -> int:
     fam = ns.weight_family
     lines = ["t,rho"]
-    for t in _csv_floats(ns.t):
+    for t in ns.t:
         lines.append(f"{t!r},{fam.rho(t)}")
     _emit(lines, ns.out)
     return 0
@@ -183,7 +191,7 @@ def _cmd_weights_rho(ns) -> int:
 def _cmd_weights_profile(ns) -> int:
     fam = ns.weight_family
     lines = ["lambda,t,ratio"]
-    for lam, t, ratio in fam.dehaan_profile(_csv_floats(ns.lambdas), _csv_floats(ns.times)):
+    for lam, t, ratio in fam.dehaan_profile(ns.lambdas, ns.times):
         lines.append(f"{lam!r},{t!r},{ratio!r}")
     _emit(lines, ns.out)
     return 0
@@ -201,7 +209,7 @@ def _cmd_identities(ns) -> int:
                     _emit([f"convolution identity FAILED at a={a} r={r} n={n}"], ns.out)
                     return 2
                 cells += 1
-    rng = np.random.default_rng(ns.seed)
+    rng = np.random.default_rng(check_whole("--seed", ns.seed, 0))
     worst = 0.0
     checks = 0
     for _ in range(100):
@@ -220,7 +228,7 @@ def _cmd_identities(ns) -> int:
 def _cmd_simulate(ns) -> int:
     replicas = check_whole("replicas", ns.replicas, 1)
     n = ns.deterministic_n
-    grid = _csv_floats(ns.times) if ns.times else [float(ns.t) if n is None else n]
+    grid = ns.times if ns.times is not None else [float(ns.t) if n is None else n]
     trajectories = simulate_replicas(
         ns.weight_family, grid, ns.generations, ns.levels, ns.seed,
         range(replicas), n=n,
@@ -253,11 +261,11 @@ def _estimate(ns, terms) -> MomentEstimate:
 
 
 def _cmd_moments_mean(ns) -> int:
-    if ns.binomial and ns.star:
-        raise ValidationError("--star has no fixed-n form; drop --binomial or --star")
-    if ns.binomial:
-        quantity, t, terms = ("mean_K_binomial", float(ns.n),
-                              _exact(mean_K_binomial, ns.j, ns.l, ns.n))
+    n = ns.deterministic_n
+    if n is not None and ns.star:
+        raise ValidationError("--star has no fixed-n form; drop --deterministic-n or --star")
+    if n is not None:
+        quantity, t, terms = "mean_K_binomial", float(n), _exact(mean_K_binomial, ns.j, ns.l, n)
     elif ns.star:
         quantity, t, terms = "mean_K_star", ns.t, _star_terms(mean_K, (ns.j,), (ns.l,), (ns.t,))
     else:
@@ -303,7 +311,7 @@ def _cmd_limits_table(ns) -> int:
     kinds = [k.strip() for k in ns.kinds.split(",") if k.strip()]
     max_l = check_whole("--max-l", ns.max_l, 1)
     pairs = [(l1, l2) for l1 in range(1, max_l + 1) for l2 in range(1, max_l + 1)]
-    rows = comparison_table(kinds, pairs, _csv_floats(ns.deltas))
+    rows = comparison_table(kinds, pairs, ns.deltas)
     lines = ["kind,l1,l2,delta,closed_form,quadrature,abs_diff"]
     for kind, l1, l2, d, closed, quad, diff in rows:
         lines.append(f"{kind},{l1},{l2},{d!r},{closed!r},{quad!r},{diff!r}")
@@ -312,31 +320,27 @@ def _cmd_limits_table(ns) -> int:
 
 
 def _cmd_sample_limit(ns) -> int:
-    grid = build_grid(ns.kind, _csv_floats(ns.u_grid), ns.levels)
+    grid = build_grid(ns.kind, ns.u_grid, ns.levels)
     blocks = sample_blocks(grid, ns.n, ns.seed)
     _emit_samples(blocks, ns.n, grid.labels(), ns.out, ns.threads)
     return 0
 
 
 def _cmd_sample_whitenoise(ns) -> int:
-    u = _csv_floats(ns.u_grid)
-    blocks = whitenoise_blocks(u, ns.x_window, ns.x_step, ns.y_step, ns.n, ns.seed)
-    _emit_samples(blocks, ns.n, [(1, float(x)) for x in u], ns.out, ns.threads)
+    blocks = whitenoise_blocks(ns.u_grid, ns.x_window, ns.x_step, ns.y_step, ns.n, ns.seed)
+    _emit_samples(blocks, ns.n, [(1, u) for u in ns.u_grid], ns.out, ns.threads)
     return 0
 
 
 def _experiment_config(ns) -> ExperimentConfig:
     """Each ExperimentConfig field from the flag of its name (--family for
-    family_kind), tuple fields parsed from comma lists; a field without a
-    flag in this subcommand keeps its default."""
+    family_kind); a field without a flag in this subcommand keeps its
+    default."""
     kwargs = {}
     for f in dataclasses.fields(ExperimentConfig):
         flag = "family" if f.name == "family_kind" else f.name
         if hasattr(ns, flag):
-            value = getattr(ns, flag)
-            if isinstance(f.default, tuple):
-                value = tuple(_csv_floats(value))
-            kwargs[f.name] = value
+            kwargs[f.name] = getattr(ns, flag)
     return ExperimentConfig(**kwargs)
 
 
@@ -387,12 +391,12 @@ def build_parser() -> _Parser:
     wt.set_defaults(func=_cmd_weights_table)
     wr = wsubs.add_parser("rho", help="counting function rho(t)")
     _add_family_flags(wr); _add_common(wr)
-    wr.add_argument("--t", default="100.0", help="comma-separated times")
+    wr.add_argument("--t", type=_csv_floats, default="100.0", help="comma-separated times")
     wr.set_defaults(func=_cmd_weights_rho)
     wp = wsubs.add_parser("profile", help="de Haan profile ratios")
     _add_family_flags(wp); _add_common(wp)
-    wp.add_argument("--lambdas", default="2.0,8.0")
-    wp.add_argument("--times", default="100.0,10000.0")
+    wp.add_argument("--lambdas", type=_csv_floats, default="2.0,8.0")
+    wp.add_argument("--times", type=_csv_floats, default="100.0,10000.0")
     wp.set_defaults(func=_cmd_weights_profile)
 
     idn = subs.add_parser("identities", help="combinatorial identity checks")
@@ -407,7 +411,8 @@ def build_parser() -> _Parser:
     sim = subs.add_parser("simulate", help="simulate occupancy trajectories")
     _add_family_flags(sim); _add_common(sim, seed=1)
     sim.add_argument("--t", type=float, default=100.0, help="single Poissonized time")
-    sim.add_argument("--times", default="", help="snapshot grid (comma-separated)")
+    sim.add_argument("--times", type=_csv_floats, default=None,
+                     help="snapshot grid (comma-separated); without it the one time --t")
     sim.add_argument("--deterministic-n", type=int, default=None,
                      help="run the fixed-ball-count scheme with n balls (0 allowed); "
                           "without it the Poissonized scheme runs")
@@ -425,9 +430,10 @@ def build_parser() -> _Parser:
     mm.add_argument("--j", type=int, default=1)
     mm.add_argument("--l", type=int, default=1)
     mm.add_argument("--t", type=float, default=100.0)
-    mm.add_argument("--n", type=int, default=100, help="ball count for --binomial")
+    mm.add_argument("--deterministic-n", type=int, default=None,
+                    help="the fixed-ball-count scheme's mean with n balls; "
+                         "without it the Poissonized mean at --t")
     mm.add_argument("--star", action="store_true", help="exactly-l boxes")
-    mm.add_argument("--binomial", action="store_true", help="deterministic scheme")
     mm.add_argument("--prune", type=float, default=1e-9)
     mm.set_defaults(func=_cmd_moments_mean)
 
@@ -464,25 +470,27 @@ def build_parser() -> _Parser:
     lc.add_argument("--delta", type=float, default=0.0)
     lc.set_defaults(func=_cmd_limits_cov)
     lt = lsubs.add_parser("table")
-    _add_common(lt)
+    # --seed and --threads are read by nothing here, but the benchmark in
+    # perfbench/run.py passes both to every command it runs
+    _add_common(lt, seed=0, threads=True)
     lt.add_argument("--kinds", default="Z,X")
     lt.add_argument("--max-l", type=int, default=3)
-    lt.add_argument("--deltas", default="-2.0,-1.0,-0.5,0.0,0.5,1.0,2.0")
+    lt.add_argument("--deltas", type=_csv_floats, default="-2.0,-1.0,-0.5,0.0,0.5,1.0,2.0")
     lt.set_defaults(func=_cmd_limits_table)
 
     smp = subs.add_parser("sample", help="draw from the Gaussian limit laws")
     ssubs = smp.add_subparsers(dest="action", parser_class=_Parser)
     ssubs.required = True
     sl = ssubs.add_parser("limit")
-    _add_common(sl)
+    _add_common(sl, seed=0, threads=True)
     sl.add_argument("--kind", choices=("Z", "X"), default="Z")
     sl.add_argument("--levels", type=int, default=3)
-    sl.add_argument("--u-grid", default="0.0,0.5,1.0")
+    sl.add_argument("--u-grid", type=_csv_floats, default="0.0,0.5,1.0")
     sl.add_argument("--n", type=int, default=100)
     sl.set_defaults(func=_cmd_sample_limit)
     sw = ssubs.add_parser("whitenoise")
-    _add_common(sw)
-    sw.add_argument("--u-grid", default="0.0,1.0")
+    _add_common(sw, seed=0, threads=True)
+    sw.add_argument("--u-grid", type=_csv_floats, default="0.0,1.0")
     sw.add_argument("--x-window", type=float, default=30.0)
     sw.add_argument("--x-step", type=float, default=0.01)
     sw.add_argument("--y-step", type=float, default=0.01)
@@ -497,15 +505,14 @@ def build_parser() -> _Parser:
                       ("trend", ("T_grid",)), ("gap", ("t_grid",))):
         vp = vsubs.add_parser(name)
         _add_family_flags(vp)
-        _add_common(vp, seed=ExperimentConfig.seed)
-        # each flag is the config field of its name, with the field's default
+        _add_common(vp, seed=ExperimentConfig.seed, threads=True)
+        # each flag is the config field of its name, with the field's default;
+        # the one field whose default is None takes ball counts
         for key in ("generations", "levels", "replicas", "prune", *own):
-            flag, default = "--" + key.replace("_", "-"), defaults[key]
-            if isinstance(default, tuple):
-                vp.add_argument(flag, dest=key, default=",".join(map(repr, default)))
-            else:  # the one field whose default is None takes ball counts
-                vp.add_argument(flag, dest=key, default=default,
-                                type=int if default is None else type(default))
+            default = defaults[key]
+            vp.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
+                            type=_csv_floats if isinstance(default, tuple)
+                            else int if default is None else type(default))
         if name == "clt":
             vp.set_defaults(replicas=4000)
         vp.set_defaults(func=_cmd_verify, check=name)
@@ -559,9 +566,7 @@ def main(argv=None) -> int:
             # what an existing one holds
             _open_out(ns.out, "a").close()
         if hasattr(ns, "family"):
-            ns.weight_family = WeightFamily.from_spec(
-                ns.family, alpha=ns.alpha, p=ns.p, probs=_csv_floats(ns.probs)
-            )
+            ns.weight_family = WeightFamily(ns.family, alpha=ns.alpha, p=ns.p, probs=ns.probs)
         return ns.func(ns)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,6 +136,7 @@ def build_grid(kind: str, u_grid, L: int) -> LimitCovarianceGrid:
     u = _u_array(u_grid, "nondecreasing")
     m = u.size
     dim = L * m
+    _check_bytes(8.0 * dim * dim, f"the covariances of {L} levels at {m} offsets")
     mat = np.empty((dim, dim))
     for a in range(dim):
         la, ua = a // m + 1, u[a % m]

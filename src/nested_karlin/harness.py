@@ -47,7 +47,7 @@ from .moments import (
     mean_K,
     mean_K_binomial,
 )
-from .scheme import sample_counts
+from .scheme import _check_bytes, sample_counts
 # the ball engine's single-replica entry points stay importable here for
 # perfbench/trace_cli.py
 from .scheme import simulate_deterministic, simulate_poissonized  # noqa: F401
@@ -94,9 +94,7 @@ class ExperimentConfig:
     threads: int = 1
 
     def family(self) -> WeightFamily:
-        return WeightFamily.from_spec(
-            self.family_kind, alpha=self.alpha, p=self.p, probs=self.probs
-        )
+        return WeightFamily(self.family_kind, alpha=self.alpha, p=self.p, probs=self.probs)
 
     def manifest(self) -> str:
         """One ``name=value`` line per field but ``threads``, in field order:
@@ -195,6 +193,9 @@ def _replica_tasks(cfg: ExperimentConfig, family: WeightFamily, sim: tuple,
     R, seed = _whole(cfg, replicas=_MIN_STAT_REPLICAS, seed=None)
     times, J, L, _ = sim
     times = tuple(float(x) for x in times)
+    # the run holds the replica value matrix, refused before any replica
+    width = 2 * J * L * len(times)
+    _check_bytes(8.0 * R * width, f"{R} replicas of {width} values")
     chunk = R if threads == 1 else max(1, math.ceil(R / (4 * threads)))
     return [(family, times, J, L, seed, range(lo, min(lo + chunk, R)))
             for lo in range(0, R, chunk)]

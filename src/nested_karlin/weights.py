@@ -196,12 +196,6 @@ class WeightFamily:
     def finite(cls, probs: Iterable[float]) -> "WeightFamily":
         return cls("finite", probs=probs)
 
-    @classmethod
-    def from_spec(cls, kind: str, *, alpha=None, p=None, probs=()) -> "WeightFamily":
-        """The family a spec names, as the CLI flags and ExperimentConfig
-        give it; only the parameter of ``kind`` is read."""
-        return cls(kind, alpha=alpha, p=p, probs=probs)
-
     def __repr__(self):
         if self.kind == "weibull":
             return f"WeightFamily.weibull_like({self.alpha})"

@@ -93,6 +93,16 @@ class TestSpecInvocations:
             assert code == 0, err
             assert out.strip().split("\n")[1:] == [f"0,1,1,0,{time},0,0,0"]
 
+    def test_fixed_n_mean_has_one_spelling(self, capsys):
+        # --deterministic-n, as for simulate and verify moment; --n is no flag
+        code, out, err = run_cli(["moments", "mean", "--n", "50"], capsys)
+        assert code == 1 and not out
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --n 50"
+        code, out, _ = run_cli(["moments", "mean", "--deterministic-n", "50"], capsys)
+        assert code == 0
+        assert out == (f"{cli.MOMENTS_CSV_HEADER}\n"
+                       "mean_K_binomial,1,1,,,50.0,17.01442992478786,4.971897708429024e-10,32\n")
+
     def test_verify_moment_zero_balls_is_the_fixed_n_scheme(self, capsys):
         # as for simulate: only the fixed-n scheme's mean rows, at t = n = 0
         code, out, err = run_cli(["verify", "moment", "--deterministic-n", "0", "--t", "50",
@@ -150,6 +160,39 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1].startswith("error: times must be ")
+
+    def test_identities_refuse_a_negative_seed(self, capsys):
+        # numpy's default_rng takes no negative seed
+        code, out, err = run_cli(["identities", "check", "--seed", "-1"], capsys)
+        assert code == 1 and not out
+        assert err.splitlines()[-1] == "error: --seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("times", [",", ""])
+    def test_simulate_refuses_an_empty_times_list(self, times, capsys):
+        # an empty list is not an absent flag: it does not fall back to --t
+        code, out, err = run_cli(["simulate", "--times", times], capsys)
+        assert code == 1 and not out
+        assert err.splitlines()[-1] == "error: times must be nondecreasing with >= 1 point, got ()"
+
+    @pytest.mark.parametrize("levels", ["100000", "1000000000"])
+    def test_limit_grid_past_memory(self, levels, capsys):
+        # the (levels * 3)**2 covariance matrix is refused before it is allocated
+        code, out, err = run_cli(["sample", "limit", "--levels", levels, "--n", "2"], capsys)
+        assert code == 2 and not out
+        lines = [line for line in err.splitlines() if not line.startswith("#")]
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"numeric error: the covariances of {levels} levels at "
+                                   "3 offsets need about ")
+
+    @pytest.mark.parametrize("check", ["moment", "clt"])
+    def test_replica_matrix_past_memory(self, check, capsys):
+        # the (replicas, values) matrix a run holds is refused before any replica
+        code, out, err = run_cli(["verify", check, "--replicas", str(2**64), "--generations",
+                                  "1", "--levels", "1", "--threads", "1"], capsys)
+        assert code == 2 and not out
+        lines = [line for line in err.splitlines() if not line.startswith("#")]
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"numeric error: {2**64} replicas of ")
 
     def test_whitenoise_mesh_beyond_float_range(self, capsys):
         # a mesh whose cell count overflows a float is refused by the budget
@@ -270,9 +313,7 @@ class TestExitCodes:
     def test_threads_flag_overrides_a_bad_env(self, monkeypatch, capsys):
         monkeypatch.setenv("NESTED_KARLIN_THREADS", "-5")
         code, _, err = run_cli(
-            ["limits", "cov", "--kind", "Z", "--l1", "1", "--l2", "1", "--threads", "1"],
-            capsys,
-        )
+            ["sample", "limit", "--levels", "1", "--n", "1", "--threads", "1"], capsys)
         assert code == 0
         assert "# threads=1\n" in err
 
@@ -290,9 +331,11 @@ class TestExitCodes:
                                       ["sample", "limit", "--u-grid", "0;1"],
                                       ["weights", "table", "--family", "finite", "--probs", "x"]])
     def test_comma_list_of_non_numbers(self, args, capsys):
+        # argparse refuses the list, naming its flag
         code, out, err = run_cli(args, capsys)
         assert code == 1
-        assert "error: expected a comma list of numbers" in err and not out
+        assert f"error: argument {args[-2]}: expected a comma list of numbers" in err
+        assert not out
 
     def test_non_finite_limit_grid_is_validation_error(self, capsys):
         code, out, err = run_cli(
@@ -365,8 +408,8 @@ class TestExitCodes:
         assert "error:" in err and not out
 
     def test_star_has_no_fixed_n_form(self, capsys):
-        # --binomial must not print the K row and drop --star
-        code, out, err = run_cli(["moments", "mean", "--binomial", "--star"], capsys)
+        # --deterministic-n must not print the K row and drop --star
+        code, out, err = run_cli(["moments", "mean", "--deterministic-n", "5", "--star"], capsys)
         assert code == 1
         assert "error:" in err and not out
 
@@ -485,7 +528,7 @@ class TestDeterminism:
     ], ids=["poissonized", "fixed-n"])
     def test_simulate_stdout_pinned(self, args, digest, capsys):
         # the ball engine's trajectories, byte for byte, for a fixed seed
-        code, out, _ = run_cli(["simulate", *args, "--threads", "1"], capsys)
+        code, out, _ = run_cli(["simulate", *args], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -509,6 +552,23 @@ class TestDeterminism:
         assert out.startswith("verify moment: passed=")
         header = csv.split("\n")[0]
         assert header == "experiment,cell_id,j,l,l2,u,v,T,empirical,se,target,target_kind,pass"
+
+
+def leaves(parser, head=""):
+    """(name, parser) for each leaf subcommand under ``parser``, named by its
+    words, e.g. ``"verify clt"``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(head, parser)]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in leaves(sub, f"{head} {name}".strip())]
+
+
+VERIFY = {"verify moment", "verify clt", "verify trend", "verify gap"}
+# the leaves that declare --threads, and those that declare --seed: the ones
+# that read them, and limits table, to which the benchmark passes both
+THREADED = {"sample limit", "sample whitenoise", "limits table", *VERIFY}
+SEEDED = {"identities check", "simulate", *THREADED}
 
 
 # a small run of every subcommand
@@ -536,18 +596,17 @@ _OUT_CASES = {
 
 class TestOutFlag:
     def test_cases_cover_every_subcommand(self):
-        def leaves(parser, head):
-            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                return [head]
-            return [leaf for name, sub in subs[0].choices.items()
-                    for leaf in leaves(sub, f"{head} {name}".strip())]
+        assert sorted(name for name, _ in leaves(cli.build_parser())) == sorted(_OUT_CASES)
 
-        assert sorted(leaves(cli.build_parser(), "")) == sorted(_OUT_CASES)
+    @staticmethod
+    def _args(command) -> list:
+        """The small run of ``command``, at one worker where it takes --threads."""
+        return [*command.split(), *_OUT_CASES[command],
+                *(["--threads", "1"] if command in THREADED else [])]
 
     @pytest.mark.parametrize("command", sorted(_OUT_CASES))
     def test_out_holds_what_stdout_would(self, command, tmp_path, capsys):
-        args = [*command.split(), *_OUT_CASES[command], "--threads", "1"]
+        args = self._args(command)
         path = tmp_path / "out.csv"
         code, printed, _ = run_cli(args, capsys)
         assert code == 0, printed
@@ -572,13 +631,143 @@ class TestOutFlag:
         # nothing runs, so nothing reaches stdout
         monkeypatch.setattr(cli, "_VERIFY_RUNNERS", {})
         path = tmp_path / "missing" / "out.csv"
-        args = [*command.split(), *_OUT_CASES[command], "--threads", "1", "--out", str(path)]
+        args = [*self._args(command), "--out", str(path)]
         code, stdout, err = run_cli(args, capsys)
         assert code == 1
         assert stdout == ""
         want = f"error: cannot write --out {path}: No such file or directory"
         assert err.splitlines()[-1] == want
         assert not path.parent.exists()
+
+
+HUGE = str(2**64)
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "", ",", "1,,2", "x", HUGE]
+
+# (leaf, flag) pairs the fuzz does not run at 2**64, with the reason.  The
+# first three ask for valid unbounded work; the rest are open faults (ROADMAP
+# item 17) that run for hours or hold memory without bound.
+_LONG_RUNS = {
+    ("sample limit", "--n"): "streams 2**64 samples in the memory of a few blocks",
+    ("sample whitenoise", "--n"): "streams 2**64 samples in the memory of a few blocks",
+    ("identities check", "--max-n"): "checks (2**64 + 1)**3 convolution cells, one at a time",
+    **{(f"moments {action}", "--j"): "enumerate_boxes sums j powers of the table's mass"
+       for action in ("mean", "cov", "gap")},
+    ("limits cov", "--l1"): "_crossZ loops l1 * (l2 - l1) times",
+    ("limits cov", "--l2"): "_crossZ loops l1 * (l2 - l1) times",
+    ("limits table", "--max-l"): "lists max_l**2 level pairs before any work",
+    ("weights table", "--k-max"): "holds every row before writing the first",
+    **{(name, "--levels"): "lists cells for every level, or pairs of levels, before any work"
+       for name in VERIFY},
+    ("verify moment", "--generations"): "lists cells for every generation before any work",
+    ("verify gap", "--generations"): "lists cells for every generation before any work",
+}
+
+# (leaf, flag) pairs that end in a traceback at 2**64: open faults (ROADMAP
+# item 17), each kept as a strict xfail so that its mend shows
+_TRACEBACKS = {
+    ("identities check", "--max-l"): "binomial_identity_lhs: math.comb overflows a float "
+                                     "from l = 515",
+    ("simulate", "--levels"): "scheme: np.empty of (J, L + 1, G) counts",
+    ("simulate", "--replicas"): "scheme._checked: list(range(replicas))",
+    **{(f"moments {action}", "--l"): "_at_least_series: np.arange(l, _SIZE)"
+       for action in ("mean", "cov", "gap")},
+    ("verify clt", "--generations"): "WeightFamily.normalization: math.gamma(j * (beta + 1))",
+    ("verify trend", "--generations"): "WeightFamily.normalization: math.gamma(j * (beta + 1))",
+}
+
+
+class TestFlagContract:
+    def test_seed_and_threads_only_where_read(self):
+        flags = {name: {a.option_strings[-1] for a in parser._actions}
+                 for name, parser in leaves(cli.build_parser())}
+        assert {name for name, f in flags.items() if "--seed" in f} == SEEDED
+        assert {name for name, f in flags.items() if "--threads" in f} == THREADED
+
+    def test_argparse_parses_every_comma_list(self):
+        lists = {(name, a.option_strings[-1]) for name, parser in leaves(cli.build_parser())
+                 for a in parser._actions if a.type is cli._csv_floats}
+        family = {"weights table", "weights rho", "weights profile", "simulate",
+                  "moments mean", "moments cov", "moments gap", *VERIFY}
+        assert lists == {
+            ("weights rho", "--t"), ("weights profile", "--lambdas"),
+            ("weights profile", "--times"), ("simulate", "--times"),
+            ("limits table", "--deltas"), ("sample limit", "--u-grid"),
+            ("sample whitenoise", "--u-grid"), ("verify clt", "--u-grid"),
+            ("verify trend", "--T-grid"), ("verify gap", "--t-grid"),
+            *((name, "--probs") for name in family)}
+
+    @staticmethod
+    def _run(args, path, capsys):
+        """``run_cli(args)`` with --out at ``path``, which holds a sentinel."""
+        path.write_text("sentinel")
+        return run_cli([*args, "--out", str(path)], capsys)
+
+    @pytest.mark.parametrize("command", sorted(_OUT_CASES))
+    def test_hostile_values(self, command, tmp_path, capsys, monkeypatch):
+        # each flag of each leaf that takes a value (--out aside), alone at
+        # each hostile value, on the leaf's small run: an exit code of the
+        # contract, and a refusal is one error line that names a malformed
+        # flag and leaves --out as it was.  The pool runs in this process,
+        # so --threads 2**64 starts no worker.
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.delenv("NESTED_KARLIN_THREADS", raising=False)
+        parser = dict(leaves(cli.build_parser()))[command]
+        path = tmp_path / "out.csv"
+        for action in parser._actions:
+            if not action.option_strings or action.nargs == 0 or action.dest == "out":
+                continue
+            flag = action.option_strings[-1]
+            for value in HOSTILE:
+                if value == HUGE and ((command, flag) in _LONG_RUNS
+                                      or (command, flag) in _TRACEBACKS):
+                    continue
+                case = f"{command} {flag}={value}"
+                try:
+                    code, _, err = self._run([*command.split(), *_OUT_CASES[command],
+                                              f"{flag}={value}"], path, capsys)
+                except Exception as exc:  # a traceback
+                    pytest.fail(f"{case}: {exc!r}")
+                assert code in (0, 1, 2, 3), case
+                if code in (1, 2):
+                    errors = [line for line in err.splitlines()
+                              if line.startswith(("error:", "numeric error:"))]
+                    assert len(errors) == 1, (case, err)
+                    assert path.read_text() == "sentinel", case
+                    if value == "x" and action.type is not None:
+                        assert errors[0].startswith(f"error: argument {flag}: "), case
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, marks=pytest.mark.xfail(
+            strict=True, raises=(ValueError, OverflowError), reason=reason))
+        for (command, flag), reason in sorted(_TRACEBACKS.items())])
+    def test_huge_counts_that_end_in_a_traceback(self, command, flag, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        code, _, _ = self._run([*command.split(), *_OUT_CASES[command], f"{flag}={HUGE}"],
+                               tmp_path / "out.csv", capsys)
+        assert code in (1, 2)
+
+
+class InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs each call in this process
+    as it is submitted."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def shutdown(self, **kwargs):
+        pass
 
 
 B = cli._FACTOR_ROWS
@@ -798,6 +987,20 @@ class TestConfigFile:
         assert "# replicas=150" in err  # flag wins
         assert "# t=120.0" in err or "# t=120" in err  # config supplies the rest
         assert "# prune=1e-07" in err
+
+    def test_list_flags_echo_as_parsed(self, tmp_path, capsys):
+        # argparse parses a comma list, from a flag, a config file or a
+        # default, into the tuple the run reads, and the echo shows that tuple
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("u_grid=0,1\n")
+        code, _, err = run_cli(["verify", "clt", "--config", str(cfg), "--T", "3",
+                                "--replicas", "100", "--generations", "1", "--levels", "1",
+                                "--threads", "1", "--probs", "1,,2"], capsys)
+        assert code == 0
+        assert "# u_grid=(0.0, 1.0)\n" in err and "# probs=(1.0, 2.0)\n" in err
+        code, _, err = run_cli(["sample", "limit", "--n", "1"], capsys)
+        assert code == 0
+        assert "# u_grid=(0.0, 0.5, 1.0)\n" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -309,13 +309,13 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             WeightFamily.finite([0.5, bad])
         with pytest.raises(ValidationError):
-            WeightFamily.from_spec("finite", probs=(bad, 0.5))
+            WeightFamily("finite", probs=(bad, 0.5))
 
     def test_from_spec_reads_only_its_kind(self):
         for fam, want in (
-            (WeightFamily.from_spec("weibull", alpha=0.3, p=2.0), WeightFamily.weibull_like(0.3)),
-            (WeightFamily.from_spec("geometric", alpha=7.0, p=0.25), WeightFamily.geometric(0.25)),
-            (WeightFamily.from_spec("finite", alpha=7.0, probs=(2.0, 1.0, 1.0)),
+            (WeightFamily("weibull", alpha=0.3, p=2.0), WeightFamily.weibull_like(0.3)),
+            (WeightFamily("geometric", alpha=7.0, p=0.25), WeightFamily.geometric(0.25)),
+            (WeightFamily("finite", alpha=7.0, probs=(2.0, 1.0, 1.0)),
              WeightFamily.finite([0.5, 0.25, 0.25])),
         ):
             assert repr(fam) == repr(want)
@@ -335,7 +335,7 @@ class TestConstructors:
             ("geometric", {"p": [0.5]}),
         ):
             with pytest.raises(ValidationError):
-                WeightFamily.from_spec(kind, **kwargs)
+                WeightFamily(kind, **kwargs)
 
     def test_asymptotic_params(self, weib, geo):
         # the index beta and slowly varying part ell that normalization reads
