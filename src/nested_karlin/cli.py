@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_whole
+from .errors import NumericalError, ValidationError, check_real, check_whole
 from .gaussian import (
     _FACTOR_ROWS,
     SAMPLE_CSV_HEADER,
@@ -50,7 +50,7 @@ from .harness import (
     run_moment_check,
 )
 from .kernels import binomial_identity_lhs, convolution_identity
-from .limits import closed_cov, comparison_table
+from .limits import _MAX_LEVEL, closed_cov, comparison_table
 from .moments import (
     MomentEstimate,
     cov_K_cross_gen,
@@ -58,14 +58,18 @@ from .moments import (
     mean_K,
     mean_K_binomial,
 )
-from .scheme import TRAJECTORY_CSV_HEADER, simulate_replicas
+from .scheme import TRAJECTORY_CSV_HEADER, _check_bytes, simulate_replicas
 from .weights import WeightFamily
 
 MOMENTS_CSV_HEADER = "quantity,j,l,l2,s,t,value,error_bound,boxes"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 1 (not 2)."""
+    """argparse that reports usage problems with exit code 1 (not 2) and
+    takes each flag only as spelled in full, never by a prefix."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -102,10 +106,7 @@ def _threads(ns) -> int:
 
 
 def _echo_config(ns) -> None:
-    skip = {"func"}
-    for key in sorted(vars(ns)):
-        if key in skip:
-            continue
+    for key in sorted(vars(ns).keys() - {"func"}):
         print(f"# {key}={getattr(ns, key)}", file=sys.stderr)
 
 
@@ -210,8 +211,7 @@ def _cmd_identities(ns) -> int:
                     return 2
                 cells += 1
     rng = np.random.default_rng(check_whole("--seed", ns.seed, 0))
-    worst = 0.0
-    checks = 0
+    worst, checks = 0.0, 0
     for _ in range(100):
         a, b = rng.uniform(0.0, 10.0, size=2)
         a, b = a or 1e-3, b or 1e-3
@@ -228,7 +228,10 @@ def _cmd_identities(ns) -> int:
 def _cmd_simulate(ns) -> int:
     replicas = check_whole("replicas", ns.replicas, 1)
     n = ns.deterministic_n
-    grid = ns.times if ns.times is not None else [float(ns.t) if n is None else n]
+    grid = ns.times if ns.times is not None else [100.0 if n is None else n]
+    # every row is held until the write, about 160 bytes each: refused first
+    rows = replicas * ns.generations * ns.levels * len(grid)
+    _check_bytes(160 * rows, f"{rows} trajectory CSV rows")
     trajectories = simulate_replicas(
         ns.weight_family, grid, ns.generations, ns.levels, ns.seed,
         range(replicas), n=n,
@@ -241,14 +244,11 @@ def _cmd_simulate(ns) -> int:
 
 
 def _moment_row(quantity, j, l, l2, s, t, est) -> str:
-    def num(x):
-        return "" if x is None else repr(float(x))
-
-    l2txt = "" if l2 is None else str(l2)
-    return (
-        f"{quantity},{j},{l},{l2txt},{num(s)},{num(t)},"
-        f"{est.value!r},{est.error_bound!r},{est.boxes_enumerated}"
-    )
+    """A moments CSV row; the times are floats, and an l2 or s of None is
+    left empty."""
+    l2, s = ("" if x is None else repr(x) for x in (l2, s))
+    return (f"{quantity},{j},{l},{l2},{s},{t!r},"
+            f"{est.value!r},{est.error_bound!r},{est.boxes_enumerated}")
 
 
 def _estimate(ns, terms) -> MomentEstimate:
@@ -276,17 +276,13 @@ def _cmd_moments_mean(ns) -> int:
 
 
 def _cmd_moments_cov(ns) -> int:
-    j, l, l2, t = ns.j, ns.l, ns.l2, ns.t
-    s = ns.s if ns.s is not None else t
-    quantity, l2, terms = {
-        "same": ("cov_K_same", None, _exact(cov_K_cross_gen, j, j, l, l, s, t)),
-        "star": ("cov_K_star_same", None, _star_terms(cov_K_cross_gen, (j, j), (l, l), (s, t))),
-        "levels": ("cov_K_cross_level", l2, _exact(cov_K_cross_gen, j, j, l, l2, s, t)),
-        "gens": (f"cov_K_cross_gen_{ns.gen_i}_{j}", l2,
-                 _exact(cov_K_cross_gen, ns.gen_i, j, l, l2, s, t)),
-    }[ns.which]
-    _emit([MOMENTS_CSV_HEADER, _moment_row(quantity, j, l, l2, s, t, _estimate(ns, terms))],
-          ns.out)
+    j, l, t = ns.j, ns.l, ns.t
+    i, l2, s = (y if x is None else x for x, y in ((ns.gen_i, j), (ns.l2, l), (ns.s, t)))
+    terms = (_star_terms(cov_K_cross_gen, (i, j), (l, l2), (s, t)) if ns.star
+             else _exact(cov_K_cross_gen, i, j, l, l2, s, t))
+    row = _moment_row(f"cov_K_{'star_' * ns.star}cross_gen_{i}_{j}", j, l, l2, s, t,
+                      _estimate(ns, terms))
+    _emit([MOMENTS_CSV_HEADER, row], ns.out)
     return 0
 
 
@@ -310,6 +306,7 @@ def _cmd_limits_cov(ns) -> int:
 def _cmd_limits_table(ns) -> int:
     kinds = [k.strip() for k in ns.kinds.split(",") if k.strip()]
     max_l = check_whole("--max-l", ns.max_l, 1)
+    check_real("--max-l", max_l, high=_MAX_LEVEL)  # the quadrature's limit, before any pair
     pairs = [(l1, l2) for l1 in range(1, max_l + 1) for l2 in range(1, max_l + 1)]
     rows = comparison_table(kinds, pairs, ns.deltas)
     lines = ["kind,l1,l2,delta,closed_form,quadrature,abs_diff"]
@@ -410,9 +407,9 @@ def build_parser() -> _Parser:
 
     sim = subs.add_parser("simulate", help="simulate occupancy trajectories")
     _add_family_flags(sim); _add_common(sim, seed=1)
-    sim.add_argument("--t", type=float, default=100.0, help="single Poissonized time")
     sim.add_argument("--times", type=_csv_floats, default=None,
-                     help="snapshot grid (comma-separated); without it the one time --t")
+                     help="snapshot grid (comma-separated); without it the one time 100, "
+                          "or n under --deterministic-n")
     sim.add_argument("--deterministic-n", type=int, default=None,
                      help="run the fixed-ball-count scheme with n balls (0 allowed); "
                           "without it the Poissonized scheme runs")
@@ -439,15 +436,15 @@ def build_parser() -> _Parser:
 
     mc = msubs.add_parser("cov")
     _add_family_flags(mc); _add_common(mc)
-    mc.add_argument("--which", choices=("same", "star", "levels", "gens"),
-                    default="same")
+    # Cov(K^(i)_s(l), K^(j)_t(l2)), the arguments of cov_K_cross_gen
+    mc.add_argument("--gen-i", type=int, default=None,
+                    help="outer generation, 1 <= gen-i <= j (default --j)")
     mc.add_argument("--j", type=int, default=1)
-    mc.add_argument("--gen-i", type=int, default=1,
-                    help="outer generation for --which gens, 1 <= gen-i <= j")
     mc.add_argument("--l", type=int, default=1)
-    mc.add_argument("--l2", type=int, default=2)
-    mc.add_argument("--s", type=float, default=None)
+    mc.add_argument("--l2", type=int, default=None, help="level at --t (default --l)")
+    mc.add_argument("--s", type=float, default=None, help="time of --gen-i (default --t)")
     mc.add_argument("--t", type=float, default=100.0)
+    mc.add_argument("--star", action="store_true", help="exactly-l boxes at both levels")
     mc.add_argument("--prune", type=float, default=1e-9)
     mc.set_defaults(func=_cmd_moments_cov)
 
@@ -501,14 +498,16 @@ def build_parser() -> _Parser:
     vsubs = ver.add_subparsers(dest="check", parser_class=_Parser)
     vsubs.required = True
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    for name, own in (("moment", ("t", "deterministic_n")), ("clt", ("T", "u_grid")),
+    # trend and gap draw nothing, so they take no --replicas
+    for name, own in (("moment", ("replicas", "t", "deterministic_n")),
+                      ("clt", ("replicas", "T", "u_grid")),
                       ("trend", ("T_grid",)), ("gap", ("t_grid",))):
         vp = vsubs.add_parser(name)
         _add_family_flags(vp)
         _add_common(vp, seed=ExperimentConfig.seed, threads=True)
         # each flag is the config field of its name, with the field's default;
         # the one field whose default is None takes ball counts
-        for key in ("generations", "levels", "replicas", "prune", *own):
+        for key in ("generations", "levels", "prune", *own):
             default = defaults[key]
             vp.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
                             type=_csv_floats if isinstance(default, tuple)

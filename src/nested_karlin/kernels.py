@@ -292,9 +292,13 @@ def binomial_identity_lhs(l: int, a: float, b: float) -> float:
     ``sum_{k=0}^{l-1} C(k+l, l) (a^k b^l + a^l b^k) / ((a+b)^{k+l} (k+l)) = 1/l``.
 
     Evaluated with the normalized ratios a/(a+b), b/(a+b) after scaling a, b
-    by the power of two of max(a, b), an exact step, so nothing overflows.
+    by the power of two of max(a, b), an exact step, so a and b of any size
+    are fine.  The largest binomial, C(2l - 1, l), leaves the float range
+    from l = 516, so levels above 515 raise ``ValidationError``.
     """
     l = check_whole("level", l, 1)
+    if l > 515:
+        raise ValidationError(f"level must be <= 515, where C(2l - 1, l) fits a float, got {l}")
     a, b = check_real("a", a, 0.0, strict=True), check_real("b", b, 0.0, strict=True)
     e = math.frexp(max(a, b))[1]
     a, b = math.ldexp(a, -e), math.ldexp(b, -e)

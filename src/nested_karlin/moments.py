@@ -404,7 +404,7 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
     times, and every inactive box is in the 1-D series.  The covariance is
     then symmetric under swapping the (level, time) pairs, so they are
     ordered once (``cross_level_order``) and either order gives the same
-    value bit for bit.
+    value bit for bit.  An l (after that ordering) above 171 is refused.
     """
     i, j = check_whole("i", i, 1), check_whole("j", j, 1)
     if i > j:
@@ -414,6 +414,8 @@ def cov_K_cross_gen(family, i, j, l, n, s, t, *, prune: float = 1e-9) -> MomentE
     s, t = check_real("s", s, 0.0), check_real("t", t, 0.0)
     if i == j:
         l, n, s, t = cross_level_order(l, n, s, t)
+    if l > 171:  # G_q divides by q! for q < l, a float up to q = 170
+        raise ValidationError(f"level {l} is above 171, where (l - 1)! leaves the float range")
     lo, hi = min(s, t), max(s, t)
     # the pair term is at most P{A >= 1} <= x lo and P{A + F >= n} <= x t / n;
     # a zero scale (a zero time, or t / n underflowing) means an empty sum

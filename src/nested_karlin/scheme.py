@@ -193,6 +193,9 @@ def simulate_replicas(
     replicas run one at a time (see the module docstring)."""
     grid, J, L, kind, replicas = _checked(grid, J, L, n, replicas)
     G = len(grid)
+    # the (J, L + 1, G) counts and what each trajectory keeps of them
+    _check_bytes(8 * (len(replicas) + 1) * J * (2 * L + 3) * G,
+                 f"the counts of {len(replicas)} replicas at {J} x {L + 1} x {G}")
     stride = len(family.cumulative_table()) + 1
     gaps = np.diff(grid, prepend=0)
     trajectories, rng = [], None

@@ -303,11 +303,18 @@ class WeightFamily:
     def normalization(self, j: int, T: float) -> tuple[float, float]:
         """``(c_j, f_j(T))`` with ``c_j = Gamma(beta+1)^j / Gamma(j(beta+1))``
         and ``f_j(T) = T^(j beta + j - 1) ell(T)^j``: the variance of the
-        generation-j counts at time e^T grows like ``c_j f_j(T)``."""
+        generation-j counts at time e^T grows like ``c_j f_j(T)``.
+        NumericalError when either leaves the float range."""
         j = check_whole("generation", j, 1)
         T = check_real("T", T, 1.0, strict=True)
-        c = math.gamma(self.beta + 1.0) ** j / math.gamma(j * (self.beta + 1.0))
-        return c, T ** (j * self.beta + j - 1.0) * self.ell_at(T) ** j
+        try:
+            c = math.gamma(self.beta + 1.0) ** j / math.gamma(j * (self.beta + 1.0))
+            f = T ** (j * self.beta + j - 1.0) * self.ell_at(T) ** j
+            if math.isfinite(f):
+                return c, f
+        except OverflowError:
+            pass
+        raise NumericalError(f"the generation-{j} normalization at T={T!r} leaves the float range")
 
     def ell_at(self, y: float) -> float:
         """The slowly varying part ell(y): 1/alpha (weibull-like), y/log(1/p)

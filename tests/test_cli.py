@@ -61,7 +61,7 @@ class TestSpecInvocations:
             [
                 "simulate",
                 "--family", "weibull", "--alpha", "0.5",
-                "--t", "100",
+                "--times", "100",
                 "--generations", "2", "--levels", "3",
                 "--replicas", "10", "--seed", "1",
                 "--out", str(out_file),
@@ -102,6 +102,28 @@ class TestSpecInvocations:
         assert code == 0
         assert out == (f"{cli.MOMENTS_CSV_HEADER}\n"
                        "mean_K_binomial,1,1,,,50.0,17.01442992478786,4.971897708429024e-10,32\n")
+
+    @pytest.mark.parametrize("args, row", [
+        # the row of each --which spelling these replace: --which same ...
+        (["--j", "2", "--l", "2", "--t", "1000"],
+         "cov_K_cross_gen_2_2,2,2,2,1000.0,1000.0,50.65255135215091,4.933367938937792e-10,684"),
+        # ... --which star ...
+        (["--star", "--j", "2", "--l", "1", "--s", "500", "--t", "3000"],
+         "cov_K_star_cross_gen_2_2,2,1,1,500.0,3000.0,25.759812062744764,"
+         "1.973347175575098e-09,4644"),
+        # ... --which levels ...
+        (["--j", "2", "--l", "1", "--l2", "2"],
+         "cov_K_cross_gen_2_2,2,1,2,100.0,100.0,5.79254346944449,4.965444007043446e-10,170"),
+        # ... and --which gens, whose row is the same bytes
+        (["--gen-i", "1", "--j", "2", "--l", "1", "--l2", "3", "--s", "50", "--t", "200"],
+         "cov_K_cross_gen_1_2,2,1,3,50.0,200.0,0.2786020348606382,4.968860808479323e-10,274"),
+    ], ids=["same", "star", "levels", "gens"])
+    def test_moments_cov_takes_the_covariance_arguments(self, args, row, capsys):
+        # Cov(K^(i)_s(l), K^(j)_t(l2)); --gen-i, --l2 and --s default to --j,
+        # --l and --t
+        code, out, err = run_cli(["moments", "cov", *args], capsys)
+        assert code == 0, err
+        assert out == f"{cli.MOMENTS_CSV_HEADER}\n{row}\n"
 
     def test_verify_moment_zero_balls_is_the_fixed_n_scheme(self, capsys):
         # as for simulate: only the fixed-n scheme's mean rows, at t = n = 0
@@ -194,6 +216,29 @@ class TestExitCodes:
         assert len(lines) == 1, err
         assert lines[0].startswith(f"numeric error: {2**64} replicas of ")
 
+    def test_limits_table_levels_past_the_quadrature_refused_first(self, capsys,
+                                                                    monkeypatch):
+        # limits._MAX_LEVEL = 6, refused before any level pair is listed
+        monkeypatch.setattr(cli, "comparison_table", None)
+        for max_l in ("7", HUGE):
+            code, out, err = run_cli(["limits", "table", "--max-l", max_l], capsys)
+            assert code == 1 and not out
+            assert err.splitlines()[-1] == f"error: --max-l must be finite and <= 6, got {max_l}"
+
+    @pytest.mark.parametrize("args", [
+        ["moments", "cov", "--which", "same"],
+        ["simulate", "--t", "5"],
+        ["verify", "trend", "--replicas", "5"],
+        ["verify", "gap", "--replicas", "5"],
+        # a prefix is no flag: --t would otherwise read as --times
+        ["simulate", "--tim", "5"],
+    ])
+    def test_flags_that_are_gone(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and not out
+        flag, value = args[-2:]
+        assert err.splitlines()[-1] == f"error: unrecognized arguments: {flag} {value}"
+
     def test_whitenoise_mesh_beyond_float_range(self, capsys):
         # a mesh whose cell count overflows a float is refused by the budget
         # check, with the count printed short
@@ -285,7 +330,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("replicas", ["0", "-2"])
     def test_simulate_needs_a_replica(self, replicas, capsys):
-        code, out, err = run_cli(["simulate", "--t", "10", "--replicas", replicas], capsys)
+        code, out, err = run_cli(["simulate", "--times", "10", "--replicas", replicas], capsys)
         assert code == 1
         assert "replicas must be >= 1" in err and not out
 
@@ -447,24 +492,30 @@ class TestStarRows:
         (["mean", "--star", "--j", "2", "--l", "2", "--t", "1e4"],
          [(1.0, ["mean", "--j", "2", "--l", "2", "--t", "1e4"]),
           (-1.0, ["mean", "--j", "2", "--l", "3", "--t", "1e4"])]),
-        (["cov", "--which", "star", "--j", "2", "--l", "1", "--s", "500", "--t", "3000"],
-         [(sign, ["cov", "--j", "2", "--s", "500", "--t", "3000", *which])
-          for sign, which in ((1.0, ["--which", "same", "--l", "1"]),
-                              (-1.0, ["--which", "levels", "--l", "1", "--l2", "2"]),
-                              (-1.0, ["--which", "levels", "--l", "2", "--l2", "1"]),
-                              (1.0, ["--which", "same", "--l", "2"]))]),
+        (["cov", "--star", "--j", "2", "--l", "1", "--s", "500", "--t", "3000"],
+         [(sign, ["cov", "--j", "2", "--s", "500", "--t", "3000", "--l", l, "--l2", l2])
+          for sign, l, l2 in ((1.0, "1", "1"), (-1.0, "1", "2"), (-1.0, "2", "1"),
+                              (1.0, "2", "2"))]),
         # at s = t the level pairs (1, 2) and (2, 1) are one covariance
-        (["cov", "--which", "star", "--j", "1", "--l", "1", "--t", "100"],
-         [(sign, ["cov", "--j", "1", "--t", "100", *which])
-          for sign, which in ((1.0, ["--which", "same", "--l", "1"]),
-                              (-1.0, ["--which", "levels", "--l", "1", "--l2", "2"]),
-                              (-1.0, ["--which", "levels", "--l", "2", "--l2", "1"]),
-                              (1.0, ["--which", "same", "--l", "2"]))]),
+        (["cov", "--star", "--j", "1", "--l", "1", "--t", "100"],
+         [(sign, ["cov", "--j", "1", "--t", "100", "--l", l, "--l2", l2])
+          for sign, l, l2 in ((1.0, "1", "1"), (-1.0, "1", "2"), (-1.0, "2", "1"),
+                              (1.0, "2", "2"))]),
+        # two generations and two levels: K*^(1)(1) at s against K*^(2)(2) at t
+        (["cov", "--star", "--gen-i", "1", "--j", "2", "--l", "1", "--l2", "2", "--s", "50",
+          "--t", "200"],
+         [(sign, ["cov", "--gen-i", "1", "--j", "2", "--s", "50", "--t", "200", "--l", l,
+                  "--l2", l2])
+          for sign, l, l2 in ((1.0, "1", "2"), (-1.0, "1", "3"), (-1.0, "2", "2"),
+                              (1.0, "2", "3"))]),
     ])
     def test_row_sums_its_terms(self, star, parts, capsys):
         got = _moment_fields(star, capsys)
         terms = [(coef, _moment_fields(args, capsys)) for coef, args in parts]
-        assert got[0] in ("mean_K_star", "cov_K_star_same") and got[3] == ""
+        # a K* row reads as its first term's row, K* for K: the same label
+        # and generations, and l2 filled in (empty for a mean)
+        assert got[0] == terms[0][1][0].replace("K", "K_star", 1)
+        assert got[1:6] == terms[0][1][1:6]
         assert float(got[6]) == math.fsum(coef * float(r[6]) for coef, r in terms)
         assert float(got[7]) == math.fsum(abs(coef) * float(r[7]) for coef, r in terms)
         assert int(got[8]) == sum(int(r[8]) for _, r in terms)
@@ -481,8 +532,7 @@ class TestStarRows:
         cov_K_cross_gen = cli.cov_K_cross_gen
         monkeypatch.setattr(cli, "cov_K_cross_gen", counted)
         monkeypatch.setattr(harness, "cov_K_cross_gen", counted)
-        _moment_fields(["cov", "--which", "star", "--j", "1", "--l", "1", "--t", "100"],
-                       capsys)
+        _moment_fields(["cov", "--star", "--j", "1", "--l", "1", "--t", "100"], capsys)
         assert sorted(calls) == [(1, 1, 1, 1, 100.0, 100.0), (1, 1, 2, 1, 100.0, 100.0),
                                  (1, 1, 2, 2, 100.0, 100.0)]
 
@@ -509,7 +559,7 @@ class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, tmp_path, capsys):
         args = [
             "simulate", "--family", "geometric", "--p", "0.5",
-            "--t", "50", "--generations", "1", "--levels", "2",
+            "--times", "50", "--generations", "1", "--levels", "2",
             "--replicas", "5", "--seed", "42",
         ]
         a = tmp_path / "a.csv"
@@ -577,7 +627,7 @@ _OUT_CASES = {
     "weights rho": [],
     "weights profile": [],
     "identities check": ["--max-l", "2", "--max-n", "3"],
-    "simulate": ["--t", "20", "--replicas", "2"],
+    "simulate": ["--times", "20", "--replicas", "2"],
     "moments mean": [],
     "moments cov": [],
     "moments gap": [],
@@ -654,7 +704,6 @@ _LONG_RUNS = {
        for action in ("mean", "cov", "gap")},
     ("limits cov", "--l1"): "_crossZ loops l1 * (l2 - l1) times",
     ("limits cov", "--l2"): "_crossZ loops l1 * (l2 - l1) times",
-    ("limits table", "--max-l"): "lists max_l**2 level pairs before any work",
     ("weights table", "--k-max"): "holds every row before writing the first",
     **{(name, "--levels"): "lists cells for every level, or pairs of levels, before any work"
        for name in VERIFY},
@@ -665,18 +714,76 @@ _LONG_RUNS = {
 # (leaf, flag) pairs that end in a traceback at 2**64: open faults (ROADMAP
 # item 17), each kept as a strict xfail so that its mend shows
 _TRACEBACKS = {
-    ("identities check", "--max-l"): "binomial_identity_lhs: math.comb overflows a float "
-                                     "from l = 515",
-    ("simulate", "--levels"): "scheme: np.empty of (J, L + 1, G) counts",
-    ("simulate", "--replicas"): "scheme._checked: list(range(replicas))",
-    **{(f"moments {action}", "--l"): "_at_least_series: np.arange(l, _SIZE)"
-       for action in ("mean", "cov", "gap")},
-    ("verify clt", "--generations"): "WeightFamily.normalization: math.gamma(j * (beta + 1))",
-    ("verify trend", "--generations"): "WeightFamily.normalization: math.gamma(j * (beta + 1))",
+    (f"moments {action}", "--l"): "_at_least_series: np.arange(l, _SIZE)"
+    for action in ("mean", "gap")
+}
+
+# (leaf, flag) pairs that ended in a traceback, or ran without end, at 2**64,
+# and the start of the one error line each now ends in
+_REFUSED_HUGE = {
+    ("identities check", "--max-l"): "error: level must be <= 515",
+    ("limits table", "--max-l"): "error: --max-l must be finite and <= 6",
+    ("moments cov", "--l"): f"error: level {HUGE} is above 171",
+    ("moments cov", "--l2"): f"error: level {HUGE} is above 171",
+    # 2 replicas x 2 generations x 3 levels x 1 time, one factor at 2**64
+    ("simulate", "--levels"): f"numeric error: {2 * 2 * 2**64} trajectory CSV rows need",
+    ("simulate", "--replicas"): f"numeric error: {2**64 * 2 * 3} trajectory CSV rows need",
+    ("verify clt", "--generations"): "numeric error: the generation-86 normalization at T=3.0",
+    ("verify trend", "--generations"): "numeric error: the generation-86 normalization at "
+                                       "T=10.0",
 }
 
 
+# a value for each flag off its default and off the leaf's small run, looked
+# up by (leaf, flag), then by flag.  The x window has converged by 30 at
+# these steps, so only a window that moves the mesh shows.
+_MOVES = {
+    ("limits cov", "--l2"): "3", ("sample whitenoise", "--u-grid"): "0,0.5",
+    ("simulate", "--generations"): "3", ("verify trend", "--prune"): "1e-7",
+    "--family": "geometric", "--alpha": "0.3", "--p": "0.3", "--probs": "0.996,0.004",
+    "--seed": "3", "--k-max": "4", "--t": "200", "--lambdas": "3", "--times": "30",
+    "--max-l": "3", "--max-n": "4", "--deterministic-n": "200", "--generations": "2",
+    "--levels": "2", "--replicas": "120", "--j": "2", "--l": "2", "--l2": "2", "--s": "50",
+    "--gen-i": "1", "--prune": "1e-6", "--kind": "X", "--l1": "2", "--delta": "0.5",
+    "--kinds": "X", "--deltas": "0.5", "--u-grid": "0,1", "--n": "4", "--x-window": "30.05",
+    "--x-step": "0.2", "--y-step": "0.2", "--T": "4", "--T-grid": "10,13",
+    "--t-grid": "10,200", "--threads": "2",
+}
+# flags given in both runs, where a flag acts only together with others: a
+# family's parameter under that family, an outer generation below --j, and
+# the identity check's seed at enough levels for its worst error to move
+_CONTEXT = {"--p": ["--family", "geometric"],
+            "--probs": ["--family", "finite", "--probs", "0.5,0.5"],
+            "--gen-i": ["--j", "2"], ("identities check", "--seed"): ["--max-l", "12"]}
+# flags that leave stdout as it is: the worker count, and the --seed that
+# the benchmark passes to runs that draw nothing (it reaches the manifest)
+_SAME_STDOUT = {("limits table", "--seed"), ("verify trend", "--seed"),
+                ("verify gap", "--seed"), *((name, "--threads") for name in THREADED)}
+
+
 class TestFlagContract:
+    @pytest.mark.parametrize("command", sorted(_OUT_CASES))
+    def test_every_flag_changes_stdout(self, command, capsys, monkeypatch):
+        # each flag (--out and --config aside) moved off its default on the
+        # leaf's small run changes stdout, or, where listed, leaves it as it is
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.delenv("NESTED_KARLIN_THREADS", raising=False)
+
+        def stdout(args):
+            code, out, err = run_cli([*TestOutFlag._args(command), *args], capsys)
+            assert code in (0, 3), (command, args, err)
+            return re.sub(r" runtime=\d+\.\ds$", "", out, flags=re.M)
+
+        for action in dict(leaves(cli.build_parser()))[command]._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag in (None, "--help", "--out", "--config"):
+                continue
+            context = _CONTEXT.get((command, flag), _CONTEXT.get(flag, []))
+            moved = [flag] if action.nargs == 0 else [
+                flag, _MOVES.get((command, flag), _MOVES.get(flag))]
+            same = (command, flag) in _SAME_STDOUT
+            assert (stdout([*context, *moved]) == stdout(context)) == same, (command, flag)
+
     def test_seed_and_threads_only_where_read(self):
         flags = {name: {a.option_strings[-1] for a in parser._actions}
                  for name, parser in leaves(cli.build_parser())}
@@ -746,6 +853,17 @@ class TestFlagContract:
         code, _, _ = self._run([*command.split(), *_OUT_CASES[command], f"{flag}={HUGE}"],
                                tmp_path / "out.csv", capsys)
         assert code in (1, 2)
+
+    @pytest.mark.parametrize("command, flag", sorted(_REFUSED_HUGE))
+    def test_huge_counts_refused_with_one_line(self, command, flag, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        path = tmp_path / "out.csv"
+        code, out, err = self._run([*TestOutFlag._args(command), f"{flag}={HUGE}"], path,
+                                   capsys)
+        assert code == (2 if _REFUSED_HUGE[command, flag].startswith("numeric") else 1)
+        assert not out and path.read_text() == "sentinel"
+        assert err.splitlines()[-1].startswith(_REFUSED_HUGE[command, flag])
 
 
 class InProcessPool:

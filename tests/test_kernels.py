@@ -441,6 +441,12 @@ class TestIdentities:
         with pytest.raises(ValidationError):
             binomial_identity_lhs(2, a, b)
 
+    def test_binomial_levels_up_to_the_float_range(self):
+        # C(2l - 1, l) is a float up to l = 515; above it the level is refused
+        assert binomial_identity_lhs(515, 1.0, 2.0) * 515 == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValidationError, match="level must be <= 515"):
+            binomial_identity_lhs(516, 1.0, 2.0)
+
     @pytest.mark.parametrize("a, b", [(1e308, 1e308), (1e308, 1e-308)])
     def test_binomial_huge_inputs(self, a, b):
         # a + b itself overflows at (1e308, 1e308)

@@ -412,6 +412,15 @@ class TestCrossLevelCovariances:
                 assert abs(est.value - want) <= tol, (j, l1, l2)
 
 
+    @pytest.mark.parametrize("l, n", [(172, 1), (1, 172), (2**64, 1)])
+    def test_levels_past_the_series_factorials_are_refused(self, weib, l, n):
+        # at s = t the larger level is summed over; its series divides by
+        # (l - 1)!, a float up to l = 171
+        with pytest.raises(ValidationError, match="above 171"):
+            cov_K_cross_gen(weib, 1, 1, l, n, 100.0, 100.0)
+        assert cov_K_cross_gen(weib, 1, 1, 171, 1, 100.0, 100.0).value < 1e-90
+
+
 class TestCrossGeneration:
     def test_single_box_chain_coincides(self):
         # one box per generation: the two indicators are the same event

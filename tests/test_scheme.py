@@ -320,10 +320,18 @@ class TestMemoryGuard:
         with pytest.raises(NumericalError):
             simulate_poissonized(weib, [1.0, 1e12], 1, 1, seed=1)
 
+    def test_counts_past_memory_are_refused_before_any_draw(self, any_draw_fails):
+        # the (J, L + 1, G) counts of every replica, checked before any is made
+        weib = WeightFamily.weibull_like(0.5)
+        with pytest.raises(NumericalError, match="the counts of 1 replicas"):
+            simulate_replicas(weib, [1.0], 2, 2**62, 1, range(1))
+        with pytest.raises(NumericalError, match="the counts of 100000 replicas"):
+            simulate_replicas(weib, np.arange(1.0, 1001.0), 3, 1000, 1, range(100000))
+
     def test_cli_exit_code_before_any_draw(self, any_draw_fails, capsys):
         from nested_karlin.cli import main
 
-        assert main(["simulate", "--t", "1e20"]) == 2
+        assert main(["simulate", "--times", "1e20"]) == 2
         captured = capsys.readouterr()
         assert "numeric error:" in captured.err and not captured.out
 
@@ -352,7 +360,7 @@ class TestMemoryGuard:
     def test_cli_exit_code(self, no_draws, capsys):
         from nested_karlin.cli import main
 
-        assert main(["simulate", "--t", "1e12"]) == 2
+        assert main(["simulate", "--times", "1e12"]) == 2
         captured = capsys.readouterr()
         assert "numeric error:" in captured.err and not captured.out
 

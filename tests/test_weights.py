@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nested_karlin.errors import ValidationError
+from nested_karlin.errors import NumericalError, ValidationError
 from nested_karlin.weights import WeightFamily, guide_table, guided_search
 
 # Normalizer for alpha = 1/2, frozen from the construction-time sum
@@ -360,6 +360,16 @@ class TestNormalization:
         c, f = geo.normalization(j, T)
         assert c == pytest.approx(1.0 / math.gamma(j), rel=1e-15)
         assert f == pytest.approx(T ** (j - 1) * (T / math.log(2.0)) ** j, rel=1e-14)
+
+    @pytest.mark.parametrize("j, T", [(86, 8.0), (2, 1e300), (10**6, 2.0)])
+    def test_beyond_the_float_range_is_numerical_error(self, weib, j, T):
+        # beta = 1: Gamma(2 j) overflows from j = 86, and T^3 at T = 1e300
+        with pytest.raises(NumericalError, match=f"generation-{j} normalization"):
+            weib.normalization(j, T)
+
+    def test_last_finite_generation_keeps_its_bits(self, weib):
+        # beta = 1 and ell = 2: c_85 = 1 / Gamma(170), f_85 = T^169 2^85
+        assert weib.normalization(85, 8.0) == (1.0 / math.gamma(170.0), 8.0**169.0 * 2.0**85)
 
     @pytest.mark.parametrize("j, T", [(1, 1.0), (1, 0.5), (1, -3.0), (1, math.nan),
                                       (1, math.inf), (0, 8.0), (1.5, 8.0), (1, None),
